@@ -165,12 +165,12 @@ fn bench_attention(c: &mut Criterion) {
     // request, so this measures the allocation-free steady state.
     let mut arena = ScratchArena::new();
     for _ in 0..4 {
-        let y = amma.infer_in(&input, 0, &mut arena);
+        let y = amma.infer_batch_in(&input, 1, 0, &mut arena);
         arena.give(y);
     }
     c.bench_function("amma_infer_in_warm_arena", |b| {
         b.iter(|| {
-            let y = amma.infer_in(black_box(&input), 0, &mut arena);
+            let y = amma.infer_batch_in(black_box(&input), 1, 0, &mut arena);
             let v = y.data[0];
             arena.give(y);
             black_box(v)

@@ -17,9 +17,9 @@
 //! per-stream p50/p99 spread is reported either way.
 //!
 //! `--quant` distills the trained stack into the compressed student and
-//! serves its int8 snapshot — the whole sweep then exercises the
-//! quantized inference path, so diffing a `--quant` metrics snapshot
-//! against an f32 one gates the quantization accuracy cost.
+//! rounds its weights onto their int8 storage grid — the whole sweep then
+//! serves the int8-stored model, so diffing a `--quant` metrics snapshot
+//! against an f32 one gates the int8 storage accuracy cost.
 //!
 //! `--metrics-out` writes the full `MetricsSnapshot` (with the `serve`
 //! section populated) of the highest-load sweep point; `--trace-out`
@@ -61,7 +61,7 @@ fn str_arg(flag: &str) -> Option<String> {
 
 /// Builds the optional live-telemetry attachment from the CLI flags;
 /// exits with an error when a requested sink cannot be created.
-fn live_from_args(quant: bool) -> Option<LiveTelemetry> {
+fn live_from_args() -> Option<LiveTelemetry> {
     let sink = str_arg("--live-metrics");
     let expose = str_arg("--expose");
     if sink.is_none() && expose.is_none() {
@@ -69,7 +69,6 @@ fn live_from_args(quant: bool) -> Option<LiveTelemetry> {
     }
     let cfg = LiveTelemetryConfig {
         interval_pumps: usize_arg("--live-interval", 16) as u64,
-        int8: quant,
         ..LiveTelemetryConfig::default()
     };
     let cfg = match cfg.try_new() {
@@ -97,7 +96,8 @@ fn live_from_args(quant: bool) -> Option<LiveTelemetry> {
 
 #[derive(Serialize)]
 struct LoadgenArtifact {
-    /// True when the sweep served the distilled int8 student (`--quant`).
+    /// True when the sweep served the distilled, int8-stored student
+    /// (`--quant`).
     quantized: bool,
     points: Vec<mpgraph_bench::serve_load::LoadPoint>,
     chaos: Option<mpgraph_bench::serve_load::ChaosOutcome>,
@@ -119,11 +119,13 @@ fn main() {
     let mut setup = LoadgenSetup::prepare(&scale);
     if quant {
         let (params, bytes) = setup.quantize(&scale);
-        println!("serving distilled int8 student: {params} params, {bytes} int8 weight bytes");
+        println!(
+            "serving distilled int8-stored student: {params} params, {bytes} int8 weight bytes"
+        );
     }
     let setup = setup;
     let weights = zipf.then(|| zipf_weights(streams));
-    let live = live_from_args(quant);
+    let live = live_from_args();
     let live_attached = live.is_some();
     let outcome = run_load_sweep(
         &setup,

@@ -274,76 +274,6 @@ fn kernel_pair(
     (speedup, e)
 }
 
-/// int8 kernel vs the **f32 tiled** kernel at the same shape. Unlike
-/// [`kernel_pair`] the reference here is the fast f32 path, so the gated
-/// normalized p50 is directly i8/f32 — the quantized serve path only pays
-/// off when this sits well under 1.0 (the committed baseline pins it at
-/// ≤ 2/3, i.e. ≥1.5× speedup).
-fn kernel_pair_i8(
-    name: &str,
-    (m, k, n): (usize, usize, usize),
-    knobs: &Knobs,
-    widened: bool,
-) -> (KernelSpeedup, PerfEntry) {
-    use mpgraph_ml::quant::{matmul_i8_bt_into, matmul_i8w16_bt_into};
-    let mut r = rng(0x18_5F);
-    let fa = Matrix::xavier(m, k, &mut r);
-    // Both rows use the bt orientation — weights (n, k), one output channel
-    // per row — because that is the layout the quantized serve path runs
-    // (`QuantizedLinear` stores weights transposed) and the one where
-    // integer reassociation beats the order-pinned f32 dot.
-    let fb = Matrix::xavier(n, k, &mut r);
-    let mut fout = Matrix::zeros(m, n);
-    let to_i8 = |m: &Matrix| -> Vec<i8> {
-        m.data
-            .iter()
-            .map(|&v| (v * 127.0).clamp(-127.0, 127.0) as i8)
-            .collect()
-    };
-    let qa = to_i8(&fa);
-    let qb = to_i8(&fb);
-    // The widened row measures the serve-path kernel proper: the weight
-    // mirror is built once at load time (QuantizedLinear construction), so
-    // it sits outside the timed region; the activation widening is inside.
-    let qb16: Vec<i16> = qb.iter().map(|&v| v as i16).collect();
-    let mut xw = vec![0i16; k];
-    let mut qout = vec![0i32; m * n];
-    let (quant, float_tiled, ratio) = sample_interleaved_ns(
-        knobs.kernel_samples,
-        knobs.kernel_inner,
-        || {
-            if widened {
-                matmul_i8w16_bt_into(
-                    black_box(&qa),
-                    black_box(&qb16),
-                    m,
-                    k,
-                    n,
-                    &mut xw,
-                    &mut qout,
-                );
-            } else {
-                matmul_i8_bt_into(black_box(&qa), black_box(&qb), m, k, n, &mut qout);
-            }
-            black_box(&qout);
-        },
-        || {
-            black_box(&fa).matmul_bt_into(black_box(&fb), &mut fout);
-            black_box(&fout);
-        },
-    );
-    let f32_p50 = percentile(&float_tiled, 0.50).max(1);
-    let mut e = entry(name, &quant, f32_p50);
-    e.normalized_p50 = ratio;
-    let speedup = KernelSpeedup {
-        name: name.to_string(),
-        tiled_p50_ns: e.p50_ns,
-        ref_p50_ns: f32_p50,
-        speedup: 1.0 / ratio.max(1e-12),
-    };
-    (speedup, e)
-}
-
 /// Runs the full perf suite at the given scale.
 pub fn run_perf(quick: bool) -> PerfReport {
     let knobs = Knobs::new(quick);
@@ -356,14 +286,6 @@ pub fn run_perf(quick: bool) -> PerfReport {
         kernels.push(sp);
         gated.push(e);
         let (sp, e) = kernel_pair(&format!("matmul_bt_{m}x{k}x{n}"), shape, &knobs, true);
-        kernels.push(sp);
-        gated.push(e);
-        // int8 rows: gated against the f32 *tiled* bt kernel, so the ratio
-        // is the real quantization payoff, not a naive-loop strawman.
-        let (sp, e) = kernel_pair_i8(&format!("matmul_i8_bt_{m}x{k}x{n}"), shape, &knobs, false);
-        kernels.push(sp);
-        gated.push(e);
-        let (sp, e) = kernel_pair_i8(&format!("matmul_i8w16_bt_{m}x{k}x{n}"), shape, &knobs, true);
         kernels.push(sp);
         gated.push(e);
     }
@@ -651,35 +573,19 @@ mod tests {
         assert!((back.gated[0].normalized_p50 - 1.25).abs() < 1e-12);
     }
 
-    /// End-to-end smoke at a tiny scale: the suite runs, gates are
-    /// self-consistent, and a run never regresses against itself.
+    /// End-to-end smoke at a tiny scale: the suite runs, every row is
+    /// well formed, and a run never regresses against itself. No wall-clock
+    /// comparison here — the perf gate's envelope judges speed.
     #[test]
     fn quick_run_is_self_consistent() {
         let rep = run_perf(true);
         assert!(rep.calibration_p50_ns > 0);
-        assert_eq!(rep.kernels.len(), 4 * SHAPES.len() + 1);
-        assert_eq!(rep.gated.len(), 4 * SHAPES.len() + 4);
-        // The int8 rows must actually be faster than the f32 tiled kernels
-        // they are normalized against (the committed baseline pins the
-        // envelope much tighter; >1.0 here keeps a noisy quick run honest).
-        for k in rep.kernels.iter().filter(|k| k.name.contains("_i8")) {
-            assert!(
-                k.speedup > 1.0,
-                "{} int8 slower than f32 tiled: {:.3}x",
-                k.name,
-                k.speedup
-            );
-        }
-        let fused = rep
+        assert_eq!(rep.kernels.len(), 2 * SHAPES.len() + 1);
+        assert_eq!(rep.gated.len(), 2 * SHAPES.len() + 4);
+        assert!(rep
             .kernels
             .iter()
-            .find(|k| k.name.starts_with("infer_batched"))
-            .expect("batched-vs-per-item row missing");
-        assert!(
-            fused.speedup > 1.0,
-            "batched inference slower than per-item: {:.3}x",
-            fused.speedup
-        );
+            .any(|k| k.name.starts_with("infer_batched")));
         assert!(rep.train_tokens_per_sec > 0.0);
         assert!(rep.eq12_paper_cycles > 0);
         for e in &rep.gated {

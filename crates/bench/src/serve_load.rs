@@ -53,12 +53,12 @@ impl LoadgenSetup {
         }
     }
 
-    /// Swaps the serve-path model for the distilled int8 student, the
-    /// same pipeline as `mpgraph serve --quant`: distill both predictors
-    /// from the trained teachers, then round the student weights onto
-    /// their int8 grid and install the real int8 serving snapshots. Every
-    /// stream cloned afterwards serves through the i8×i8→i32 kernels.
-    /// Returns `(student_params, int8_weight_bytes)`.
+    /// Swaps the serve-path model for the distilled, int8-stored student,
+    /// the same pipeline as `mpgraph serve --quant`: distill both
+    /// predictors from the trained teachers, then round the student
+    /// weights onto their int8 grid. Every stream cloned afterwards serves
+    /// those rounded weights through the f32 path (§6.1: int8 is the
+    /// storage format). Returns `(student_params, int8_weight_bytes)`.
     pub fn quantize(&mut self, scale: &ExpScale) -> (usize, usize) {
         use mpgraph_core::compress::{quantize_delta, quantize_page};
         use mpgraph_core::{distill_delta, distill_page, DistillCfg};

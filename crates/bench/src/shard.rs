@@ -99,12 +99,11 @@ pub fn run_combo(combo: Combo, scale: &ExpScale, segment_len: usize) -> ComboRes
     run_combo_opts(combo, scale, segment_len, false)
 }
 
-/// [`run_combo`] with the serve path selectable: `quant` rounds the
-/// trained predictors onto their int8 grid and installs the real int8
-/// serving snapshots before evaluation, so the whole run measures the
-/// i8×i8→i32 inference path on otherwise identical weights. Diffing a
-/// quant snapshot against the f32 one isolates the pure quantization
-/// accuracy cost (no distillation in the loop).
+/// [`run_combo`] with the model's storage selectable: `quant` rounds the
+/// trained predictors' weights onto their int8 grid before evaluation,
+/// so the whole run serves the int8-stored model through the same f32
+/// path. Diffing a quant snapshot against the f32 one isolates the pure
+/// int8 storage accuracy cost (no distillation in the loop).
 pub fn run_combo_opts(
     combo: Combo,
     scale: &ExpScale,

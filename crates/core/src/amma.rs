@@ -22,8 +22,6 @@
 use mpgraph_ml::arena::ScratchArena;
 use mpgraph_ml::attention::SelfAttention;
 use mpgraph_ml::layers::{Embedding, Linear, Module, Param};
-use mpgraph_ml::qinfer::{QuantSelfAttention, QuantTransformerLayer};
-use mpgraph_ml::quant::QuantizedLinear;
 use mpgraph_ml::tensor::Matrix;
 use mpgraph_ml::transformer::TransformerLayer;
 use rand_chacha::ChaCha8Rng;
@@ -101,153 +99,7 @@ pub struct Amma {
     /// Optional phase-informed side input (AMMA-PI): one embedding per
     /// phase, added to the fused representation after the MMAF layer.
     phase_embed: Option<Embedding>,
-    /// Int8 inference snapshot ([`QuantAmma`]); rebuilt by
-    /// [`Amma::quantize`], invalidated by any training forward.
-    quant: Option<QuantAmma>,
     cache_rows: usize,
-}
-
-/// Int8 snapshot of an [`Amma`]: every weight-side matmul (modality
-/// embeddings, Q/K/V projections, FFN layers) runs through
-/// [`QuantizedLinear`]'s i8×i8→i32 path with per-output-channel scales;
-/// positional encodings, residual adds, softmax, layer norms and the phase
-/// embedding stay f32. Control flow mirrors [`Amma::infer_in`] /
-/// [`Amma::infer_batch_in`] line for line.
-#[derive(Debug, Clone)]
-pub struct QuantAmma {
-    embed_addr: QuantizedLinear,
-    embed_pc: QuantizedLinear,
-    attn_addr: QuantSelfAttention,
-    attn_pc: QuantSelfAttention,
-    fusion: QuantSelfAttention,
-    trans: Vec<QuantTransformerLayer>,
-    phase_embed: Option<Embedding>,
-}
-
-impl QuantAmma {
-    pub fn from_amma(a: &Amma) -> Self {
-        QuantAmma {
-            embed_addr: QuantizedLinear::from_linear(&a.embed_addr),
-            embed_pc: QuantizedLinear::from_linear(&a.embed_pc),
-            attn_addr: QuantSelfAttention::from_attention(&a.attn_addr),
-            attn_pc: QuantSelfAttention::from_attention(&a.attn_pc),
-            fusion: QuantSelfAttention::from_attention(&a.fusion),
-            trans: a
-                .trans
-                .iter()
-                .map(QuantTransformerLayer::from_layer)
-                .collect(),
-            phase_embed: a.phase_embed.clone(),
-        }
-    }
-
-    /// Serialized model size: int8 weights + f32 scales/biases, plus the
-    /// f32 phase-embedding table (small, accuracy-critical).
-    pub fn storage_bytes(&self) -> usize {
-        let pe = self
-            .phase_embed
-            .as_ref()
-            .map_or(0, |e| 4 * e.table.w.data.len());
-        self.embed_addr.storage_bytes()
-            + self.embed_pc.storage_bytes()
-            + self.attn_addr.storage_bytes()
-            + self.attn_pc.storage_bytes()
-            + self.fusion.storage_bytes()
-            + self
-                .trans
-                .iter()
-                .map(QuantTransformerLayer::storage_bytes)
-                .sum::<usize>()
-            + pe
-    }
-
-    /// Mirrors [`Amma::infer_in`].
-    pub fn infer_in(&self, x: &ModalInput, phase: usize, s: &mut ScratchArena) -> Matrix {
-        let mut ea = self.embed_addr.infer_in(&x.addr, s);
-        s.add_positional(&mut ea);
-        let mut ep = self.embed_pc.infer_in(&x.pc, s);
-        s.add_positional(&mut ep);
-        let mut ha = self.attn_addr.infer_in(&ea, s);
-        ha.add_assign(&ea);
-        s.give(ea);
-        let mut hp = self.attn_pc.infer_in(&ep, s);
-        hp.add_assign(&ep);
-        s.give(ep);
-        let mut fused_in = s.take(ha.rows, ha.cols + hp.cols);
-        let a_cols = ha.cols;
-        for r in 0..ha.rows {
-            fused_in.row_mut(r)[..a_cols].copy_from_slice(ha.row(r));
-            fused_in.row_mut(r)[a_cols..].copy_from_slice(hp.row(r));
-        }
-        s.give(ha);
-        s.give(hp);
-        let mut h = self.fusion.infer_in(&fused_in, s);
-        h.add_assign(&fused_in);
-        s.give(fused_in);
-        if let Some(pe) = &self.phase_embed {
-            pe.add_row_broadcast(phase, &mut h);
-        }
-        for t in &self.trans {
-            let h2 = t.infer_in(&h, s);
-            s.give(h);
-            h = h2;
-        }
-        let mut pooled = s.take(1, h.cols);
-        pooled.row_mut(0).copy_from_slice(h.row(h.rows - 1));
-        s.give(h);
-        pooled
-    }
-
-    /// Mirrors [`Amma::infer_batch_in`]: row `b` of the result is
-    /// bit-identical to [`QuantAmma::infer_in`] on sequence `b` alone.
-    pub fn infer_batch_in(
-        &self,
-        x: &ModalInput,
-        batch: usize,
-        phase: usize,
-        s: &mut ScratchArena,
-    ) -> Matrix {
-        assert!(
-            batch > 0 && x.addr.rows.is_multiple_of(batch),
-            "rows must tile by batch"
-        );
-        let seq = x.addr.rows / batch;
-        let mut ea = self.embed_addr.infer_in(&x.addr, s);
-        s.add_positional_per_seq(&mut ea, seq);
-        let mut ep = self.embed_pc.infer_in(&x.pc, s);
-        s.add_positional_per_seq(&mut ep, seq);
-        let mut ha = self.attn_addr.infer_batch_in(&ea, batch, s);
-        ha.add_assign(&ea);
-        s.give(ea);
-        let mut hp = self.attn_pc.infer_batch_in(&ep, batch, s);
-        hp.add_assign(&ep);
-        s.give(ep);
-        let mut fused_in = s.take(ha.rows, ha.cols + hp.cols);
-        let a_cols = ha.cols;
-        for r in 0..ha.rows {
-            fused_in.row_mut(r)[..a_cols].copy_from_slice(ha.row(r));
-            fused_in.row_mut(r)[a_cols..].copy_from_slice(hp.row(r));
-        }
-        s.give(ha);
-        s.give(hp);
-        let mut h = self.fusion.infer_batch_in(&fused_in, batch, s);
-        h.add_assign(&fused_in);
-        s.give(fused_in);
-        if let Some(pe) = &self.phase_embed {
-            pe.add_row_broadcast(phase, &mut h);
-        }
-        for t in &self.trans {
-            let h2 = t.infer_batch_in(&h, batch, s);
-            s.give(h);
-            h = h2;
-        }
-        let mut pooled = s.take(batch, h.cols);
-        for b in 0..batch {
-            pooled.row_mut(b).copy_from_slice(h.row((b + 1) * seq - 1));
-        }
-        s.give(h);
-        pooled
-    }
 }
 
 impl Amma {
@@ -263,7 +115,6 @@ impl Amma {
                 .map(|_| TransformerLayer::new(cfg.fusion_dim, cfg.heads, rng))
                 .collect(),
             phase_embed: None,
-            quant: None,
             cache_rows: 0,
             cfg,
         }
@@ -272,49 +123,7 @@ impl Amma {
     /// Enables the phase-informed variant (AMMA-PI) for `num_phases`.
     pub fn with_phase_embedding(mut self, num_phases: usize, rng: &mut ChaCha8Rng) -> Self {
         self.phase_embed = Some(Embedding::new(num_phases, self.cfg.fusion_dim, rng));
-        self.quant = None;
         self
-    }
-
-    /// Builds (or rebuilds) the int8 inference snapshot consumed by
-    /// [`Amma::infer_quant_in`]. Call after training has converged; any
-    /// later training forward invalidates the snapshot.
-    pub fn quantize(&mut self) {
-        self.quant = Some(QuantAmma::from_amma(self));
-    }
-
-    pub fn is_quantized(&self) -> bool {
-        self.quant.is_some()
-    }
-
-    /// Size of the int8 snapshot, if one exists.
-    pub fn quant_storage_bytes(&self) -> Option<usize> {
-        self.quant.as_ref().map(QuantAmma::storage_bytes)
-    }
-
-    /// Int8 forward; falls back to the f32 [`Amma::infer_in`] when no
-    /// snapshot exists (so callers can flip quantization on without
-    /// branching).
-    pub fn infer_quant_in(&self, x: &ModalInput, phase: usize, s: &mut ScratchArena) -> Matrix {
-        match &self.quant {
-            Some(q) => q.infer_in(x, phase, s),
-            None => self.infer_in(x, phase, s),
-        }
-    }
-
-    /// Batched int8 forward; falls back to [`Amma::infer_batch_in`] when
-    /// no snapshot exists.
-    pub fn infer_batch_quant_in(
-        &self,
-        x: &ModalInput,
-        batch: usize,
-        phase: usize,
-        s: &mut ScratchArena,
-    ) -> Matrix {
-        match &self.quant {
-            Some(q) => q.infer_batch_in(x, batch, phase, s),
-            None => self.infer_batch_in(x, batch, phase, s),
-        }
     }
 
     pub fn is_phase_informed(&self) -> bool {
@@ -358,8 +167,6 @@ impl Amma {
     /// Training forward: pooled `[1, fusion_dim]` representation.
     /// `phase` is consumed only by the phase-informed variant.
     pub fn forward(&mut self, x: &ModalInput, phase: usize) -> Matrix {
-        // Training moves the weights; the int8 snapshot is stale from here.
-        self.quant = None;
         self.cache_rows = x.addr.rows;
         let pe = mpgraph_ml::tensor::positional_encoding(x.addr.rows, self.cfg.attn_dim);
         let mut ea = self.embed_addr.forward(&x.addr);
@@ -410,54 +217,15 @@ impl Amma {
         Self::pool(&h)
     }
 
-    /// Inference through arena-owned scratch buffers: bit-identical to
-    /// [`Amma::infer`], but allocation-free after the arena warms up. This
-    /// is the prefetcher hot path — one call per predicted access.
-    pub fn infer_in(&self, x: &ModalInput, phase: usize, s: &mut ScratchArena) -> Matrix {
-        let mut ea = self.embed_addr.infer_in(&x.addr, s);
-        s.add_positional(&mut ea);
-        let mut ep = self.embed_pc.infer_in(&x.pc, s);
-        s.add_positional(&mut ep);
-        let mut ha = self.attn_addr.infer_in(&ea, s);
-        ha.add_assign(&ea);
-        s.give(ea);
-        let mut hp = self.attn_pc.infer_in(&ep, s);
-        hp.add_assign(&ep);
-        s.give(ep);
-        let mut fused_in = s.take(ha.rows, ha.cols + hp.cols);
-        let a_cols = ha.cols;
-        for r in 0..ha.rows {
-            fused_in.row_mut(r)[..a_cols].copy_from_slice(ha.row(r));
-            fused_in.row_mut(r)[a_cols..].copy_from_slice(hp.row(r));
-        }
-        s.give(ha);
-        s.give(hp);
-        let mut h = self.fusion.infer_in(&fused_in, s);
-        h.add_assign(&fused_in);
-        s.give(fused_in);
-        if let Some(pe) = &self.phase_embed {
-            // Same values as adding the repeated-token embedding matrix,
-            // without materializing it.
-            pe.add_row_broadcast(phase, &mut h);
-        }
-        for t in &self.trans {
-            let h2 = t.infer_in(&h, s);
-            s.give(h);
-            h = h2;
-        }
-        let mut pooled = s.take(1, h.cols);
-        pooled.row_mut(0).copy_from_slice(h.row(h.rows - 1));
-        s.give(h);
-        pooled
-    }
-
     /// Batched inference over `batch` stacked sequences: `x.addr`/`x.pc`
     /// are `[batch * T, F]` with each sequence contiguous. The linear
     /// embeddings, fusion concat, phase broadcast, and transformer FFNs
     /// fuse across the whole stack; self-attention and the positional
     /// encoding stay per-sequence. Returns `[batch, fusion_dim]` with row
-    /// `b` bit-identical to [`Amma::infer_in`] on sequence `b` alone (the
-    /// whole batch shares one `phase`).
+    /// `b` bit-identical to [`Amma::infer`] on sequence `b` alone (the
+    /// whole batch shares one `phase`). This is the one arena forward:
+    /// single sequences run at `batch = 1`, allocation-free once the arena
+    /// is warm.
     pub fn infer_batch_in(
         &self,
         x: &ModalInput,
@@ -492,6 +260,8 @@ impl Amma {
         h.add_assign(&fused_in);
         s.give(fused_in);
         if let Some(pe) = &self.phase_embed {
+            // Same values as adding the repeated-token embedding matrix,
+            // without materializing it.
             pe.add_row_broadcast(phase, &mut h);
         }
         for t in &self.trans {
@@ -621,13 +391,13 @@ mod tests {
         let mut s = mpgraph_ml::ScratchArena::new();
         for phase in [0usize, 2, 1] {
             let baseline = amma.infer(&x, phase);
-            let y = amma.infer_in(&x, phase, &mut s);
+            let y = amma.infer_batch_in(&x, 1, phase, &mut s);
             assert_eq!(y.data, baseline.data, "phase {phase}");
             s.give(y);
         }
         let (_, misses_warm) = s.stats();
         for _ in 0..4 {
-            let y = amma.infer_in(&x, 1, &mut s);
+            let y = amma.infer_batch_in(&x, 1, 1, &mut s);
             s.give(y);
         }
         let (_, misses) = s.stats();
@@ -754,115 +524,6 @@ mod tests {
         let big = Amma::new(4, 1, AmmaConfig::paper(), &mut r);
         let small = Amma::new(4, 1, s, &mut r);
         assert!(big.num_params() > 20 * small.num_params());
-    }
-
-    #[test]
-    fn quantized_amma_tracks_f32() {
-        let mut r = rng(21);
-        let mut amma = Amma::new(4, 1, tiny_cfg(), &mut r).with_phase_embedding(3, &mut r);
-        amma.quantize();
-        assert!(amma.is_quantized());
-        let x = input(22, 5);
-        let mut s = mpgraph_ml::ScratchArena::new();
-        for phase in 0..3 {
-            let exact = amma.infer(&x, phase);
-            let quant = amma.infer_quant_in(&x, phase, &mut s);
-            let diff = exact
-                .data
-                .iter()
-                .zip(quant.data.iter())
-                .fold(0.0f32, |m, (a, b)| m.max((a - b).abs()));
-            // Post-LN output is O(1); int8 error stays well below it but
-            // must not be zero (the paths really are different).
-            assert!(diff < 0.35, "phase {phase}: diff {diff}");
-            assert!(diff > 0.0, "quant path identical to f32 — not quantized?");
-            s.give(quant);
-        }
-    }
-
-    #[test]
-    fn quantized_batch_is_bit_identical_per_sequence() {
-        let mut r = rng(23);
-        let mut amma = Amma::new(4, 1, tiny_cfg(), &mut r).with_phase_embedding(2, &mut r);
-        amma.quantize();
-        let batch = 3;
-        let t = 5;
-        let seqs: Vec<ModalInput> = (0..batch).map(|i| input(40 + i as u64, t)).collect();
-        let mut addr = Matrix::zeros(batch * t, 4);
-        let mut pc = Matrix::zeros(batch * t, 1);
-        for (i, q) in seqs.iter().enumerate() {
-            for row in 0..t {
-                addr.row_mut(i * t + row).copy_from_slice(q.addr.row(row));
-                pc.data[i * t + row] = q.pc.data[row];
-            }
-        }
-        let stacked = ModalInput { addr, pc };
-        let mut s = mpgraph_ml::ScratchArena::new();
-        for phase in 0..2 {
-            let fused = amma.infer_batch_quant_in(&stacked, batch, phase, &mut s);
-            for (i, q) in seqs.iter().enumerate() {
-                let solo = amma.infer_quant_in(q, phase, &mut s);
-                assert_eq!(fused.row(i), solo.row(0), "seq {i} phase {phase}");
-                s.give(solo);
-            }
-            s.give(fused);
-        }
-    }
-
-    #[test]
-    fn quant_falls_back_to_f32_when_no_snapshot() {
-        let mut r = rng(24);
-        let amma = Amma::new(4, 1, tiny_cfg(), &mut r);
-        assert!(!amma.is_quantized());
-        assert!(amma.quant_storage_bytes().is_none());
-        let x = input(25, 5);
-        let mut s = mpgraph_ml::ScratchArena::new();
-        let a = amma.infer_in(&x, 0, &mut s);
-        let b = amma.infer_quant_in(&x, 0, &mut s);
-        assert_eq!(a.data, b.data, "fallback must be bit-identical to f32");
-    }
-
-    #[test]
-    fn training_forward_invalidates_snapshot() {
-        let mut r = rng(26);
-        let mut amma = Amma::new(4, 1, tiny_cfg(), &mut r);
-        amma.quantize();
-        assert!(amma.is_quantized());
-        let _ = amma.forward(&input(27, 5), 0);
-        assert!(
-            !amma.is_quantized(),
-            "stale snapshot must not survive training"
-        );
-    }
-
-    #[test]
-    fn quant_snapshot_is_under_a_third_of_f32() {
-        let mut r = rng(28);
-        let mut amma = Amma::new(4, 1, tiny_cfg(), &mut r);
-        amma.quantize();
-        let qbytes = amma.quant_storage_bytes().unwrap();
-        let fbytes = amma.num_params() * 4;
-        assert!(qbytes * 3 < fbytes * 2, "{qbytes} vs {fbytes}");
-    }
-
-    #[test]
-    fn quantized_inference_is_allocation_free_at_steady_state() {
-        let mut r = rng(29);
-        let mut amma = Amma::new(4, 1, tiny_cfg(), &mut r).with_phase_embedding(2, &mut r);
-        amma.quantize();
-        let x = input(30, 5);
-        let mut s = mpgraph_ml::ScratchArena::new();
-        let w = amma.infer_quant_in(&x, 1, &mut s);
-        let baseline = w.data.clone();
-        s.give(w);
-        let (_, misses_warm) = s.stats();
-        for _ in 0..4 {
-            let y = amma.infer_quant_in(&x, 1, &mut s);
-            assert_eq!(y.data, baseline);
-            s.give(y);
-        }
-        let (_, misses) = s.stats();
-        assert_eq!(misses, misses_warm, "steady state must not allocate");
     }
 
     #[test]

@@ -7,8 +7,6 @@ use crate::amma::{Amma, AmmaConfig, ModalInput};
 use mpgraph_ml::arena::ScratchArena;
 use mpgraph_ml::layers::{Linear, Module, Param};
 use mpgraph_ml::lstm::Lstm;
-use mpgraph_ml::qinfer::{QuantLstm, QuantTransformerLayer};
-use mpgraph_ml::quant::QuantizedLinear;
 use mpgraph_ml::tensor::Matrix;
 use mpgraph_ml::transformer::TransformerLayer;
 use rand_chacha::ChaCha8Rng;
@@ -44,7 +42,6 @@ pub enum Backbone {
         lstm: Lstm,
         cache_rows: usize,
         pc_feats: usize,
-        quant: Option<Box<QuantLstm>>,
     },
     Attention {
         proj: Linear,
@@ -52,29 +49,8 @@ pub enum Backbone {
         dim: usize,
         cache_rows: usize,
         pc_feats: usize,
-        quant: Option<Box<QuantAttentionStack>>,
     },
     Amma(Box<Amma>),
-}
-
-/// Int8 snapshot of the vanilla-attention backbone: quantized input
-/// projection plus quantized Transformer layers (the AMMA variant keeps
-/// its snapshot inside [`Amma`]).
-#[derive(Debug, Clone)]
-pub struct QuantAttentionStack {
-    pub proj: QuantizedLinear,
-    pub layers: Vec<QuantTransformerLayer>,
-}
-
-impl QuantAttentionStack {
-    pub fn storage_bytes(&self) -> usize {
-        self.proj.storage_bytes()
-            + self
-                .layers
-                .iter()
-                .map(QuantTransformerLayer::storage_bytes)
-                .sum::<usize>()
-    }
 }
 
 impl Backbone {
@@ -90,7 +66,6 @@ impl Backbone {
                 lstm: Lstm::new(addr_feats + pc_feats, cfg.fusion_dim, rng),
                 cache_rows: 0,
                 pc_feats,
-                quant: None,
             },
             BackboneKind::Attention => Backbone::Attention {
                 proj: Linear::new(addr_feats + pc_feats, cfg.fusion_dim, rng),
@@ -100,7 +75,6 @@ impl Backbone {
                 dim: cfg.fusion_dim,
                 cache_rows: 0,
                 pc_feats,
-                quant: None,
             },
             BackboneKind::Amma => {
                 Backbone::Amma(Box::new(Amma::new(addr_feats, pc_feats, cfg, rng)))
@@ -137,13 +111,8 @@ impl Backbone {
     pub fn forward(&mut self, x: &ModalInput, phase: usize) -> Matrix {
         match self {
             Backbone::Lstm {
-                lstm,
-                cache_rows,
-                quant,
-                ..
+                lstm, cache_rows, ..
             } => {
-                // Training moves the weights; drop the stale int8 snapshot.
-                *quant = None;
                 *cache_rows = x.addr.rows;
                 let h = lstm.forward(&Self::concat(x));
                 Matrix::from_vec(1, h.cols, h.row(h.rows - 1).to_vec())
@@ -152,10 +121,8 @@ impl Backbone {
                 proj,
                 layers,
                 cache_rows,
-                quant,
                 ..
             } => {
-                *quant = None;
                 *cache_rows = x.addr.rows;
                 let mut h = proj.forward(&Self::concat(x));
                 h.add_assign(&mpgraph_ml::tensor::positional_encoding(h.rows, h.cols));
@@ -186,42 +153,12 @@ impl Backbone {
         }
     }
 
-    /// Inference through arena-owned scratch buffers — bit-identical to
-    /// [`Backbone::infer`], allocation-free after warmup for every kind.
-    pub fn infer_in(&self, x: &ModalInput, phase: usize, s: &mut ScratchArena) -> Matrix {
-        match self {
-            Backbone::Lstm { lstm, .. } => {
-                let cat = Self::concat_in(x, s);
-                let h = lstm.infer_in(&cat, s);
-                s.give(cat);
-                let mut pooled = s.take(1, h.cols);
-                pooled.row_mut(0).copy_from_slice(h.row(h.rows - 1));
-                s.give(h);
-                pooled
-            }
-            Backbone::Attention { proj, layers, .. } => {
-                let cat = Self::concat_in(x, s);
-                let mut h = proj.infer_in(&cat, s);
-                s.give(cat);
-                s.add_positional(&mut h);
-                for l in layers {
-                    let h2 = l.infer_in(&h, s);
-                    s.give(h);
-                    h = h2;
-                }
-                let mut pooled = s.take(1, h.cols);
-                pooled.row_mut(0).copy_from_slice(h.row(h.rows - 1));
-                s.give(h);
-                pooled
-            }
-            Backbone::Amma(a) => a.infer_in(x, phase, s),
-        }
-    }
-
     /// Batched inference: `x` stacks `batch` sequences (`[batch * T, F]`
     /// per modality, each sequence contiguous); returns `[batch, out_dim]`
-    /// with row `b` bit-identical to [`Backbone::infer_in`] on sequence
-    /// `b` alone. The whole batch shares one `phase`.
+    /// with row `b` bit-identical to [`Backbone::infer`] on sequence `b`
+    /// alone. The whole batch shares one `phase`. This is the only arena
+    /// forward: single sequences run at `batch = 1`, allocation-free for
+    /// every kind once the arena is warm.
     pub fn infer_batch_in(
         &self,
         x: &ModalInput,
@@ -328,122 +265,6 @@ impl Backbone {
         }
         (da, dp)
     }
-
-    /// Builds (or rebuilds) the int8 inference snapshot consumed by
-    /// [`Backbone::forward_quant`]. Call after training has converged; any
-    /// later training forward invalidates the snapshot.
-    pub fn quantize(&mut self) {
-        match self {
-            Backbone::Lstm { lstm, quant, .. } => {
-                *quant = Some(Box::new(QuantLstm::from_lstm(lstm)))
-            }
-            Backbone::Attention {
-                proj,
-                layers,
-                quant,
-                ..
-            } => {
-                *quant = Some(Box::new(QuantAttentionStack {
-                    proj: QuantizedLinear::from_linear(proj),
-                    layers: layers
-                        .iter()
-                        .map(QuantTransformerLayer::from_layer)
-                        .collect(),
-                }))
-            }
-            Backbone::Amma(a) => a.quantize(),
-        }
-    }
-
-    pub fn is_quantized(&self) -> bool {
-        match self {
-            Backbone::Lstm { quant, .. } => quant.is_some(),
-            Backbone::Attention { quant, .. } => quant.is_some(),
-            Backbone::Amma(a) => a.is_quantized(),
-        }
-    }
-
-    /// Size of the int8 snapshot, if one exists.
-    pub fn quant_storage_bytes(&self) -> Option<usize> {
-        match self {
-            Backbone::Lstm { quant, .. } => quant.as_ref().map(|q| q.storage_bytes()),
-            Backbone::Attention { quant, .. } => quant.as_ref().map(|q| q.storage_bytes()),
-            Backbone::Amma(a) => a.quant_storage_bytes(),
-        }
-    }
-
-    /// Int8 forward through the quantized snapshot; falls back to the f32
-    /// [`Backbone::infer_in`] (bit-identically) when no snapshot exists,
-    /// so callers can flip quantization on without branching.
-    pub fn forward_quant(&self, x: &ModalInput, phase: usize, s: &mut ScratchArena) -> Matrix {
-        match self {
-            Backbone::Lstm { quant: Some(q), .. } => {
-                let cat = Self::concat_in(x, s);
-                let h = q.infer_in(&cat, s);
-                s.give(cat);
-                let mut pooled = s.take(1, h.cols);
-                pooled.row_mut(0).copy_from_slice(h.row(h.rows - 1));
-                s.give(h);
-                pooled
-            }
-            Backbone::Attention { quant: Some(q), .. } => {
-                let cat = Self::concat_in(x, s);
-                let mut h = q.proj.infer_in(&cat, s);
-                s.give(cat);
-                s.add_positional(&mut h);
-                for l in &q.layers {
-                    let h2 = l.infer_in(&h, s);
-                    s.give(h);
-                    h = h2;
-                }
-                let mut pooled = s.take(1, h.cols);
-                pooled.row_mut(0).copy_from_slice(h.row(h.rows - 1));
-                s.give(h);
-                pooled
-            }
-            Backbone::Amma(a) => a.infer_quant_in(x, phase, s),
-            other => other.infer_in(x, phase, s),
-        }
-    }
-
-    /// Batched int8 forward: row `b` is bit-identical to
-    /// [`Backbone::forward_quant`] on sequence `b` alone. Falls back to
-    /// [`Backbone::infer_batch_in`] when no snapshot exists.
-    pub fn forward_batch_quant(
-        &self,
-        x: &ModalInput,
-        batch: usize,
-        phase: usize,
-        s: &mut ScratchArena,
-    ) -> Matrix {
-        assert!(
-            batch > 0 && x.addr.rows.is_multiple_of(batch),
-            "rows must tile by batch"
-        );
-        let seq = x.addr.rows / batch;
-        match self {
-            Backbone::Lstm { quant: Some(q), .. } => {
-                let cat = Self::concat_in(x, s);
-                let h = q.infer_batch_in(&cat, batch, s);
-                s.give(cat);
-                Self::pool_last_rows(h, batch, seq, s)
-            }
-            Backbone::Attention { quant: Some(q), .. } => {
-                let cat = Self::concat_in(x, s);
-                let mut h = q.proj.infer_in(&cat, s);
-                s.give(cat);
-                s.add_positional_per_seq(&mut h, seq);
-                for l in &q.layers {
-                    let h2 = l.infer_batch_in(&h, batch, s);
-                    s.give(h);
-                    h = h2;
-                }
-                Self::pool_last_rows(h, batch, seq, s)
-            }
-            Backbone::Amma(a) => a.infer_batch_quant_in(x, batch, phase, s),
-            other => other.infer_batch_in(x, batch, phase, s),
-        }
-    }
 }
 
 impl Module for Backbone {
@@ -525,11 +346,19 @@ mod tests {
             BackboneKind::Amma,
         ] {
             // Phase embedding on (AMMA-PI) exercises the broadcast path.
-            let b = Backbone::new(kind, 3, 1, tiny_cfg(), &mut r).with_phase_embedding(2, &mut r);
+            let mut b =
+                Backbone::new(kind, 3, 1, tiny_cfg(), &mut r).with_phase_embedding(2, &mut r);
             let mut s = ScratchArena::new();
             // Ragged coverage via odd batch sizes; every batch shares T
-            // (the fused serve path stacks equal-length histories).
-            for batch in [1usize, 2, 5, 16] {
+            // (the fused serve path stacks equal-length histories). The
+            // last two batches run on int8-rounded weights, as `quantize`
+            // leaves them: the same path serves them.
+            let batches = [1usize, 2, 5, 16, 1, 16];
+            for (pass, batch) in batches.into_iter().enumerate() {
+                let rounded = pass >= 4;
+                if pass == 4 {
+                    mpgraph_ml::quant::quantize_module(&mut b);
+                }
                 let t = 4;
                 let seqs: Vec<ModalInput> = (0..batch).map(|i| input(100 + i as u64)).collect();
                 let mut addr = Matrix::zeros(batch * t, 3);
@@ -545,14 +374,15 @@ mod tests {
                     let fused = b.infer_batch_in(&stacked, batch, phase, &mut s);
                     assert_eq!((fused.rows, fused.cols), (batch, 16));
                     for (i, q) in seqs.iter().enumerate() {
-                        let solo = b.infer_in(q, phase, &mut s);
+                        let reference = b.infer(q, phase);
                         assert_eq!(
                             fused.row(i),
-                            solo.row(0),
-                            "{} batch={batch} seq={i} phase={phase}",
+                            reference.row(0),
+                            "{} rounded={rounded} batch={batch} seq={i} phase={phase}",
                             kind.name()
                         );
                     }
+                    s.give(fused);
                 }
             }
         }
@@ -578,7 +408,7 @@ mod tests {
     }
 
     #[test]
-    fn arena_infer_matches_infer_for_every_kind() {
+    fn single_sequence_arena_forward_is_allocation_free_for_every_kind() {
         let mut r = rng(7);
         for kind in [
             BackboneKind::Lstm,
@@ -589,11 +419,11 @@ mod tests {
             let x = input(8);
             let baseline = b.infer(&x, 0);
             let mut s = ScratchArena::new();
-            let y = b.infer_in(&x, 0, &mut s);
+            let y = b.infer_batch_in(&x, 1, 0, &mut s);
             assert_eq!(y.data, baseline.data, "{}", kind.name());
             s.give(y);
             let (_, warm) = s.stats();
-            let y2 = b.infer_in(&x, 0, &mut s);
+            let y2 = b.infer_batch_in(&x, 1, 0, &mut s);
             s.give(y2);
             let (_, steady) = s.stats();
             assert_eq!(warm, steady, "{} steady state allocated", kind.name());
@@ -611,116 +441,6 @@ mod tests {
         let a = Backbone::new(BackboneKind::Amma, 3, 1, tiny_cfg(), &mut r)
             .with_phase_embedding(2, &mut r);
         assert_ne!(a.infer(&x, 0), a.infer(&x, 1));
-    }
-
-    #[test]
-    fn quantized_forward_tracks_f32_for_every_kind() {
-        let mut r = rng(31);
-        for kind in [
-            BackboneKind::Lstm,
-            BackboneKind::Attention,
-            BackboneKind::Amma,
-        ] {
-            let mut b = Backbone::new(kind, 3, 1, tiny_cfg(), &mut r);
-            b.quantize();
-            assert!(b.is_quantized(), "{}", kind.name());
-            let x = input(32);
-            let mut s = ScratchArena::new();
-            let exact = b.infer_in(&x, 0, &mut s);
-            let quant = b.forward_quant(&x, 0, &mut s);
-            let diff = exact
-                .data
-                .iter()
-                .zip(quant.data.iter())
-                .fold(0.0f32, |m, (a, c)| m.max((a - c).abs()));
-            assert!(diff < 0.35, "{}: diff {diff}", kind.name());
-            assert!(diff > 0.0, "{}: quant path identical to f32", kind.name());
-            // The snapshot actually compresses: under a third of f32 bytes.
-            let qb = b.quant_storage_bytes().unwrap();
-            let fb = b.num_params() * 4;
-            assert!(qb * 3 < fb * 2, "{}: {qb} vs {fb}", kind.name());
-        }
-    }
-
-    #[test]
-    fn quantized_batch_is_bit_identical_per_sequence() {
-        let mut r = rng(33);
-        for kind in [
-            BackboneKind::Lstm,
-            BackboneKind::Attention,
-            BackboneKind::Amma,
-        ] {
-            let mut b =
-                Backbone::new(kind, 3, 1, tiny_cfg(), &mut r).with_phase_embedding(2, &mut r);
-            b.quantize();
-            let mut s = ScratchArena::new();
-            for batch in [1usize, 3, 8] {
-                let t = 4;
-                let seqs: Vec<ModalInput> = (0..batch).map(|i| input(200 + i as u64)).collect();
-                let mut addr = Matrix::zeros(batch * t, 3);
-                let mut pc = Matrix::zeros(batch * t, 1);
-                for (i, q) in seqs.iter().enumerate() {
-                    for row in 0..t {
-                        addr.row_mut(i * t + row).copy_from_slice(q.addr.row(row));
-                        pc.data[i * t + row] = q.pc.data[row];
-                    }
-                }
-                let stacked = ModalInput { addr, pc };
-                for phase in 0..2 {
-                    let fused = b.forward_batch_quant(&stacked, batch, phase, &mut s);
-                    for (i, q) in seqs.iter().enumerate() {
-                        let solo = b.forward_quant(q, phase, &mut s);
-                        assert_eq!(
-                            fused.row(i),
-                            solo.row(0),
-                            "{} batch={batch} seq={i} phase={phase}",
-                            kind.name()
-                        );
-                        s.give(solo);
-                    }
-                    s.give(fused);
-                }
-            }
-        }
-    }
-
-    #[test]
-    fn unquantized_forward_quant_falls_back_bit_identically() {
-        let mut r = rng(35);
-        for kind in [
-            BackboneKind::Lstm,
-            BackboneKind::Attention,
-            BackboneKind::Amma,
-        ] {
-            let b = Backbone::new(kind, 3, 1, tiny_cfg(), &mut r);
-            assert!(!b.is_quantized());
-            assert!(b.quant_storage_bytes().is_none());
-            let x = input(36);
-            let mut s = ScratchArena::new();
-            let a = b.infer_in(&x, 0, &mut s);
-            let c = b.forward_quant(&x, 0, &mut s);
-            assert_eq!(a.data, c.data, "{}", kind.name());
-        }
-    }
-
-    #[test]
-    fn training_forward_invalidates_quant_snapshot() {
-        let mut r = rng(37);
-        for kind in [
-            BackboneKind::Lstm,
-            BackboneKind::Attention,
-            BackboneKind::Amma,
-        ] {
-            let mut b = Backbone::new(kind, 3, 1, tiny_cfg(), &mut r);
-            b.quantize();
-            assert!(b.is_quantized(), "{}", kind.name());
-            let _ = b.forward(&input(38), 0);
-            assert!(
-                !b.is_quantized(),
-                "{} kept a stale snapshot across training",
-                kind.name()
-            );
-        }
     }
 
     #[test]

@@ -14,7 +14,6 @@ use mpgraph_ml::guard::{GuardAction, TrainGuard};
 use mpgraph_ml::layers::{Linear, Module};
 use mpgraph_ml::loss::{binary_distillation_loss, distillation_loss};
 use mpgraph_ml::optim::Adam;
-use mpgraph_ml::quant::quantize_module;
 use mpgraph_ml::tensor::rng;
 use mpgraph_ml::ScratchArena;
 use mpgraph_prefetchers::TrainCfg;
@@ -101,7 +100,8 @@ pub fn distill_delta(
                 .map(|rec| (rec.block(), rec.pc))
                 .collect();
             // Teacher's soft targets (phase-appropriate teacher model).
-            let teacher_logits = teacher.predict_logits_in(&hist, phase, &mut teacher_arena);
+            let teacher_logits =
+                teacher.predict_logits_batch_in(&[hist.as_slice()], phase, &mut teacher_arena);
             let x = DeltaPredictor::encode_hist(&cfg, &hist);
             let (backbone, head) = &mut models[midx];
             let pooled = backbone.forward(&x, phase);
@@ -138,7 +138,7 @@ pub fn distill_delta(
         final_loss,
         train_steps: 0,
         train_rollbacks: 0,
-        quant_heads: Vec::new(),
+        int8_bytes: None,
     }
 }
 
@@ -207,7 +207,8 @@ pub fn distill_page(
                 .iter()
                 .map(|rec| (teacher.vocab.token_of(rec.page()), rec.pc))
                 .collect();
-            let teacher_logits = teacher.predict_logits_in(&t_hist, phase, &mut teacher_arena);
+            let teacher_logits =
+                teacher.predict_logits_batch_in(&[t_hist.as_slice()], phase, &mut teacher_arena);
             let (loss, dl) = {
                 let m = &mut student.models[midx];
                 let tokens: Vec<usize> = hist.iter().map(|&(tk, _)| tk).collect();
@@ -294,37 +295,19 @@ pub fn distill_page(
     student
 }
 
-/// In-place int8 quantization of every model in a delta predictor.
-/// Rounds the f32 weights onto their int8 grid (for storage accounting)
-/// and installs the real int8 serving snapshot, so subsequent inference
-/// runs the i8×i8→i32 kernels. Rounding first makes the snapshot an exact
-/// representation of the stored weights (quantization is fixpoint-stable).
-/// Returns (float bytes before, int8 bytes after).
+/// In-place int8 quantization of every model in a delta predictor: the
+/// weights round onto their int8 grid (§6.1 storage format) and the f32
+/// path serves them. Returns (float bytes before, int8 bytes after).
 pub fn quantize_delta(p: &mut DeltaPredictor) -> (usize, usize) {
-    let mut before = 0usize;
-    let mut after = 0usize;
-    for (b, h) in p.models.iter_mut() {
-        before += b.num_params() * 4 + h.num_params() * 4;
-        after += quantize_module(b) + quantize_module(h);
-    }
-    p.quantize();
-    (before, after)
+    let before = p.num_params() * 4;
+    (before, p.quantize())
 }
 
 /// In-place int8 quantization of every model in a page predictor. Same
-/// contract as [`quantize_delta`]: weights round onto the int8 grid and
-/// the int8 serving snapshot is installed.
+/// contract as [`quantize_delta`].
 pub fn quantize_page(p: &mut PagePredictor) -> (usize, usize) {
-    let mut before = 0usize;
-    let mut after = 0usize;
-    for m in p.models.iter_mut() {
-        before += (m.embed.num_params() + m.backbone.num_params() + m.head.num_params()) * 4;
-        after += quantize_module(&mut m.embed)
-            + quantize_module(&mut m.backbone)
-            + quantize_module(&mut m.head);
-    }
-    p.quantize();
-    (before, after)
+    let before = p.num_params() * 4;
+    (before, p.quantize())
 }
 
 /// Compression factor between a teacher/student pair (by parameter count).

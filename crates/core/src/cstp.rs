@@ -1,5 +1,5 @@
 //! Chain Spatio-Temporal Prefetching (§4.4.2, Figure 8): the spatial delta
-//! predictor and temporal page predictor run in parallel; a Page Base
+//! predictor and temporal page predictor both run per access; a Page Base
 //! Offset Table (PBOT) records the latest offset and PC seen on each page,
 //! letting the predicted page seed further spatial inference — a chain that
 //! continues until the temporal degree is exhausted or the PBOT misses.
@@ -53,8 +53,8 @@ impl CstpStats {
         }
     }
 
-    /// Folds counters accumulated on another thread (the parallel temporal
-    /// lane) into this instance.
+    /// Folds another instance's counters (one chain's deltas) into this
+    /// one.
     pub fn merge(&mut self, other: &CstpStats) {
         self.batches += other.batches;
         self.chain_steps += other.chain_steps;
@@ -235,19 +235,15 @@ pub fn chain_prefetch(
     out
 }
 
-/// [`chain_prefetch`] with the spatial and temporal lanes running
-/// concurrently via [`rayon::join`], each on its own [`ScratchArena`] so
-/// model inference is allocation-free after warmup.
+/// [`chain_prefetch`] on the arena path: [`chain_prefetch_fused`] with one
+/// item (B = 1), so model inference is allocation-free after warmup and
+/// the batch is bit-identical to the serial reference. `lanes` is cleared
+/// and refilled parallel to the returned batch, marking each candidate
+/// [`PrefetchLane::Spatial`] or [`PrefetchLane::Temporal`] for per-lane
+/// scoreboard attribution.
 ///
-/// The two lanes are data-independent: the spatial lane predicts Ds deltas
-/// from the current access, while the temporal lane walks the page chain
-/// (each chain step's spatial inference included). Their outputs are
-/// concatenated spatial-first — exactly the order the serial
-/// [`chain_prefetch`] pushes them — so the batch is bit-identical to the
-/// serial path no matter how the two lanes are scheduled.
-/// `lanes` is cleared and refilled parallel to the returned batch, marking
-/// each candidate [`PrefetchLane::Spatial`] or [`PrefetchLane::Temporal`]
-/// for per-lane scoreboard attribution.
+/// `spatial_arena` serves every forward. `_temporal_arena` is unused; it
+/// stays so that existing callers keep this signature.
 #[allow(clippy::too_many_arguments)]
 pub fn chain_prefetch_in(
     delta: &DeltaPredictor,
@@ -258,91 +254,25 @@ pub fn chain_prefetch_in(
     phase: usize,
     cfg: &CstpConfig,
     spatial_arena: &mut ScratchArena,
-    temporal_arena: &mut ScratchArena,
+    _temporal_arena: &mut ScratchArena,
     lanes: &mut Vec<PrefetchLane>,
     stats: &mut CstpStats,
 ) -> Vec<u64> {
-    let &(cur_block, _) = block_hist.last().expect("non-empty history");
-
-    let (spatial, (chain, lane_stats)) = rayon::join(
-        // --- Spatial lane: Ds deltas at the current access.
-        move || {
-            delta
-                .predict_deltas_in(block_hist, phase, cfg.spatial_degree, spatial_arena)
-                .into_iter()
-                .filter_map(|d| {
-                    let t = cur_block as i64 + d;
-                    (t >= 0).then_some(t as u64)
-                })
-                .collect::<Vec<u64>>()
-        },
-        // --- Temporal lane: the page chain plus chained spatial inference.
-        // Counters accumulate in a lane-local `CstpStats` merged after the
-        // join, so the lane borrows nothing mutable from the caller.
-        move || {
-            let mut out = Vec::new();
-            let mut ls = CstpStats::default();
-            let mut chain_len = 0u64;
-            let mut ph: Vec<(usize, u64)> = page_hist.to_vec();
-            let mut bh: Vec<(u64, u64)> = block_hist.to_vec();
-            for _step in 0..cfg.temporal_degree {
-                let Some(&next_page) = page.predict_pages_in(&ph, phase, 1, temporal_arena).first()
-                else {
-                    break;
-                };
-                let Some((offset, pbot_pc)) = pbot.get(next_page) else {
-                    ls.pbot_misses += 1;
-                    break;
-                };
-                ls.pbot_hits += 1;
-                chain_len += 1;
-                let base = (next_page << BLOCK_BITS) | (offset & BLOCK_OFFSET_MASK);
-                out.push(base);
-                bh.rotate_left(1);
-                if let Some(slot) = bh.last_mut() {
-                    *slot = (base, pbot_pc);
-                }
-                for d in delta.predict_deltas_in(
-                    &bh,
-                    phase,
-                    cfg.spatial_degree.saturating_sub(1),
-                    temporal_arena,
-                ) {
-                    let t = base as i64 + d;
-                    if t >= 0 {
-                        out.push(t as u64);
-                    }
-                }
-                let tok = page.vocab.token_of(next_page);
-                ph.rotate_left(1);
-                if let Some(slot) = ph.last_mut() {
-                    *slot = (tok, pbot_pc);
-                }
-            }
-            ls.chain_steps = chain_len;
-            ls.max_chain_len = chain_len;
-            (out, ls)
-        },
-    );
-
-    let mut out = spatial;
-    lanes.clear();
-    lanes.resize(out.len(), PrefetchLane::Spatial);
-    out.extend(chain);
-    lanes.resize(out.len(), PrefetchLane::Temporal);
-    // Identical dedup to the serial path (the concatenation order matches
-    // its emission order), keeping the two paths bit-exact.
-    stats.duplicates_suppressed += dedup_first_order(&mut out, Some(lanes));
-    stats.merge(&lane_stats);
-    stats.batches += 1;
-    out.truncate(cfg.max_degree());
-    lanes.truncate(cfg.max_degree());
-    out
+    let item = FusedChainItem {
+        pbot,
+        block_hist,
+        page_hist,
+    };
+    let res = chain_prefetch_fused(delta, page, &[item], phase, cfg, spatial_arena, &mut 0)
+        .pop()
+        .unwrap_or_default();
+    stats.merge(&res.stats);
+    *lanes = res.lanes;
+    res.batch
 }
 
-/// One stream's read-only inputs to a fused CSTP batch: the PBOT and the
-/// (full) block / page-token histories it would hand to
-/// [`chain_prefetch_in`].
+/// One stream's read-only inputs to a fused CSTP batch: its PBOT and its
+/// (full) block / page-token histories.
 pub struct FusedChainItem<'a> {
     pub pbot: &'a Pbot,
     pub block_hist: &'a [(u64, u64)],
@@ -350,9 +280,8 @@ pub struct FusedChainItem<'a> {
 }
 
 /// One stream's outputs from [`chain_prefetch_fused`]: the candidate batch
-/// and lane attribution exactly as [`chain_prefetch_in`] would have
-/// produced them, plus the per-item stats delta the caller merges into its
-/// rolling [`CstpStats`].
+/// and its lane attribution, plus the per-item stats delta the caller
+/// merges into its rolling [`CstpStats`].
 #[derive(Debug, Default, Clone)]
 pub struct FusedChainResult {
     pub batch: Vec<u64>,
@@ -360,8 +289,8 @@ pub struct FusedChainResult {
     pub stats: CstpStats,
 }
 
-/// [`chain_prefetch_in`] over a whole group of streams at once, with every
-/// model call batched: the spatial lane runs one `(B·T, ·)` delta forward
+/// The CSTP walk over a whole group of streams at once, with every model
+/// call batched: the spatial lane runs one `(B·T, ·)` delta forward
 /// over all items, and the temporal chain walks in lock-step — one batched
 /// page forward and one batched chained-delta forward per step, over the
 /// items whose chains are still alive. A pump batch of B compatible
@@ -373,8 +302,10 @@ pub struct FusedChainResult {
 /// identical predictor weights; the serving layer guarantees this by
 /// grouping streams on a weight/config signature. Because every kernel on
 /// the batched path computes each output row from its own input rows
-/// alone, each item's `batch`, `lanes`, and `stats` are bit-identical to
-/// a per-item [`chain_prefetch_in`] call.
+/// alone, each item's `batch` and `stats` are bit-identical to a serial
+/// [`chain_prefetch`] call on that item. A single access is the group of
+/// one (B = 1): [`chain_prefetch_in`] and the prefetcher's own
+/// `on_access` run exactly this walk.
 ///
 /// `forwards` counts the batched model forwards issued (the serving
 /// layer's fusion-efficiency telemetry).
@@ -594,9 +525,11 @@ mod tests {
         (delta, page)
     }
 
-    /// Replays `trace` against serial and parallel CSTP for `phase`,
-    /// priming the PBOT and the histories exactly as the prefetcher does,
-    /// and asserts the two lanes stay bit-identical. Returns the stats.
+    /// Replays `trace` against the serial and the arena CSTP walk for
+    /// `phase`, priming the PBOT and the histories exactly as the
+    /// prefetcher does, and asserts the two stay bit-identical: batch,
+    /// stats, and lanes (a candidate is spatial exactly when the current
+    /// access's own delta prediction emitted it). Returns the stats.
     fn replay_chain(trace: &[MemRecord], phase: usize) -> CstpStats {
         let (delta, page) = chain_models(trace);
         let cfg = CstpConfig::default();
@@ -604,9 +537,9 @@ mod tests {
         let mut bh: Vec<(u64, u64)> = Vec::new();
         let mut ph: Vec<(usize, u64)> = Vec::new();
         let mut serial = CstpStats::default();
-        let mut parallel = CstpStats::default();
-        let mut spatial_arena = ScratchArena::new();
-        let mut temporal_arena = ScratchArena::new();
+        let mut arena_stats = CstpStats::default();
+        let mut arena = ScratchArena::new();
+        let mut unused = ScratchArena::new();
         let mut lanes = Vec::new();
         for r in trace {
             bh.push((r.block(), r.pc));
@@ -628,24 +561,42 @@ mod tests {
                 &ph,
                 phase,
                 &cfg,
-                &mut spatial_arena,
-                &mut temporal_arena,
+                &mut arena,
+                &mut unused,
                 &mut lanes,
-                &mut parallel,
+                &mut arena_stats,
             );
-            assert_eq!(a, b, "serial and parallel batches diverged");
-            assert_eq!(b.len(), lanes.len(), "lane attribution misaligned");
+            assert_eq!(a, b, "serial and arena batches diverged");
+            let cur = r.block() as i64;
+            let spatial: Vec<u64> = delta
+                .predict_deltas(&bh, phase, cfg.spatial_degree)
+                .into_iter()
+                .filter(|&d| cur + d >= 0)
+                .map(|d| (cur + d) as u64)
+                .collect();
+            let expected: Vec<PrefetchLane> = b
+                .iter()
+                .map(|t| {
+                    if spatial.contains(t) {
+                        PrefetchLane::Spatial
+                    } else {
+                        PrefetchLane::Temporal
+                    }
+                })
+                .collect();
+            assert_eq!(lanes, expected, "lane attribution diverged");
+            assert_eq!(serial, arena_stats, "serial and arena stats diverged");
         }
-        assert_eq!(serial, parallel, "serial and parallel stats diverged");
+        assert_eq!(unused.stats(), (0, 0), "the second arena must stay unused");
         serial
     }
 
     #[test]
-    fn fused_chain_matches_per_item_chain() {
+    fn fused_chain_matches_serial_chain() {
         // Three lanes replay the chain workload at different offsets, so
         // every fused call batches genuinely different histories/PBOTs.
-        // Per lane, the fused result (batch, lane tags, stats) must be
-        // bit-identical to the per-item parallel chain.
+        // Per lane, the fused result must equal the serial chain (batch
+        // and stats) and the B = 1 arena chain (lane tags too).
         let trace = chain_trace(60);
         let (delta, page) = chain_models(&trace);
         let cfg = CstpConfig::default();
@@ -654,8 +605,7 @@ mod tests {
         let mut pbots: Vec<Pbot> = (0..LANES).map(|_| Pbot::new(512)).collect();
         let mut bhs: Vec<Vec<(u64, u64)>> = vec![Vec::new(); LANES];
         let mut phs: Vec<Vec<(usize, u64)>> = vec![Vec::new(); LANES];
-        let mut spatial_arena = ScratchArena::new();
-        let mut temporal_arena = ScratchArena::new();
+        let mut solo_arena = ScratchArena::new();
         let mut fused_arena = ScratchArena::new();
         let mut compared = 0usize;
         for step in 0..200 {
@@ -690,6 +640,19 @@ mod tests {
                 "fused forwards {fwd}"
             );
             for l in 0..LANES {
+                let mut serial_stats = CstpStats::default();
+                let serial = chain_prefetch(
+                    &delta,
+                    &page,
+                    &pbots[l],
+                    &bhs[l],
+                    &phs[l],
+                    0,
+                    &cfg,
+                    &mut serial_stats,
+                );
+                assert_eq!(fused[l].batch, serial, "lane {l} step {step}");
+                assert_eq!(fused[l].stats, serial_stats, "lane {l} step {step}");
                 let mut stats = CstpStats::default();
                 let mut lanes = Vec::new();
                 let batch = chain_prefetch_in(
@@ -700,8 +663,8 @@ mod tests {
                     &phs[l],
                     0,
                     &cfg,
-                    &mut spatial_arena,
-                    &mut temporal_arena,
+                    &mut solo_arena,
+                    &mut ScratchArena::new(),
                     &mut lanes,
                     &mut stats,
                 );
@@ -711,7 +674,7 @@ mod tests {
                 compared += 1;
             }
         }
-        assert!(compared > 300, "too few fused/per-item comparisons");
+        assert!(compared > 300, "too few fused/serial comparisons");
     }
 
     #[test]

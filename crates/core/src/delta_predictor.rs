@@ -12,7 +12,7 @@ use mpgraph_ml::layers::{Linear, Module, Sigmoid};
 use mpgraph_ml::loss::bce_with_logits;
 use mpgraph_ml::metrics::{multilabel_f1, top_k_indices, Prf};
 use mpgraph_ml::optim::Adam;
-use mpgraph_ml::quant::QuantizedLinear;
+use mpgraph_ml::quant::quantize_module;
 use mpgraph_ml::tensor::{rng, Matrix};
 use mpgraph_ml::ScratchArena;
 use mpgraph_prefetchers::mlcommon::{dedup_lanes, pc_feature, segment_block};
@@ -89,10 +89,9 @@ pub struct DeltaPredictor {
     pub cfg: DeltaPredictorConfig,
     /// One (backbone, head) per phase for AMMA-PS, otherwise length 1.
     pub(crate) models: Vec<(Backbone, Linear)>,
-    /// Int8 head snapshots, one per model, filled by
-    /// [`DeltaPredictor::quantize`] (backbone snapshots live inside each
-    /// [`Backbone`]). Empty means the f32 path serves.
-    pub(crate) quant_heads: Vec<QuantizedLinear>,
+    /// Int8 storage bytes, set once [`DeltaPredictor::quantize`] has
+    /// rounded the weights onto their int8 grid; `None` for plain f32.
+    pub(crate) int8_bytes: Option<usize>,
     pub(crate) num_phases: usize,
     pub final_loss: f32,
     /// Optimizer steps taken across all phase models and epochs.
@@ -244,7 +243,7 @@ impl DeltaPredictor {
             variant,
             cfg,
             models,
-            quant_heads: Vec::new(),
+            int8_bytes: None,
             num_phases: num_phases.max(1),
             final_loss,
             train_steps,
@@ -330,46 +329,38 @@ impl DeltaPredictor {
         (last.0, last.1, steps)
     }
 
-    fn model_index(&self, phase: usize) -> usize {
+    fn model_for(&self, phase: usize) -> &(Backbone, Linear) {
         if self.variant.is_phase_specific() {
-            phase % self.models.len()
+            &self.models[phase % self.models.len()]
         } else {
-            0
+            &self.models[0]
         }
     }
 
-    fn model_for(&self, phase: usize) -> &(Backbone, Linear) {
-        &self.models[self.model_index(phase)]
-    }
-
-    /// Builds int8 snapshots of every phase model (backbones + heads).
-    /// Serving then runs through the i8×i8→i32 kernels; call on a trained
-    /// (typically distilled, §6.1) predictor.
-    pub fn quantize(&mut self) {
-        self.quant_heads = self
+    /// Rounds every weight of every phase model onto its int8 grid in
+    /// place (§6.1: int8 is the storage format). Inference keeps running
+    /// the f32 path on the rounded weights, which is exactly what a model
+    /// loaded from int8 storage computes. Idempotent (quantization is
+    /// fixpoint-stable); call on a trained, typically distilled,
+    /// predictor. Returns the int8 storage bytes.
+    pub fn quantize(&mut self) -> usize {
+        let bytes = self
             .models
             .iter_mut()
-            .map(|(b, h)| {
-                b.quantize();
-                QuantizedLinear::from_linear(h)
-            })
-            .collect();
+            .map(|(b, h)| quantize_module(b) + quantize_module(h))
+            .sum();
+        self.int8_bytes = Some(bytes);
+        bytes
     }
 
     pub fn is_quantized(&self) -> bool {
-        !self.quant_heads.is_empty() && self.models.iter().all(|(b, _)| b.is_quantized())
+        self.int8_bytes.is_some()
     }
 
-    /// Int8 model size across all phase models (weights + scales/biases).
+    /// Int8 storage bytes across all phase models (weights, per-tensor
+    /// scales and shapes), once [`Self::quantize`] has run.
     pub fn quant_storage_bytes(&self) -> Option<usize> {
-        if !self.is_quantized() {
-            return None;
-        }
-        let mut total = 0usize;
-        for ((b, _), qh) in self.models.iter().zip(&self.quant_heads) {
-            total += b.quant_storage_bytes()? + qh.storage_bytes();
-        }
-        Some(total)
+        self.int8_bytes
     }
 
     /// Sigmoid probabilities over the delta bitmap.
@@ -377,7 +368,8 @@ impl DeltaPredictor {
         Sigmoid::infer(&self.predict_logits(hist, phase)).data
     }
 
-    /// Raw head logits (pre-sigmoid) — the knowledge-distillation target.
+    /// Raw head logits (pre-sigmoid) through the allocating reference
+    /// path, which the arena path is tested against bit for bit.
     pub fn predict_logits(&self, hist: &[(u64, u64)], phase: usize) -> Matrix {
         let (backbone, head) = self.model_for(phase);
         let x = Self::encode(&self.cfg, hist);
@@ -385,68 +377,48 @@ impl DeltaPredictor {
         head.infer(&pooled)
     }
 
-    /// Arena-backed `encode`: modal matrices come from `s` and must be
-    /// given back by the caller once the backbone has consumed them.
-    fn encode_in(
-        cfg: &DeltaPredictorConfig,
-        hist: &[(u64, u64)],
-        s: &mut ScratchArena,
-    ) -> ModalInput {
-        let mut addr = s.take(hist.len(), cfg.segments);
-        let mut pc = s.take(hist.len(), 1);
-        for (i, &(block, pcv)) in hist.iter().enumerate() {
-            addr.row_mut(i)
-                .copy_from_slice(&segment_block(block, cfg.segments));
-            pc.data[i] = pc_feature(pcv);
-        }
-        ModalInput { addr, pc }
-    }
-
-    /// Arena-backed [`Self::predict_logits`]: bit-identical output,
-    /// allocation-free after warmup. The caller `give`s the result back.
-    pub fn predict_logits_in(
+    /// The one arena forward: raw head logits `[B, labels]` for
+    /// `hists.len()` same-length history windows sharing one phase (and
+    /// therefore one model). The windows are stacked into a single
+    /// `(B·T, ·)` modal input so the backbone and head each run once;
+    /// row `b` is bit-identical to [`Self::predict_logits`] on window `b`,
+    /// because every kernel on the path computes each output row from its
+    /// own input rows alone. Single windows run at B = 1. The caller
+    /// `give`s the result back.
+    pub fn predict_logits_batch_in(
         &self,
-        hist: &[(u64, u64)],
+        hists: &[&[(u64, u64)]],
         phase: usize,
         s: &mut ScratchArena,
     ) -> Matrix {
-        let midx = self.model_index(phase);
-        let (backbone, head) = &self.models[midx];
-        let x = Self::encode_in(&self.cfg, hist, s);
-        // The quantized path only engages once `quantize` has built the
-        // snapshots; otherwise this is exactly the f32 arena path.
-        let quant_head = self.quant_heads.get(midx);
-        let pooled = if quant_head.is_some() {
-            backbone.forward_quant(&x, phase, s)
-        } else {
-            backbone.infer_in(&x, phase, s)
-        };
+        let batch = hists.len();
+        let t = hists.first().map_or(0, |h| h.len());
+        assert!(
+            hists.iter().all(|h| h.len() == t),
+            "fused delta batch requires equal-length histories"
+        );
+        let (backbone, head) = self.model_for(phase);
+        let mut addr = s.take(batch * t, self.cfg.segments);
+        let mut pc = s.take(batch * t, 1);
+        for (b, hist) in hists.iter().enumerate() {
+            for (i, &(block, pcv)) in hist.iter().enumerate() {
+                addr.row_mut(b * t + i)
+                    .copy_from_slice(&segment_block(block, self.cfg.segments));
+                pc.data[b * t + i] = pc_feature(pcv);
+            }
+        }
+        let x = ModalInput { addr, pc };
+        let pooled = backbone.infer_batch_in(&x, batch, phase, s);
         let ModalInput { addr, pc } = x;
         s.give(addr);
         s.give(pc);
-        let logits = match quant_head {
-            Some(qh) => qh.infer_in(&pooled, s),
-            None => head.infer_in(&pooled, s),
-        };
+        let logits = head.infer_in(&pooled, s);
         s.give(pooled);
         logits
     }
 
-    /// Arena-backed [`Self::predict_scores`]: the logits matrix is reused
-    /// in place for the sigmoid. The caller `give`s the result back.
-    pub fn predict_scores_in(
-        &self,
-        hist: &[(u64, u64)],
-        phase: usize,
-        s: &mut ScratchArena,
-    ) -> Matrix {
-        let mut scores = self.predict_logits_in(hist, phase, s);
-        Sigmoid::infer_inplace(&mut scores);
-        scores
-    }
-
-    /// Arena-backed [`Self::predict_deltas`] — the steady-state hot path of
-    /// [`crate::prefetcher::MpGraphPrefetcher`].
+    /// [`Self::predict_deltas_batch_in`] for one window (B = 1) — the
+    /// arena counterpart of [`Self::predict_deltas`].
     pub fn predict_deltas_in(
         &self,
         hist: &[(u64, u64)],
@@ -454,26 +426,15 @@ impl DeltaPredictor {
         k: usize,
         s: &mut ScratchArena,
     ) -> Vec<i64> {
-        let dr = DeltaRange {
-            range: self.cfg.delta_range,
-        };
-        let scores = self.predict_scores_in(hist, phase, s);
-        let deltas = top_k_indices(&scores.data, k)
-            .into_iter()
-            .filter(|&i| scores.data[i] >= self.cfg.threshold)
-            .map(|i| dr.delta_of(i))
-            .collect();
-        s.give(scores);
-        deltas
+        self.predict_deltas_batch_in(&[hist], phase, k, s)
+            .pop()
+            .unwrap_or_default()
     }
 
-    /// Batched [`Self::predict_deltas_in`] over `hists.len()` same-length
-    /// history windows sharing one phase (and therefore one model): the
-    /// windows are stacked into a single `(B·T, ·)` modal input so the
-    /// backbone and head each run exactly once. Per-row outputs are
-    /// bit-identical to calling [`Self::predict_deltas_in`] per window,
-    /// because every kernel on the path computes each output row from its
-    /// own input rows alone.
+    /// Top-`k` predicted deltas above the confidence threshold for each of
+    /// `hists.len()` same-length windows sharing one phase, from one
+    /// [`Self::predict_logits_batch_in`] forward. Row `b` equals
+    /// [`Self::predict_deltas`] on window `b`.
     pub fn predict_deltas_batch_in(
         &self,
         hists: &[&[(u64, u64)]],
@@ -494,40 +455,10 @@ impl DeltaPredictor {
             let uniq = self.predict_deltas_batch_in(&unique, phase, k, s);
             return lane_of.iter().map(|&i| uniq[i].clone()).collect();
         }
-        let t = hists[0].len();
-        assert!(
-            hists.iter().all(|h| h.len() == t),
-            "fused delta batch requires equal-length histories"
-        );
         let dr = DeltaRange {
             range: self.cfg.delta_range,
         };
-        let midx = self.model_index(phase);
-        let (backbone, head) = &self.models[midx];
-        let mut addr = s.take(batch * t, self.cfg.segments);
-        let mut pc = s.take(batch * t, 1);
-        for (b, hist) in hists.iter().enumerate() {
-            for (i, &(block, pcv)) in hist.iter().enumerate() {
-                addr.row_mut(b * t + i)
-                    .copy_from_slice(&segment_block(block, self.cfg.segments));
-                pc.data[b * t + i] = pc_feature(pcv);
-            }
-        }
-        let x = ModalInput { addr, pc };
-        let quant_head = self.quant_heads.get(midx);
-        let pooled = if quant_head.is_some() {
-            backbone.forward_batch_quant(&x, batch, phase, s)
-        } else {
-            backbone.infer_batch_in(&x, batch, phase, s)
-        };
-        let ModalInput { addr, pc } = x;
-        s.give(addr);
-        s.give(pc);
-        let mut scores = match quant_head {
-            Some(qh) => qh.infer_in(&pooled, s),
-            None => head.infer_in(&pooled, s),
-        };
-        s.give(pooled);
+        let mut scores = self.predict_logits_batch_in(hists, phase, s);
         Sigmoid::infer_inplace(&mut scores);
         let out = (0..batch)
             .map(|b| {
@@ -727,7 +658,7 @@ mod tests {
             ..tc
         };
         for v in Variant::ALL {
-            let model = DeltaPredictor::train(&trace, 2, v, cfg, &tc);
+            let mut model = DeltaPredictor::train(&trace, 2, v, cfg, &tc);
             let mut s = ScratchArena::new();
             // Distinct equal-length histories, one per batch lane.
             let hists: Vec<Vec<(u64, u64)>> = (0..16u64)
@@ -737,19 +668,32 @@ mod tests {
                         .collect()
                 })
                 .collect();
-            for batch in [1usize, 2, 5, 16] {
-                let refs: Vec<&[(u64, u64)]> = hists[..batch].iter().map(Vec::as_slice).collect();
-                for phase in 0..2 {
-                    let fused = model.predict_deltas_batch_in(&refs, phase, 4, &mut s);
-                    assert_eq!(fused.len(), batch);
-                    for (b, h) in refs.iter().enumerate() {
-                        let solo = model.predict_deltas_in(h, phase, 4, &mut s);
-                        assert_eq!(
-                            fused[b],
-                            solo,
-                            "{} batch={batch} lane={b} phase={phase}",
-                            v.name()
-                        );
+            // The second round serves int8-rounded weights, as `quantize`
+            // leaves them, through the same path.
+            for rounded in [false, true] {
+                if rounded {
+                    model.quantize();
+                }
+                for batch in [1usize, 2, 5, 16] {
+                    let refs: Vec<&[(u64, u64)]> =
+                        hists[..batch].iter().map(Vec::as_slice).collect();
+                    for phase in 0..2 {
+                        let fused = model.predict_deltas_batch_in(&refs, phase, 4, &mut s);
+                        assert_eq!(fused.len(), batch);
+                        let logits = model.predict_logits_batch_in(&refs, phase, &mut s);
+                        for (b, h) in refs.iter().enumerate() {
+                            let what = format!(
+                                "{} rounded={rounded} batch={batch} lane={b} phase={phase}",
+                                v.name()
+                            );
+                            assert_eq!(fused[b], model.predict_deltas(h, phase, 4), "{what}");
+                            assert_eq!(
+                                logits.row(b),
+                                model.predict_logits(h, phase).row(0),
+                                "{what}"
+                            );
+                        }
+                        s.give(logits);
                     }
                 }
             }
@@ -779,7 +723,7 @@ mod tests {
     }
 
     #[test]
-    fn arena_prediction_is_bit_identical_and_allocation_free() {
+    fn arena_prediction_is_allocation_free() {
         let trace = two_phase_trace(60, 2);
         let (cfg, tc) = quick_cfg();
         let tc = TrainCfg {
@@ -791,16 +735,10 @@ mod tests {
         let hist: Vec<(u64, u64)> = (0..5).map(|i| ((1 << 16) + i, 0x400000)).collect();
         let mut s = mpgraph_ml::ScratchArena::new();
         for phase in [0usize, 1] {
-            let baseline = model.predict_scores(&hist, phase);
             // Warmup, then steady state must not allocate.
-            let w = model.predict_scores_in(&hist, phase, &mut s);
-            assert_eq!(w.data, baseline, "arena scores must be bit-identical");
-            s.give(w);
+            model.predict_deltas_in(&hist, phase, 3, &mut s);
             let (_, misses_after_warmup) = s.stats();
             for _ in 0..4 {
-                let y = model.predict_scores_in(&hist, phase, &mut s);
-                assert_eq!(y.data, baseline);
-                s.give(y);
                 assert_eq!(
                     model.predict_deltas_in(&hist, phase, 3, &mut s),
                     model.predict_deltas(&hist, phase, 3)
@@ -816,14 +754,19 @@ mod tests {
         let trace = two_phase_trace(120, 3);
         let (cfg, tc) = quick_cfg();
         let mut model = DeltaPredictor::train(&trace, 2, Variant::AmmaPs, cfg, &tc);
+        let f32_model = model.clone();
         assert!(!model.is_quantized());
-        model.quantize();
+        let bytes = model.quantize();
         assert!(model.is_quantized());
-        // Int8 weights shrink storage well below f32 even at test-sized
-        // dims, where per-row scales and f32 biases are a big fraction.
-        let qb = model.quant_storage_bytes().unwrap();
+        assert_eq!(model.quant_storage_bytes(), Some(bytes));
+        // Rounding is fixpoint-stable: a second pass changes nothing.
+        let rounded = model.weight_bytes();
+        assert_eq!(model.quantize(), bytes);
+        assert_eq!(model.weight_bytes(), rounded);
+        // Int8 storage is well under a third of f32, even at test-sized
+        // dims where per-tensor scales and shapes are a big fraction.
         let fb = model.num_params() * 4;
-        assert!(qb * 3 < fb * 2, "{qb} quant bytes vs {fb} f32 bytes");
+        assert!(bytes * 3 < fb, "{bytes} int8 bytes vs {fb} f32 bytes");
         let mut s = ScratchArena::new();
         // The learned stride patterns survive quantization.
         let hist: Vec<(u64, u64)> = (0..5).map(|i| ((1 << 16) + i, 0x400000)).collect();
@@ -832,75 +775,15 @@ mod tests {
         let hist1: Vec<(u64, u64)> = (0..5).map(|i| ((1 << 18) + 4 * i, 0x401000)).collect();
         let deltas1 = model.predict_deltas_in(&hist1, 1, 3, &mut s);
         assert!(deltas1.contains(&4), "phase-1 deltas {deltas1:?}");
-        // And the scores track the f32 path closely.
+        // And the scores track the f32 model closely.
         for (hist, phase) in [(&hist, 0usize), (&hist1, 1)] {
-            let exact = model.predict_scores(hist, phase);
-            let quant = model.predict_scores_in(hist, phase, &mut s);
+            let exact = f32_model.predict_scores(hist, phase);
+            let quant = model.predict_scores(hist, phase);
             let diff = exact
                 .iter()
-                .zip(quant.data.iter())
+                .zip(quant.iter())
                 .fold(0.0f32, |m, (a, b)| m.max((a - b).abs()));
             assert!(diff < 0.12, "phase {phase}: sigmoid diff {diff}");
-            s.give(quant);
-        }
-    }
-
-    #[test]
-    fn quantized_batch_is_bit_identical_to_single_lane() {
-        let trace = two_phase_trace(60, 2);
-        let (cfg, tc) = quick_cfg();
-        let tc = TrainCfg {
-            max_samples: 50,
-            epochs: 1,
-            ..tc
-        };
-        for v in Variant::ALL {
-            let mut model = DeltaPredictor::train(&trace, 2, v, cfg, &tc);
-            model.quantize();
-            let mut s = ScratchArena::new();
-            let hists: Vec<Vec<(u64, u64)>> = (0..8u64)
-                .map(|b| {
-                    (0..5)
-                        .map(|i| ((1 << 16) + 97 * b + i * (1 + b % 3), 0x400000 + 4 * b))
-                        .collect()
-                })
-                .collect();
-            let refs: Vec<&[(u64, u64)]> = hists.iter().map(Vec::as_slice).collect();
-            for phase in 0..2 {
-                let fused = model.predict_deltas_batch_in(&refs, phase, 4, &mut s);
-                for (b, h) in refs.iter().enumerate() {
-                    let solo = model.predict_deltas_in(h, phase, 4, &mut s);
-                    assert_eq!(fused[b], solo, "{} lane={b} phase={phase}", v.name());
-                }
-            }
-        }
-    }
-
-    #[test]
-    fn quantized_inference_is_allocation_free_at_steady_state() {
-        let trace = two_phase_trace(60, 2);
-        let (cfg, tc) = quick_cfg();
-        let tc = TrainCfg {
-            max_samples: 50,
-            epochs: 1,
-            ..tc
-        };
-        let mut model = DeltaPredictor::train(&trace, 2, Variant::AmmaPs, cfg, &tc);
-        model.quantize();
-        let hist: Vec<(u64, u64)> = (0..5).map(|i| ((1 << 16) + i, 0x400000)).collect();
-        let mut s = ScratchArena::new();
-        for phase in [0usize, 1] {
-            let w = model.predict_scores_in(&hist, phase, &mut s);
-            let baseline = w.data.clone();
-            s.give(w);
-            let (_, misses_warm) = s.stats();
-            for _ in 0..4 {
-                let y = model.predict_scores_in(&hist, phase, &mut s);
-                assert_eq!(y.data, baseline);
-                s.give(y);
-            }
-            let (_, misses) = s.stats();
-            assert_eq!(misses, misses_warm, "phase {phase} steady state allocated");
         }
     }
 

@@ -16,7 +16,7 @@
 //!   text exposition, to `--expose <path>` (written to a temp file and
 //!   renamed, so scrapers never see a torn dump).
 //! * **Pump-stage spans** — queue wait (deterministic cycles), batch
-//!   assembly, fused forward (f32 / int8 tagged), and deferred fallback
+//!   assembly, fused forward, and deferred fallback
 //!   (host wall ns) accumulate into the per-stage histograms of
 //!   [`PumpStageMetrics`] and export as Perfetto counter tracks. The time
 //!   telemetry itself costs is measured and reported
@@ -110,9 +110,6 @@ pub struct LiveTelemetryConfig {
     /// Service clock frequency assumed when converting cycle spans to
     /// seconds for the accesses/s rate.
     pub ghz: f64,
-    /// Tags the pump's forward stage as int8 (quantized student) rather
-    /// than f32 in [`PumpStageMetrics`].
-    pub int8: bool,
     pub slo: SloConfig,
 }
 
@@ -121,7 +118,6 @@ impl Default for LiveTelemetryConfig {
         LiveTelemetryConfig {
             interval_pumps: 16,
             ghz: 2.0,
-            int8: false,
             slo: SloConfig::default(),
         }
     }
@@ -561,7 +557,6 @@ struct PumpStages {
     queue_wait: LatencyHistogram,
     assembly: LatencyHistogram,
     forward_f32: LatencyHistogram,
-    forward_int8: LatencyHistogram,
     deferred: LatencyHistogram,
     pump_wall_ns: u64,
     telemetry_wall_ns: u64,
@@ -573,7 +568,6 @@ impl PumpStages {
             queue_wait: LatencyHistogram::new(),
             assembly: LatencyHistogram::new(),
             forward_f32: LatencyHistogram::new(),
-            forward_int8: LatencyHistogram::new(),
             deferred: LatencyHistogram::new(),
             pump_wall_ns: 0,
             telemetry_wall_ns: 0,
@@ -585,7 +579,6 @@ impl PumpStages {
             queue_wait_cycles: self.queue_wait.snapshot(),
             assembly_ns: self.assembly.snapshot(),
             forward_f32_ns: self.forward_f32.snapshot(),
-            forward_int8_ns: self.forward_int8.snapshot(),
             deferred_fallback_ns: self.deferred.snapshot(),
             pump_wall_ns: self.pump_wall_ns,
             telemetry_wall_ns: self.telemetry_wall_ns,
@@ -693,14 +686,10 @@ impl LiveTelemetry {
         self.stages.assembly.record(ns);
     }
 
-    /// Records the forward-stage span, tagged f32 or int8 by
-    /// [`LiveTelemetryConfig::int8`].
+    /// Records the forward-stage span. Every forward runs the f32 kernels
+    /// (int8 is a storage format), so there is one forward histogram.
     pub fn note_forward_ns(&mut self, ns: u64) {
-        if self.cfg.int8 {
-            self.stages.forward_int8.record(ns);
-        } else {
-            self.stages.forward_f32.record(ns);
-        }
+        self.stages.forward_f32.record(ns);
     }
 
     pub fn note_deferred_ns(&mut self, ns: u64) {
@@ -756,12 +745,7 @@ impl LiveTelemetry {
             burn_rate: interval.windowed_burn_rate,
             verdict_level: interval.verdict_level,
             queue_wait_p99_cycles: self.stages.queue_wait.snapshot().p99,
-            forward_p99_ns: self
-                .stages
-                .forward_f32
-                .snapshot()
-                .p99
-                .max(self.stages.forward_int8.snapshot().p99),
+            forward_p99_ns: self.stages.forward_f32.snapshot().p99,
         });
         if let Some(sink) = self.sink.as_mut() {
             match serde_json::to_string(&interval) {

@@ -1106,10 +1106,9 @@ pub struct PumpStageMetrics {
     pub queue_wait_cycles: HistogramSnapshot,
     /// Batch assembly per pump (drain + wave/deadline split), wall ns.
     pub assembly_ns: HistogramSnapshot,
-    /// Fused/solo forward stage per pump on the f32 path, wall ns.
+    /// Fused/solo forward stage per pump on the f32 path (the only one:
+    /// int8 is a storage format), wall ns.
     pub forward_f32_ns: HistogramSnapshot,
-    /// Fused/solo forward stage per pump on the int8 path, wall ns.
-    pub forward_int8_ns: HistogramSnapshot,
     /// Deferred-fallback stage per pump (deadline remainder), wall ns.
     pub deferred_fallback_ns: HistogramSnapshot,
     /// Total wall time spent inside `pump` while telemetry was attached.
@@ -1167,7 +1166,7 @@ pub struct LiveIntervalSummary {
     pub verdict_level: u64,
     /// Queue-wait p99 over the whole run so far, in cycles.
     pub queue_wait_p99_cycles: u64,
-    /// Forward-stage p99 over the whole run so far, wall ns (f32 + int8).
+    /// Forward-stage p99 over the whole run so far, wall ns.
     pub forward_p99_ns: u64,
 }
 
@@ -1475,8 +1474,6 @@ impl MetricsSnapshot {
         ps.assembly_ns.merge(&other.serve.pump_stages.assembly_ns);
         ps.forward_f32_ns
             .merge(&other.serve.pump_stages.forward_f32_ns);
-        ps.forward_int8_ns
-            .merge(&other.serve.pump_stages.forward_int8_ns);
         ps.deferred_fallback_ns
             .merge(&other.serve.pump_stages.deferred_fallback_ns);
         ps.pump_wall_ns += other.serve.pump_stages.pump_wall_ns;
@@ -1541,7 +1538,6 @@ impl MetricsSnapshot {
         let ps = &mut self.serve.pump_stages;
         ps.assembly_ns = HistogramSnapshot::default();
         ps.forward_f32_ns = HistogramSnapshot::default();
-        ps.forward_int8_ns = HistogramSnapshot::default();
         ps.deferred_fallback_ns = HistogramSnapshot::default();
         ps.pump_wall_ns = 0;
         ps.telemetry_wall_ns = 0;

@@ -17,7 +17,7 @@ use mpgraph_ml::layers::{Embedding, Linear, Module, Sigmoid};
 use mpgraph_ml::loss::{bce_with_logits, softmax_cross_entropy};
 use mpgraph_ml::metrics::top_k_indices;
 use mpgraph_ml::optim::Adam;
-use mpgraph_ml::quant::QuantizedLinear;
+use mpgraph_ml::quant::quantize_module;
 use mpgraph_ml::tensor::{rng, Matrix};
 use mpgraph_ml::ScratchArena;
 use mpgraph_prefetchers::mlcommon::{dedup_lanes, pc_feature, PageVocab};
@@ -68,53 +68,6 @@ pub(crate) struct PageModel {
     /// layer to `log2(vocab)` bits.
     pub(crate) head: Linear,
     pub(crate) tied: bool,
-    /// Int8 snapshot of the head path, filled by
-    /// [`PagePredictor::quantize`] (the backbone snapshot lives inside
-    /// [`Backbone`]). `None` means the f32 path serves.
-    pub(crate) quant: Option<QuantPageHead>,
-}
-
-/// Int8 page head: the pooled→embedding projection, plus (Softmax only)
-/// the tied vocabulary product — each embedding-table row becomes one
-/// quantized output channel with its own scale, so one hot page with large
-/// embedding norm cannot wash out the rest of the vocabulary.
-#[derive(Clone)]
-pub(crate) struct QuantPageHead {
-    pub(crate) head: QuantizedLinear,
-    pub(crate) tied_vocab: Option<QuantizedLinear>,
-}
-
-impl QuantPageHead {
-    fn from_model(m: &PageModel) -> Self {
-        QuantPageHead {
-            head: QuantizedLinear::from_linear(&m.head),
-            tied_vocab: m
-                .tied
-                .then(|| QuantizedLinear::from_rows(&m.embed.table.w, None)),
-        }
-    }
-
-    fn storage_bytes(&self) -> usize {
-        self.head.storage_bytes()
-            + self
-                .tied_vocab
-                .as_ref()
-                .map_or(0, QuantizedLinear::storage_bytes)
-    }
-
-    /// Logits from the pooled representation: quantized projection, then
-    /// (tied heads) the quantized vocabulary product.
-    fn logits_in(&self, pooled: &Matrix, s: &mut ScratchArena) -> Matrix {
-        match &self.tied_vocab {
-            Some(tv) => {
-                let z = self.head.infer_in(pooled, s);
-                let logits = tv.infer_in(&z, s);
-                s.give(z);
-                logits
-            }
-            None => self.head.infer_in(pooled, s),
-        }
-    }
 }
 
 /// The temporal page predictor, in any of the five Table 7 variants.
@@ -126,6 +79,9 @@ pub struct PagePredictor {
     pub cfg: PagePredictorConfig,
     pub vocab: PageVocab,
     pub(crate) models: Vec<PageModel>,
+    /// Int8 storage bytes, set once [`PagePredictor::quantize`] has
+    /// rounded the weights onto their int8 grid; `None` for plain f32.
+    pub(crate) int8_bytes: Option<usize>,
     pub(crate) num_phases: usize,
     /// Bits used by the binary-encoded head.
     bits: usize,
@@ -234,7 +190,6 @@ impl PagePredictor {
                     backbone,
                     head,
                     tied,
-                    quant: None,
                 }
             })
             .collect();
@@ -325,6 +280,7 @@ impl PagePredictor {
             cfg,
             vocab,
             models,
+            int8_bytes: None,
             num_phases: num_phases.max(1),
             bits,
             final_loss,
@@ -451,41 +407,38 @@ impl PagePredictor {
         }
     }
 
-    /// Builds int8 snapshots of every phase model (backbone, head, and —
-    /// for tied Softmax heads — the vocabulary product over the embedding
-    /// table). Serving then runs through the i8×i8→i32 kernels.
-    pub fn quantize(&mut self) {
-        for m in &mut self.models {
-            m.backbone.quantize();
-            m.quant = Some(QuantPageHead::from_model(m));
-        }
+    /// Rounds every weight of every phase model — token embedding (which
+    /// is also the tied output head), backbone and head — onto its int8
+    /// grid in place (§6.1: int8 is the storage format). Inference keeps
+    /// running the f32 path on the rounded weights, which is exactly what
+    /// a model loaded from int8 storage computes. Idempotent; returns the
+    /// int8 storage bytes.
+    pub fn quantize(&mut self) -> usize {
+        let bytes = self
+            .models
+            .iter_mut()
+            .map(|m| {
+                quantize_module(&mut m.embed)
+                    + quantize_module(&mut m.backbone)
+                    + quantize_module(&mut m.head)
+            })
+            .sum();
+        self.int8_bytes = Some(bytes);
+        bytes
     }
 
     pub fn is_quantized(&self) -> bool {
-        !self.models.is_empty()
-            && self
-                .models
-                .iter()
-                .all(|m| m.quant.is_some() && m.backbone.is_quantized())
+        self.int8_bytes.is_some()
     }
 
-    /// Int8 model size across all phase models. The token-embedding lookup
-    /// table stays f32 (it is indexed, never multiplied on the input side)
-    /// and is counted at full width.
+    /// Int8 storage bytes across all phase models (weights, per-tensor
+    /// scales and shapes), once [`Self::quantize`] has run.
     pub fn quant_storage_bytes(&self) -> Option<usize> {
-        if !self.is_quantized() {
-            return None;
-        }
-        let mut total = 0usize;
-        for m in &self.models {
-            total += m.backbone.quant_storage_bytes()?
-                + m.quant.as_ref()?.storage_bytes()
-                + 4 * m.embed.table.w.data.len();
-        }
-        Some(total)
+        self.int8_bytes
     }
 
-    /// Raw head logits (pre-softmax / pre-sigmoid) — the KD target.
+    /// Raw head logits (pre-softmax / pre-sigmoid) through the allocating
+    /// reference path, which the arena path is tested against bit for bit.
     pub fn predict_logits(&self, hist: &[(usize, u64)], phase: usize) -> Matrix {
         let m = self.model_for(phase);
         let x = Self::encode(&self.cfg, &m.embed, hist, false, None);
@@ -497,68 +450,56 @@ impl PagePredictor {
         }
     }
 
-    /// Arena-backed [`Self::predict_logits`]: bit-identical output,
-    /// allocation-free tensor work after warmup (the tied head's
-    /// `[1, vocab]` product included). The caller `give`s the result back.
-    pub fn predict_logits_in(
+    /// The one arena forward: raw head logits `[B, out]` for `hists.len()`
+    /// same-length (token, pc) windows sharing one phase. The windows are
+    /// stacked into a single `(B·T, ·)` modal input so the embedding,
+    /// backbone, head and tied vocabulary product each run once; row `b`
+    /// is bit-identical to [`Self::predict_logits`] on window `b`. Single
+    /// windows run at B = 1. The caller `give`s the result back.
+    pub fn predict_logits_batch_in(
         &self,
-        hist: &[(usize, u64)],
+        hists: &[&[(usize, u64)]],
         phase: usize,
         s: &mut ScratchArena,
     ) -> Matrix {
+        let batch = hists.len();
+        let t = hists.first().map_or(0, |h| h.len());
+        assert!(
+            hists.iter().all(|h| h.len() == t),
+            "fused page batch requires equal-length histories"
+        );
         let m = self.model_for(phase);
-        let tokens: Vec<usize> = hist.iter().map(|&(t, _)| t).collect();
+        let tokens: Vec<usize> = hists
+            .iter()
+            .flat_map(|h| h.iter().map(|&(tk, _)| tk))
+            .collect();
         let addr = m.embed.infer_in(&tokens, s);
-        let mut pc = s.take(hist.len(), 1);
-        for (i, &(_, pcv)) in hist.iter().enumerate() {
-            pc.data[i] = pc_feature(pcv);
+        let mut pc = s.take(batch * t, 1);
+        for (b, hist) in hists.iter().enumerate() {
+            for (i, &(_, pcv)) in hist.iter().enumerate() {
+                pc.data[b * t + i] = pc_feature(pcv);
+            }
         }
         let x = ModalInput { addr, pc };
-        let pooled = if m.quant.is_some() {
-            m.backbone.forward_quant(&x, phase, s)
-        } else {
-            m.backbone.infer_in(&x, phase, s)
-        };
+        let pooled = m.backbone.infer_batch_in(&x, batch, phase, s);
         let ModalInput { addr, pc } = x;
         s.give(addr);
         s.give(pc);
-        let logits = match &m.quant {
-            Some(q) => q.logits_in(&pooled, s),
-            None if m.tied => {
-                let z = m.head.infer_in(&pooled, s);
-                let mut logits = s.take(z.rows, m.embed.table.w.rows);
-                z.matmul_bt_into(&m.embed.table.w, &mut logits);
-                s.give(z);
-                logits
-            }
-            None => m.head.infer_in(&pooled, s),
+        let logits = if m.tied {
+            let z = m.head.infer_in(&pooled, s);
+            let mut logits = s.take(z.rows, m.embed.table.w.rows);
+            z.matmul_bt_into(&m.embed.table.w, &mut logits);
+            s.give(z);
+            logits
+        } else {
+            m.head.infer_in(&pooled, s)
         };
         s.give(pooled);
         logits
     }
 
-    /// Arena-backed [`Self::predict_tokens`].
-    pub fn predict_tokens_in(
-        &self,
-        hist: &[(usize, u64)],
-        phase: usize,
-        k: usize,
-        s: &mut ScratchArena,
-    ) -> Vec<usize> {
-        let mut logits = self.predict_logits_in(hist, phase, s);
-        let toks = match self.cfg.head {
-            PageHead::Softmax => top_k_indices(self.valid_logits(&logits), k),
-            PageHead::BinaryEncoded => {
-                Sigmoid::infer_inplace(&mut logits);
-                vec![Self::decode_bits(logits.row(0), self.vocab.len())]
-            }
-        };
-        s.give(logits);
-        toks
-    }
-
-    /// Arena-backed [`Self::predict_pages`] — the steady-state hot path of
-    /// [`crate::prefetcher::MpGraphPrefetcher`].
+    /// [`Self::predict_pages_batch_in`] for one window (B = 1) — the arena
+    /// counterpart of [`Self::predict_pages`].
     pub fn predict_pages_in(
         &self,
         hist: &[(usize, u64)],
@@ -566,18 +507,15 @@ impl PagePredictor {
         k: usize,
         s: &mut ScratchArena,
     ) -> Vec<u64> {
-        self.predict_tokens_in(hist, phase, k + 1, s)
-            .into_iter()
-            .filter_map(|t| self.vocab.page_of(t))
-            .take(k)
-            .collect()
+        self.predict_pages_batch_in(&[hist], phase, k, s)
+            .pop()
+            .unwrap_or_default()
     }
 
-    /// Batched [`Self::predict_pages_in`] over `hists.len()` same-length
-    /// (token, pc) windows sharing one phase: the windows are stacked into
-    /// a single `(B·T, ·)` modal input so the embedding, backbone, head,
-    /// and tied vocabulary product each run exactly once. Per-row outputs
-    /// are bit-identical to calling [`Self::predict_pages_in`] per window.
+    /// Top predicted pages for each of `hists.len()` same-length (token,
+    /// pc) windows sharing one phase, from one
+    /// [`Self::predict_logits_batch_in`] forward. Row `b` equals
+    /// [`Self::predict_pages`] on window `b`.
     pub fn predict_pages_batch_in(
         &self,
         hists: &[&[(usize, u64)]],
@@ -597,44 +535,7 @@ impl PagePredictor {
             let uniq = self.predict_pages_batch_in(&unique, phase, k, s);
             return lane_of.iter().map(|&i| uniq[i].clone()).collect();
         }
-        let t = hists[0].len();
-        assert!(
-            hists.iter().all(|h| h.len() == t),
-            "fused page batch requires equal-length histories"
-        );
-        let m = self.model_for(phase);
-        let mut tokens = Vec::with_capacity(batch * t);
-        for hist in hists {
-            tokens.extend(hist.iter().map(|&(tk, _)| tk));
-        }
-        let addr = m.embed.infer_in(&tokens, s);
-        let mut pc = s.take(batch * t, 1);
-        for (b, hist) in hists.iter().enumerate() {
-            for (i, &(_, pcv)) in hist.iter().enumerate() {
-                pc.data[b * t + i] = pc_feature(pcv);
-            }
-        }
-        let x = ModalInput { addr, pc };
-        let pooled = if m.quant.is_some() {
-            m.backbone.forward_batch_quant(&x, batch, phase, s)
-        } else {
-            m.backbone.infer_batch_in(&x, batch, phase, s)
-        };
-        let ModalInput { addr, pc } = x;
-        s.give(addr);
-        s.give(pc);
-        let mut logits = match &m.quant {
-            Some(q) => q.logits_in(&pooled, s),
-            None if m.tied => {
-                let z = m.head.infer_in(&pooled, s);
-                let mut logits = s.take(z.rows, m.embed.table.w.rows);
-                z.matmul_bt_into(&m.embed.table.w, &mut logits);
-                s.give(z);
-                logits
-            }
-            None => m.head.infer_in(&pooled, s),
-        };
-        s.give(pooled);
+        let mut logits = self.predict_logits_batch_in(hists, phase, s);
         let out = match self.cfg.head {
             PageHead::Softmax => {
                 let valid = self.vocab.len().min(logits.cols).max(1);
@@ -878,7 +779,7 @@ mod tests {
         for head in [PageHead::Softmax, PageHead::BinaryEncoded] {
             let cfg = PagePredictorConfig { head, ..cfg };
             for v in [Variant::Lstm, Variant::Attention, Variant::AmmaPs] {
-                let model = PagePredictor::train(&trace, 2, v, cfg, &tc);
+                let mut model = PagePredictor::train(&trace, 2, v, cfg, &tc);
                 let mut s = ScratchArena::new();
                 // Distinct equal-length token histories over the trained
                 // working set, one per batch lane.
@@ -893,21 +794,32 @@ mod tests {
                             .collect()
                     })
                     .collect();
-                for batch in [1usize, 2, 5, 16] {
-                    let refs: Vec<&[(usize, u64)]> =
-                        hists[..batch].iter().map(Vec::as_slice).collect();
-                    for phase in 0..2 {
-                        let fused = model.predict_pages_batch_in(&refs, phase, 3, &mut s);
-                        assert_eq!(fused.len(), batch);
-                        for (b, h) in refs.iter().enumerate() {
-                            let solo = model.predict_pages_in(h, phase, 3, &mut s);
-                            assert_eq!(
-                                fused[b],
-                                solo,
-                                "{} {:?} batch={batch} lane={b} phase={phase}",
-                                v.name(),
-                                head
-                            );
+                // The second round serves int8-rounded weights, as
+                // `quantize` leaves them, through the same path.
+                for rounded in [false, true] {
+                    if rounded {
+                        model.quantize();
+                    }
+                    for batch in [1usize, 2, 5, 16] {
+                        let refs: Vec<&[(usize, u64)]> =
+                            hists[..batch].iter().map(Vec::as_slice).collect();
+                        for phase in 0..2 {
+                            let fused = model.predict_pages_batch_in(&refs, phase, 3, &mut s);
+                            assert_eq!(fused.len(), batch);
+                            let logits = model.predict_logits_batch_in(&refs, phase, &mut s);
+                            for (b, h) in refs.iter().enumerate() {
+                                let what = format!(
+                                    "{} {head:?} rounded={rounded} batch={batch} lane={b} phase={phase}",
+                                    v.name()
+                                );
+                                assert_eq!(fused[b], model.predict_pages(h, phase, 3), "{what}");
+                                assert_eq!(
+                                    logits.row(b),
+                                    model.predict_logits(h, phase).row(0),
+                                    "{what}"
+                                );
+                            }
+                            s.give(logits);
                         }
                     }
                 }
@@ -916,7 +828,7 @@ mod tests {
     }
 
     #[test]
-    fn arena_prediction_is_bit_identical_for_both_heads() {
+    fn arena_prediction_is_allocation_free_for_both_heads() {
         let trace = two_phase_trace(2);
         let (cfg, tc) = quick_cfg();
         let tc = TrainCfg {
@@ -933,10 +845,7 @@ mod tests {
                 .collect();
             let mut s = mpgraph_ml::ScratchArena::new();
             for phase in [0usize, 1] {
-                let baseline = model.predict_logits(&hist, phase);
-                let w = model.predict_logits_in(&hist, phase, &mut s);
-                assert_eq!(w.data, baseline.data, "arena logits must be bit-identical");
-                s.give(w);
+                model.predict_pages_in(&hist, phase, 2, &mut s);
                 let (_, misses_after_warmup) = s.stats();
                 for _ in 0..4 {
                     assert_eq!(
@@ -958,9 +867,11 @@ mod tests {
             let cfg = PagePredictorConfig { head, ..cfg };
             let mut model = PagePredictor::train(&trace, 2, Variant::AmmaPs, cfg, &tc);
             assert!(!model.is_quantized());
-            model.quantize();
+            let bytes = model.quantize();
             assert!(model.is_quantized(), "{head:?}");
-            assert!(model.quant_storage_bytes().unwrap() > 0);
+            assert_eq!(model.quant_storage_bytes(), Some(bytes));
+            let fb = model.num_params() * 4;
+            assert!(bytes * 3 < fb, "{head:?}: {bytes} int8 bytes vs {fb} f32");
             // Phase-0 history ending at page 12 → next page 10 survives
             // quantization for both head styles.
             let hist: Vec<(usize, u64)> = [11u64, 12, 10, 11, 12]
@@ -970,49 +881,6 @@ mod tests {
             let mut s = ScratchArena::new();
             let pages = model.predict_pages_in(&hist, 0, 1, &mut s);
             assert_eq!(pages, vec![10], "{head:?}");
-        }
-    }
-
-    #[test]
-    fn quantized_batched_page_inference_is_bit_identical() {
-        let trace = two_phase_trace(2);
-        let (cfg, tc) = quick_cfg();
-        let tc = TrainCfg {
-            max_samples: 80,
-            epochs: 1,
-            ..tc
-        };
-        for head in [PageHead::Softmax, PageHead::BinaryEncoded] {
-            let cfg = PagePredictorConfig { head, ..cfg };
-            for v in [Variant::Lstm, Variant::Attention, Variant::AmmaPs] {
-                let mut model = PagePredictor::train(&trace, 2, v, cfg, &tc);
-                model.quantize();
-                let mut s = ScratchArena::new();
-                let pages = [10u64, 11, 12, 50, 60, 70, 80];
-                let hists: Vec<Vec<(usize, u64)>> = (0..8usize)
-                    .map(|b| {
-                        (0..5)
-                            .map(|i| {
-                                let p = pages[(b + 2 * i) % pages.len()];
-                                (model.vocab.token_of(p), 0x400000 + 4 * b as u64)
-                            })
-                            .collect()
-                    })
-                    .collect();
-                let refs: Vec<&[(usize, u64)]> = hists.iter().map(Vec::as_slice).collect();
-                for phase in 0..2 {
-                    let fused = model.predict_pages_batch_in(&refs, phase, 3, &mut s);
-                    for (b, h) in refs.iter().enumerate() {
-                        let solo = model.predict_pages_in(h, phase, 3, &mut s);
-                        assert_eq!(
-                            fused[b],
-                            solo,
-                            "{} {head:?} lane={b} phase={phase}",
-                            v.name()
-                        );
-                    }
-                }
-            }
         }
     }
 

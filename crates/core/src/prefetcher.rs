@@ -4,7 +4,9 @@
 //! drops into the simulator exactly where BO/ISB/Voyager/TransFetch do.
 
 use crate::controller::Controller;
-use crate::cstp::{chain_prefetch_in, CstpConfig, CstpStats, FusedChainResult, Pbot};
+use crate::cstp::{
+    chain_prefetch_fused, CstpConfig, CstpStats, FusedChainItem, FusedChainResult, Pbot,
+};
 use crate::delta_predictor::{DeltaPredictor, DeltaPredictorConfig};
 use crate::error::MpGraphError;
 use crate::page_predictor::{PagePredictor, PagePredictorConfig};
@@ -18,7 +20,6 @@ use mpgraph_phase::{
 use mpgraph_prefetchers::mlcommon::History;
 use mpgraph_prefetchers::TrainCfg;
 use mpgraph_sim::{LlcAccess, PrefetchLane, PrefetchTag, Prefetcher, TraceEvent};
-use rayon::prelude::*;
 
 /// Steps between [`mpgraph_ml::TrainGuard`] weight checkpoints in the
 /// predictor training loops: frequent enough that a rollback loses little
@@ -135,11 +136,9 @@ pub struct MpGraphPrefetcher {
     /// Rolling CSTP counters (chain lengths, PBOT hit rate, duplicates
     /// suppressed), folded into the pipeline metrics snapshot.
     pub cstp_stats: CstpStats,
-    /// Scratch buffers for the CSTP spatial lane. Two arenas (not one) so
-    /// `rayon::join` can hand each concurrent lane a disjoint `&mut`.
-    spatial_arena: ScratchArena,
-    /// Scratch buffers for the CSTP temporal-chain lane.
-    temporal_arena: ScratchArena,
+    /// Scratch buffers for every model forward of an access: the probe
+    /// window's phase scoring and the CSTP walk.
+    arena: ScratchArena,
     /// Per-candidate lane attribution of the last batch (reused scratch).
     lane_scratch: Vec<PrefetchLane>,
     /// Tags the engine reads back via [`Prefetcher::last_batch_tags`].
@@ -203,28 +202,9 @@ pub fn train_mpgraph(
         Some(&sink),
     );
     let detector = build_detector(records, num_phases, cfg.detector);
-    MpGraphPrefetcher {
-        train_rollback_events: sink.drain(),
-        controller: Controller::new(num_phases, cfg.probe_window),
-        pbot: Pbot::new(cfg.pbot_capacity),
-        block_hist: History::new(tc.history),
-        page_hists: (0..8).map(|_| History::new(tc.history)).collect(),
-        delta,
-        page,
-        detector,
-        num_phases,
-        dp_distance: 0,
-        observe_errors: 0,
-        cstp_stats: CstpStats::default(),
-        spatial_arena: ScratchArena::new(),
-        temporal_arena: ScratchArena::new(),
-        lane_scratch: Vec::new(),
-        tag_scratch: Vec::new(),
-        trace_on: false,
-        trace_events: Vec::new(),
-        trace_started: false,
-        cfg,
-    }
+    let mut pf = MpGraphPrefetcher::from_parts(delta, page, detector, cfg, num_phases, tc.history);
+    pf.train_rollback_events = sink.drain();
+    pf
 }
 
 /// Builds (and where supervised, trains) the chosen transition detector.
@@ -274,8 +254,7 @@ impl MpGraphPrefetcher {
             dp_distance: 0,
             observe_errors: 0,
             cstp_stats: CstpStats::default(),
-            spatial_arena: ScratchArena::new(),
-            temporal_arena: ScratchArena::new(),
+            arena: ScratchArena::new(),
             lane_scratch: Vec::new(),
             tag_scratch: Vec::new(),
             trace_on: false,
@@ -329,9 +308,9 @@ impl MpGraphPrefetcher {
     /// layer may fuse their accesses into one batched forward. The hash
     /// covers every trainable weight byte of both predictors plus the
     /// inference-relevant configuration (degrees, encoding shape, history
-    /// length, vocabulary) — anything that could steer a model call,
-    /// including whether each predictor serves its int8 snapshot (a
-    /// quantized and an f32 stream must never share a fused forward).
+    /// length, vocabulary) — anything that could steer a model call. A
+    /// quantized stream's rounded weights hash differently from its f32
+    /// twin's, so the two never share a fused forward.
     pub(crate) fn batch_signature(&self) -> u64 {
         fn fnv1a(mut h: u64, bytes: &[u8]) -> u64 {
             for &b in bytes {
@@ -358,31 +337,27 @@ impl MpGraphPrefetcher {
             self.page.vocab.len() as u64,
             self.block_hist.capacity() as u64,
             self.num_phases as u64,
-            self.delta.is_quantized() as u64,
-            self.page.is_quantized() as u64,
         ] {
             h = fnv1a(h, &scalar.to_le_bytes());
         }
         h
     }
 
-    /// Switches both predictors to int8 serving: every weight-side matmul
-    /// from here on runs through the i8×i8→i32 kernels against a frozen
-    /// quantized snapshot of the trained weights. Idempotent; training is
-    /// already finished by the time a prefetcher exists, so the snapshot
-    /// cannot go stale.
+    /// Rounds both predictors' weights onto their int8 grid in place
+    /// (§6.1: int8 is the storage format; the f32 path serves the rounded
+    /// weights). Idempotent.
     pub fn quantize(&mut self) {
         self.delta.quantize();
         self.page.quantize();
     }
 
-    /// True when both predictors serve from their int8 snapshots.
+    /// True once both predictors' weights are rounded to int8.
     pub fn is_quantized(&self) -> bool {
         self.delta.is_quantized() && self.page.is_quantized()
     }
 
-    /// Commits one stream's share of a fused CSTP batch, reproducing the
-    /// inline path's epilogue exactly: stats merge, lane attribution, the
+    /// Commits one stream's share of a fused CSTP batch (a group of one
+    /// when called from `on_access`): stats merge, lane attribution, the
     /// `CstpChain` trace event, distance-prefetch shift, and the append to
     /// `out`. Must follow the [`Self::begin_access`] that opened this
     /// access, with no other calls on this prefetcher in between.
@@ -466,30 +441,29 @@ impl Prefetcher for MpGraphPrefetcher {
         // The access is split into begin (detector, histories, probing) /
         // chain / finish (attribution, events, distance shift) so the
         // serving layer can interleave many streams' chains into one fused
-        // forward between the same begin and finish steps. Composing the
-        // three here IS the inline path — the two routes cannot drift.
+        // forward between the same begin and finish steps. Inline, the
+        // chain is the fused walk over a group of one — the two routes
+        // cannot drift.
         if !self.begin_access(a) {
             return;
         }
-        let phase = self.controller.current_phase();
-        let page_items: Vec<(usize, u64)> = self.page_hists[(a.core as usize) % 8].items().to_vec();
-        // `CstpStats` is `Copy`: snapshot before the chain call so the
-        // per-batch deltas can be emitted as one summary event.
-        let cstp_before = self.trace_on.then_some(self.cstp_stats);
-        let batch = chain_prefetch_in(
+        let item = FusedChainItem {
+            pbot: &self.pbot,
+            block_hist: self.block_hist.items(),
+            page_hist: self.page_hists[(a.core as usize) % 8].items(),
+        };
+        let res = chain_prefetch_fused(
             &self.delta,
             &self.page,
-            &self.pbot,
-            self.block_hist.items(),
-            &page_items,
-            phase,
+            &[item],
+            self.controller.current_phase(),
             &self.cfg.cstp,
-            &mut self.spatial_arena,
-            &mut self.temporal_arena,
-            &mut self.lane_scratch,
-            &mut self.cstp_stats,
-        );
-        self.finish_access(a, batch, cstp_before, out);
+            &mut self.arena,
+            &mut 0,
+        )
+        .pop()
+        .unwrap_or_default();
+        self.apply_fused_chain(a, res, out);
     }
 }
 
@@ -546,26 +520,20 @@ impl MpGraphPrefetcher {
         }
 
         // 3. During a probe window, score every phase model's predictions
-        //    against the demand stream and let the controller pick. Every
-        //    phase model runs concurrently (`par_iter` preserves phase
-        //    order); probing is rare — a short window after each detected
-        //    transition — so each closure takes a fresh throwaway arena
-        //    rather than pre-warming one per phase.
+        //    against the demand stream and let the controller pick.
         if self.controller.probing() {
-            let phases: Vec<usize> = (0..self.num_phases).collect();
-            let delta = &self.delta;
-            let block_hist = self.block_hist.items();
-            let spatial_degree = self.cfg.cstp.spatial_degree;
-            let block = a.block;
-            let preds: Vec<Vec<u64>> = phases
-                .par_iter()
-                .map(move |&p| {
-                    let mut arena = ScratchArena::new();
-                    delta
-                        .predict_deltas_in(block_hist, p, spatial_degree, &mut arena)
+            let preds: Vec<Vec<u64>> = (0..self.num_phases)
+                .map(|p| {
+                    self.delta
+                        .predict_deltas_in(
+                            self.block_hist.items(),
+                            p,
+                            self.cfg.cstp.spatial_degree,
+                            &mut self.arena,
+                        )
                         .into_iter()
                         .filter_map(|d| {
-                            let t = block as i64 + d;
+                            let t = a.block as i64 + d;
                             (t >= 0).then_some(t as u64)
                         })
                         .collect()
@@ -870,7 +838,7 @@ mod tests {
     }
 
     #[test]
-    fn parallel_cstp_matches_serial_chain_bit_exactly() {
+    fn arena_cstp_matches_serial_chain_bit_exactly() {
         let train = workload(1);
         let (cfg, tc) = quick_cfg();
         let mut pf = train_mpgraph(&train, 2, cfg, &tc);
@@ -891,8 +859,8 @@ mod tests {
                 &mut out,
             );
         }
-        // The joined two-lane path must reproduce the serial batch exactly,
-        // for both phase models, steady-state arenas included.
+        // The arena path must reproduce the serial batch exactly, for both
+        // phase models, steady-state arena included.
         let page_items: Vec<(usize, u64)> = pf.page_hists[0].items().to_vec();
         let mut lanes = Vec::new();
         for phase in [0usize, 1] {
@@ -908,8 +876,8 @@ mod tests {
                     &cfg.cstp,
                     &mut serial_stats,
                 );
-                let mut parallel_stats = CstpStats::default();
-                let parallel = chain_prefetch_in(
+                let mut arena_stats = CstpStats::default();
+                let batch = crate::cstp::chain_prefetch_in(
                     &pf.delta,
                     &pf.page,
                     &pf.pbot,
@@ -917,16 +885,16 @@ mod tests {
                     &page_items,
                     phase,
                     &cfg.cstp,
-                    &mut pf.spatial_arena,
-                    &mut pf.temporal_arena,
+                    &mut pf.arena,
+                    &mut ScratchArena::new(),
                     &mut lanes,
-                    &mut parallel_stats,
+                    &mut arena_stats,
                 );
-                assert_eq!(parallel, serial, "phase {phase}");
+                assert_eq!(batch, serial, "phase {phase}");
                 // Same predictions → same counters, dedup included.
-                assert_eq!(parallel_stats, serial_stats, "phase {phase}");
-                // Lane attribution stays parallel to the batch.
-                assert_eq!(lanes.len(), parallel.len(), "phase {phase}");
+                assert_eq!(arena_stats, serial_stats, "phase {phase}");
+                // Lane attribution stays aligned with the batch.
+                assert_eq!(lanes.len(), batch.len(), "phase {phase}");
             }
         }
     }

@@ -88,8 +88,10 @@ pub struct ServeConfig {
     pub deadline_cycles: u64,
     /// Fuse compatible streams' inference into one batched forward per
     /// pump (bit-identical to per-item inference; see
-    /// [`crate::cstp::chain_prefetch_fused`]). Off = the per-item
-    /// reference path, kept for A/B measurement and bisection.
+    /// [`crate::cstp::chain_prefetch_fused`]). Off = streams register
+    /// without a fusion signature, so every item runs solo through its own
+    /// prefetcher (a group of one) — the per-item reference, kept for A/B
+    /// measurement and bisection.
     pub fuse: bool,
 }
 
@@ -281,8 +283,8 @@ struct StreamSlot {
     /// Consecutive stall-free accesses since the last faulty one.
     clean_streak: u32,
     /// Batch-compatibility signature when the prefetcher supports fused
-    /// serving ([`MpGraphPrefetcher::batch_signature`]); `None` keeps the
-    /// stream on the per-item path.
+    /// serving ([`MpGraphPrefetcher::batch_signature`]); `None` serves
+    /// each of the stream's items solo.
     fuse_sig: Option<u64>,
     stats: StreamStats,
 }
@@ -318,10 +320,11 @@ struct QueueItem {
 #[derive(Debug, Clone, Copy)]
 enum ServePlan {
     /// MPGraph stream on the fused path. `ready` is false while its
-    /// histories are still warming up (the per-item path would emit no
+    /// histories are still warming up (a solo access would emit no
     /// candidates either).
     Fused { ready: bool, sig: u64, phase: u8 },
-    /// Any other prefetcher: the per-item reference path.
+    /// A stream without a fusion signature: its prefetcher's own
+    /// `on_access`.
     Solo,
 }
 
@@ -670,80 +673,21 @@ impl PrefetchService {
         }
     }
 
-    /// Processes one queued item on the full ML path.
-    fn serve_ml(&mut self, item: QueueItem) {
-        self.clock += self.cfg.ml_item_cost + item.stall;
-        self.scratch.clear();
-        let s = &mut self.slots[item.slot];
-        let (lat, phase) = match s.ml.as_mut() {
-            Some(ml) => {
-                // Engine order: on_access, then effective_latency, then
-                // drain the pending trace events (DESIGN.md §13) — the
-                // single-stream service replay stays bit-identical to the
-                // direct path.
-                ml.on_access(&item.access, &mut self.scratch);
-                let lat = ml.effective_latency(item.stall);
-                (lat, ml.current_phase_id())
-            }
-            // Unreachable by construction (only healthy ML streams are
-            // queued), but degrade gracefully rather than panic.
-            None => {
-                s.fallback.on_access(&item.access, &mut self.scratch);
-                (0, 0)
-            }
-        };
-        let candidates = self.scratch.clone();
-        let events: Vec<TraceEvent> = match self.slots[item.slot].ml.as_ref() {
-            Some(ml) => ml.pending_trace_events().to_vec(),
-            None => Vec::new(),
-        };
-        for e in events {
-            self.emit(e);
-        }
-        if let Some(sb) = self.scoreboard.as_mut() {
-            use mpgraph_sim::PrefetchObserver;
-            sb.on_inference_latency(lat);
-        }
-        self.counters.ml_processed += 1;
-        self.slots[item.slot].stats.ml_served += 1;
-        let latency = self.clock - item.enqueued_at;
-        self.prediction_latency.record(latency);
-        let id = self.slots[item.slot].id;
-        self.ready.push(Prediction {
-            stream: id,
-            candidates,
-            latency,
-            via_fallback: false,
-            phase,
-        });
-
-        // Per-stream deadline guard: a window of slow inferences
-        // quarantines *this* stream only.
-        self.note_deadline_observation(item.slot, lat > self.cfg.deadline_cycles);
-    }
-
-    /// Serves the admitted prefix of a pump batch. With fusing disabled
-    /// every item takes the per-item [`Self::serve_ml`] path. With fusing
-    /// enabled the batch is partitioned into *waves* (a stream appears at
-    /// most once per wave, in admitted order), and within a wave all
-    /// MPGraph streams sharing a batch-compatibility signature and phase
-    /// run their chain inference as **one** batched (B×T×d) forward via
-    /// [`chain_prefetch_fused`] — bit-identical to serving them one by
-    /// one, because equal signatures imply identical model shapes and the
-    /// fused kernels compute each sequence's rows independently.
+    /// Serves the admitted prefix of a pump batch. The batch is
+    /// partitioned into *waves* (a stream appears at most once per wave,
+    /// in admitted order), and within a wave all MPGraph streams sharing a
+    /// batch-compatibility signature and phase run their chain inference
+    /// as **one** batched (B×T×d) forward via [`chain_prefetch_fused`] —
+    /// bit-identical to serving them one by one, because equal signatures
+    /// imply identical model shapes and the fused kernels compute each
+    /// sequence's rows independently. Streams without a signature (other
+    /// prefetchers, or every stream when `fuse` is off) run solo.
     ///
     /// Clock, counters, latency, trace events, and deadline observations
-    /// are committed in admitted order after inference, replicating the
-    /// per-item path's observable sequence exactly (inference itself
-    /// never reads the service clock).
+    /// are committed in admitted order after inference, item by item
+    /// (inference itself never reads the service clock).
     fn serve_admitted(&mut self, admitted: Vec<QueueItem>) {
         if admitted.is_empty() {
-            return;
-        }
-        if !self.cfg.fuse {
-            for item in admitted {
-                self.serve_ml(item);
-            }
             return;
         }
 
@@ -919,9 +863,9 @@ impl PrefetchService {
             }
         }
 
-        // Commit in admitted order, replicating `serve_ml`'s observable
-        // per-item sequence: events → inference-latency observer → counters
-        // → latency histogram → ready buffer → deadline observation.
+        // Commit in admitted order, each item's observable sequence being:
+        // events → inference-latency observer → counters → latency
+        // histogram → ready buffer → deadline observation.
         for (i, item) in admitted.into_iter().enumerate() {
             let outcome = outcomes[i].take().unwrap_or_default();
             self.clock += self.cfg.ml_item_cost + item.stall;

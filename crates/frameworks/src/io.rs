@@ -99,6 +99,11 @@ fn read_u64<R: Read>(r: &mut R) -> Result<u64, TraceIoError> {
     Ok(u64::from_le_bytes(buf))
 }
 
+/// True when `offsets` is non-decreasing and every entry is `< len`.
+fn is_sorted_below(offsets: &[usize], len: usize) -> bool {
+    offsets.windows(2).all(|w| w[0] <= w[1]) && offsets.last().is_none_or(|&o| o < len)
+}
+
 /// Writes a trace in the binary container format.
 pub fn write_binary<W: Write>(trace: &Trace, w: &mut W) -> Result<(), TraceIoError> {
     w.write_all(MAGIC)?;
@@ -185,6 +190,17 @@ pub fn read_binary<R: Read>(r: &mut R) -> Result<Trace, TraceIoError> {
     let stored = read_u64(hr.inner)?;
     if stored != computed {
         return Err(TraceIoError::Corrupt("checksum mismatch"));
+    }
+    // FNV is not a MAC: a file whose trailer was recomputed can still hold
+    // any section values. Enforce what `TraceBuilder::finish` guarantees,
+    // so consumers may index and split records by these offsets.
+    if !is_sorted_below(&transitions, records.len()) {
+        return Err(TraceIoError::Corrupt("transitions out of order or range"));
+    }
+    if !is_sorted_below(&iteration_starts, records.len()) {
+        return Err(TraceIoError::Corrupt(
+            "iteration starts out of order or range",
+        ));
     }
     Ok(Trace {
         records,

@@ -10,9 +10,9 @@
 //! The arena is deliberately *not* stored inside models: models stay `Sync`
 //! and shareable across threads, and each caller (the prefetcher hot path, a
 //! bench thread, an evaluation worker) owns its own arena, passed down as
-//! `&mut` through the `infer_in` methods. Buffer reuse is LIFO, so the most
-//! recently released buffer — the one most likely still in cache — is handed
-//! out first.
+//! `&mut` through the `infer_in` / `infer_batch_in` methods. Buffer reuse
+//! is LIFO, so the most recently released buffer — the one most likely
+//! still in cache — is handed out first.
 
 use crate::tensor::{positional_encoding, Matrix};
 use std::collections::HashMap;
@@ -22,8 +22,6 @@ use std::collections::HashMap;
 #[derive(Debug, Default)]
 pub struct ScratchArena {
     pools: HashMap<usize, Vec<Vec<f32>>>,
-    pools_i8: HashMap<usize, Vec<Vec<i8>>>,
-    pools_i16: HashMap<usize, Vec<Vec<i16>>>,
     pe_cache: HashMap<(usize, usize), Matrix>,
     hits: u64,
     misses: u64,
@@ -54,49 +52,6 @@ impl ScratchArena {
     /// Returns a matrix's buffer to the pool for reuse.
     pub fn give(&mut self, m: Matrix) {
         self.pools.entry(m.data.len()).or_default().push(m.data);
-    }
-
-    /// Hands out a zeroed `i8` buffer of `len` elements — scratch for the
-    /// int8 inference path's quantized activations. Counted in the same
-    /// hit/miss stats as the `f32` pool.
-    pub fn take_i8(&mut self, len: usize) -> Vec<i8> {
-        match self.pools_i8.get_mut(&len).and_then(Vec::pop) {
-            Some(mut data) => {
-                self.hits += 1;
-                data.fill(0);
-                data
-            }
-            None => {
-                self.misses += 1;
-                vec![0i8; len]
-            }
-        }
-    }
-
-    /// Returns an `i8` buffer to the pool for reuse.
-    pub fn give_i8(&mut self, data: Vec<i8>) {
-        self.pools_i8.entry(data.len()).or_default().push(data);
-    }
-
-    /// Hands out a zeroed `i16` buffer — scratch for sign-extended int8
-    /// activation rows feeding the widened multiply-add kernels.
-    pub fn take_i16(&mut self, len: usize) -> Vec<i16> {
-        match self.pools_i16.get_mut(&len).and_then(Vec::pop) {
-            Some(mut data) => {
-                self.hits += 1;
-                data.fill(0);
-                data
-            }
-            None => {
-                self.misses += 1;
-                vec![0i16; len]
-            }
-        }
-    }
-
-    /// Returns an `i16` buffer to the pool for reuse.
-    pub fn give_i16(&mut self, data: Vec<i16>) {
-        self.pools_i16.entry(data.len()).or_default().push(data);
     }
 
     /// Adds the sinusoidal positional encoding for `m`'s shape to `m`,
@@ -181,30 +136,6 @@ mod tests {
         for (v, e) in a.data.iter().zip(expected.data.iter()) {
             assert!((v - 2.0 * e).abs() < 1e-6);
         }
-    }
-
-    #[test]
-    fn i8_pool_reuses_and_zeroes() {
-        let mut s = ScratchArena::new();
-        let mut a = s.take_i8(16);
-        a.fill(7);
-        s.give_i8(a);
-        let b = s.take_i8(16);
-        assert!(b.iter().all(|&v| v == 0));
-        let (hits, misses) = s.stats();
-        assert_eq!((hits, misses), (1, 1));
-    }
-
-    #[test]
-    fn i16_pool_reuses_and_zeroes() {
-        let mut s = ScratchArena::new();
-        let mut a = s.take_i16(16);
-        a.fill(-7);
-        s.give_i16(a);
-        let b = s.take_i16(16);
-        assert!(b.iter().all(|&v| v == 0));
-        let (hits, misses) = s.stats();
-        assert_eq!((hits, misses), (1, 1));
     }
 
     #[test]

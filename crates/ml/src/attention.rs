@@ -69,36 +69,14 @@ impl SelfAttention {
         scores.softmax_rows().matmul(&v)
     }
 
-    /// Inference-only forward through arena-owned scratch buffers; the
-    /// returned matrix should be `give`-n back by the caller.
-    pub fn infer_in(&self, x: &Matrix, s: &mut ScratchArena) -> Matrix {
-        let rows = x.rows;
-        let mut q = s.take(rows, self.head_dim);
-        let mut k = s.take(rows, self.head_dim);
-        let mut v = s.take(rows, self.head_dim);
-        x.matmul_into(&self.wq.w, &mut q);
-        x.matmul_into(&self.wk.w, &mut k);
-        x.matmul_into(&self.wv.w, &mut v);
-        let mut scores = s.take(rows, rows);
-        q.matmul_bt_into(&k, &mut scores);
-        scores.scale(1.0 / (self.head_dim as f32).sqrt());
-        scores.softmax_rows_inplace();
-        let mut y = s.take(rows, self.head_dim);
-        scores.matmul_into(&v, &mut y);
-        s.give(q);
-        s.give(k);
-        s.give(v);
-        s.give(scores);
-        y
-    }
-
     /// Batched inference over `batch` stacked sequences: `x` is
     /// `[batch * seq, in_dim]` with each sequence occupying a contiguous
     /// block of rows. The Q/K/V projections — shared by every row — run as
     /// single fused matmuls over the whole stack; attention itself is
     /// confined to each sequence's own `[seq, seq]` score block, so the
-    /// output is bit-identical to [`SelfAttention::infer_in`] run on each
-    /// sequence separately.
+    /// output is bit-identical to [`SelfAttention::infer`] run on each
+    /// sequence separately. The result comes from the arena; the caller
+    /// `give`s it back. Single sequences run here at `batch = 1`.
     pub fn infer_batch_in(&self, x: &Matrix, batch: usize, s: &mut ScratchArena) -> Matrix {
         assert!(
             batch > 0 && x.rows.is_multiple_of(batch),
@@ -221,27 +199,9 @@ impl MultiHeadAttention {
         concat.matmul(&self.wo.w)
     }
 
-    /// Inference-only forward through arena-owned scratch buffers.
-    pub fn infer_in(&self, x: &Matrix, s: &mut ScratchArena) -> Matrix {
-        let rows = x.rows;
-        let head_dim = self.dim / self.heads.len();
-        let mut concat = s.take(rows, self.dim);
-        for (h, head) in self.heads.iter().enumerate() {
-            let y = head.infer_in(x, s);
-            for r in 0..rows {
-                concat.row_mut(r)[h * head_dim..(h + 1) * head_dim].copy_from_slice(y.row(r));
-            }
-            s.give(y);
-        }
-        let mut out = s.take(rows, self.wo.w.cols);
-        concat.matmul_into(&self.wo.w, &mut out);
-        s.give(concat);
-        out
-    }
-
     /// Batched inference over `batch` stacked sequences; see
     /// [`SelfAttention::infer_batch_in`]. Bit-identical to per-sequence
-    /// [`MultiHeadAttention::infer_in`].
+    /// [`MultiHeadAttention::infer`].
     pub fn infer_batch_in(&self, x: &Matrix, batch: usize, s: &mut ScratchArena) -> Matrix {
         let rows = x.rows;
         let head_dim = self.dim / self.heads.len();

@@ -44,7 +44,6 @@ pub mod lstm;
 pub mod metrics;
 pub mod optim;
 pub mod pca;
-pub mod qinfer;
 pub mod quant;
 pub mod tensor;
 pub mod transformer;
@@ -58,9 +57,6 @@ pub use lstm::Lstm;
 pub use metrics::{accuracy_at_k, multilabel_f1, top_k_indices, Prf};
 pub use optim::{Adam, Sgd};
 pub use pca::Pca;
-pub use qinfer::{
-    QuantFeedForward, QuantLstm, QuantMultiHeadAttention, QuantSelfAttention, QuantTransformerLayer,
-};
-pub use quant::{float_storage_bytes, quantize_module, QuantizedLinear, QuantizedTensor};
+pub use quant::{float_storage_bytes, quantize_module, QuantizedTensor};
 pub use tensor::{rng, Matrix};
 pub use transformer::{FeedForward, TransformerLayer};

@@ -151,43 +151,13 @@ impl Lstm {
         out
     }
 
-    /// Inference through arena-owned buffers: the recurrence updates the
-    /// hidden and cell state in place, so the steady state allocates
-    /// nothing. Bit-identical to [`Lstm::infer`].
-    pub fn infer_in(&self, x: &Matrix, s: &mut ScratchArena) -> Matrix {
-        assert_eq!(x.cols, self.in_dim);
-        let hd = self.hidden;
-        let mut out = s.take(x.rows, hd);
-        let mut hm = s.take(1, hd);
-        let mut cm = s.take(1, hd);
-        let mut zm = s.take(1, 4 * hd);
-        for t in 0..x.rows {
-            // h_prev is fully folded into z before h is overwritten, and
-            // c[j] only reads its own slot, so in-place update is exact.
-            let (h_prev, z) = (&hm.data, &mut zm.data);
-            self.gates_into(x.row(t), h_prev, z);
-            for j in 0..hd {
-                let i = sigmoid(z[j]);
-                let f = sigmoid(z[hd + j]);
-                let g = z[2 * hd + j].tanh();
-                let o = sigmoid(z[3 * hd + j]);
-                let c = f * cm.data[j] + i * g;
-                cm.data[j] = c;
-                hm.data[j] = o * c.tanh();
-            }
-            out.row_mut(t).copy_from_slice(&hm.data);
-        }
-        s.give(hm);
-        s.give(cm);
-        s.give(zm);
-        out
-    }
-
     /// Batched inference over `batch` stacked sequences (`x` is
     /// `[batch * seq, in_dim]`, each sequence contiguous): every sequence
     /// runs its own recurrence from zero state, advanced in lock-step so
     /// the gate weights stream through cache once per timestep instead of
-    /// once per sequence. Bit-identical to per-sequence [`Lstm::infer_in`].
+    /// once per sequence. The recurrence updates the hidden and cell state
+    /// in place, so the steady state allocates nothing. Bit-identical to
+    /// per-sequence [`Lstm::infer`]; single sequences run at `batch = 1`.
     pub fn infer_batch_in(&self, x: &Matrix, batch: usize, s: &mut ScratchArena) -> Matrix {
         assert_eq!(x.cols, self.in_dim);
         assert!(
@@ -339,7 +309,7 @@ mod tests {
         let baseline = l.infer(&x);
         let mut s = crate::arena::ScratchArena::new();
         for _ in 0..3 {
-            let y = l.infer_in(&x, &mut s);
+            let y = l.infer_batch_in(&x, 1, &mut s);
             assert_eq!(y.data, baseline.data);
             s.give(y);
         }

@@ -36,7 +36,7 @@ impl FeedForward {
         self.fc2.infer(&Relu::infer(&self.fc1.infer(x)))
     }
 
-    /// Inference-only forward through arena-owned scratch buffers.
+    /// Row-wise inference through arena-owned scratch buffers.
     pub fn infer_in(&self, x: &Matrix, s: &mut ScratchArena) -> Matrix {
         let mut h = self.fc1.infer_in(x, s);
         Relu::infer_inplace(&mut h);
@@ -103,23 +103,11 @@ impl TransformerLayer {
         self.ln2.infer(&y)
     }
 
-    /// Inference-only forward through arena-owned scratch buffers.
-    pub fn infer_in(&self, x: &Matrix, s: &mut ScratchArena) -> Matrix {
-        let mut h = self.msa.infer_in(x, s);
-        h.add_assign(x);
-        self.ln1.infer_inplace(&mut h);
-        let mut y = self.ffn.infer_in(&h, s);
-        y.add_assign(&h);
-        self.ln2.infer_inplace(&mut y);
-        s.give(h);
-        y
-    }
-
     /// Batched inference over `batch` stacked sequences: attention is
     /// confined per sequence (see
     /// [`MultiHeadAttention::infer_batch_in`]); the FFN and layer norms
     /// are row-wise, so they fuse across the whole stack for free.
-    /// Bit-identical to per-sequence [`TransformerLayer::infer_in`].
+    /// Bit-identical to per-sequence [`TransformerLayer::infer`].
     pub fn infer_batch_in(&self, x: &Matrix, batch: usize, s: &mut ScratchArena) -> Matrix {
         let mut h = self.msa.infer_batch_in(x, batch, s);
         h.add_assign(x);
@@ -239,12 +227,12 @@ mod tests {
         let baseline = t.infer(&x);
         let mut s = crate::arena::ScratchArena::new();
         // Warmup round.
-        let w = t.infer_in(&x, &mut s);
+        let w = t.infer_batch_in(&x, 1, &mut s);
         assert_eq!(w.data, baseline.data, "arena path must be bit-identical");
         s.give(w);
         let (_, misses_after_warmup) = s.stats();
         for _ in 0..5 {
-            let y = t.infer_in(&x, &mut s);
+            let y = t.infer_batch_in(&x, 1, &mut s);
             assert_eq!(y.data, baseline.data);
             s.give(y);
         }

@@ -46,13 +46,13 @@ fn usage() -> ! {
          [--trace-out FILE]\n  \
          run      --framework F --app A [--dataset D (default: rmat)] [--div N]\n           \
          [--iterations N] [--quick] [--quant] [--metrics-out FILE] [--trace-out FILE]\n           \
-         (--quant evaluates the int8 snapshot of the trained predictors)\n  \
+         (--quant rounds the trained weights onto their int8 storage grid)\n  \
          run --all [--shards N (default: cores)] [--quick] [--metrics-out FILE]\n           \
          [--trace-out FILE]\n  \
          serve    FILE [--streams N] [--load F] [--no-fuse] [--quant] [--stdin]\n           \
          [--metrics-out FILE] [--trace-out FILE] [--live-metrics FILE|-]\n           \
          [--expose FILE] [--live-interval N]\n           \
-         (--quant serves the distilled int8 student; --stdin reads\n           \
+         (--quant serves the distilled int8-stored student; --stdin reads\n           \
          `stream pc vaddr [w]` lines, FILE only trains; --live-metrics\n           \
          streams NDJSON interval deltas, --expose rewrites a Prometheus\n           \
          text dump every --live-interval pumps)"
@@ -253,8 +253,7 @@ fn scoreboard_for(args: &Args, num_phases: usize) -> Option<PrefetchScoreboard> 
 
 /// Builds the serve command's live-telemetry attachment from
 /// `--live-metrics` / `--expose` / `--live-interval`, or `None` when no
-/// live output was requested. `--quant` tags the forward-stage spans as
-/// int8.
+/// live output was requested.
 fn live_telemetry_for(args: &Args) -> Option<LiveTelemetry> {
     let sink = args.get("live-metrics");
     let expose = args.get("expose");
@@ -263,7 +262,6 @@ fn live_telemetry_for(args: &Args) -> Option<LiveTelemetry> {
     }
     let cfg = LiveTelemetryConfig {
         interval_pumps: args.get_u64("live-interval", 16),
-        int8: args.get("quant").is_some(),
         ..LiveTelemetryConfig::default()
     };
     let cfg = cfg
@@ -442,7 +440,7 @@ fn cmd_run(args: &Args) {
     );
     if args.get("quant").is_some() {
         mp.quantize();
-        eprintln!("serving the int8 snapshot of the trained predictors");
+        eprintln!("serving the trained predictors from int8-rounded weights");
     }
     let mut sb = scoreboard_for(args, trace.num_phases as usize);
     let r = simulate_observed(
@@ -493,7 +491,7 @@ fn cmd_run_quick(args: &Args) {
     eprintln!(
         "quick run: {} at ExpScale::quick(){}",
         combo.label(),
-        if quant { " (int8 serve path)" } else { "" }
+        if quant { " (int8-stored weights)" } else { "" }
     );
     let r = run_combo_opts(combo, &ExpScale::quick(), SEGMENT_LEN, quant);
     report("none", &r.base, None);
@@ -617,10 +615,11 @@ fn serve_from_stdin(
 /// saturation rate. Reports throughput, shed fraction, and the
 /// prediction-latency percentiles; `--metrics-out` includes the `serve`
 /// section of the snapshot. With `--quant` the serve-path model is the
-/// §6.1 stack — a distilled student with int8 serving snapshots, so the
-/// fused pump runs the i8×i8→i32 kernels. With `--stdin` the trace file
-/// only trains the model and accesses arrive on stdin (`stream pc vaddr
-/// [w]` per line), so external generators can drive the service.
+/// §6.1 stack — a distilled student whose weights are rounded onto their
+/// int8 storage grid, served through the same fused pump. With `--stdin`
+/// the trace file only trains the model and accesses arrive on stdin
+/// (`stream pc vaddr [w]` per line), so external generators can drive the
+/// service.
 fn cmd_serve(args: &Args) {
     let path = args.positional.first().unwrap_or_else(|| usage());
     let t = io::load(path).unwrap_or_else(|e| die(&e.to_string()));
@@ -660,7 +659,7 @@ fn cmd_serve(args: &Args) {
         let (_, delta_bytes) = quantize_delta(&mut sd);
         let (_, page_bytes) = quantize_page(&mut sp);
         eprintln!(
-            "quantized serve path: {} -> {} params, int8 weights {} bytes",
+            "int8-stored student: {} -> {} params, int8 weights {} bytes",
             teacher_params,
             sd.num_params() + sp.num_params(),
             delta_bytes + page_bytes
