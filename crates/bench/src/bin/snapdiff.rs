@@ -11,10 +11,12 @@
 //! headroom on the latency-histogram percentiles (higher regresses);
 //! `--tol-burn` is relative headroom on the serve-path SLO burn metrics
 //! (`serve.slo.worst_burn_rate` / `serve.slo.breach_intervals`, higher
-//! regresses, zero baseline never gates).
+//! regresses, zero baseline never gates). A gated metric missing from
+//! either file is a parse error (exit 2) naming the path; fields no gate
+//! reads may be absent.
 
 use mpgraph_bench::snapdiff::{diff_snapshots, Tolerances};
-use mpgraph_core::MetricsSnapshot;
+use serde::Value;
 use std::process::ExitCode;
 
 fn usage() -> ExitCode {
@@ -26,59 +28,37 @@ fn usage() -> ExitCode {
     ExitCode::from(2)
 }
 
-fn load(path: &str) -> Result<MetricsSnapshot, String> {
+fn load(path: &str) -> Result<Value, String> {
     let text = std::fs::read_to_string(path).map_err(|e| format!("{path}: {e}"))?;
-    serde_json::from_str(&text).map_err(|e| format!("{path}: {e}"))
+    serde_json::parse_value(&text).map_err(|e| format!("{path}: {e}"))
 }
 
 fn main() -> ExitCode {
     let args: Vec<String> = std::env::args().skip(1).collect();
     let mut files: Vec<String> = Vec::new();
     let mut tol = Tolerances::default();
-    let mut i = 0;
-    while i < args.len() {
-        let a = &args[i];
-        let flag_value = |i: &mut usize| -> Option<f64> {
-            *i += 1;
-            args.get(*i).and_then(|v| v.parse().ok())
-        };
-        match a.as_str() {
-            "--tol" => match flag_value(&mut i) {
-                Some(v) => tol = Tolerances::uniform(v),
-                None => return usage(),
-            },
-            "--tol-accuracy" => match flag_value(&mut i) {
-                Some(v) => tol.accuracy = v,
-                None => return usage(),
-            },
-            "--tol-coverage" => match flag_value(&mut i) {
-                Some(v) => tol.coverage = v,
-                None => return usage(),
-            },
-            "--tol-timeliness" => match flag_value(&mut i) {
-                Some(v) => tol.timeliness = v,
-                None => return usage(),
-            },
-            "--tol-pbot" => match flag_value(&mut i) {
-                Some(v) => tol.pbot_hit_rate = v,
-                None => return usage(),
-            },
-            "--tol-p50" => match flag_value(&mut i) {
-                Some(v) => tol.latency_p50 = v,
-                None => return usage(),
-            },
-            "--tol-p99" => match flag_value(&mut i) {
-                Some(v) => tol.latency_p99 = v,
-                None => return usage(),
-            },
-            "--tol-burn" => match flag_value(&mut i) {
-                Some(v) => tol.burn = v,
-                None => return usage(),
-            },
-            _ if a.starts_with("--") => return usage(),
-            _ => files.push(a.clone()),
+    type Setter = fn(&mut Tolerances, f64);
+    let flags: [(&str, Setter); 8] = [
+        ("--tol", |t, v| *t = Tolerances::uniform(v)),
+        ("--tol-accuracy", |t, v| t.accuracy = v),
+        ("--tol-coverage", |t, v| t.coverage = v),
+        ("--tol-timeliness", |t, v| t.timeliness = v),
+        ("--tol-pbot", |t, v| t.pbot_hit_rate = v),
+        ("--tol-p50", |t, v| t.latency_p50 = v),
+        ("--tol-p99", |t, v| t.latency_p99 = v),
+        ("--tol-burn", |t, v| t.burn = v),
+    ];
+    let mut it = args.iter();
+    while let Some(a) = it.next() {
+        if !a.starts_with("--") {
+            files.push(a.clone());
+            continue;
         }
-        i += 1;
+        let flag = flags.iter().find(|(name, _)| name == a);
+        match (flag, it.next().and_then(|v| v.parse::<f64>().ok())) {
+            (Some(&(_, set)), Some(v)) => set(&mut tol, v),
+            _ => return usage(),
+        }
     }
     if files.len() != 2 {
         return usage();
@@ -90,7 +70,18 @@ fn main() -> ExitCode {
             return ExitCode::from(2);
         }
     };
-    let rep = diff_snapshots(&baseline, &current, &tol);
+    let rep = match diff_snapshots(&baseline, &current, &tol) {
+        Ok(rep) => rep,
+        Err(e) => {
+            let file = if e.side == "baseline" {
+                &files[0]
+            } else {
+                &files[1]
+            };
+            eprintln!("snapdiff: {file}: {e}");
+            return ExitCode::from(2);
+        }
+    };
     println!(
         "{:<24} {:>10} {:>10} {:>7}  verdict",
         "metric", "baseline", "current", "tol"

@@ -71,13 +71,17 @@ pub fn emit_if_requested(scale: &ExpScale) {
         }
     }
     if let Some(path) = trace {
-        match chrome {
-            Some(tr) => match write_json_compact_to(&path, &tr) {
-                Ok(()) => println!("chrome trace written to {}", path.display()),
-                Err(e) => eprintln!("failed to write trace to {}: {e}", path.display()),
-            },
-            None => eprintln!("trace requested but the scoreboard produced none"),
-        }
+        write_trace(&path, chrome);
+    }
+}
+
+fn write_trace(path: &std::path::Path, chrome: Option<serde::Value>) {
+    match chrome {
+        Some(tr) => match write_json_compact_to(path, &tr) {
+            Ok(()) => println!("chrome trace written to {}", path.display()),
+            Err(e) => eprintln!("failed to write trace to {}: {e}", path.display()),
+        },
+        None => eprintln!("trace requested but the scoreboard produced none"),
     }
 }
 
@@ -88,14 +92,10 @@ pub fn emit_trace_if_requested(scale: &ExpScale) {
     let Some(path) = trace_out_arg() else {
         return;
     };
-    let (_, chrome) = collect_carrier(scale, Some(TraceConfig::default()));
-    match chrome {
-        Some(tr) => match write_json_compact_to(&path, &tr) {
-            Ok(()) => println!("chrome trace written to {}", path.display()),
-            Err(e) => eprintln!("failed to write trace to {}: {e}", path.display()),
-        },
-        None => eprintln!("trace requested but the scoreboard produced none"),
-    }
+    write_trace(
+        &path,
+        collect_carrier(scale, Some(TraceConfig::default())).1,
+    );
 }
 
 #[cfg(test)]

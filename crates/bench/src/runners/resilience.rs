@@ -179,7 +179,7 @@ pub fn run_resilience(scale: &ExpScale) -> ResilienceReport {
             })
             .collect(),
         inference_stalls_injected: r_guarded.faults.count(FaultKind::StallInference),
-        guard_tripped: guarded.trips > 0,
+        guard_tripped: guarded.stats.trips > 0,
         metrics,
         rows,
     }

@@ -1,14 +1,18 @@
-//! Snapshot regression diffing: compare two [`MetricsSnapshot`] artifacts
-//! (a committed baseline and a freshly emitted one) and flag metrics that
-//! degraded beyond a tolerance. Counters are reported informationally;
-//! only the rate metrics gate — absolute counts shift with scale knobs,
-//! while accuracy / coverage / timeliness / PBOT hit rate should not —
-//! plus the simulated-latency histogram percentiles (p50/p99), which are
-//! deterministic cycle counts and gate *upward* with relative tolerances.
+//! Snapshot regression diffing: compare two metrics-snapshot artifacts (a
+//! committed baseline and a freshly emitted one) and flag gated metrics
+//! that degraded beyond a tolerance. The gates are a table of JSON paths
+//! ([`GATES`]), each with a direction and a tolerance, read from the JSON
+//! tree: a snapshot field no gate names can be added or
+//! dropped without touching the baseline, and a gated path missing from
+//! either file is an error, never a silently skipped gate. Only rates and
+//! deterministic cycle counts gate — absolute counts shift with scale
+//! knobs, while accuracy / coverage / timeliness / PBOT hit rate should
+//! not — plus the simulated-latency percentiles (p50/p99) and the serve
+//! SLO burn figures, which gate *upward* with relative tolerances.
 
-use mpgraph_core::MetricsSnapshot;
+use serde::{Serialize, Value};
 
-/// Per-metric tolerances. Rate metrics (`accuracy` .. `pbot_hit_rate`)
+/// Per-class tolerances. Rate metrics (`accuracy` .. `pbot_hit_rate`)
 /// are *absolute*: a current value regresses when it falls below
 /// `baseline - tolerance`. Latency percentiles (`latency_p50` /
 /// `latency_p99`) are *relative*: a current value regresses when it
@@ -64,6 +68,48 @@ impl Tolerances {
     }
 }
 
+/// Which way a gated metric regresses. `Lower`: a rate, regressing when
+/// it falls below `baseline - tol`. `Higher`: a latency or burn figure,
+/// regressing when it grows above `baseline * (1 + tol)`; a zero baseline
+/// never gates it (an empty histogram snapshots to all-zero percentiles,
+/// and `0 * (1 + tol)` would flag any nonzero current).
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Worse {
+    Lower,
+    Higher,
+}
+
+impl Worse {
+    fn regressed(self, baseline: f64, current: f64, tol: f64) -> bool {
+        match self {
+            Worse::Lower => current < baseline - tol,
+            Worse::Higher => baseline > 0.0 && current > baseline * (1.0 + tol),
+        }
+    }
+}
+
+/// One gate: a dotted path into the snapshot JSON, its direction, and
+/// the tolerance it takes.
+pub type Gate = (&'static str, Worse, fn(&Tolerances) -> f64);
+
+/// Every gated scalar.
+pub const GATES: &[Gate] = &[
+    ("accuracy", Worse::Lower, |t| t.accuracy),
+    ("coverage", Worse::Lower, |t| t.coverage),
+    ("timeliness", Worse::Lower, |t| t.timeliness),
+    ("cstp.pbot_hit_rate", Worse::Lower, |t| t.pbot_hit_rate),
+    ("inference_latency.p50", Worse::Higher, |t| t.latency_p50),
+    ("inference_latency.p99", Worse::Higher, |t| t.latency_p99),
+    ("memory_latency.p50", Worse::Higher, |t| t.latency_p50),
+    ("memory_latency.p99", Worse::Higher, |t| t.latency_p99),
+    ("serve.slo.worst_burn_rate", Worse::Higher, |t| t.burn),
+    ("serve.slo.breach_intervals", Worse::Higher, |t| t.burn),
+];
+
+/// Per-phase accuracy: rows of `phases` matched by their `phase` key and
+/// compared for the phases both files have.
+const PHASE_ROWS: &str = "phases";
+
 /// One compared metric.
 #[derive(Debug, Clone, PartialEq)]
 pub struct MetricDelta {
@@ -90,134 +136,95 @@ impl DiffReport {
     }
 }
 
-fn compare(report: &mut DiffReport, metric: &str, baseline: f64, current: f64, tolerance: f64) {
-    report.deltas.push(MetricDelta {
-        metric: metric.to_string(),
-        baseline,
-        current,
-        tolerance,
-        regressed: current < baseline - tolerance,
-    });
+/// A gated path that one of the two snapshots lacks (or holds as a
+/// non-number).
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct MissingMetric {
+    /// `"baseline"` or `"current"`.
+    pub side: &'static str,
+    pub path: String,
 }
 
-/// Latency gate: higher is worse, tolerance is relative. A zero baseline
-/// never gates (an empty histogram snapshots to all-zero percentiles, and
-/// `0 * (1 + tol)` would flag any nonzero current — a false positive when
-/// the baseline predates latency collection).
-fn compare_latency(report: &mut DiffReport, metric: &str, baseline: u64, current: u64, tol: f64) {
-    compare_upward(report, metric, baseline as f64, current as f64, tol);
+impl std::fmt::Display for MissingMetric {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        let MissingMetric { side, path } = self;
+        write!(f, "gated metric `{path}` missing from the {side} snapshot")
+    }
 }
 
-/// Upward-only relative gate for higher-is-worse f64 metrics (SLO burn
-/// rates, breach-interval counts). Same zero-baseline exemption as the
-/// latency gate.
-fn compare_upward(report: &mut DiffReport, metric: &str, baseline: f64, current: f64, tol: f64) {
-    report.deltas.push(MetricDelta {
-        metric: metric.to_string(),
-        baseline,
-        current,
-        tolerance: tol,
-        regressed: baseline > 0.0 && current > baseline * (1.0 + tol),
-    });
+fn number(v: &Value) -> Option<f64> {
+    match *v {
+        Value::U64(n) => Some(n as f64),
+        Value::I64(n) => Some(n as f64),
+        Value::F64(x) => Some(x),
+        _ => None,
+    }
 }
 
-/// Diffs `current` against `baseline`: top-level accuracy / coverage /
-/// timeliness, the CSTP PBOT hit rate, and per-phase accuracy for every
-/// phase present in both snapshots.
-pub fn diff_snapshots(
-    baseline: &MetricsSnapshot,
-    current: &MetricsSnapshot,
+fn gated(root: &Value, side: &'static str, path: &str) -> Result<f64, MissingMetric> {
+    let v = path.split('.').try_fold(root, |v, key| v.get(key));
+    v.and_then(number).ok_or_else(|| MissingMetric {
+        side,
+        path: path.to_string(),
+    })
+}
+
+/// `(phase, accuracy)` for every row of `phases`.
+fn phase_rows(root: &Value, side: &'static str) -> Result<Vec<(f64, f64)>, MissingMetric> {
+    let missing = |path: String| MissingMetric { side, path };
+    let Some(Value::Array(rows)) = root.get(PHASE_ROWS) else {
+        return Err(missing(PHASE_ROWS.to_string()));
+    };
+    let field = |i: usize, row: &Value, k: &str| {
+        let path = format!("{PHASE_ROWS}[{i}].{k}");
+        row.get(k).and_then(number).ok_or_else(|| missing(path))
+    };
+    let rows = rows.iter().enumerate();
+    rows.map(|(i, row)| Ok((field(i, row, "phase")?, field(i, row, "accuracy")?)))
+        .collect()
+}
+
+/// Diffs `current` against `baseline` on every [`GATES`] path and on
+/// per-phase accuracy for every phase present in both snapshots.
+pub fn diff_snapshots<B: Serialize + ?Sized, C: Serialize + ?Sized>(
+    baseline: &B,
+    current: &C,
     tol: &Tolerances,
-) -> DiffReport {
-    let mut rep = DiffReport::default();
-    compare(
-        &mut rep,
-        "accuracy",
-        baseline.accuracy,
-        current.accuracy,
-        tol.accuracy,
-    );
-    compare(
-        &mut rep,
-        "coverage",
-        baseline.coverage,
-        current.coverage,
-        tol.coverage,
-    );
-    compare(
-        &mut rep,
-        "timeliness",
-        baseline.timeliness,
-        current.timeliness,
-        tol.timeliness,
-    );
-    compare(
-        &mut rep,
-        "cstp.pbot_hit_rate",
-        baseline.cstp.pbot_hit_rate,
-        current.cstp.pbot_hit_rate,
-        tol.pbot_hit_rate,
-    );
-    compare_latency(
-        &mut rep,
-        "inference_latency.p50",
-        baseline.inference_latency.p50,
-        current.inference_latency.p50,
-        tol.latency_p50,
-    );
-    compare_latency(
-        &mut rep,
-        "inference_latency.p99",
-        baseline.inference_latency.p99,
-        current.inference_latency.p99,
-        tol.latency_p99,
-    );
-    compare_latency(
-        &mut rep,
-        "memory_latency.p50",
-        baseline.memory_latency.p50,
-        current.memory_latency.p50,
-        tol.latency_p50,
-    );
-    compare_latency(
-        &mut rep,
-        "memory_latency.p99",
-        baseline.memory_latency.p99,
-        current.memory_latency.p99,
-        tol.latency_p99,
-    );
-    compare_upward(
-        &mut rep,
-        "serve.slo.worst_burn_rate",
-        baseline.serve.slo.worst_burn_rate,
-        current.serve.slo.worst_burn_rate,
-        tol.burn,
-    );
-    compare_upward(
-        &mut rep,
-        "serve.slo.breach_intervals",
-        baseline.serve.slo.breach_intervals as f64,
-        current.serve.slo.breach_intervals as f64,
-        tol.burn,
-    );
-    for bp in &baseline.phases {
-        if let Some(cp) = current.phases.iter().find(|p| p.phase == bp.phase) {
-            compare(
-                &mut rep,
-                &format!("phase[{}].accuracy", bp.phase),
-                bp.accuracy,
-                cp.accuracy,
-                tol.accuracy,
-            );
+) -> Result<DiffReport, MissingMetric> {
+    let (b, c) = (baseline.to_value(), current.to_value());
+    let mut deltas = Vec::new();
+    let mut push = |metric: String, worse: Worse, tolerance: f64, (baseline, current)| {
+        let regressed = worse.regressed(baseline, current, tolerance);
+        deltas.push(MetricDelta {
+            metric,
+            baseline,
+            current,
+            tolerance,
+            regressed,
+        });
+    };
+    for &(path, worse, tolerance) in GATES {
+        let values = (gated(&b, "baseline", path)?, gated(&c, "current", path)?);
+        push(path.to_string(), worse, tolerance(tol), values);
+    }
+    let current_phases = phase_rows(&c, "current")?;
+    for (phase, bv) in phase_rows(&b, "baseline")? {
+        if let Some(&(_, cv)) = current_phases.iter().find(|(p, _)| *p == phase) {
+            let metric = format!("phase[{phase}].accuracy");
+            push(metric, Worse::Lower, tol.accuracy, (bv, cv));
         }
     }
-    rep
+    Ok(DiffReport { deltas })
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use mpgraph_core::PhaseMetrics;
+    use mpgraph_core::{MetricsSnapshot, PhaseMetrics};
+
+    fn diff(b: &MetricsSnapshot, c: &MetricsSnapshot, tol: &Tolerances) -> DiffReport {
+        diff_snapshots(b, c, tol).expect("typed snapshots carry every gated path")
+    }
 
     fn snap(accuracy: f64, coverage: f64, phase_acc: &[f64]) -> MetricsSnapshot {
         let mut s = MetricsSnapshot {
@@ -242,7 +249,7 @@ mod tests {
     #[test]
     fn identical_snapshots_pass() {
         let b = snap(0.8, 0.6, &[0.7, 0.9]);
-        let rep = diff_snapshots(&b, &b.clone(), &Tolerances::default());
+        let rep = diff(&b, &b.clone(), &Tolerances::default());
         assert!(!rep.has_regressions());
         // accuracy, coverage, timeliness, pbot + 4 latency percentiles
         // + 2 SLO burn gates + 2 phases
@@ -259,7 +266,7 @@ mod tests {
         // intervals blow through it.
         c.serve.slo.worst_burn_rate = 2.5;
         c.serve.slo.breach_intervals = 12;
-        let rep = diff_snapshots(&b, &c, &Tolerances::default());
+        let rep = diff(&b, &c, &Tolerances::default());
         let bad: Vec<_> = rep.regressions().map(|d| d.metric.clone()).collect();
         assert_eq!(bad, vec!["serve.slo.breach_intervals".to_string()]);
         // Burn improvements never fail, and a zero baseline never gates.
@@ -268,10 +275,10 @@ mod tests {
         hot.serve.slo.worst_burn_rate = 9.0;
         hot.serve.slo.breach_intervals = 50;
         assert!(
-            !diff_snapshots(&calm, &hot, &Tolerances::default()).has_regressions(),
+            !diff(&calm, &hot, &Tolerances::default()).has_regressions(),
             "zero-burn baseline must not gate"
         );
-        assert!(!diff_snapshots(&c, &b, &Tolerances::default()).has_regressions());
+        assert!(!diff(&c, &b, &Tolerances::default()).has_regressions());
     }
 
     #[test]
@@ -284,7 +291,7 @@ mod tests {
         // through the 50% tail headroom.
         c.inference_latency.p50 = 110;
         c.inference_latency.p99 = 800;
-        let rep = diff_snapshots(&b, &c, &Tolerances::default());
+        let rep = diff(&b, &c, &Tolerances::default());
         let bad: Vec<_> = rep.regressions().map(|d| d.metric.clone()).collect();
         assert_eq!(bad, vec!["inference_latency.p99".to_string()]);
     }
@@ -297,7 +304,7 @@ mod tests {
         let mut c = b.clone();
         c.inference_latency.p50 = 10;
         c.memory_latency.p99 = 100;
-        assert!(!diff_snapshots(&b, &c, &Tolerances::default()).has_regressions());
+        assert!(!diff(&b, &c, &Tolerances::default()).has_regressions());
     }
 
     #[test]
@@ -306,14 +313,14 @@ mod tests {
         let mut c = b.clone();
         c.inference_latency.p50 = 5_000;
         c.memory_latency.p99 = 5_000;
-        assert!(!diff_snapshots(&b, &c, &Tolerances::default()).has_regressions());
+        assert!(!diff(&b, &c, &Tolerances::default()).has_regressions());
     }
 
     #[test]
     fn degradation_beyond_tolerance_is_flagged() {
         let b = snap(0.8, 0.6, &[0.7]);
         let c = snap(0.70, 0.6, &[0.7]);
-        let rep = diff_snapshots(&b, &c, &Tolerances::default());
+        let rep = diff(&b, &c, &Tolerances::default());
         let bad: Vec<_> = rep.regressions().map(|d| d.metric.clone()).collect();
         assert_eq!(bad, vec!["accuracy".to_string()]);
     }
@@ -322,21 +329,21 @@ mod tests {
     fn degradation_within_tolerance_passes() {
         let b = snap(0.8, 0.6, &[0.7]);
         let c = snap(0.76, 0.58, &[0.66]);
-        assert!(!diff_snapshots(&b, &c, &Tolerances::default()).has_regressions());
+        assert!(!diff(&b, &c, &Tolerances::default()).has_regressions());
     }
 
     #[test]
     fn improvements_never_fail() {
         let b = snap(0.5, 0.4, &[0.3]);
         let c = snap(0.9, 0.9, &[0.9]);
-        assert!(!diff_snapshots(&b, &c, &Tolerances::default()).has_regressions());
+        assert!(!diff(&b, &c, &Tolerances::default()).has_regressions());
     }
 
     #[test]
     fn per_phase_accuracy_gates_independently() {
         let b = snap(0.8, 0.6, &[0.7, 0.9]);
         let c = snap(0.8, 0.6, &[0.7, 0.5]);
-        let rep = diff_snapshots(&b, &c, &Tolerances::default());
+        let rep = diff(&b, &c, &Tolerances::default());
         let bad: Vec<_> = rep.regressions().map(|d| d.metric.clone()).collect();
         assert_eq!(bad, vec!["phase[1].accuracy".to_string()]);
     }
@@ -345,7 +352,78 @@ mod tests {
     fn uniform_tolerance_applies_everywhere() {
         let b = snap(0.8, 0.6, &[0.7]);
         let c = snap(0.70, 0.5, &[0.6]);
-        assert!(!diff_snapshots(&b, &c, &Tolerances::uniform(0.2)).has_regressions());
-        assert!(diff_snapshots(&b, &c, &Tolerances::uniform(0.01)).has_regressions());
+        assert!(!diff(&b, &c, &Tolerances::uniform(0.2)).has_regressions());
+        assert!(diff(&b, &c, &Tolerances::uniform(0.01)).has_regressions());
+    }
+
+    /// Removes the dotted `path` from a JSON object tree.
+    fn without(mut v: Value, path: &str) -> Value {
+        let (parent, leaf) = match path.rsplit_once('.') {
+            Some((p, l)) => (Some(p), l),
+            None => (None, path),
+        };
+        let mut node = &mut v;
+        for key in parent.into_iter().flat_map(|p| p.split('.')) {
+            let Value::Object(fields) = node else {
+                panic!("not an object at {key}")
+            };
+            node = &mut fields.iter_mut().find(|(k, _)| k == key).expect("path").1;
+        }
+        let Value::Object(fields) = node else {
+            panic!("not an object")
+        };
+        fields.retain(|(k, _)| k != leaf);
+        v
+    }
+
+    #[test]
+    fn a_gated_path_missing_from_either_file_is_an_error_naming_it() {
+        let full = snap(0.8, 0.6, &[0.7]).to_value();
+        for &(path, ..) in GATES {
+            let cut = without(full.clone(), path);
+            assert_eq!(
+                diff_snapshots(&cut, &full, &Tolerances::default()),
+                Err(MissingMetric {
+                    side: "baseline",
+                    path: path.to_string()
+                })
+            );
+            let err = diff_snapshots(&full, &cut, &Tolerances::default()).unwrap_err();
+            assert_eq!((err.side, err.path.as_str()), ("current", path));
+        }
+        let err = diff_snapshots(
+            &full,
+            &without(full.clone(), "phases"),
+            &Tolerances::default(),
+        )
+        .unwrap_err();
+        assert_eq!(err.path, "phases");
+    }
+
+    #[test]
+    fn ungated_fields_can_come_and_go() {
+        let full = snap(0.8, 0.6, &[0.7]).to_value();
+        let lean = without(without(full.clone(), "serve.streams"), "windows");
+        let rep = diff_snapshots(&full, &lean, &Tolerances::default()).expect("only ungated cuts");
+        assert!(!rep.has_regressions());
+        assert_eq!(rep.deltas.len(), GATES.len() + 1);
+    }
+
+    #[test]
+    fn per_phase_rows_compare_only_shared_phases() {
+        let b = snap(0.8, 0.6, &[0.7, 0.9, 0.9]);
+        let c = snap(0.8, 0.6, &[0.7]);
+        let rep = diff(&b, &c, &Tolerances::default());
+        let phases: Vec<_> = rep
+            .deltas
+            .iter()
+            .filter(|d| d.metric.starts_with("phase["))
+            .map(|d| d.metric.clone())
+            .collect();
+        assert_eq!(phases, vec!["phase[0].accuracy".to_string()]);
+        assert_eq!(
+            diff(&c, &b, &Tolerances::default()).deltas.len(),
+            GATES.len() + 1
+        );
     }
 }

@@ -207,11 +207,14 @@ fn traced_carrier_produces_live_telemetry_and_perfetto_trace() {
     assert_eq!(back.issued_untimely, snap.issued_untimely);
 
     // snapdiff: self-diff passes; degraded accuracy beyond tolerance fails.
-    assert!(!diff_snapshots(&snap, &snap.clone(), &Tolerances::default()).has_regressions());
+    let diff = |b: &MetricsSnapshot, c: &MetricsSnapshot| {
+        diff_snapshots(b, c, &Tolerances::default()).expect("every gated path present")
+    };
+    assert!(!diff(&snap, &snap.clone()).has_regressions());
     let mut degraded = snap.clone();
     degraded.accuracy = (snap.accuracy - 0.2).max(0.0);
     assert!(
-        diff_snapshots(&snap, &degraded, &Tolerances::default()).has_regressions(),
+        diff(&snap, &degraded).has_regressions(),
         "snapdiff missed a 0.2 accuracy drop"
     );
 }

@@ -8,60 +8,54 @@
 //! degree ranges over `Ds + 1 ≤ Dp ≤ Ds(Dt + 1)` (Eq. 11).
 
 use crate::delta_predictor::DeltaPredictor;
+use crate::metric::ratio;
 use crate::page_predictor::PagePredictor;
 use mpgraph_ml::ScratchArena;
 use mpgraph_sim::{PrefetchLane, BLOCK_BITS, BLOCK_OFFSET_MASK};
+use serde::{Deserialize, Serialize};
 use std::collections::HashMap;
 
-/// Rolling CSTP counters: chain lengths, PBOT hit rate, and duplicates
-/// suppressed by batch dedup. One instance lives in the prefetcher and is
-/// folded into the pipeline [`MetricsSnapshot`](crate::obs::MetricsSnapshot).
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct CstpStats {
-    /// Prefetch batches generated.
-    pub batches: u64,
-    /// Temporal chain steps completed (sum of per-batch chain lengths).
-    pub chain_steps: u64,
-    /// Longest temporal chain observed in a single batch.
-    pub max_chain_len: u64,
-    /// PBOT lookups that found the predicted page.
-    pub pbot_hits: u64,
-    /// PBOT lookups that missed (chain terminated early).
-    pub pbot_misses: u64,
-    /// Duplicate block addresses suppressed before truncation — each one a
-    /// candidate that would have silently wasted degree budget.
-    pub duplicates_suppressed: u64,
+metrics! {
+    /// Rolling CSTP counters: chain lengths, PBOT hit rate, and duplicates
+    /// suppressed by batch dedup. One instance lives in the prefetcher,
+    /// which increments it in place and folds each chain's counters in with
+    /// `merge_at`; it is the `cstp` section of the pipeline
+    /// [`MetricsSnapshot`](crate::obs::MetricsSnapshot).
+    #[derive(Debug, Clone, Copy, Default, PartialEq, Serialize, Deserialize)]
+    pub struct CstpStats {
+        /// Prefetch batches generated.
+        counter batches: u64,
+        /// Temporal chain steps completed (sum of per-batch chain lengths).
+        counter chain_steps: u64,
+        /// Longest temporal chain observed in a single batch.
+        max max_chain_len: u64,
+        /// Mean temporal chain length per batch.
+        rate avg_chain_len: f64,
+        /// PBOT lookups that found the predicted page.
+        counter pbot_hits: u64,
+        /// PBOT lookups that missed (chain terminated early).
+        counter pbot_misses: u64,
+        /// Fraction of PBOT lookups that hit.
+        rate pbot_hit_rate: f64,
+        /// Duplicate block addresses suppressed before truncation — each one a
+        /// candidate that would have silently wasted degree budget.
+        counter duplicates_suppressed: u64,
+    }
+    rates |s| {
+        s.avg_chain_len = s.avg_chain_len();
+        s.pbot_hit_rate = s.pbot_hit_rate();
+    }
 }
 
 impl CstpStats {
     /// Fraction of PBOT lookups that hit (0 when no lookups happened).
     pub fn pbot_hit_rate(&self) -> f64 {
-        let total = self.pbot_hits + self.pbot_misses;
-        if total == 0 {
-            0.0
-        } else {
-            self.pbot_hits as f64 / total as f64
-        }
+        ratio(self.pbot_hits, self.pbot_hits + self.pbot_misses)
     }
 
     /// Mean temporal chain length per batch.
     pub fn avg_chain_len(&self) -> f64 {
-        if self.batches == 0 {
-            0.0
-        } else {
-            self.chain_steps as f64 / self.batches as f64
-        }
-    }
-
-    /// Folds another instance's counters (one chain's deltas) into this
-    /// one.
-    pub fn merge(&mut self, other: &CstpStats) {
-        self.batches += other.batches;
-        self.chain_steps += other.chain_steps;
-        self.max_chain_len = self.max_chain_len.max(other.max_chain_len);
-        self.pbot_hits += other.pbot_hits;
-        self.pbot_misses += other.pbot_misses;
-        self.duplicates_suppressed += other.duplicates_suppressed;
+        ratio(self.chain_steps, self.batches)
     }
 }
 
@@ -231,6 +225,7 @@ pub fn chain_prefetch(
     stats.batches += 1;
     stats.chain_steps += chain_len;
     stats.max_chain_len = stats.max_chain_len.max(chain_len);
+    stats.update_rates();
     out.truncate(cfg.max_degree());
     out
 }
@@ -266,7 +261,7 @@ pub fn chain_prefetch_in(
     let res = chain_prefetch_fused(delta, page, &[item], phase, cfg, spatial_arena, &mut 0)
         .pop()
         .unwrap_or_default();
-    stats.merge(&res.stats);
+    stats.merge_at(&res.stats, 0);
     *lanes = res.lanes;
     res.batch
 }
@@ -435,13 +430,13 @@ pub fn chain_prefetch_fused(
             out.extend(l.temporal);
             lanes.resize(out.len(), PrefetchLane::Temporal);
             let mut stats = CstpStats {
+                batches: 1,
                 duplicates_suppressed: dedup_first_order(&mut out, Some(&mut lanes)),
                 ..CstpStats::default()
             };
             l.ls.chain_steps = l.chain_len;
             l.ls.max_chain_len = l.chain_len;
-            stats.merge(&l.ls);
-            stats.batches += 1;
+            stats.merge_at(&l.ls, 0);
             out.truncate(cfg.max_degree());
             lanes.truncate(cfg.max_degree());
             FusedChainResult {
@@ -772,6 +767,7 @@ mod tests {
             pbot_hits: 6,
             pbot_misses: 2,
             duplicates_suppressed: 3,
+            ..CstpStats::default()
         };
         assert!((s.pbot_hit_rate() - 0.75).abs() < 1e-12);
         assert!((s.avg_chain_len() - 1.5).abs() < 1e-12);
@@ -782,8 +778,9 @@ mod tests {
             pbot_hits: 3,
             pbot_misses: 0,
             duplicates_suppressed: 1,
+            ..CstpStats::default()
         };
-        s.merge(&other);
+        s.merge_at(&other, 0);
         assert_eq!(s.batches, 5);
         assert_eq!(s.max_chain_len, 3);
         assert_eq!(s.duplicates_suppressed, 4);

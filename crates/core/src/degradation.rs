@@ -154,12 +154,8 @@ pub struct DegradationGuard<P: Prefetcher> {
     acc_ring: VecDeque<bool>,
     acc_hits: usize,
     scratch: Vec<u64>,
-    // Lifetime counters (introspection / health reports).
-    pub deadline_misses: u64,
-    pub trips: u64,
-    pub recoveries: u64,
-    pub accesses_degraded: u64,
-    pub slo_trips: u64,
+    /// Lifetime counters (introspection, health reports, snapshots).
+    pub stats: GuardMetrics,
     // Structured tracing (engine-controlled, off by default). The guard
     // buffers its own trip/recover events and passes the wrapped
     // prefetcher's through, so the engine sees one merged stream.
@@ -182,11 +178,7 @@ impl<P: Prefetcher> DegradationGuard<P> {
             acc_ring: VecDeque::with_capacity(cfg.accuracy_window),
             acc_hits: 0,
             scratch: Vec::new(),
-            deadline_misses: 0,
-            trips: 0,
-            recoveries: 0,
-            accesses_degraded: 0,
-            slo_trips: 0,
+            stats: GuardMetrics::default(),
             trace_on: false,
             trace_events: Vec::new(),
         }
@@ -224,13 +216,7 @@ impl<P: Prefetcher> DegradationGuard<P> {
 
     /// Lifetime counters for a [`crate::obs::MetricsSnapshot`].
     pub fn metrics(&self) -> GuardMetrics {
-        GuardMetrics {
-            trips: self.trips,
-            recoveries: self.recoveries,
-            deadline_misses: self.deadline_misses,
-            accesses_degraded: self.accesses_degraded,
-            slo_trips: self.slo_trips,
-        }
+        self.stats.clone()
     }
 
     /// External escalation input from the live SLO monitor
@@ -242,7 +228,7 @@ impl<P: Prefetcher> DegradationGuard<P> {
     /// the policy.
     pub fn apply_slo_verdict(&mut self, verdict: crate::livetel::SloVerdict) {
         if verdict == crate::livetel::SloVerdict::Breach && self.state == GuardState::Healthy {
-            self.slo_trips += 1;
+            self.stats.slo_trips += 1;
             self.trip();
         }
     }
@@ -259,10 +245,10 @@ impl<P: Prefetcher> DegradationGuard<P> {
             status,
             format!(
                 "trips {}, recoveries {}, deadline misses {}, degraded accesses {}, miss frac {:.2}",
-                self.trips,
-                self.recoveries,
-                self.deadline_misses,
-                self.accesses_degraded,
+                self.stats.trips,
+                self.stats.recoveries,
+                self.stats.deadline_misses,
+                self.stats.accesses_degraded,
                 self.miss_fraction(),
             ),
         )
@@ -270,7 +256,7 @@ impl<P: Prefetcher> DegradationGuard<P> {
 
     fn trip(&mut self) {
         if self.state == GuardState::Healthy {
-            self.trips += 1;
+            self.stats.trips += 1;
             self.state = GuardState::Degraded {
                 since: self.accesses,
                 healthy_probes: 0,
@@ -284,7 +270,7 @@ impl<P: Prefetcher> DegradationGuard<P> {
     /// `degraded_accesses` is the length of the degraded spell that just
     /// ended, for the window summary event.
     fn recover(&mut self, degraded_accesses: u64) {
-        self.recoveries += 1;
+        self.stats.recoveries += 1;
         self.state = GuardState::Healthy;
         self.miss_ring.clear();
         self.misses_in_ring = 0;
@@ -309,7 +295,7 @@ impl<P: Prefetcher> DegradationGuard<P> {
         self.miss_ring.push_back(miss);
         if miss {
             self.misses_in_ring += 1;
-            self.deadline_misses += 1;
+            self.stats.deadline_misses += 1;
         }
     }
 
@@ -455,7 +441,7 @@ impl<P: Prefetcher> Prefetcher for DegradationGuard<P> {
                 }
             }
             GuardState::Degraded { .. } => {
-                self.accesses_degraded += 1;
+                self.stats.accesses_degraded += 1;
                 // Shadow-run the model: state stays warm, predictions are
                 // measured for recovery but never issued.
                 self.scratch.clear();
@@ -539,7 +525,7 @@ mod tests {
             assert_eq!(g.effective_latency(0), 10);
         }
         assert!(g.is_healthy());
-        assert_eq!(g.trips, 0);
+        assert_eq!(g.stats.trips, 0);
         assert_eq!(g.name(), "Guarded(fake-ml)");
     }
 
@@ -563,9 +549,9 @@ mod tests {
         let tripped_at = tripped_at.expect("guard never tripped");
         // Trips as soon as the miss window fills at 100% misses.
         assert!(tripped_at <= cfg().miss_window as u64 + 1);
-        assert_eq!(g.trips, 1);
-        assert!(g.deadline_misses > 0);
-        assert!(g.accesses_degraded > 0);
+        assert_eq!(g.stats.trips, 1);
+        assert!(g.stats.deadline_misses > 0);
+        assert!(g.stats.accesses_degraded > 0);
         // Degraded latency is the fallback's (0), not the stalled ML path.
         assert_eq!(g.effective_latency(10_000), 0);
         assert_eq!(g.health().status, ComponentStatus::Degraded);
@@ -590,8 +576,8 @@ mod tests {
             g.effective_latency(if i < 20 { 10_000 } else { 0 });
             seen.extend_from_slice(g.pending_trace_events());
         }
-        assert_eq!(g.trips, 1);
-        assert_eq!(g.recoveries, 1);
+        assert_eq!(g.stats.trips, 1);
+        assert_eq!(g.stats.recoveries, 1);
         let trips = seen.iter().filter(|e| **e == TraceEvent::GuardTrip).count();
         let recovers = seen
             .iter()
@@ -623,9 +609,9 @@ mod tests {
             quiet.effective_latency(if i < 20 { 10_000 } else { 0 });
             assert!(quiet.pending_trace_events().is_empty());
         }
-        assert_eq!(quiet.trips, g.trips);
-        assert_eq!(quiet.recoveries, g.recoveries);
-        assert_eq!(quiet.deadline_misses, g.deadline_misses);
+        assert_eq!(quiet.stats.trips, g.stats.trips);
+        assert_eq!(quiet.stats.recoveries, g.stats.recoveries);
+        assert_eq!(quiet.stats.deadline_misses, g.stats.deadline_misses);
     }
 
     #[test]
@@ -659,7 +645,7 @@ mod tests {
             recovered_after >= c.recover_healthy_probes as u64,
             "recovered after only {recovered_after} healthy probes"
         );
-        assert_eq!(g.recoveries, 1);
+        assert_eq!(g.stats.recoveries, 1);
         assert!(g.is_healthy());
     }
 
@@ -685,7 +671,7 @@ mod tests {
             g.effective_latency(if i % 4 == 3 { 10_000 } else { 0 });
         }
         assert!(!g.is_healthy(), "guard recovered under flapping stalls");
-        assert_eq!(g.recoveries, 0);
+        assert_eq!(g.stats.recoveries, 0);
     }
 
     #[test]
@@ -732,16 +718,16 @@ mod tests {
         g.apply_slo_verdict(SloVerdict::Ok);
         g.apply_slo_verdict(SloVerdict::Warn);
         assert!(g.is_healthy());
-        assert_eq!(g.slo_trips, 0);
+        assert_eq!(g.stats.slo_trips, 0);
         g.apply_slo_verdict(SloVerdict::Breach);
         assert!(!g.is_healthy());
-        assert_eq!(g.trips, 1);
-        assert_eq!(g.slo_trips, 1);
+        assert_eq!(g.stats.trips, 1);
+        assert_eq!(g.stats.slo_trips, 1);
         assert_eq!(g.metrics().slo_trips, 1);
         // Breach while already degraded is not a second trip.
         g.apply_slo_verdict(SloVerdict::Breach);
-        assert_eq!(g.trips, 1);
-        assert_eq!(g.slo_trips, 1);
+        assert_eq!(g.stats.trips, 1);
+        assert_eq!(g.stats.slo_trips, 1);
         // Ok does not short-circuit hysteretic recovery.
         g.apply_slo_verdict(SloVerdict::Ok);
         assert!(!g.is_healthy());

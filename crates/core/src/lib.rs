@@ -16,6 +16,9 @@
 
 #![cfg_attr(not(test), deny(clippy::unwrap_used, clippy::panic))]
 
+#[macro_use]
+pub mod metric;
+
 pub mod amma;
 pub mod backbone;
 pub mod complexity;
@@ -52,7 +55,7 @@ pub use livetel::{
     LiveTelemetryConfig, SloConfig, SloMonitor, SloVerdict,
 };
 pub use obs::{
-    ControllerMetrics, CstpMetrics, DetectorMetrics, GuardMetrics, HistogramSnapshot, LaneMetrics,
+    ControllerMetrics, DetectorMetrics, GuardMetrics, HistogramSnapshot, LaneMetrics,
     LatencyHistogram, LiveIntervalSummary, MetricsSnapshot, PhaseMetrics, PrefetchScoreboard,
     PumpStageMetrics, ServeMetrics, SloServeMetrics, StreamServeMetrics, TrainMetrics,
     TrainRollbackMetrics,

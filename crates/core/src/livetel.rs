@@ -39,6 +39,7 @@
 
 use crate::error::MpGraphError;
 use crate::latency::cycles_to_ns;
+use crate::metric::{ratio, Kind};
 use crate::obs::{
     LatencyHistogram, LiveIntervalSummary, PumpStageMetrics, ServeMetrics, SloServeMetrics,
 };
@@ -221,30 +222,13 @@ pub struct LiveInterval {
     pub per_stream: Vec<LiveStreamDelta>,
 }
 
-/// Total shed work (speculative + queue-full + deadline-deferred).
-fn shed_total(m: &ServeMetrics) -> u64 {
-    m.shed_speculative + m.shed_queue_full + m.timeout_deferred
-}
-
-fn sum_misses(m: &ServeMetrics) -> (u64, u64) {
-    m.per_stream.iter().fold((0, 0), |(obs, miss), s| {
-        (obs + s.deadline_observations, miss + s.deadline_misses)
-    })
-}
-
-fn frac(num: u64, den: u64) -> f64 {
-    if den == 0 {
-        0.0
-    } else {
-        num as f64 / den as f64
-    }
-}
-
 /// Derives one telemetry interval from two cumulative snapshots of the
-/// serve counters. Pure: the property tests pin that every delta is
-/// non-negative, that chained intervals sum back to the final cumulative
-/// snapshot, and that every rate is finite even when `start_cycle ==
-/// end_cycle` or nothing happened.
+/// serve counters: the declared [`ServeMetrics::delta`] supplies every
+/// difference and interval rate, this function names them for the NDJSON
+/// record. Pure: the property tests pin that every delta is non-negative,
+/// that chained intervals sum back to the final cumulative snapshot, and
+/// that every rate is finite even when `start_cycle == end_cycle` or
+/// nothing happened.
 pub fn derive_interval(
     seq: u64,
     prev: &ServeMetrics,
@@ -253,35 +237,10 @@ pub fn derive_interval(
     end_cycle: u64,
     ghz: f64,
 ) -> LiveInterval {
-    let (prev_obs, prev_miss) = sum_misses(prev);
-    let (cur_obs, cur_miss) = sum_misses(cur);
-    let delta_ingested = cur.ingested.saturating_sub(prev.ingested);
-    let delta_ml = cur.ml_processed.saturating_sub(prev.ml_processed);
-    let delta_fallback = cur
-        .fallback_processed
-        .saturating_sub(prev.fallback_processed);
-    let delta_shed = shed_total(cur).saturating_sub(shed_total(prev));
-    let delta_obs = cur_obs.saturating_sub(prev_obs);
-    let delta_miss = cur_miss.saturating_sub(prev_miss);
+    let d = cur.delta(prev);
+    let (delta_obs, delta_miss) = d.deadline_totals();
     let cycles = end_cycle.saturating_sub(start_cycle);
     let span_secs = cycles_to_ns(cycles, ghz) * 1e-9;
-    let per_stream = cur
-        .per_stream
-        .iter()
-        .map(|s| {
-            let p = prev.per_stream.iter().find(|q| q.id == s.id);
-            let base = |f: fn(&crate::obs::StreamServeMetrics) -> u64| p.map_or(0, f);
-            LiveStreamDelta {
-                id: s.id,
-                delta_ml_served: s.ml_served.saturating_sub(base(|q| q.ml_served)),
-                delta_fallback_served: s
-                    .fallback_served
-                    .saturating_sub(base(|q| q.fallback_served)),
-                delta_shed: s.shed.saturating_sub(base(|q| q.shed)),
-                cooldown_remaining: s.cooldown_remaining,
-            }
-        })
-        .collect();
     LiveInterval {
         seq,
         start_cycle,
@@ -290,33 +249,41 @@ pub fn derive_interval(
         total_ingested: cur.ingested,
         total_ml_processed: cur.ml_processed,
         total_fallback_processed: cur.fallback_processed,
-        total_shed: shed_total(cur),
-        total_deadline_misses: cur_miss,
-        delta_ingested,
-        delta_ml_processed: delta_ml,
-        delta_fallback_processed: delta_fallback,
-        delta_shed,
-        delta_deferred: cur
-            .deferred_fallback_processed
-            .saturating_sub(prev.deferred_fallback_processed),
-        delta_quarantines: cur.quarantines.saturating_sub(prev.quarantines),
+        total_shed: cur.shed_total(),
+        total_deadline_misses: cur.deadline_totals().1,
+        delta_ingested: d.ingested,
+        delta_ml_processed: d.ml_processed,
+        delta_fallback_processed: d.fallback_processed,
+        delta_shed: d.shed_total(),
+        delta_deferred: d.deferred_fallback_processed,
+        delta_quarantines: d.quarantines,
         delta_deadline_observations: delta_obs,
         delta_deadline_misses: delta_miss,
         accesses_per_sec: if span_secs > 0.0 {
-            delta_ingested as f64 / span_secs
+            d.ingested as f64 / span_secs
         } else {
             0.0
         },
-        shed_fraction: frac(delta_shed, delta_ingested),
-        deadline_miss_fraction: frac(delta_miss, delta_obs),
-        ml_fraction: frac(delta_ml, delta_ml + delta_fallback),
-        overload_level: cur.overload_level,
-        degraded_streams: cur.degraded_streams,
-        p99_latency_cycles: cur.prediction_latency.p99,
+        shed_fraction: d.shed_fraction,
+        deadline_miss_fraction: ratio(delta_miss, delta_obs),
+        ml_fraction: ratio(d.ml_processed, d.ml_processed + d.fallback_processed),
+        overload_level: d.overload_level,
+        degraded_streams: d.degraded_streams,
+        p99_latency_cycles: d.prediction_latency.p99,
         burn_rate: 0.0,
         windowed_burn_rate: 0.0,
         verdict_level: 0,
-        per_stream,
+        per_stream: d
+            .per_stream
+            .iter()
+            .map(|s| LiveStreamDelta {
+                id: s.id,
+                delta_ml_served: s.ml_served,
+                delta_fallback_served: s.fallback_served,
+                delta_shed: s.shed,
+                cooldown_remaining: s.cooldown_remaining,
+            })
+            .collect(),
     }
 }
 
@@ -326,12 +293,7 @@ pub struct SloMonitor {
     cfg: SloConfig,
     burns: VecDeque<f64>,
     verdict: SloVerdict,
-    intervals: u64,
-    escalations: u64,
-    recoveries: u64,
-    breach_intervals: u64,
-    worst_burn: f64,
-    current_burn: f64,
+    stats: SloServeMetrics,
 }
 
 impl SloMonitor {
@@ -340,12 +302,11 @@ impl SloMonitor {
             cfg,
             burns: VecDeque::with_capacity(cfg.window_intervals.max(1)),
             verdict: SloVerdict::Ok,
-            intervals: 0,
-            escalations: 0,
-            recoveries: 0,
-            breach_intervals: 0,
-            worst_burn: 0.0,
-            current_burn: 0.0,
+            stats: SloServeMetrics {
+                target_p99_cycles: cfg.target_p99_cycles,
+                budget_miss_fraction: cfg.budget_miss_fraction,
+                ..SloServeMetrics::default()
+            },
         }
     }
 
@@ -353,15 +314,15 @@ impl SloMonitor {
     /// burn and the verdict, writes the SLO fields back into the interval,
     /// and returns the trace event when the verdict changed.
     pub fn observe(&mut self, interval: &mut LiveInterval) -> Option<TraceEvent> {
-        self.intervals += 1;
+        self.stats.intervals += 1;
         let burn = interval.deadline_miss_fraction / self.cfg.budget_miss_fraction;
         self.burns.push_back(burn);
         while self.burns.len() > self.cfg.window_intervals {
             self.burns.pop_front();
         }
         let windowed = self.burns.iter().sum::<f64>() / self.burns.len() as f64;
-        self.current_burn = windowed;
-        self.worst_burn = self.worst_burn.max(windowed);
+        self.stats.current_burn_rate = windowed;
+        self.stats.worst_burn_rate = self.stats.worst_burn_rate.max(windowed);
         let next = if windowed >= self.cfg.fast_burn {
             SloVerdict::Breach
         } else if windowed >= 1.0 || interval.p99_latency_cycles > self.cfg.target_p99_cycles {
@@ -373,18 +334,19 @@ impl SloMonitor {
         interval.windowed_burn_rate = windowed;
         interval.verdict_level = next.level();
         if next == SloVerdict::Breach {
-            self.breach_intervals += 1;
+            self.stats.breach_intervals += 1;
         }
         let prev = self.verdict;
         self.verdict = next;
+        self.stats.verdict_level = next.level();
         if next > prev {
-            self.escalations += 1;
+            self.stats.escalations += 1;
             Some(TraceEvent::SloEscalate {
                 level: next.level() as u8,
                 burn_x100: (windowed * 100.0).clamp(0.0, f64::from(u16::MAX)) as u16,
             })
         } else if next < prev {
-            self.recoveries += 1;
+            self.stats.recoveries += 1;
             Some(TraceEvent::SloRecover {
                 level: next.level() as u8,
             })
@@ -398,120 +360,49 @@ impl SloMonitor {
     }
 
     pub fn metrics(&self) -> SloServeMetrics {
-        SloServeMetrics {
-            target_p99_cycles: self.cfg.target_p99_cycles,
-            budget_miss_fraction: self.cfg.budget_miss_fraction,
-            intervals: self.intervals,
-            escalations: self.escalations,
-            recoveries: self.recoveries,
-            breach_intervals: self.breach_intervals,
-            worst_burn_rate: self.worst_burn,
-            current_burn_rate: self.current_burn,
-            verdict_level: self.verdict.level(),
-        }
+        self.stats.clone()
     }
 }
 
-/// Renders the serve counters as a Prometheus-style text exposition
-/// (`# TYPE` comments, `name value` samples, `{stream="N"}` labels).
+/// Renders the serve counters as a Prometheus-style text exposition, one
+/// family per declared field: `mpgraph_serve_<path>` with `_total` on
+/// counters, the field's doc comment as `# HELP`, histograms as their
+/// summary figures (`_count`, `_p50`, `_p99`, ...), and row keys as
+/// labels (`{id="N"}` on `per_stream`).
 pub fn render_exposition(m: &ServeMetrics) -> String {
     use std::fmt::Write as _;
-    let mut s = String::with_capacity(2048);
-    let mut counter = |name: &str, help: &str, v: u64| {
-        let _ = writeln!(s, "# HELP {name} {help}");
-        let _ = writeln!(s, "# TYPE {name} counter");
-        let _ = writeln!(s, "{name} {v}");
-    };
-    counter(
-        "mpgraph_serve_ingested_total",
-        "Accesses ingested.",
-        m.ingested,
-    );
-    counter(
-        "mpgraph_serve_ml_processed_total",
-        "Accesses served by ML inference.",
-        m.ml_processed,
-    );
-    counter(
-        "mpgraph_serve_fallback_processed_total",
-        "Accesses served by the fallback.",
-        m.fallback_processed,
-    );
-    counter(
-        "mpgraph_serve_shed_total",
-        "Accesses shed (speculative + queue-full + deferred).",
-        shed_total(m),
-    );
-    counter(
-        "mpgraph_serve_quarantines_total",
-        "Per-stream quarantine entries.",
-        m.quarantines,
-    );
-    counter(
-        "mpgraph_serve_slo_escalations_total",
-        "SLO verdict raises.",
-        m.slo.escalations,
-    );
-    let mut gauge = |name: &str, help: &str, v: f64| {
-        let _ = writeln!(s, "# HELP {name} {help}");
-        let _ = writeln!(s, "# TYPE {name} gauge");
-        let _ = writeln!(s, "{name} {v}");
-    };
-    gauge(
-        "mpgraph_serve_overload_level",
-        "Overload-ladder level.",
-        m.overload_level as f64,
-    );
-    gauge(
-        "mpgraph_serve_shed_fraction",
-        "Cumulative shed fraction.",
-        m.shed_fraction,
-    );
-    gauge(
-        "mpgraph_serve_prediction_latency_p99_cycles",
-        "End-to-end prediction-latency p99.",
-        m.prediction_latency.p99 as f64,
-    );
-    gauge(
-        "mpgraph_serve_slo_burn_rate",
-        "Windowed error-budget burn rate.",
-        m.slo.current_burn_rate,
-    );
-    gauge(
-        "mpgraph_serve_slo_verdict",
-        "SLO verdict (0 ok, 1 warn, 2 breach).",
-        m.slo.verdict_level as f64,
-    );
-    gauge(
-        "mpgraph_serve_telemetry_overhead_fraction",
-        "Telemetry wall time over pump wall time.",
-        m.pump_stages.self_overhead_fraction,
-    );
-    let _ = writeln!(
-        s,
-        "# HELP mpgraph_serve_stream_ml_served_total Per-stream ML-served accesses."
-    );
-    let _ = writeln!(s, "# TYPE mpgraph_serve_stream_ml_served_total counter");
-    for st in &m.per_stream {
-        let _ = writeln!(
-            s,
-            "mpgraph_serve_stream_ml_served_total{{stream=\"{}\"}} {}",
-            st.id, st.ml_served
-        );
-    }
-    let _ = writeln!(
-        s,
-        "# HELP mpgraph_serve_stream_cooldown_remaining Cooldown accesses before recovery."
-    );
-    let _ = writeln!(s, "# TYPE mpgraph_serve_stream_cooldown_remaining gauge");
-    for st in &m.per_stream {
-        let _ = writeln!(
-            s,
-            "mpgraph_serve_stream_cooldown_remaining{{stream=\"{}\"}} {}",
-            st.id, st.cooldown_remaining
-        );
-    }
-    s
+    // (name, text) in first-seen order: a family's rows arrive interleaved
+    // with other fields but print together.
+    let mut families: Vec<(String, String)> = Vec::new();
+    m.visit(&mut |x| {
+        // Counters end in `_total`; a histogram's `count` is a counter
+        // already named for its unit, as in a Prometheus summary.
+        let (suffix, kind) = match (x.kind, x.path.last()) {
+            (Kind::Counter, _) => ("_total", "counter"),
+            (Kind::Histogram, Some(&"count")) => ("", "counter"),
+            _ => ("", "gauge"),
+        };
+        let name = format!("mpgraph_serve_{}{suffix}", x.path.join("_"));
+        if !families.iter().any(|f| f.0 == name) {
+            let help = x.help.split_whitespace().collect::<Vec<_>>().join(" ");
+            let head = format!("# HELP {name} {help}\n# TYPE {name} {kind}\n");
+            families.push((name.clone(), head));
+        }
+        let labels: Vec<_> = x
+            .labels
+            .iter()
+            .map(|(k, v)| format!("{k}=\"{v}\""))
+            .collect();
+        let labels = if labels.is_empty() {
+            String::new()
+        } else {
+            format!("{{{}}}", labels.join(","))
+        };
+        if let Some((_, text)) = families.iter_mut().find(|f| f.0 == name) {
+            let _ = writeln!(text, "{name}{labels} {}", x.value);
+        }
+    });
+    families.into_iter().map(|(_, text)| text).collect()
 }
 
 /// Writes `text` to `path` atomically: the bytes land in `<path>.tmp`
@@ -525,69 +416,31 @@ pub fn write_atomic(path: &Path, text: &str) -> std::io::Result<()> {
     std::fs::rename(&tmp, path)
 }
 
-enum LiveSink {
-    Stdout,
-    File(std::io::BufWriter<std::fs::File>),
-}
-
-impl LiveSink {
-    fn write_line(&mut self, line: &str) -> std::io::Result<()> {
-        match self {
-            LiveSink::Stdout => {
-                let stdout = std::io::stdout();
-                let mut lock = stdout.lock();
-                lock.write_all(line.as_bytes())?;
-                lock.write_all(b"\n")?;
-                lock.flush()
-            }
-            LiveSink::File(w) => {
-                w.write_all(line.as_bytes())?;
-                w.write_all(b"\n")?;
-                // NDJSON is a live feed: land each record so a tailing
-                // consumer sees intervals as they close.
-                w.flush()
-            }
-        }
-    }
-}
-
-/// Per-stage pump timing accumulators (histograms live here until
-/// snapshotted into [`PumpStageMetrics`]).
-struct PumpStages {
-    queue_wait: LatencyHistogram,
-    assembly: LatencyHistogram,
-    forward_f32: LatencyHistogram,
-    deferred: LatencyHistogram,
-    pump_wall_ns: u64,
-    telemetry_wall_ns: u64,
+/// Per-stage pump timing: the histograms accumulate here (the snapshot
+/// keeps only their summaries), the wall totals in `totals`.
+/// `pump` records into it directly, and only while telemetry is attached.
+/// Every forward runs the f32 kernels (int8 is a storage format), so there
+/// is one forward histogram.
+#[derive(Default)]
+pub(crate) struct PumpStages {
+    pub(crate) queue_wait: LatencyHistogram,
+    pub(crate) assembly: LatencyHistogram,
+    pub(crate) forward_f32: LatencyHistogram,
+    pub(crate) deferred: LatencyHistogram,
+    pub(crate) totals: PumpStageMetrics,
 }
 
 impl PumpStages {
-    fn new() -> Self {
-        PumpStages {
-            queue_wait: LatencyHistogram::new(),
-            assembly: LatencyHistogram::new(),
-            forward_f32: LatencyHistogram::new(),
-            deferred: LatencyHistogram::new(),
-            pump_wall_ns: 0,
-            telemetry_wall_ns: 0,
-        }
-    }
-
     fn metrics(&self) -> PumpStageMetrics {
-        PumpStageMetrics {
+        let mut m = PumpStageMetrics {
             queue_wait_cycles: self.queue_wait.snapshot(),
             assembly_ns: self.assembly.snapshot(),
             forward_f32_ns: self.forward_f32.snapshot(),
             deferred_fallback_ns: self.deferred.snapshot(),
-            pump_wall_ns: self.pump_wall_ns,
-            telemetry_wall_ns: self.telemetry_wall_ns,
-            self_overhead_fraction: if self.pump_wall_ns == 0 {
-                0.0
-            } else {
-                self.telemetry_wall_ns as f64 / self.pump_wall_ns as f64
-            },
-        }
+            ..self.totals.clone()
+        };
+        m.update_rates();
+        m
     }
 }
 
@@ -598,9 +451,9 @@ impl PumpStages {
 pub struct LiveTelemetry {
     cfg: LiveTelemetryConfig,
     slo: SloMonitor,
-    sink: Option<LiveSink>,
+    sink: Option<Box<dyn Write + Send>>,
     expose: Option<PathBuf>,
-    stages: PumpStages,
+    pub(crate) stages: PumpStages,
     /// Serve counters at the last interval close.
     prev: ServeMetrics,
     prev_cycle: u64,
@@ -617,7 +470,7 @@ impl LiveTelemetry {
             cfg,
             sink: None,
             expose: None,
-            stages: PumpStages::new(),
+            stages: PumpStages::default(),
             prev: ServeMetrics::default(),
             prev_cycle: 0,
             seq: 0,
@@ -632,7 +485,7 @@ impl LiveTelemetry {
     /// rather than silently dropping every interval later.
     pub fn with_sink(mut self, spec: &str) -> Result<Self, MpGraphError> {
         self.sink = Some(if spec == "-" {
-            LiveSink::Stdout
+            Box::new(std::io::stdout())
         } else {
             let f = std::fs::File::create(spec).map_err(|e| {
                 MpGraphError::config(
@@ -640,7 +493,7 @@ impl LiveTelemetry {
                     format!("cannot open live-metrics sink {spec}: {e}"),
                 )
             })?;
-            LiveSink::File(std::io::BufWriter::new(f))
+            Box::new(std::io::BufWriter::new(f))
         });
         Ok(self)
     }
@@ -674,30 +527,6 @@ impl LiveTelemetry {
     /// NDJSON/exposition write failures (the service keeps running).
     pub fn sink_errors(&self) -> u64 {
         self.sink_errors
-    }
-
-    // --- stage timers (called from `pump`, only while attached) ---
-
-    pub fn note_queue_wait(&mut self, cycles: u64) {
-        self.stages.queue_wait.record(cycles);
-    }
-
-    pub fn note_assembly_ns(&mut self, ns: u64) {
-        self.stages.assembly.record(ns);
-    }
-
-    /// Records the forward-stage span. Every forward runs the f32 kernels
-    /// (int8 is a storage format), so there is one forward histogram.
-    pub fn note_forward_ns(&mut self, ns: u64) {
-        self.stages.forward_f32.record(ns);
-    }
-
-    pub fn note_deferred_ns(&mut self, ns: u64) {
-        self.stages.deferred.record(ns);
-    }
-
-    pub fn note_pump_wall_ns(&mut self, ns: u64) {
-        self.stages.pump_wall_ns += ns;
     }
 
     /// Counts one pump; true when this pump closes an interval.
@@ -748,13 +577,14 @@ impl LiveTelemetry {
             forward_p99_ns: self.stages.forward_f32.snapshot().p99,
         });
         if let Some(sink) = self.sink.as_mut() {
-            match serde_json::to_string(&interval) {
-                Ok(line) => {
-                    if sink.write_line(&line).is_err() {
-                        self.sink_errors += 1;
-                    }
-                }
-                Err(_) => self.sink_errors += 1,
+            // NDJSON is a live feed: land each record so a tailing
+            // consumer sees intervals as they close.
+            let line = serde_json::to_string(&interval).map_err(std::io::Error::other);
+            if line
+                .and_then(|line| writeln!(sink, "{line}").and_then(|()| sink.flush()))
+                .is_err()
+            {
+                self.sink_errors += 1;
             }
         }
         if let Some(path) = self.expose.clone() {
@@ -767,7 +597,7 @@ impl LiveTelemetry {
         self.prev = cur.clone();
         self.prev_cycle = clock;
         self.seq += 1;
-        self.stages.telemetry_wall_ns += started.elapsed().as_nanos() as u64;
+        self.stages.totals.telemetry_wall_ns += started.elapsed().as_nanos() as u64;
         events
     }
 
@@ -781,7 +611,7 @@ impl LiveTelemetry {
         } else {
             Vec::new()
         };
-        if let Some(LiveSink::File(w)) = self.sink.as_mut() {
+        if let Some(w) = self.sink.as_mut() {
             if w.flush().is_err() {
                 self.sink_errors += 1;
             }
@@ -930,10 +760,24 @@ mod tests {
         assert!(text.contains("# TYPE mpgraph_serve_ingested_total counter"));
         assert!(text.contains("mpgraph_serve_ingested_total 500"));
         assert!(text.contains("mpgraph_serve_quarantines_total 2"));
-        assert!(text.contains("# TYPE mpgraph_serve_slo_burn_rate gauge"));
-        assert!(text.contains("mpgraph_serve_slo_burn_rate 1.5"));
-        assert!(text.contains("mpgraph_serve_stream_ml_served_total{stream=\"0\"} 77"));
-        assert!(text.contains("mpgraph_serve_stream_cooldown_remaining{stream=\"0\"} 41"));
+        assert!(text.contains("# TYPE mpgraph_serve_slo_current_burn_rate gauge"));
+        assert!(text.contains("mpgraph_serve_slo_current_burn_rate 1.5"));
+        assert!(text.contains("mpgraph_serve_per_stream_ml_served_total{id=\"0\"} 77"));
+        assert!(text.contains("mpgraph_serve_per_stream_cooldown_remaining{id=\"0\"} 41"));
+        assert!(text.contains("# TYPE mpgraph_serve_prediction_latency_count counter"));
+        // Every declared sample is exposed, and each family is announced
+        // exactly once however its rows interleave.
+        let mut samples = 0;
+        m.visit(&mut |_| samples += 1);
+        assert_eq!(
+            text.lines().filter(|l| !l.starts_with('#')).count(),
+            samples
+        );
+        let types: Vec<_> = text.lines().filter(|l| l.starts_with("# TYPE")).collect();
+        let mut unique = types.clone();
+        unique.sort_unstable();
+        unique.dedup();
+        assert_eq!(types.len(), unique.len());
         // Every non-comment line is `name[{labels}] value`.
         for line in text.lines().filter(|l| !l.starts_with('#')) {
             let mut parts = line.rsplitn(2, ' ');

@@ -11,6 +11,8 @@
 //! never grown (overflow is *counted*, not allocated) — verified the same
 //! way as the `ScratchArena` paths, by asserting the capacity stays put.
 
+use crate::cstp::CstpStats;
+use crate::metric::ratio;
 use crate::trace::{chrome_trace_json, FlightRecorder, TraceConfig, WindowMetrics};
 use mpgraph_sim::{DropReason, PrefetchLane, PrefetchObserver, PrefetchTag, TraceEvent};
 use serde::{Deserialize, Serialize};
@@ -180,17 +182,6 @@ impl HistogramSnapshot {
     }
 }
 
-/// Per-(phase, lane) outcome counters.
-#[derive(Debug, Clone, Copy, Default)]
-struct Cell {
-    issued: u64,
-    issued_untimely: u64,
-    useful: u64,
-    late: u64,
-    useless: u64,
-    dropped: u64,
-}
-
 const LANES: usize = 3;
 
 /// Fixed-capacity block → tag map: open addressing with linear probing and
@@ -303,12 +294,20 @@ fn lane_name(i: usize) -> &'static str {
     ["spatial", "temporal", "other"][i]
 }
 
+/// Phase `p`'s lane cells summed into one; `usize::MAX` sums every phase.
+fn phase_cell(cells: &[LaneMetrics], p: usize) -> LaneMetrics {
+    let mut t = LaneMetrics::default();
+    let in_phase = |c: &&LaneMetrics| p == usize::MAX || c.phase as usize == p;
+    cells.iter().filter(in_phase).for_each(|c| t.merge_at(c, 0));
+    t
+}
+
 /// Flight-recorder + windowed-telemetry state carried by a scoreboard
 /// with tracing attached. All buffers are sized at attach time; the
 /// per-record path (clock tick, ring write, counter delta) allocates
-/// nothing. Closing a window builds one [`WindowMetrics`] (whose
-/// per-phase `Vec` is the lone periodic allocation, every `window`
-/// accesses — documented in DESIGN.md §13); when `max_windows` is
+/// nothing. Closing a window builds a cumulative [`WindowMetrics`] and its
+/// delta (their per-phase `Vec`s are the periodic allocations, every
+/// `window` accesses — documented in DESIGN.md §13); when `max_windows` is
 /// reached further windows are counted in `windows_dropped`, not grown.
 struct TraceState {
     recorder: FlightRecorder,
@@ -331,78 +330,65 @@ struct TraceState {
     now: u64,
     /// Total records seen (== `now + 1` once the replay has started).
     records: u64,
-    /// Counter state at the last window boundary, for delta computation.
-    prev_cells: Vec<Cell>,
-    prev_demand: Vec<u64>,
-    /// PBOT traffic inside the open window, accumulated from
-    /// [`TraceEvent::CstpChain`] events (the scoreboard has no other
-    /// view of CSTP internals).
+    /// Cumulative counters at the last window boundary: a window is the
+    /// declared `delta` of two cumulative records.
+    prev: WindowMetrics,
+    /// PBOT traffic so far, accumulated from [`TraceEvent::CstpChain`]
+    /// events (the scoreboard has no other view of CSTP internals).
     pbot_hits: u64,
     pbot_misses: u64,
     windows: Vec<WindowMetrics>,
     windows_dropped: u64,
 }
 
-/// Counter deltas since the last boundary → one closed window record.
-/// Free function (not a method) so callers can split borrows between the
-/// trace state and the scoreboard's counter arrays.
-fn window_delta(ts: &TraceState, cells: &[Cell], demand: &[u64], end: u64) -> WindowMetrics {
-    let mut w = WindowMetrics {
-        index: ts.windows.len() as u64 + ts.windows_dropped,
-        start: ts.window_start,
-        end,
+/// The scoreboard's counters so far as one cumulative window record, and
+/// the window closing at `end`: the declared `delta` since the last
+/// boundary. Free function (not a method) so callers can split borrows
+/// between the trace state and the scoreboard's counter arrays.
+fn window_at(
+    ts: &TraceState,
+    cells: &[LaneMetrics],
+    demand: &[u64],
+    end: u64,
+) -> (WindowMetrics, WindowMetrics) {
+    let t = phase_cell(cells, usize::MAX);
+    let mut cur = WindowMetrics {
+        issued: t.issued,
+        useful: t.useful,
+        late: t.late,
+        useless: t.useless,
+        demand_misses: demand.iter().sum(),
         pbot_hits: ts.pbot_hits,
         pbot_misses: ts.pbot_misses,
-        pbot_hit_rate: ratio(ts.pbot_hits, ts.pbot_hits + ts.pbot_misses),
         ..WindowMetrics::default()
     };
-    let num_phases = demand.len();
-    for p in 0..num_phases {
-        let mut issued = 0u64;
-        let mut useful = 0u64;
-        let mut late = 0u64;
-        let mut useless = 0u64;
-        for l in 0..LANES {
-            let c = &cells[p * LANES + l];
-            let prev = &ts.prev_cells[p * LANES + l];
-            issued += c.issued - prev.issued;
-            useful += c.useful - prev.useful;
-            late += c.late - prev.late;
-            useless += c.useless - prev.useless;
-        }
-        let misses = demand[p] - ts.prev_demand[p];
-        w.issued += issued;
-        w.useful += useful;
-        w.late += late;
-        w.useless += useless;
-        w.demand_misses += misses;
-        w.phases.push(crate::trace::WindowPhaseMetrics {
-            phase: p,
-            issued,
-            useful: useful + late,
-            demand_misses: misses,
-            accuracy: ratio(useful + late, issued),
+    for (phase, &demand_misses) in demand.iter().enumerate() {
+        let c = phase_cell(cells, phase);
+        cur.phases.push(crate::trace::WindowPhaseMetrics {
+            phase,
+            issued: c.issued,
+            useful: c.useful + c.late,
+            demand_misses,
+            accuracy: 0.0,
         });
     }
-    let hits = w.useful + w.late;
-    w.accuracy = ratio(hits, w.issued);
-    w.coverage = ratio(hits, hits + w.demand_misses);
-    w
+    let mut w = cur.delta(&ts.prev);
+    w.index = ts.windows.len() as u64 + ts.windows_dropped;
+    w.start = ts.window_start;
+    w.end = end;
+    (cur, w)
 }
 
 /// Closes the open window at boundary `end` and resets the delta state.
-fn close_window(ts: &mut TraceState, cells: &[Cell], demand: &[u64], end: u64) {
-    let w = window_delta(ts, cells, demand, end);
+fn close_window(ts: &mut TraceState, cells: &[LaneMetrics], demand: &[u64], end: u64) {
+    let (cur, w) = window_at(ts, cells, demand, end);
     if ts.windows.len() < ts.max_windows {
         ts.windows.push(w);
     } else {
         ts.windows_dropped += 1;
     }
     ts.window_start = end;
-    ts.pbot_hits = 0;
-    ts.pbot_misses = 0;
-    ts.prev_cells.copy_from_slice(cells);
-    ts.prev_demand.copy_from_slice(demand);
+    ts.prev = cur;
     if ts.adaptive {
         // Stretch through steady state: after `calm_windows` consecutive
         // alarm-free windows, double the window length (the shrink half
@@ -433,12 +419,10 @@ fn close_window(ts: &mut TraceState, cells: &[Cell], demand: &[u64], end: u64) {
 /// entries are counted in `inflight_overflow` instead of grown.
 pub struct PrefetchScoreboard {
     num_phases: usize,
-    cells: Vec<Cell>, // num_phases * LANES
+    /// Per-(phase, lane) outcome counters, `num_phases * LANES` of them.
+    cells: Vec<LaneMetrics>,
     demand_misses: Vec<u64>,
-    dropped_self: u64,
-    dropped_in_cache: u64,
-    dropped_in_flight: u64,
-    dropped_degree_cap: u64,
+    dropped: DroppedCounts,
     inflight: InflightTable,
     inflight_overflow: u64,
     /// Completions (hit/evict) for blocks the map was not tracking —
@@ -463,12 +447,15 @@ impl PrefetchScoreboard {
         let phases = num_phases.max(1);
         PrefetchScoreboard {
             num_phases: phases,
-            cells: vec![Cell::default(); phases * LANES],
+            cells: (0..phases * LANES)
+                .map(|i| LaneMetrics {
+                    phase: (i / LANES) as u32,
+                    lane: lane_name(i % LANES).to_string(),
+                    ..LaneMetrics::default()
+                })
+                .collect(),
             demand_misses: vec![0; phases],
-            dropped_self: 0,
-            dropped_in_cache: 0,
-            dropped_in_flight: 0,
-            dropped_degree_cap: 0,
+            dropped: DroppedCounts::default(),
             inflight: InflightTable::new(inflight_capacity),
             inflight_overflow: 0,
             untracked_completions: 0,
@@ -508,8 +495,7 @@ impl PrefetchScoreboard {
             window_start: 0,
             now: 0,
             records: 0,
-            prev_cells: vec![Cell::default(); self.cells.len()],
-            prev_demand: vec![0; self.demand_misses.len()],
+            prev: WindowMetrics::default(),
             pbot_hits: 0,
             pbot_misses: 0,
             windows: Vec::with_capacity(cfg.max_windows.min(4096)),
@@ -559,12 +545,7 @@ impl PrefetchScoreboard {
         };
         let mut out = ts.windows.clone();
         if ts.records > ts.window_start {
-            out.push(window_delta(
-                ts,
-                &self.cells,
-                &self.demand_misses,
-                ts.records,
-            ));
+            out.push(window_at(ts, &self.cells, &self.demand_misses, ts.records).1);
         }
         out
     }
@@ -591,7 +572,7 @@ impl PrefetchScoreboard {
     }
 
     #[inline]
-    fn cell(&mut self, tag: PrefetchTag) -> &mut Cell {
+    fn cell(&mut self, tag: PrefetchTag) -> &mut LaneMetrics {
         let p = (tag.phase as usize).min(self.num_phases - 1);
         &mut self.cells[p * LANES + lane_index(tag.lane)]
     }
@@ -608,120 +589,51 @@ impl PrefetchScoreboard {
         )
     }
 
-    fn totals(&self) -> Cell {
-        let mut t = Cell::default();
-        for c in &self.cells {
-            t.issued += c.issued;
-            t.issued_untimely += c.issued_untimely;
-            t.useful += c.useful;
-            t.late += c.late;
-            t.useless += c.useless;
-            t.dropped += c.dropped;
-        }
-        t
-    }
-
-    /// Overall accuracy: (useful + late) / issued.
-    pub fn accuracy(&self) -> f64 {
-        let t = self.totals();
-        ratio(t.useful + t.late, t.issued)
-    }
-
-    /// Overall coverage: (useful + late) / (useful + late + demand misses).
-    pub fn coverage(&self) -> f64 {
-        let t = self.totals();
-        let hits = t.useful + t.late;
-        ratio(hits, hits + self.demand_misses.iter().sum::<u64>())
-    }
-
-    /// Overall timeliness: useful / (useful + late).
-    pub fn timeliness(&self) -> f64 {
-        let t = self.totals();
-        ratio(t.useful, t.useful + t.late)
-    }
-
     /// Per-phase rollup (accuracy / coverage / timeliness per phase model).
     pub fn phase_metrics(&self) -> Vec<PhaseMetrics> {
         (0..self.num_phases)
             .map(|p| {
-                let mut t = Cell::default();
-                for l in 0..LANES {
-                    let c = &self.cells[p * LANES + l];
-                    t.issued += c.issued;
-                    t.issued_untimely += c.issued_untimely;
-                    t.useful += c.useful;
-                    t.late += c.late;
-                    t.useless += c.useless;
-                    t.dropped += c.dropped;
-                }
-                let hits = t.useful + t.late;
-                PhaseMetrics {
+                let c = phase_cell(&self.cells, p);
+                let mut row = PhaseMetrics {
                     phase: p as u32,
-                    issued: t.issued,
-                    issued_untimely: t.issued_untimely,
-                    useful: t.useful,
-                    late: t.late,
-                    useless: t.useless,
-                    dropped: t.dropped,
-                    demand_misses: self.demand_misses[p],
-                    accuracy: ratio(hits, t.issued),
-                    coverage: ratio(hits, hits + self.demand_misses[p]),
-                    timeliness: ratio(t.useful, hits),
-                }
-            })
-            .collect()
-    }
-
-    /// Per-(phase, lane) rows; all-zero rows are skipped.
-    pub fn lane_metrics(&self) -> Vec<LaneMetrics> {
-        let mut out = Vec::new();
-        for p in 0..self.num_phases {
-            for l in 0..LANES {
-                let c = &self.cells[p * LANES + l];
-                if c.issued + c.dropped == 0 {
-                    continue;
-                }
-                let hits = c.useful + c.late;
-                out.push(LaneMetrics {
-                    phase: p as u32,
-                    lane: lane_name(l).to_string(),
                     issued: c.issued,
                     issued_untimely: c.issued_untimely,
                     useful: c.useful,
                     late: c.late,
                     useless: c.useless,
                     dropped: c.dropped,
-                    accuracy: ratio(hits, c.issued),
-                    timeliness: ratio(c.useful, hits),
-                });
-            }
-        }
-        out
+                    demand_misses: self.demand_misses[p],
+                    ..PhaseMetrics::default()
+                };
+                row.update_rates();
+                row
+            })
+            .collect()
+    }
+
+    /// Per-(phase, lane) rows; all-zero rows are skipped.
+    pub fn lane_metrics(&self) -> Vec<LaneMetrics> {
+        let live = self.cells.iter().filter(|c| c.issued + c.dropped > 0);
+        let mut rows: Vec<LaneMetrics> = live.cloned().collect();
+        rows.iter_mut().for_each(LaneMetrics::update_rates);
+        rows
     }
 
     pub fn dropped_counts(&self) -> DroppedCounts {
-        DroppedCounts {
-            self_block: self.dropped_self,
-            in_cache: self.dropped_in_cache,
-            in_flight: self.dropped_in_flight,
-            degree_cap: self.dropped_degree_cap,
-        }
+        self.dropped.clone()
     }
 
     /// Prefetch-side portion of a [`MetricsSnapshot`]; callers fold in the
     /// component counters (CSTP, detector, guard, training) they own.
     pub fn snapshot(&self) -> MetricsSnapshot {
-        let t = self.totals();
-        MetricsSnapshot {
+        let t = phase_cell(&self.cells, usize::MAX);
+        let mut snap = MetricsSnapshot {
             issued: t.issued,
             issued_untimely: t.issued_untimely,
             useful: t.useful,
             late: t.late,
             useless: t.useless,
             demand_misses: self.demand_misses.iter().sum(),
-            accuracy: self.accuracy(),
-            coverage: self.coverage(),
-            timeliness: self.timeliness(),
             phases: self.phase_metrics(),
             lanes: self.lane_metrics(),
             dropped: self.dropped_counts(),
@@ -734,7 +646,9 @@ impl PrefetchScoreboard {
             windows: self.windows(),
             windows_dropped: self.trace.as_ref().map_or(0, |ts| ts.windows_dropped),
             ..MetricsSnapshot::default()
-        }
+        };
+        snap.update_rates();
+        snap
     }
 }
 
@@ -759,10 +673,10 @@ impl PrefetchObserver for PrefetchScoreboard {
     fn on_dropped(&mut self, _block: u64, tag: PrefetchTag, reason: DropReason) {
         self.cell(tag).dropped += 1;
         match reason {
-            DropReason::SelfBlock => self.dropped_self += 1,
-            DropReason::InCache => self.dropped_in_cache += 1,
-            DropReason::InFlight => self.dropped_in_flight += 1,
-            DropReason::DegreeCap => self.dropped_degree_cap += 1,
+            DropReason::SelfBlock => self.dropped.self_block += 1,
+            DropReason::InCache => self.dropped.in_cache += 1,
+            DropReason::InFlight => self.dropped.in_flight += 1,
+            DropReason::DegreeCap => self.dropped.degree_cap += 1,
         }
     }
 
@@ -850,111 +764,386 @@ impl PrefetchObserver for PrefetchScoreboard {
         }
     }
 }
-
-#[inline]
-fn ratio(num: u64, den: u64) -> f64 {
-    if den == 0 {
-        0.0
-    } else {
-        num as f64 / den as f64
+metrics! {
+    /// Per-phase prefetch outcome rollup.
+    #[derive(Debug, Clone, Default, Serialize, Deserialize)]
+    pub struct PhaseMetrics {
+        label phase: u32,
+        counter issued: u64,
+        /// Of `issued`, how many were already untimely at issue (inference
+        /// slower than an uncontended DRAM round trip).
+        counter issued_untimely: u64,
+        counter useful: u64,
+        counter late: u64,
+        counter useless: u64,
+        counter dropped: u64,
+        counter demand_misses: u64,
+        rate accuracy: f64,
+        rate coverage: f64,
+        rate timeliness: f64,
     }
-}
-
-/// Per-phase prefetch outcome rollup.
-#[derive(Debug, Clone, Default, Serialize, Deserialize)]
-pub struct PhaseMetrics {
-    pub phase: u32,
-    pub issued: u64,
-    /// Of `issued`, how many were already untimely at issue (inference
-    /// slower than an uncontended DRAM round trip).
-    pub issued_untimely: u64,
-    pub useful: u64,
-    pub late: u64,
-    pub useless: u64,
-    pub dropped: u64,
-    pub demand_misses: u64,
-    pub accuracy: f64,
-    pub coverage: f64,
-    pub timeliness: f64,
-}
-
-/// Per-(phase, lane) prefetch outcome row.
-#[derive(Debug, Clone, Default, Serialize, Deserialize)]
-pub struct LaneMetrics {
-    pub phase: u32,
-    pub lane: String,
-    pub issued: u64,
-    /// Untimely-at-issue subset of `issued` (see [`PhaseMetrics`]).
-    pub issued_untimely: u64,
-    pub useful: u64,
-    pub late: u64,
-    pub useless: u64,
-    pub dropped: u64,
-    pub accuracy: f64,
-    pub timeliness: f64,
-}
-
-/// Candidates discarded before issue, by engine reason.
-#[derive(Debug, Clone, Default, Serialize, Deserialize)]
-pub struct DroppedCounts {
-    pub self_block: u64,
-    pub in_cache: u64,
-    pub in_flight: u64,
-    pub degree_cap: u64,
-}
-
-/// CSTP counters as serialized (mirrors [`crate::cstp::CstpStats`] plus
-/// the derived rates).
-#[derive(Debug, Clone, Default, Serialize, Deserialize)]
-pub struct CstpMetrics {
-    pub batches: u64,
-    pub chain_steps: u64,
-    pub max_chain_len: u64,
-    pub avg_chain_len: f64,
-    pub pbot_hits: u64,
-    pub pbot_misses: u64,
-    pub pbot_hit_rate: f64,
-    pub duplicates_suppressed: u64,
-}
-
-impl From<&crate::cstp::CstpStats> for CstpMetrics {
-    fn from(s: &crate::cstp::CstpStats) -> Self {
-        CstpMetrics {
-            batches: s.batches,
-            chain_steps: s.chain_steps,
-            max_chain_len: s.max_chain_len,
-            avg_chain_len: s.avg_chain_len(),
-            pbot_hits: s.pbot_hits,
-            pbot_misses: s.pbot_misses,
-            pbot_hit_rate: s.pbot_hit_rate(),
-            duplicates_suppressed: s.duplicates_suppressed,
-        }
+    rates |p| {
+        let hits = p.useful + p.late;
+        p.accuracy = ratio(hits, p.issued);
+        p.coverage = ratio(hits, hits + p.demand_misses);
+        p.timeliness = ratio(p.useful, hits);
     }
-}
+    key |p| -> u32 { p.phase }
 
-/// Phase-transition detector counters.
-#[derive(Debug, Clone, Default, Serialize, Deserialize)]
-pub struct DetectorMetrics {
-    pub name: String,
-    pub updates: u64,
-    pub detections: u64,
-    pub soft_arms: u64,
-    pub resets: u64,
-    /// Arm→confirm latency samples (one per confirmed detection).
-    pub confirm_latency_samples: u64,
-    /// Sum of arm→confirm latencies in stream samples; zero for hard
-    /// detectors, bounded by the confirmation window for soft ones.
-    pub confirm_latency_sum: u64,
-    /// Largest single arm→confirm latency observed.
-    pub confirm_latency_max: u64,
-    /// Mean arm→confirm latency in stream samples.
-    pub confirm_latency_mean: f64,
+    /// Per-(phase, lane) prefetch outcome row.
+    #[derive(Debug, Clone, Default, Serialize, Deserialize)]
+    pub struct LaneMetrics {
+        label phase: u32,
+        label lane: String,
+        counter issued: u64,
+        /// Untimely-at-issue subset of `issued` (see [`PhaseMetrics`]).
+        counter issued_untimely: u64,
+        counter useful: u64,
+        counter late: u64,
+        counter useless: u64,
+        counter dropped: u64,
+        rate accuracy: f64,
+        rate timeliness: f64,
+    }
+    rates |l| {
+        let hits = l.useful + l.late;
+        l.accuracy = ratio(hits, l.issued);
+        l.timeliness = ratio(l.useful, hits);
+    }
+    // Lanes sort in the scoreboard's (phase, spatial/temporal/other) order.
+    key |l| -> (u32, usize) { (l.phase, (0..LANES).find(|&i| lane_name(i) == l.lane).unwrap_or(LANES)) }
+
+    /// Candidates discarded before issue, by engine reason.
+    #[derive(Debug, Clone, Default, Serialize, Deserialize)]
+    pub struct DroppedCounts {
+        counter self_block: u64,
+        counter in_cache: u64,
+        counter in_flight: u64,
+        counter degree_cap: u64,
+    }
+
+    /// Phase-transition detector counters.
+    #[derive(Debug, Clone, Default, Serialize, Deserialize)]
+    pub struct DetectorMetrics {
+        label name: String,
+        counter updates: u64,
+        counter detections: u64,
+        counter soft_arms: u64,
+        counter resets: u64,
+        /// Arm→confirm latency samples (one per confirmed detection).
+        counter confirm_latency_samples: u64,
+        /// Sum of arm→confirm latencies in stream samples; zero for hard
+        /// detectors, bounded by the confirmation window for soft ones.
+        counter confirm_latency_sum: u64,
+        /// Largest single arm→confirm latency observed.
+        max confirm_latency_max: u64,
+        /// Mean arm→confirm latency in stream samples.
+        rate confirm_latency_mean: f64,
+    }
+    rates |d| {
+        d.confirm_latency_mean = ratio(d.confirm_latency_sum, d.confirm_latency_samples);
+    }
+
+    /// Probe-window controller counters.
+    #[derive(Debug, Clone, Default, Serialize, Deserialize)]
+    pub struct ControllerMetrics {
+        counter transitions_handled: u64,
+        counter observations: u64,
+        counter observe_errors: u64,
+    }
+
+    /// Degradation-guard counters, incremented in place by
+    /// [`crate::DegradationGuard`].
+    #[derive(Debug, Clone, Default, Serialize, Deserialize)]
+    pub struct GuardMetrics {
+        counter trips: u64,
+        counter recoveries: u64,
+        counter deadline_misses: u64,
+        counter accesses_degraded: u64,
+        /// Trips forced by the live SLO monitor's Breach verdict
+        /// ([`crate::DegradationGuard::apply_slo_verdict`]) — a subset of
+        /// `trips`, kept separate so burn-rate-driven degradation is
+        /// distinguishable from the guard's own deadline/accuracy trips.
+        counter slo_trips: u64,
+    }
+
+    /// Predictor training counters.
+    #[derive(Debug, Clone, Default, Serialize, Deserialize)]
+    pub struct TrainMetrics {
+        counter steps: u64,
+        counter rollbacks: u64,
+        /// Structured rollback events captured by the training-side event
+        /// channel ([`crate::TrainEventSink`]); empty when training ran
+        /// without a sink attached.
+        series rollback_events: Vec<TrainRollbackMetrics>,
+    }
+
+    /// One training-time checkpoint rollback, as captured live by the
+    /// training event channel (model index, optimizer step, and the halved
+    /// learning rate it restarted with).
+    #[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
+    pub struct TrainRollbackMetrics {
+        /// Which predictor emitted the event (`"delta"` / `"page"`).
+        label predictor: String,
+        /// Phase-model index within the predictor.
+        label model: u64,
+        /// Optimizer step count at which the rollback fired.
+        label step: u64,
+        /// Learning rate after the rollback halved it (0 when the guard
+        /// exhausted its budget and training stopped instead).
+        max new_lr: f64,
+        /// Whether this was the final, budget-exhausting event.
+        label exhausted: bool,
+    }
+
+    /// Multi-stream serving-layer counters (`core::serve`): admission /
+    /// shedding decisions, per-stream quarantines, batch deadline behavior
+    /// and end-to-end prediction latency. The service increments its
+    /// counters in place and fills the gauges, histograms and rows at
+    /// snapshot time.
+    #[derive(Debug, Clone, Default, Serialize, Deserialize)]
+    pub struct ServeMetrics {
+        /// Streams ever registered or auto-created.
+        counter streams: u64,
+        /// Accesses ingested (every one is admitted somewhere; the access
+        /// path never blocks).
+        counter ingested: u64,
+        /// Accesses served by full ML inference off the batch queue.
+        counter ml_processed: u64,
+        /// Accesses served by the cheap Best-Offset fallback (shed, degraded,
+        /// quarantined, or deadline-deferred).
+        counter fallback_processed: u64,
+        /// Speculative ML work shed at admission (overload level >= 1).
+        counter shed_speculative: u64,
+        /// Accesses diverted to the fallback because their shard queue was
+        /// full at admission.
+        counter shed_queue_full: u64,
+        /// Accesses processed while their stream was degraded or quarantined.
+        counter degraded_accesses: u64,
+        /// Inference batches pumped.
+        counter batches: u64,
+        /// Batches that hit their deadline and deferred the remainder.
+        counter batch_timeouts: u64,
+        /// Items deferred to the fallback by batch timeouts.
+        counter timeout_deferred: u64,
+        /// Per-stream guard trips (quarantine entries).
+        counter quarantines: u64,
+        /// Streams returned to the ML path after hysteretic recovery.
+        counter stream_recoveries: u64,
+        /// Overload-ladder escalations (level went up).
+        counter escalations: u64,
+        /// Overload-ladder de-escalations (level came back down).
+        counter deescalations: u64,
+        /// Overload level at snapshot time (0 = normal).
+        max overload_level: u64,
+        /// Streams currently degraded or quarantined at snapshot time.
+        max degraded_streams: u64,
+        /// High-water mark of total queued items across all shards.
+        max max_queue_depth: u64,
+        /// (shed_speculative + shed_queue_full + timeout_deferred) / ingested.
+        rate shed_fraction: f64,
+        /// End-to-end prediction latency in service cycles (enqueue → result),
+        /// across both the ML and fallback paths.
+        hist prediction_latency: HistogramSnapshot,
+        /// Deadline-deferred items served by the fallback — the subset of
+        /// `fallback_processed` that was admitted to the ML queue first and
+        /// squeezed out by its batch's deadline.
+        counter deferred_fallback_processed: u64,
+        /// End-to-end latency of those deferred fallbacks (queue wait
+        /// included) — the tail the aggregate histogram used to hide when
+        /// deferrals were stamped with the bare fallback cost.
+        hist deferred_latency: HistogramSnapshot,
+        /// Pumps that served at least one fused (multi-stream batched) group.
+        counter fused_batches: u64,
+        /// Batched model forward passes issued by fused groups.
+        counter fused_forwards: u64,
+        /// Queue items served through a fused group.
+        counter fused_items: u64,
+        /// Per-stream admission / service / guard counters, in registration
+        /// order (auto-created fallback-only streams included).
+        rows per_stream: Vec<StreamServeMetrics>,
+        /// Per-stage pump span timing (`core::livetel`); all-default unless
+        /// live telemetry was attached to the service.
+        nested pump_stages: PumpStageMetrics,
+        /// SLO monitor state (`core::livetel`); all-default unless live
+        /// telemetry was attached.
+        nested slo: SloServeMetrics,
+        /// Closed live-telemetry intervals, for the Perfetto counter export;
+        /// empty unless live telemetry was attached.
+        series live: Vec<LiveIntervalSummary>,
+    }
+    rates |m| {
+        m.shed_fraction = ratio(m.shed_total(), m.ingested);
+    }
+
+    /// Span timing of the pump's internal stages, recorded only while live
+    /// telemetry is attached (the bit-identical-when-off discipline extends to
+    /// the live path: without a `LiveTelemetry` none of these are touched).
+    /// Queue wait is measured on the deterministic cycle clock; the other
+    /// stages are host wall time, so [`MetricsSnapshot::canonicalize_wall_clock`]
+    /// zeroes them in merged artifacts.
+    #[derive(Debug, Clone, Default, Serialize, Deserialize)]
+    pub struct PumpStageMetrics {
+        /// Admission -> drain wait per queued item, in service cycles.
+        hist queue_wait_cycles: HistogramSnapshot,
+        /// Batch assembly per pump (drain + wave/deadline split), wall ns.
+        wall assembly_ns: HistogramSnapshot,
+        /// Fused/solo forward stage per pump on the f32 path (the only one:
+        /// int8 is a storage format), wall ns.
+        wall forward_f32_ns: HistogramSnapshot,
+        /// Deferred-fallback stage per pump (deadline remainder), wall ns.
+        wall deferred_fallback_ns: HistogramSnapshot,
+        /// Total wall time spent inside `pump` while telemetry was attached.
+        wall pump_wall_ns: u64,
+        /// Wall time spent on telemetry itself (interval derivation, sinks).
+        wall telemetry_wall_ns: u64,
+        /// telemetry_wall_ns / pump_wall_ns — the live path's self-overhead.
+        rate self_overhead_fraction: f64,
+    }
+    rates |p| {
+        p.self_overhead_fraction = ratio(p.telemetry_wall_ns, p.pump_wall_ns);
+    }
+
+    /// SLO monitor rollup (`core::livetel::SloMonitor`, which keeps its
+    /// counters here): target, error-budget burn state, and verdict
+    /// transitions.
+    #[derive(Debug, Clone, Default, Serialize, Deserialize)]
+    pub struct SloServeMetrics {
+        /// Prediction-latency p99 target in service cycles.
+        max target_p99_cycles: u64,
+        /// Allowed deadline-miss fraction (the error budget).
+        max budget_miss_fraction: f64,
+        /// Telemetry intervals observed.
+        counter intervals: u64,
+        /// Verdict raises (Ok -> Warn, Warn -> Breach, Ok -> Breach).
+        counter escalations: u64,
+        /// Verdict drops back toward Ok.
+        counter recoveries: u64,
+        /// Intervals spent at Breach.
+        counter breach_intervals: u64,
+        /// Worst windowed burn rate seen.
+        max worst_burn_rate: f64,
+        /// Windowed burn rate at snapshot time.
+        max current_burn_rate: f64,
+        /// Verdict at snapshot time: 0 Ok, 1 Warn, 2 Breach.
+        max verdict_level: u64,
+    }
+
+    /// One closed live-telemetry interval, kept for the Perfetto counter
+    /// export and the snapshot artifact (the full NDJSON record goes to the
+    /// `--live-metrics` sink; this is the compact monotonic summary).
+    #[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
+    pub struct LiveIntervalSummary {
+        /// 0-based interval ordinal.
+        seq seq: u64,
+        /// Record-clock timestamp the interval closed at (trace timeline).
+        at at_record: u64,
+        /// Service clock at the close, in cycles.
+        max end_cycle: u64,
+        counter delta_ingested: u64,
+        counter delta_shed: u64,
+        counter delta_deadline_observations: u64,
+        counter delta_deadline_misses: u64,
+        rate shed_fraction: f64,
+        rate deadline_miss_fraction: f64,
+        /// Windowed error-budget burn rate after this interval.
+        max burn_rate: f64,
+        /// SLO verdict after this interval: 0 Ok, 1 Warn, 2 Breach.
+        max verdict_level: u64,
+        /// Queue-wait p99 over the whole run so far, in cycles.
+        max queue_wait_p99_cycles: u64,
+        /// Forward-stage p99 over the whole run so far, wall ns.
+        max forward_p99_ns: u64,
+    }
+    rates |s| {
+        s.shed_fraction = ratio(s.delta_shed, s.delta_ingested);
+        s.deadline_miss_fraction = ratio(s.delta_deadline_misses, s.delta_deadline_observations);
+    }
+
+    /// One stream's share of the serving-layer counters (admission decisions,
+    /// service-path split, deadline behavior). Lives in
+    /// [`ServeMetrics::per_stream`]; the service increments one in place per
+    /// stream.
+    #[derive(Debug, Clone, Default, Serialize, Deserialize, PartialEq)]
+    pub struct StreamServeMetrics {
+        /// Stream id as registered / auto-created.
+        label id: u64,
+        /// Accesses admitted to the ML batch queue.
+        counter admitted: u64,
+        /// Accesses served by full ML inference.
+        counter ml_served: u64,
+        /// Accesses served by the fallback (shed, degraded, or deferred).
+        counter fallback_served: u64,
+        /// Admission-time sheds charged to this stream (ladder + queue-full).
+        counter shed: u64,
+        /// Deadline-guard quarantine entries.
+        counter quarantines: u64,
+        /// Deadline observations fed into the stream's trip window.
+        counter deadline_observations: u64,
+        /// Observations that missed the per-item deadline.
+        counter deadline_misses: u64,
+        /// Cooldown accesses still owed before an off-ML-path stream can be
+        /// considered for recovery (0 for healthy or fallback-only streams) —
+        /// live output shows quarantine *recovery progress*, not just entry.
+        max cooldown_remaining: u64,
+    }
+    key |s| -> u64 { s.id }
+
+    /// The pipeline-wide metrics record the bench runners and the CLI
+    /// (`--metrics-out`) serialize to JSON, and `HealthReport` folds into its
+    /// display. Produced by [`PrefetchScoreboard::snapshot`] and then enriched
+    /// with the component counters the caller owns.
+    #[derive(Debug, Clone, Default, Serialize, Deserialize)]
+    pub struct MetricsSnapshot {
+        counter issued: u64,
+        /// Untimely-at-issue subset of `issued` (see [`PhaseMetrics`]).
+        counter issued_untimely: u64,
+        counter useful: u64,
+        counter late: u64,
+        counter useless: u64,
+        counter demand_misses: u64,
+        rate accuracy: f64,
+        rate coverage: f64,
+        rate timeliness: f64,
+        rows phases: Vec<PhaseMetrics>,
+        rows lanes: Vec<LaneMetrics>,
+        nested dropped: DroppedCounts,
+        counter inflight_overflow: u64,
+        counter untracked_completions: u64,
+        nested cstp: CstpStats,
+        nested detector: DetectorMetrics,
+        nested controller: ControllerMetrics,
+        nested guard: GuardMetrics,
+        nested training: TrainMetrics,
+        /// Multi-stream serving-layer counters; all-default when the run did
+        /// not go through `core::serve`.
+        nested serve: ServeMetrics,
+        hist inference_latency: HistogramSnapshot,
+        /// Host wall-clock nanoseconds per prefetcher invocation — nonzero
+        /// even for models whose simulated latency rounds to 0 cycles.
+        wall inference_wall_ns: HistogramSnapshot,
+        hist memory_latency: HistogramSnapshot,
+        /// Telemetry window length in accesses; 0 when tracing was off.
+        max window_size: u64,
+        /// Windowed metric deltas (the accuracy / coverage / PBOT time
+        /// series), including the trailing partial window. Empty when
+        /// tracing was off.
+        series(windows_dropped) windows: Vec<WindowMetrics>,
+        /// Windows discarded after `max_windows` was reached.
+        counter windows_dropped: u64,
+    }
+    rates |s| {
+        let hits = s.useful + s.late;
+        s.accuracy = ratio(hits, s.issued);
+        s.coverage = ratio(hits, hits + s.demand_misses);
+        s.timeliness = ratio(s.useful, hits);
+    }
 }
 
 impl DetectorMetrics {
     /// Folds a detector's lifetime counters under its display name.
     pub fn from_stats(name: &str, s: &mpgraph_phase::DetectorStats) -> Self {
-        DetectorMetrics {
+        let mut d = DetectorMetrics {
             name: name.to_string(),
             updates: s.updates,
             detections: s.detections,
@@ -963,293 +1152,32 @@ impl DetectorMetrics {
             confirm_latency_samples: s.confirm_latency_samples,
             confirm_latency_sum: s.confirm_latency_sum,
             confirm_latency_max: s.confirm_latency_max,
-            confirm_latency_mean: s.mean_confirm_latency(),
-        }
+            confirm_latency_mean: 0.0,
+        };
+        d.update_rates();
+        d
     }
 }
 
-/// Probe-window controller counters.
-#[derive(Debug, Clone, Default, Serialize, Deserialize)]
-pub struct ControllerMetrics {
-    pub transitions_handled: u64,
-    pub observations: u64,
-    pub observe_errors: u64,
-}
+impl ServeMetrics {
+    /// Total shed work (speculative + queue-full + deadline-deferred).
+    pub fn shed_total(&self) -> u64 {
+        self.shed_speculative + self.shed_queue_full + self.timeout_deferred
+    }
 
-/// Degradation-guard counters.
-#[derive(Debug, Clone, Default, Serialize, Deserialize)]
-pub struct GuardMetrics {
-    pub trips: u64,
-    pub recoveries: u64,
-    pub deadline_misses: u64,
-    pub accesses_degraded: u64,
-    /// Trips forced by the live SLO monitor's Breach verdict
-    /// ([`crate::DegradationGuard::apply_slo_verdict`]) — a subset of
-    /// `trips`, kept separate so burn-rate-driven degradation is
-    /// distinguishable from the guard's own deadline/accuracy trips.
-    pub slo_trips: u64,
-}
-
-/// Predictor training counters.
-#[derive(Debug, Clone, Default, Serialize, Deserialize)]
-pub struct TrainMetrics {
-    pub steps: u64,
-    pub rollbacks: u64,
-    /// Structured rollback events captured by the training-side event
-    /// channel ([`crate::TrainEventSink`]); empty when training ran
-    /// without a sink attached.
-    pub rollback_events: Vec<TrainRollbackMetrics>,
-}
-
-/// One training-time checkpoint rollback, as captured live by the
-/// training event channel (model index, optimizer step, and the halved
-/// learning rate it restarted with).
-#[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
-pub struct TrainRollbackMetrics {
-    /// Which predictor emitted the event (`"delta"` / `"page"`).
-    pub predictor: String,
-    /// Phase-model index within the predictor.
-    pub model: u64,
-    /// Optimizer step count at which the rollback fired.
-    pub step: u64,
-    /// Learning rate after the rollback halved it (0 when the guard
-    /// exhausted its budget and training stopped instead).
-    pub new_lr: f64,
-    /// Whether this was the final, budget-exhausting event.
-    pub exhausted: bool,
-}
-
-/// Multi-stream serving-layer counters (`core::serve`): admission /
-/// shedding decisions, per-stream quarantines, batch deadline behavior
-/// and end-to-end prediction latency.
-#[derive(Debug, Clone, Default, Serialize, Deserialize)]
-pub struct ServeMetrics {
-    /// Streams ever registered or auto-created.
-    pub streams: u64,
-    /// Accesses ingested (every one is admitted somewhere; the access
-    /// path never blocks).
-    pub ingested: u64,
-    /// Accesses served by full ML inference off the batch queue.
-    pub ml_processed: u64,
-    /// Accesses served by the cheap Best-Offset fallback (shed, degraded,
-    /// quarantined, or deadline-deferred).
-    pub fallback_processed: u64,
-    /// Speculative ML work shed at admission (overload level >= 1).
-    pub shed_speculative: u64,
-    /// Accesses diverted to the fallback because their shard queue was
-    /// full at admission.
-    pub shed_queue_full: u64,
-    /// Accesses processed while their stream was degraded or quarantined.
-    pub degraded_accesses: u64,
-    /// Inference batches pumped.
-    pub batches: u64,
-    /// Batches that hit their deadline and deferred the remainder.
-    pub batch_timeouts: u64,
-    /// Items deferred to the fallback by batch timeouts.
-    pub timeout_deferred: u64,
-    /// Per-stream guard trips (quarantine entries).
-    pub quarantines: u64,
-    /// Streams returned to the ML path after hysteretic recovery.
-    pub stream_recoveries: u64,
-    /// Overload-ladder escalations (level went up).
-    pub escalations: u64,
-    /// Overload-ladder de-escalations (level came back down).
-    pub deescalations: u64,
-    /// Overload level at snapshot time (0 = normal).
-    pub overload_level: u64,
-    /// Streams currently degraded or quarantined at snapshot time.
-    pub degraded_streams: u64,
-    /// High-water mark of total queued items across all shards.
-    pub max_queue_depth: u64,
-    /// (shed_speculative + shed_queue_full + timeout_deferred) / ingested.
-    pub shed_fraction: f64,
-    /// End-to-end prediction latency in service cycles (enqueue → result),
-    /// across both the ML and fallback paths.
-    pub prediction_latency: HistogramSnapshot,
-    /// Deadline-deferred items served by the fallback — the subset of
-    /// `fallback_processed` that was admitted to the ML queue first and
-    /// squeezed out by its batch's deadline.
-    pub deferred_fallback_processed: u64,
-    /// End-to-end latency of those deferred fallbacks (queue wait
-    /// included) — the tail the aggregate histogram used to hide when
-    /// deferrals were stamped with the bare fallback cost.
-    pub deferred_latency: HistogramSnapshot,
-    /// Pumps that served at least one fused (multi-stream batched) group.
-    pub fused_batches: u64,
-    /// Batched model forward passes issued by fused groups.
-    pub fused_forwards: u64,
-    /// Queue items served through a fused group.
-    pub fused_items: u64,
-    /// Per-stream admission / service / guard counters, in registration
-    /// order (auto-created fallback-only streams included).
-    pub per_stream: Vec<StreamServeMetrics>,
-    /// Per-stage pump span timing (`core::livetel`); all-default unless
-    /// live telemetry was attached to the service.
-    pub pump_stages: PumpStageMetrics,
-    /// SLO monitor state (`core::livetel`); all-default unless live
-    /// telemetry was attached.
-    pub slo: SloServeMetrics,
-    /// Closed live-telemetry intervals, for the Perfetto counter export;
-    /// empty unless live telemetry was attached.
-    pub live: Vec<LiveIntervalSummary>,
-}
-
-/// Span timing of the pump's internal stages, recorded only while live
-/// telemetry is attached (the bit-identical-when-off discipline extends to
-/// the live path: without a `LiveTelemetry` none of these are touched).
-/// Queue wait is measured on the deterministic cycle clock; the other
-/// stages are host wall time, so [`MetricsSnapshot::canonicalize_wall_clock`]
-/// zeroes them in merged artifacts.
-#[derive(Debug, Clone, Default, Serialize, Deserialize)]
-pub struct PumpStageMetrics {
-    /// Admission -> drain wait per queued item, in service cycles.
-    pub queue_wait_cycles: HistogramSnapshot,
-    /// Batch assembly per pump (drain + wave/deadline split), wall ns.
-    pub assembly_ns: HistogramSnapshot,
-    /// Fused/solo forward stage per pump on the f32 path (the only one:
-    /// int8 is a storage format), wall ns.
-    pub forward_f32_ns: HistogramSnapshot,
-    /// Deferred-fallback stage per pump (deadline remainder), wall ns.
-    pub deferred_fallback_ns: HistogramSnapshot,
-    /// Total wall time spent inside `pump` while telemetry was attached.
-    pub pump_wall_ns: u64,
-    /// Wall time spent on telemetry itself (interval derivation, sinks).
-    pub telemetry_wall_ns: u64,
-    /// telemetry_wall_ns / pump_wall_ns — the live path's self-overhead.
-    pub self_overhead_fraction: f64,
-}
-
-/// SLO monitor rollup (`core::livetel::SloMonitor`): target, error-budget
-/// burn state, and verdict transitions.
-#[derive(Debug, Clone, Default, Serialize, Deserialize)]
-pub struct SloServeMetrics {
-    /// Prediction-latency p99 target in service cycles.
-    pub target_p99_cycles: u64,
-    /// Allowed deadline-miss fraction (the error budget).
-    pub budget_miss_fraction: f64,
-    /// Telemetry intervals observed.
-    pub intervals: u64,
-    /// Verdict raises (Ok -> Warn, Warn -> Breach, Ok -> Breach).
-    pub escalations: u64,
-    /// Verdict drops back toward Ok.
-    pub recoveries: u64,
-    /// Intervals spent at Breach.
-    pub breach_intervals: u64,
-    /// Worst windowed burn rate seen.
-    pub worst_burn_rate: f64,
-    /// Windowed burn rate at snapshot time.
-    pub current_burn_rate: f64,
-    /// Verdict at snapshot time: 0 Ok, 1 Warn, 2 Breach.
-    pub verdict_level: u64,
-}
-
-/// One closed live-telemetry interval, kept for the Perfetto counter
-/// export and the snapshot artifact (the full NDJSON record goes to the
-/// `--live-metrics` sink; this is the compact monotonic summary).
-#[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
-pub struct LiveIntervalSummary {
-    /// 0-based interval ordinal.
-    pub seq: u64,
-    /// Record-clock timestamp the interval closed at (trace timeline).
-    pub at_record: u64,
-    /// Service clock at the close, in cycles.
-    pub end_cycle: u64,
-    pub delta_ingested: u64,
-    pub delta_shed: u64,
-    pub delta_deadline_observations: u64,
-    pub delta_deadline_misses: u64,
-    pub shed_fraction: f64,
-    pub deadline_miss_fraction: f64,
-    /// Windowed error-budget burn rate after this interval.
-    pub burn_rate: f64,
-    /// SLO verdict after this interval: 0 Ok, 1 Warn, 2 Breach.
-    pub verdict_level: u64,
-    /// Queue-wait p99 over the whole run so far, in cycles.
-    pub queue_wait_p99_cycles: u64,
-    /// Forward-stage p99 over the whole run so far, wall ns.
-    pub forward_p99_ns: u64,
-}
-
-/// One stream's share of the serving-layer counters (admission decisions,
-/// service-path split, deadline behavior). Lives in
-/// [`ServeMetrics::per_stream`].
-#[derive(Debug, Clone, Default, Serialize, Deserialize, PartialEq)]
-pub struct StreamServeMetrics {
-    /// Stream id as registered / auto-created.
-    pub id: u64,
-    /// Accesses admitted to the ML batch queue.
-    pub admitted: u64,
-    /// Accesses served by full ML inference.
-    pub ml_served: u64,
-    /// Accesses served by the fallback (shed, degraded, or deferred).
-    pub fallback_served: u64,
-    /// Admission-time sheds charged to this stream (ladder + queue-full).
-    pub shed: u64,
-    /// Deadline-guard quarantine entries.
-    pub quarantines: u64,
-    /// Deadline observations fed into the stream's trip window.
-    pub deadline_observations: u64,
-    /// Observations that missed the per-item deadline.
-    pub deadline_misses: u64,
-    /// Cooldown accesses still owed before an off-ML-path stream can be
-    /// considered for recovery (0 for healthy or fallback-only streams) —
-    /// live output shows quarantine *recovery progress*, not just entry.
-    pub cooldown_remaining: u64,
+    /// (deadline observations, deadline misses) summed over the streams.
+    pub fn deadline_totals(&self) -> (u64, u64) {
+        self.per_stream.iter().fold((0, 0), |(obs, miss), s| {
+            (obs + s.deadline_observations, miss + s.deadline_misses)
+        })
+    }
 }
 
 impl StreamServeMetrics {
     /// Deadline misses over observations (0 when nothing was observed).
     pub fn deadline_miss_fraction(&self) -> f64 {
-        if self.deadline_observations == 0 {
-            0.0
-        } else {
-            self.deadline_misses as f64 / self.deadline_observations as f64
-        }
+        ratio(self.deadline_misses, self.deadline_observations)
     }
-}
-
-/// The pipeline-wide metrics record the bench runners and the CLI
-/// (`--metrics-out`) serialize to JSON, and `HealthReport` folds into its
-/// display. Produced by [`PrefetchScoreboard::snapshot`] and then enriched
-/// with the component counters the caller owns.
-#[derive(Debug, Clone, Default, Serialize, Deserialize)]
-pub struct MetricsSnapshot {
-    pub issued: u64,
-    /// Untimely-at-issue subset of `issued` (see [`PhaseMetrics`]).
-    pub issued_untimely: u64,
-    pub useful: u64,
-    pub late: u64,
-    pub useless: u64,
-    pub demand_misses: u64,
-    pub accuracy: f64,
-    pub coverage: f64,
-    pub timeliness: f64,
-    pub phases: Vec<PhaseMetrics>,
-    pub lanes: Vec<LaneMetrics>,
-    pub dropped: DroppedCounts,
-    pub inflight_overflow: u64,
-    pub untracked_completions: u64,
-    pub cstp: CstpMetrics,
-    pub detector: DetectorMetrics,
-    pub controller: ControllerMetrics,
-    pub guard: GuardMetrics,
-    pub training: TrainMetrics,
-    /// Multi-stream serving-layer counters; all-default when the run did
-    /// not go through `core::serve`.
-    pub serve: ServeMetrics,
-    pub inference_latency: HistogramSnapshot,
-    /// Host wall-clock nanoseconds per prefetcher invocation — nonzero
-    /// even for models whose simulated latency rounds to 0 cycles.
-    pub inference_wall_ns: HistogramSnapshot,
-    pub memory_latency: HistogramSnapshot,
-    /// Telemetry window length in accesses; 0 when tracing was off.
-    pub window_size: u64,
-    /// Windowed metric deltas (the accuracy / coverage / PBOT time
-    /// series), including the trailing partial window. Empty when
-    /// tracing was off.
-    pub windows: Vec<WindowMetrics>,
-    /// Windows discarded after `max_windows` was reached.
-    pub windows_dropped: u64,
 }
 
 impl MetricsSnapshot {
@@ -1264,284 +1192,6 @@ impl MetricsSnapshot {
     /// would churn thousands of lines.
     pub fn to_json_compact(&self) -> Result<String, serde_json::Error> {
         serde_json::to_string(self)
-    }
-
-    /// Folds `other` (the next shard, in fixed shard order) into `self`:
-    /// counters add, derived rates recompute from the merged counters,
-    /// histograms combine via [`HistogramSnapshot::merge`], and `other`'s
-    /// windowed series is concatenated after `self`'s with its access
-    /// indices rebased by `record_offset` — so the merged time series
-    /// reads as one contiguous replay. Merging shard snapshots in the
-    /// same order always yields the same bytes, which is what makes the
-    /// sharded matrix run reproducible at any worker count.
-    pub fn merge_at(&mut self, other: &MetricsSnapshot, record_offset: u64) {
-        self.issued += other.issued;
-        self.issued_untimely += other.issued_untimely;
-        self.useful += other.useful;
-        self.late += other.late;
-        self.useless += other.useless;
-        self.demand_misses += other.demand_misses;
-        let hits = self.useful + self.late;
-        self.accuracy = ratio(hits, self.issued);
-        self.coverage = ratio(hits, hits + self.demand_misses);
-        self.timeliness = ratio(self.useful, hits);
-
-        // Per-phase rollups merge by phase id (shards may cover different
-        // phase counts); rates recompute from the merged counters.
-        for op in &other.phases {
-            let p = match self.phases.iter_mut().find(|p| p.phase == op.phase) {
-                Some(p) => p,
-                None => {
-                    self.phases.push(PhaseMetrics {
-                        phase: op.phase,
-                        ..PhaseMetrics::default()
-                    });
-                    self.phases.sort_by_key(|p| p.phase);
-                    self.phases
-                        .iter_mut()
-                        .find(|p| p.phase == op.phase)
-                        .expect("just inserted")
-                }
-            };
-            p.issued += op.issued;
-            p.issued_untimely += op.issued_untimely;
-            p.useful += op.useful;
-            p.late += op.late;
-            p.useless += op.useless;
-            p.dropped += op.dropped;
-            p.demand_misses += op.demand_misses;
-            let hits = p.useful + p.late;
-            p.accuracy = ratio(hits, p.issued);
-            p.coverage = ratio(hits, hits + p.demand_misses);
-            p.timeliness = ratio(p.useful, hits);
-        }
-
-        // Per-(phase, lane) rows merge by key; new keys append and the
-        // whole list re-sorts into the scoreboard's (phase, lane) order.
-        for ol in &other.lanes {
-            match self
-                .lanes
-                .iter_mut()
-                .find(|l| l.phase == ol.phase && l.lane == ol.lane)
-            {
-                Some(l) => {
-                    l.issued += ol.issued;
-                    l.issued_untimely += ol.issued_untimely;
-                    l.useful += ol.useful;
-                    l.late += ol.late;
-                    l.useless += ol.useless;
-                    l.dropped += ol.dropped;
-                    let hits = l.useful + l.late;
-                    l.accuracy = ratio(hits, l.issued);
-                    l.timeliness = ratio(l.useful, hits);
-                }
-                None => self.lanes.push(ol.clone()),
-            }
-        }
-        let lane_rank = |name: &str| {
-            ["spatial", "temporal", "other"]
-                .iter()
-                .position(|&n| n == name)
-                .unwrap_or(LANES)
-        };
-        self.lanes.sort_by_key(|l| (l.phase, lane_rank(&l.lane)));
-
-        self.dropped.self_block += other.dropped.self_block;
-        self.dropped.in_cache += other.dropped.in_cache;
-        self.dropped.in_flight += other.dropped.in_flight;
-        self.dropped.degree_cap += other.dropped.degree_cap;
-        self.inflight_overflow += other.inflight_overflow;
-        self.untracked_completions += other.untracked_completions;
-
-        self.cstp.batches += other.cstp.batches;
-        self.cstp.chain_steps += other.cstp.chain_steps;
-        self.cstp.max_chain_len = self.cstp.max_chain_len.max(other.cstp.max_chain_len);
-        self.cstp.avg_chain_len = if self.cstp.batches == 0 {
-            0.0
-        } else {
-            self.cstp.chain_steps as f64 / self.cstp.batches as f64
-        };
-        self.cstp.pbot_hits += other.cstp.pbot_hits;
-        self.cstp.pbot_misses += other.cstp.pbot_misses;
-        self.cstp.pbot_hit_rate = ratio(
-            self.cstp.pbot_hits,
-            self.cstp.pbot_hits + self.cstp.pbot_misses,
-        );
-        self.cstp.duplicates_suppressed += other.cstp.duplicates_suppressed;
-
-        if self.detector.name.is_empty() {
-            self.detector.name = other.detector.name.clone();
-        }
-        self.detector.updates += other.detector.updates;
-        self.detector.detections += other.detector.detections;
-        self.detector.soft_arms += other.detector.soft_arms;
-        self.detector.resets += other.detector.resets;
-        self.detector.confirm_latency_samples += other.detector.confirm_latency_samples;
-        self.detector.confirm_latency_sum += other.detector.confirm_latency_sum;
-        self.detector.confirm_latency_max = self
-            .detector
-            .confirm_latency_max
-            .max(other.detector.confirm_latency_max);
-        self.detector.confirm_latency_mean = if self.detector.confirm_latency_samples == 0 {
-            0.0
-        } else {
-            self.detector.confirm_latency_sum as f64 / self.detector.confirm_latency_samples as f64
-        };
-
-        self.controller.transitions_handled += other.controller.transitions_handled;
-        self.controller.observations += other.controller.observations;
-        self.controller.observe_errors += other.controller.observe_errors;
-
-        self.guard.trips += other.guard.trips;
-        self.guard.recoveries += other.guard.recoveries;
-        self.guard.deadline_misses += other.guard.deadline_misses;
-        self.guard.accesses_degraded += other.guard.accesses_degraded;
-        self.guard.slo_trips += other.guard.slo_trips;
-
-        self.training.steps += other.training.steps;
-        self.training.rollbacks += other.training.rollbacks;
-        self.training
-            .rollback_events
-            .extend(other.training.rollback_events.iter().cloned());
-
-        self.serve.streams += other.serve.streams;
-        self.serve.ingested += other.serve.ingested;
-        self.serve.ml_processed += other.serve.ml_processed;
-        self.serve.fallback_processed += other.serve.fallback_processed;
-        self.serve.shed_speculative += other.serve.shed_speculative;
-        self.serve.shed_queue_full += other.serve.shed_queue_full;
-        self.serve.degraded_accesses += other.serve.degraded_accesses;
-        self.serve.batches += other.serve.batches;
-        self.serve.batch_timeouts += other.serve.batch_timeouts;
-        self.serve.timeout_deferred += other.serve.timeout_deferred;
-        self.serve.quarantines += other.serve.quarantines;
-        self.serve.stream_recoveries += other.serve.stream_recoveries;
-        self.serve.escalations += other.serve.escalations;
-        self.serve.deescalations += other.serve.deescalations;
-        // Point-in-time gauges: the merged value is the worst shard.
-        self.serve.overload_level = self.serve.overload_level.max(other.serve.overload_level);
-        self.serve.degraded_streams = self
-            .serve
-            .degraded_streams
-            .max(other.serve.degraded_streams);
-        self.serve.max_queue_depth = self.serve.max_queue_depth.max(other.serve.max_queue_depth);
-        self.serve.shed_fraction = ratio(
-            self.serve.shed_speculative + self.serve.shed_queue_full + self.serve.timeout_deferred,
-            self.serve.ingested,
-        );
-        self.serve
-            .prediction_latency
-            .merge(&other.serve.prediction_latency);
-        self.serve.deferred_fallback_processed += other.serve.deferred_fallback_processed;
-        self.serve
-            .deferred_latency
-            .merge(&other.serve.deferred_latency);
-        self.serve.fused_batches += other.serve.fused_batches;
-        self.serve.fused_forwards += other.serve.fused_forwards;
-        self.serve.fused_items += other.serve.fused_items;
-        // Per-stream counters fold by stream id; the merged list is sorted
-        // by id so shard order cannot leak into the artifact.
-        for theirs in &other.serve.per_stream {
-            match self
-                .serve
-                .per_stream
-                .iter_mut()
-                .find(|mine| mine.id == theirs.id)
-            {
-                Some(mine) => {
-                    mine.admitted += theirs.admitted;
-                    mine.ml_served += theirs.ml_served;
-                    mine.fallback_served += theirs.fallback_served;
-                    mine.shed += theirs.shed;
-                    mine.quarantines += theirs.quarantines;
-                    mine.deadline_observations += theirs.deadline_observations;
-                    mine.deadline_misses += theirs.deadline_misses;
-                    // Gauge: the merged stream is as far from recovery as
-                    // its worst shard.
-                    mine.cooldown_remaining =
-                        mine.cooldown_remaining.max(theirs.cooldown_remaining);
-                }
-                None => self.serve.per_stream.push(theirs.clone()),
-            }
-        }
-        self.serve.per_stream.sort_by_key(|s| s.id);
-
-        // Pump-stage spans: histograms merge, wall totals add, the
-        // overhead fraction recomputes from the merged totals.
-        let ps = &mut self.serve.pump_stages;
-        ps.queue_wait_cycles
-            .merge(&other.serve.pump_stages.queue_wait_cycles);
-        ps.assembly_ns.merge(&other.serve.pump_stages.assembly_ns);
-        ps.forward_f32_ns
-            .merge(&other.serve.pump_stages.forward_f32_ns);
-        ps.deferred_fallback_ns
-            .merge(&other.serve.pump_stages.deferred_fallback_ns);
-        ps.pump_wall_ns += other.serve.pump_stages.pump_wall_ns;
-        ps.telemetry_wall_ns += other.serve.pump_stages.telemetry_wall_ns;
-        ps.self_overhead_fraction = if ps.pump_wall_ns == 0 {
-            0.0
-        } else {
-            ps.telemetry_wall_ns as f64 / ps.pump_wall_ns as f64
-        };
-
-        // SLO rollup: counters add, targets and burn gauges take the
-        // worst shard.
-        let slo = &mut self.serve.slo;
-        slo.target_p99_cycles = slo.target_p99_cycles.max(other.serve.slo.target_p99_cycles);
-        slo.budget_miss_fraction = slo
-            .budget_miss_fraction
-            .max(other.serve.slo.budget_miss_fraction);
-        slo.intervals += other.serve.slo.intervals;
-        slo.escalations += other.serve.slo.escalations;
-        slo.recoveries += other.serve.slo.recoveries;
-        slo.breach_intervals += other.serve.slo.breach_intervals;
-        slo.worst_burn_rate = slo.worst_burn_rate.max(other.serve.slo.worst_burn_rate);
-        slo.current_burn_rate = slo.current_burn_rate.max(other.serve.slo.current_burn_rate);
-        slo.verdict_level = slo.verdict_level.max(other.serve.slo.verdict_level);
-
-        // Live interval series: concatenate like `windows`, renumbering
-        // and rebasing the record clock onto the merged timeline.
-        let live_base = self.serve.live.len() as u64;
-        for (i, iv) in other.serve.live.iter().enumerate() {
-            let mut iv = iv.clone();
-            iv.seq = live_base + i as u64;
-            iv.at_record += record_offset;
-            self.serve.live.push(iv);
-        }
-
-        self.inference_latency.merge(&other.inference_latency);
-        self.inference_wall_ns.merge(&other.inference_wall_ns);
-        self.memory_latency.merge(&other.memory_latency);
-
-        // Windowed series: concatenate, rebasing the shard's access
-        // indices onto the merged timeline and renumbering windows.
-        self.window_size = self.window_size.max(other.window_size);
-        let base_index = self.windows.len() as u64 + self.windows_dropped;
-        for (i, w) in other.windows.iter().enumerate() {
-            let mut w = w.clone();
-            w.index = base_index + i as u64;
-            w.start += record_offset;
-            w.end += record_offset;
-            self.windows.push(w);
-        }
-        self.windows_dropped += other.windows_dropped;
-    }
-
-    /// Strips the host wall-clock fields. Wall time is the one thing a
-    /// deterministic replay cannot reproduce, so merged matrix artifacts
-    /// canonicalize it to zero before being compared byte-for-byte across
-    /// shard counts (per-combo `--metrics-out` files keep theirs). The
-    /// pump-stage wall histograms go with it; queue wait stays — it is
-    /// measured on the deterministic cycle clock.
-    pub fn canonicalize_wall_clock(&mut self) {
-        self.inference_wall_ns = HistogramSnapshot::default();
-        let ps = &mut self.serve.pump_stages;
-        ps.assembly_ns = HistogramSnapshot::default();
-        ps.forward_f32_ns = HistogramSnapshot::default();
-        ps.deferred_fallback_ns = HistogramSnapshot::default();
-        ps.pump_wall_ns = 0;
-        ps.telemetry_wall_ns = 0;
-        ps.self_overhead_fraction = 0.0;
     }
 }
 

@@ -275,16 +275,6 @@ impl MpGraphPrefetcher {
         self.controller.transitions_handled
     }
 
-    /// Lifetime counters of the active transition detector.
-    pub fn detector_stats(&self) -> mpgraph_phase::DetectorStats {
-        self.detector.stats()
-    }
-
-    /// Name of the active transition detector (Table 4 spelling).
-    pub fn detector_name(&self) -> &'static str {
-        self.detector.name()
-    }
-
     /// Everything the fused serving path needs to run this stream's CSTP
     /// chain *between* [`Self::begin_access`] and
     /// [`Self::apply_fused_chain`]: shared borrows of the models, PBOT and
@@ -368,7 +358,7 @@ impl MpGraphPrefetcher {
         out: &mut Vec<u64>,
     ) {
         let before = self.trace_on.then_some(self.cstp_stats);
-        self.cstp_stats.merge(&res.stats);
+        self.cstp_stats.merge_at(&res.stats, 0);
         self.lane_scratch.clear();
         self.lane_scratch.extend(res.lanes);
         self.finish_access(a, res.batch, before, out);
@@ -379,7 +369,8 @@ impl MpGraphPrefetcher {
     /// [`crate::obs::PrefetchScoreboard`]. The caller adds guard metrics
     /// separately when a degradation wrapper is in play.
     pub fn enrich_snapshot(&self, snap: &mut crate::obs::MetricsSnapshot) {
-        snap.cstp = crate::obs::CstpMetrics::from(&self.cstp_stats);
+        snap.cstp = self.cstp_stats;
+        snap.cstp.update_rates();
         snap.detector =
             crate::obs::DetectorMetrics::from_stats(self.detector.name(), &self.detector.stats());
         snap.controller = crate::obs::ControllerMetrics {

@@ -257,19 +257,6 @@ enum StreamState {
     Quarantined,
 }
 
-/// Per-stream serving counters, surfaced through
-/// [`crate::obs::StreamServeMetrics`].
-#[derive(Debug, Default)]
-struct StreamStats {
-    admitted: u64,
-    ml_served: u64,
-    fallback_served: u64,
-    shed: u64,
-    quarantines: u64,
-    deadline_observations: u64,
-    deadline_misses: u64,
-}
-
 struct StreamSlot {
     id: u32,
     /// Full ML prefetcher; `None` for auto-created fallback-only streams.
@@ -286,7 +273,9 @@ struct StreamSlot {
     /// serving ([`MpGraphPrefetcher::batch_signature`]); `None` serves
     /// each of the stream's items solo.
     fuse_sig: Option<u64>,
-    stats: StreamStats,
+    /// This stream's counters, incremented in place; `cooldown_remaining`
+    /// is filled at snapshot time.
+    stats: StreamServeMetrics,
 }
 
 impl StreamSlot {
@@ -300,7 +289,10 @@ impl StreamSlot {
             cooled: 0,
             clean_streak: 0,
             fuse_sig: None,
-            stats: StreamStats::default(),
+            stats: StreamServeMetrics {
+                id: u64::from(id),
+                ..StreamServeMetrics::default()
+            },
         }
     }
 
@@ -338,29 +330,6 @@ struct ItemOutcome {
     phase: u8,
 }
 
-#[derive(Debug, Default)]
-struct Counters {
-    streams: u64,
-    ingested: u64,
-    ml_processed: u64,
-    fallback_processed: u64,
-    shed_speculative: u64,
-    shed_queue_full: u64,
-    degraded_accesses: u64,
-    batches: u64,
-    batch_timeouts: u64,
-    timeout_deferred: u64,
-    deferred_fallback: u64,
-    fused_batches: u64,
-    fused_forwards: u64,
-    fused_items: u64,
-    quarantines: u64,
-    stream_recoveries: u64,
-    escalations: u64,
-    deescalations: u64,
-    max_queue_depth: u64,
-}
-
 /// The in-process prefetch service. See the module docs for the design;
 /// the driving loop is `ingest` (per access, never blocks) interleaved
 /// with `pump` (one inference batch per call).
@@ -380,7 +349,9 @@ pub struct PrefetchService {
     /// Queue-full admission seen since the last pump (pressure signal the
     /// fill fraction alone can miss between pumps).
     queue_full_since_pump: bool,
-    counters: Counters,
+    /// Service counters, incremented in place; the gauges, histograms and
+    /// rows are filled at snapshot time ([`Self::base_metrics`]).
+    counters: ServeMetrics,
     prediction_latency: LatencyHistogram,
     /// Honest (admission -> completion) latency of deferred-fallback items
     /// — the queue wait the old accounting silently dropped.
@@ -415,7 +386,7 @@ impl PrefetchService {
             hot_streak: 0,
             cool_streak: 0,
             queue_full_since_pump: false,
-            counters: Counters::default(),
+            counters: ServeMetrics::default(),
             prediction_latency: LatencyHistogram::new(),
             deferred_latency: LatencyHistogram::new(),
             ready: Vec::new(),
@@ -442,11 +413,6 @@ impl PrefetchService {
     /// (which, when wired, feeds the overload ladder).
     pub fn enable_live_telemetry(&mut self, tel: LiveTelemetry) {
         self.livetel = Some(Box::new(tel));
-    }
-
-    /// The live telemetry attachment, if any.
-    pub fn live_telemetry(&self) -> Option<&LiveTelemetry> {
-        self.livetel.as_deref()
     }
 
     /// Closes the trailing partial telemetry interval and flushes the
@@ -483,31 +449,21 @@ impl PrefetchService {
         } else {
             None
         };
-        let mut slot = StreamSlot::new(id, Some(prefetcher));
-        slot.fuse_sig = fuse_sig;
-        match self.index.get(&id) {
-            Some(&i) => self.slots[i] = slot,
-            None => {
-                self.index.insert(id, self.slots.len());
-                self.slots.push(slot);
-                self.counters.streams += 1;
-            }
-        }
+        let i = self.slot_for(id);
+        self.slots[i] = StreamSlot::new(id, Some(prefetcher));
+        self.slots[i].fuse_sig = fuse_sig;
     }
 
+    /// Stream `id`'s slot. An unknown stream is served fallback-only; its
+    /// slot keeps its counters attributable.
     fn slot_for(&mut self, id: u32) -> usize {
-        match self.index.get(&id) {
-            Some(&i) => i,
-            None => {
-                // Unknown stream: serve it, but fallback-only. Creating a
-                // slot keeps its counters attributable.
-                let i = self.slots.len();
-                self.index.insert(id, i);
-                self.slots.push(StreamSlot::new(id, None));
-                self.counters.streams += 1;
-                i
-            }
+        if let Some(&i) = self.index.get(&id) {
+            return i;
         }
+        self.index.insert(id, self.slots.len());
+        self.slots.push(StreamSlot::new(id, None));
+        self.counters.streams += 1;
+        self.slots.len() - 1
     }
 
     /// Timestamp for trace events: the current record index, matching the
@@ -525,58 +481,37 @@ impl PrefetchService {
     }
 
     /// Runs `access` through `slot`'s fallback and buffers the prediction.
-    fn serve_fallback(&mut self, slot: usize, access: &LlcAccess, stall: u64) {
-        self.clock += self.cfg.fallback_item_cost;
-        self.scratch.clear();
-        let s = &mut self.slots[slot];
-        s.fallback.on_access(access, &mut self.scratch);
-        let was_off = s.off_ml_path();
-        if was_off && s.ml.is_some() {
-            self.counters.degraded_accesses += 1;
-        }
-        s.stats.fallback_served += 1;
-        self.counters.fallback_processed += 1;
-        let latency = self.cfg.fallback_item_cost;
-        self.prediction_latency.record(latency);
-        self.ready.push(Prediction {
-            stream: s.id,
-            candidates: self.scratch.clone(),
-            latency,
-            via_fallback: true,
-            phase: 0,
-        });
-        self.note_recovery_progress(slot, stall);
-    }
-
-    /// Fallback service for a queued item deferred by the batch deadline.
-    /// Unlike the inline [`Self::serve_fallback`] (which serves an access
-    /// that was never queued, so its cost *is* its latency), a deferred
-    /// item already waited in a shard queue — its honest latency is
-    /// admission -> completion. The old accounting recorded only
-    /// `fallback_item_cost` here, silently dropping the queue wait from
-    /// the latency histogram; this records the honest value into both the
-    /// aggregate histogram and a dedicated deferred histogram.
-    fn serve_deferred_fallback(
+    /// An inline fallback (`enqueued_at: None`) was never queued, so its
+    /// cost *is* its latency. A queued item deferred by the batch deadline
+    /// already waited in a shard queue: its honest latency is admission ->
+    /// completion, recorded into both the aggregate histogram and a
+    /// dedicated deferred histogram (stamping it with the bare fallback
+    /// cost would drop the queue wait from the tail).
+    fn serve_fallback(
         &mut self,
         slot: usize,
         access: &LlcAccess,
         stall: u64,
-        enqueued_at: u64,
+        enqueued_at: Option<u64>,
     ) {
         self.clock += self.cfg.fallback_item_cost;
         self.scratch.clear();
         let s = &mut self.slots[slot];
         s.fallback.on_access(access, &mut self.scratch);
-        let was_off = s.off_ml_path();
-        if was_off && s.ml.is_some() {
+        if s.off_ml_path() && s.ml.is_some() {
             self.counters.degraded_accesses += 1;
         }
         s.stats.fallback_served += 1;
         self.counters.fallback_processed += 1;
-        self.counters.deferred_fallback += 1;
-        let latency = self.clock - enqueued_at;
+        let latency = match enqueued_at {
+            None => self.cfg.fallback_item_cost,
+            Some(at) => {
+                self.counters.deferred_fallback_processed += 1;
+                self.deferred_latency.record(self.clock - at);
+                self.clock - at
+            }
+        };
         self.prediction_latency.record(latency);
-        self.deferred_latency.record(latency);
         self.ready.push(Prediction {
             stream: s.id,
             candidates: self.scratch.clone(),
@@ -631,7 +566,7 @@ impl PrefetchService {
         let slot = self.slot_for(stream);
 
         if self.slots[slot].off_ml_path() {
-            self.serve_fallback(slot, access, stall);
+            self.serve_fallback(slot, access, stall, None);
             return Admission::Degraded;
         }
         if self.level >= 1 {
@@ -645,7 +580,7 @@ impl PrefetchService {
                 self.slots[slot].cooled = 0;
                 self.slots[slot].clean_streak = 0;
             }
-            self.serve_fallback(slot, access, stall);
+            self.serve_fallback(slot, access, stall, None);
             return Admission::Shed;
         }
 
@@ -667,7 +602,7 @@ impl PrefetchService {
                 self.counters.shed_queue_full += 1;
                 self.slots[slot].stats.shed += 1;
                 self.queue_full_since_pump = true;
-                self.serve_fallback(slot, &item.access, item.stall);
+                self.serve_fallback(slot, &item.access, item.stall, None);
                 Admission::QueueFull
             }
         }
@@ -970,7 +905,9 @@ impl PrefetchService {
             // Queue wait on the deterministic cycle clock: admission ->
             // drain, per item.
             for item in &batch {
-                t.note_queue_wait(self.clock.saturating_sub(item.enqueued_at));
+                t.stages
+                    .queue_wait
+                    .record(self.clock.saturating_sub(item.enqueued_at));
             }
         }
 
@@ -997,12 +934,16 @@ impl PrefetchService {
             if let (Some(t), Some(started)) = (tel.as_mut(), pump_started) {
                 // Assembly = shard drain + deadline split, i.e. everything
                 // in this pump before the forward stage.
-                t.note_assembly_ns(started.elapsed().as_nanos() as u64);
+                t.stages
+                    .assembly
+                    .record(started.elapsed().as_nanos() as u64);
             }
             let forward_started = tel.as_ref().map(|_| std::time::Instant::now());
             self.serve_admitted(admitted);
             if let (Some(t), Some(started)) = (tel.as_mut(), forward_started) {
-                t.note_forward_ns(started.elapsed().as_nanos() as u64);
+                t.stages
+                    .forward_f32
+                    .record(started.elapsed().as_nanos() as u64);
             }
             if !deferred.is_empty() {
                 self.counters.batch_timeouts += 1;
@@ -1018,15 +959,13 @@ impl PrefetchService {
                     if item.stall > self.cfg.deadline_cycles {
                         self.note_deadline_observation(item.slot, true);
                     }
-                    self.serve_deferred_fallback(
-                        item.slot,
-                        &item.access,
-                        item.stall,
-                        item.enqueued_at,
-                    );
+                    let at = Some(item.enqueued_at);
+                    self.serve_fallback(item.slot, &item.access, item.stall, at);
                 }
                 if let (Some(t), Some(started)) = (tel.as_mut(), deferred_started) {
-                    t.note_deferred_ns(started.elapsed().as_nanos() as u64);
+                    t.stages
+                        .deferred
+                        .record(started.elapsed().as_nanos() as u64);
                 }
             }
         }
@@ -1046,7 +985,7 @@ impl PrefetchService {
         }
         self.run_ladder(slo_hot);
         if let (Some(t), Some(started)) = (tel.as_mut(), pump_started) {
-            t.note_pump_wall_ns(started.elapsed().as_nanos() as u64);
+            t.stages.totals.pump_wall_ns += started.elapsed().as_nanos() as u64;
         }
         self.livetel = tel;
         let produced = self.ready.len();
@@ -1141,68 +1080,32 @@ impl PrefetchService {
     /// not depend on telemetry state, or the delta math would feed back
     /// into itself.
     fn base_metrics(&self) -> ServeMetrics {
-        let c = &self.counters;
-        let shed = c.shed_speculative + c.shed_queue_full + c.timeout_deferred;
-        ServeMetrics {
-            streams: c.streams,
-            ingested: c.ingested,
-            ml_processed: c.ml_processed,
-            fallback_processed: c.fallback_processed,
-            shed_speculative: c.shed_speculative,
-            shed_queue_full: c.shed_queue_full,
-            degraded_accesses: c.degraded_accesses,
-            batches: c.batches,
-            batch_timeouts: c.batch_timeouts,
-            timeout_deferred: c.timeout_deferred,
-            quarantines: c.quarantines,
-            stream_recoveries: c.stream_recoveries,
-            escalations: c.escalations,
-            deescalations: c.deescalations,
-            overload_level: self.level as u64,
-            degraded_streams: self
-                .slots
-                .iter()
-                .filter(|s| s.ml.is_some() && s.state != StreamState::Healthy)
-                .count() as u64,
-            max_queue_depth: c.max_queue_depth,
-            shed_fraction: if c.ingested == 0 {
-                0.0
-            } else {
-                shed as f64 / c.ingested as f64
-            },
+        let off_ml = |s: &StreamSlot| s.ml.is_some() && s.state != StreamState::Healthy;
+        let mut m = ServeMetrics {
+            overload_level: u64::from(self.level),
+            degraded_streams: self.slots.iter().filter(|s| off_ml(s)).count() as u64,
             prediction_latency: self.prediction_latency.snapshot(),
-            deferred_fallback_processed: c.deferred_fallback,
             deferred_latency: self.deferred_latency.snapshot(),
-            fused_batches: c.fused_batches,
-            fused_forwards: c.fused_forwards,
-            fused_items: c.fused_items,
             per_stream: self
                 .slots
                 .iter()
                 .map(|s| StreamServeMetrics {
-                    id: u64::from(s.id),
-                    admitted: s.stats.admitted,
-                    ml_served: s.stats.ml_served,
-                    fallback_served: s.stats.fallback_served,
-                    shed: s.stats.shed,
-                    quarantines: s.stats.quarantines,
-                    deadline_observations: s.stats.deadline_observations,
-                    deadline_misses: s.stats.deadline_misses,
                     // Recovery progress for a stream off the ML path: the
                     // cooldown accesses still owed (clean-streak and
                     // ladder conditions come on top, so 0 here does not
                     // by itself mean "recovering next access").
-                    cooldown_remaining: if s.ml.is_some() && s.state != StreamState::Healthy {
+                    cooldown_remaining: if off_ml(s) {
                         self.cfg.stream_cooldown.saturating_sub(s.cooled)
                     } else {
                         0
                     },
+                    ..s.stats.clone()
                 })
                 .collect(),
-            pump_stages: Default::default(),
-            slo: Default::default(),
-            live: Vec::new(),
-        }
+            ..self.counters.clone()
+        };
+        m.update_rates();
+        m
     }
 
     /// Full pipeline snapshot: the scoreboard's view (windows, trace

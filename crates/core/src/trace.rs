@@ -19,6 +19,7 @@
 //! here is reachable from a run without a trace sink attached, and
 //! attaching one changes no simulation state (see DESIGN.md §13).
 
+use crate::metric::ratio;
 use mpgraph_sim::TraceEvent;
 use serde::{Deserialize, Serialize, Value};
 
@@ -141,38 +142,50 @@ impl FlightRecorder {
     }
 }
 
-/// Per-phase slice of one telemetry window.
-#[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
-pub struct WindowPhaseMetrics {
-    pub phase: usize,
-    pub issued: u64,
-    pub useful: u64,
-    pub demand_misses: u64,
-    pub accuracy: f64,
-}
+metrics! {
+    /// Per-phase slice of one telemetry window.
+    #[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
+    pub struct WindowPhaseMetrics {
+        label phase: usize,
+        counter issued: u64,
+        counter useful: u64,
+        counter demand_misses: u64,
+        rate accuracy: f64,
+    }
+    rates |p| {
+        p.accuracy = ratio(p.useful, p.issued);
+    }
+    key |p| -> usize { p.phase }
 
-/// One closed telemetry window: scoreboard counter deltas over `window`
-/// consecutive trace records, turned into the paper's rate metrics so
-/// accuracy / coverage / PBOT hit rate become time series.
-#[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
-pub struct WindowMetrics {
-    /// 0-based window ordinal.
-    pub index: u64,
-    /// First access index covered (inclusive).
-    pub start: u64,
-    /// Last access index covered (exclusive).
-    pub end: u64,
-    pub issued: u64,
-    pub useful: u64,
-    pub late: u64,
-    pub useless: u64,
-    pub demand_misses: u64,
-    pub accuracy: f64,
-    pub coverage: f64,
-    pub pbot_hits: u64,
-    pub pbot_misses: u64,
-    pub pbot_hit_rate: f64,
-    pub phases: Vec<WindowPhaseMetrics>,
+    /// One closed telemetry window: scoreboard counter deltas over `window`
+    /// consecutive trace records, turned into the paper's rate metrics so
+    /// accuracy / coverage / PBOT hit rate become time series.
+    #[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
+    pub struct WindowMetrics {
+        /// 0-based window ordinal.
+        seq index: u64,
+        /// First access index covered (inclusive).
+        at start: u64,
+        /// Last access index covered (exclusive).
+        at end: u64,
+        counter issued: u64,
+        counter useful: u64,
+        counter late: u64,
+        counter useless: u64,
+        counter demand_misses: u64,
+        rate accuracy: f64,
+        rate coverage: f64,
+        counter pbot_hits: u64,
+        counter pbot_misses: u64,
+        rate pbot_hit_rate: f64,
+        rows phases: Vec<WindowPhaseMetrics>,
+    }
+    rates |w| {
+        let hits = w.useful + w.late;
+        w.accuracy = ratio(hits, w.issued);
+        w.coverage = ratio(hits, hits + w.demand_misses);
+        w.pbot_hit_rate = ratio(w.pbot_hits, w.pbot_hits + w.pbot_misses);
+    }
 }
 
 const TID_PHASES: u64 = 1;

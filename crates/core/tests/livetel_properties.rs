@@ -9,10 +9,17 @@
 //!   the stream;
 //! * every derived rate is finite (and a well-defined 0) for zero-length
 //!   intervals, empty intervals, and zero-GHz-adjacent clock configs.
+//!
+//! The last property checks the same for every declared serve counter,
+//! per-stream rows included, through the declaration's visitor.
+
+mod common;
 
 use mpgraph_core::livetel::derive_interval;
+use mpgraph_core::metric::Kind;
 use mpgraph_core::{ServeMetrics, StreamServeMetrics};
 use proptest::prelude::*;
+use std::collections::BTreeMap;
 
 /// Builds a cumulative `ServeMetrics` history from per-step increments:
 /// each step adds its increments onto the running totals, so every
@@ -173,5 +180,38 @@ proptest! {
         prop_assert_eq!(iv.delta_shed, 0);
         prop_assert_eq!(iv.cycles, 0);
         prop_assert_eq!(iv.accesses_per_sec, 0.0);
+    }
+
+    /// Over a history built by merging random increments into every
+    /// declared serve counter, each interval's declared `delta` is
+    /// non-negative and telescopes back to the final cumulative counters
+    /// (rows that appear mid-run count from zero), and every interval
+    /// rate is finite.
+    #[test]
+    fn every_declared_serve_counter_telescopes(
+        seeds in prop::collection::vec(1u64..u64::MAX, 1..12),
+    ) {
+        let mut cur = ServeMetrics::default();
+        let mut hist = vec![cur.clone()];
+        for &seed in &seeds {
+            cur.merge_at(&common::random_serve(seed), 0);
+            hist.push(cur.clone());
+        }
+        let mut summed: BTreeMap<String, f64> = BTreeMap::new();
+        for pair in hist.windows(2) {
+            let d = pair[1].delta(&pair[0]);
+            for (k, v) in common::sums(|f| d.visit(f), &[Kind::Counter]) {
+                prop_assert!(v >= 0.0, "{} = {}", k, v);
+                *summed.entry(k).or_insert(0.0) += v;
+            }
+            for (path, rate) in common::sums(|f| d.visit(f), &[Kind::Rate]) {
+                prop_assert!(rate.is_finite() && rate >= 0.0, "{} = {}", path, rate);
+            }
+        }
+        let last = hist.last().expect("non-empty history");
+        let totals = common::sums(|f| last.visit(f), &[Kind::Counter]);
+        prop_assert!(totals.keys().any(|k| k.starts_with("per_stream.")));
+        prop_assert!(totals.keys().any(|k| k.starts_with("slo.")));
+        prop_assert_eq!(summed, totals);
     }
 }

@@ -4,11 +4,18 @@
 //! windowed series onto the merged timeline, and be a pure function of
 //! its inputs in fixed shard order — the invariant that makes
 //! `mpgraph run --all --shards N` byte-identical at any worker count.
+//! The conservation property walks every declared counter (serve, CSTP,
+//! detector, controller, guard and training sections included) through
+//! the declaration's visitor.
 
+mod common;
+
+use mpgraph_core::metric::Kind;
 use mpgraph_core::{HistogramSnapshot, LatencyHistogram, MetricsSnapshot};
 use mpgraph_core::{PrefetchScoreboard, TraceConfig};
 use mpgraph_sim::{PrefetchLane, PrefetchObserver, PrefetchTag};
 use proptest::prelude::*;
+use std::collections::BTreeMap;
 
 fn hist(samples: &[u64]) -> HistogramSnapshot {
     let mut h = LatencyHistogram::new();
@@ -158,5 +165,42 @@ proptest! {
         };
         // Same inputs, same order → identical bytes, every time.
         prop_assert_eq!(fold(), fold());
+    }
+
+    #[test]
+    fn every_declared_counter_sums_independently_of_shard_order(
+        seeds in prop::collection::vec(1u64..u64::MAX, 2..5),
+    ) {
+        let shards: Vec<MetricsSnapshot> =
+            seeds.iter().map(|&s| common::random_snapshot(s)).collect();
+        let fold = |order: &mut dyn Iterator<Item = &MetricsSnapshot>| {
+            let mut m = MetricsSnapshot::default();
+            for (i, s) in order.enumerate() {
+                m.merge_at(s, 1000 * i as u64);
+            }
+            m
+        };
+        let forward = fold(&mut shards.iter());
+        let reverse = fold(&mut shards.iter().rev());
+        let mut expected: BTreeMap<String, f64> = BTreeMap::new();
+        for s in &shards {
+            for (k, v) in common::counters(s) {
+                *expected.entry(k).or_insert(0.0) += v;
+            }
+        }
+        prop_assert_eq!(&common::counters(&forward), &expected);
+        prop_assert_eq!(&common::counters(&reverse), &expected);
+        for section in ["serve.", "cstp.", "detector.", "controller.", "guard.", "training."] {
+            prop_assert!(
+                expected.keys().any(|k| k.starts_with(section)),
+                "no counter visited under {}", section
+            );
+        }
+        // Derived rates recompute from the merged counters and stay finite.
+        let rates = common::sums(|f| forward.visit(f), &[Kind::Rate]);
+        prop_assert!(!rates.is_empty());
+        for (path, rate) in rates {
+            prop_assert!(rate.is_finite() && rate >= 0.0, "{} = {}", path, rate);
+        }
     }
 }

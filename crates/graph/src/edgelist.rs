@@ -6,12 +6,19 @@ use crate::{Csr, VertexId};
 use std::io::{BufRead, BufWriter, Write};
 use std::path::Path;
 
+/// Largest vertex count [`parse`] accepts: 2^24, about 3.5× the largest
+/// Table 2 graph (soc-LiveJournal, 4,847,571 vertices). The CSR allocates
+/// per vertex, so one stray huge id must not ask for gigabytes.
+pub const MAX_VERTICES: usize = 1 << 24;
+
 /// Parse errors for the edge-list format.
 #[derive(Debug)]
 pub enum ParseError {
     Io(std::io::Error),
     /// (line number, contents) of the malformed line.
     Malformed(usize, String),
+    /// (line number, vertex count the line implies) beyond [`MAX_VERTICES`].
+    TooManyVertices(usize, usize),
 }
 
 impl std::fmt::Display for ParseError {
@@ -19,6 +26,10 @@ impl std::fmt::Display for ParseError {
         match self {
             ParseError::Io(e) => write!(f, "io error: {e}"),
             ParseError::Malformed(n, l) => write!(f, "malformed edge at line {n}: {l:?}"),
+            ParseError::TooManyVertices(n, v) => write!(
+                f,
+                "line {n} implies {v} vertices, more than the {MAX_VERTICES} supported"
+            ),
         }
     }
 }
@@ -59,6 +70,9 @@ pub fn parse<R: BufRead>(reader: R) -> Result<Csr, ParseError> {
             None => 1.0,
         };
         max_id = max_id.max(src).max(dst);
+        if max_id as usize >= MAX_VERTICES {
+            return Err(ParseError::TooManyVertices(idx + 1, max_id as usize + 1));
+        }
         edges.push((src, dst, weight));
     }
     let n = if edges.is_empty() {
@@ -104,6 +118,18 @@ mod tests {
         assert_eq!(g.num_vertices(), 3);
         assert_eq!(g.num_edges(), 3);
         assert_eq!(g.neighbors(2), &[0]);
+    }
+
+    #[test]
+    fn rejects_a_vertex_id_past_the_limit() {
+        // One line used to make the CSR ask for 34 GB and abort.
+        let err = parse(Cursor::new("4294967295 0\n")).unwrap_err();
+        assert!(matches!(err, ParseError::TooManyVertices(1, 4_294_967_296)));
+        let over = format!("0 1\n{MAX_VERTICES} 0\n");
+        assert!(matches!(
+            parse(Cursor::new(over)).unwrap_err(),
+            ParseError::TooManyVertices(2, _)
+        ));
     }
 
     #[test]

@@ -1,7 +1,36 @@
 //! Property tests over graph construction and transforms.
 
+use mpgraph_graph::edgelist::{self, ParseError, MAX_VERTICES};
 use mpgraph_graph::{chung_lu, rmat, Csr, RmatConfig, VertexId};
 use proptest::prelude::*;
+
+/// Edge-list fragments, valid and not: ids at the vertex limit, huge and
+/// negative numbers, weights, comments, junk bytes and line breaks.
+const TOKENS: &[&str] = &[
+    "0",
+    "1",
+    "7",
+    "42",
+    "65535",
+    "16777216",
+    "4294967295",
+    "4294967296",
+    "-1",
+    "2.5",
+    "nan",
+    "inf",
+    "1e9",
+    "#",
+    "# c",
+    " ",
+    "\t",
+    "\n",
+    "\r\n",
+    "x",
+    "é",
+    "\u{0}",
+    "",
+];
 
 proptest! {
     #[test]
@@ -59,6 +88,25 @@ proptest! {
             for &d in g.neighbors(v) {
                 prop_assert!((d as usize) < g.num_vertices());
             }
+        }
+    }
+
+    /// Arbitrary text parses to a graph or a typed error: never a panic,
+    /// and never an allocation sized by one huge vertex id.
+    #[test]
+    fn edge_list_parse_never_panics(picks in prop::collection::vec(0usize..64, 0..40)) {
+        let text: String = picks
+            .iter()
+            .enumerate()
+            .map(|(i, &p)| {
+                let sep = if i % 3 == 2 { "\n" } else { " " };
+                format!("{}{sep}", TOKENS[p % TOKENS.len()])
+            })
+            .collect();
+        match edgelist::parse(std::io::Cursor::new(text.as_bytes())) {
+            Ok(g) => prop_assert!(g.num_vertices() <= MAX_VERTICES),
+            Err(ParseError::TooManyVertices(_, n)) => prop_assert!(n > MAX_VERTICES),
+            Err(_) => {}
         }
     }
 }

@@ -266,12 +266,17 @@ impl<'a> Parser<'a> {
                     self.pos += 1;
                 }
                 Some(_) => {
-                    // Consume one UTF-8 scalar.
-                    let rest = std::str::from_utf8(&self.bytes[self.pos..])
+                    // Copy the run up to the next quote or backslash. Both
+                    // are ASCII, so the run ends on a UTF-8 boundary and
+                    // validating it costs its own length: linear overall.
+                    let run = self.bytes[self.pos..]
+                        .iter()
+                        .position(|&b| b == b'"' || b == b'\\')
+                        .map_or(self.bytes.len(), |n| self.pos + n);
+                    let text = std::str::from_utf8(&self.bytes[self.pos..run])
                         .map_err(|_| Error::new("non-utf8 string"))?;
-                    let c = rest.chars().next().ok_or_else(|| Error::new("eof"))?;
-                    out.push(c);
-                    self.pos += c.len_utf8();
+                    out.push_str(text);
+                    self.pos = run;
                 }
                 None => return Err(Error::new("unterminated string")),
             }
@@ -394,6 +399,67 @@ mod tests {
         assert!(parse_value("tru").is_err());
         assert!(parse_value("1 2").is_err());
         assert!(parse_value("\"unterminated").is_err());
+    }
+
+    /// Strings from the code points `cps` (surrogates skipped).
+    fn string_of(cps: &[u32]) -> String {
+        cps.iter().filter_map(|&c| char::from_u32(c)).collect()
+    }
+
+    #[test]
+    fn arbitrary_unicode_strings_round_trip() {
+        let mut x = 0x9e37_79b9_7f4a_7c15u64;
+        for len in 0..200usize {
+            let cps: Vec<u32> = (0..len)
+                .map(|i| {
+                    x ^= x << 13;
+                    x ^= x >> 7;
+                    x ^= x << 17;
+                    // Mix ASCII (quotes, backslashes, controls) with every
+                    // UTF-8 width.
+                    match i % 4 {
+                        0 => (x % 0x80) as u32,
+                        1 => (x % 0x800) as u32,
+                        2 => (x % 0x1_0000) as u32,
+                        _ => (x % 0x11_0000) as u32,
+                    }
+                })
+                .collect();
+            let s = string_of(&cps);
+            let v = Value::Array(vec![Value::Str(s.clone())]);
+            let text = to_string(&v).unwrap();
+            assert_eq!(parse_value(&text).unwrap(), v, "{s:?}");
+        }
+        // A multi-byte character right before the closing quote.
+        for s in ["é", "a€", "𝄞", "\"\\€"] {
+            let v = Value::Str(s.to_string());
+            assert_eq!(parse_value(&to_string(&v).unwrap()).unwrap(), v);
+        }
+    }
+
+    #[test]
+    fn a_document_cut_at_any_byte_is_an_error_not_a_panic() {
+        let doc = r#"{"a": [1, -2.5e3, true, null], "s": "x\"é€𝄞\u00e9", "o": {"k": []}}"#;
+        assert!(parse_value(doc).is_ok());
+        for cut in 0..doc.len() {
+            let Some(prefix) = doc.get(..cut) else {
+                continue; // not a char boundary: not a &str
+            };
+            assert!(
+                parse_value(prefix).is_err(),
+                "prefix {cut} parsed: {prefix:?}"
+            );
+        }
+    }
+
+    #[test]
+    fn nesting_past_the_limit_is_rejected() {
+        let nested = |depth: usize| format!("{}{}", "[".repeat(depth), "]".repeat(depth));
+        assert!(parse_value(&nested(128)).is_ok());
+        assert!(parse_value(&nested(130)).is_err());
+        assert!(parse_value(&nested(100_000)).is_err());
+        let objects = format!("{}1{}", "{\"k\":".repeat(200), "}".repeat(200));
+        assert!(parse_value(&objects).is_err());
     }
 
     #[test]
