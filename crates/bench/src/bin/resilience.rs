@@ -4,15 +4,22 @@
 //!
 //! Usage: `cargo run --release -p mpgraph-bench --bin resilience
 //! [--quick] [--metrics-out <path>] [--trace-out <path>]`
+//!
+//! `--metrics-out` and `--trace-out` both describe the guarded run: its
+//! snapshot, and its Chrome trace with the guard's trip/recover track.
 
-use mpgraph_bench::metrics::emit_trace_if_requested;
-use mpgraph_bench::report::{dump_json, metrics_out_arg, print_table, write_json_to};
+use mpgraph_bench::metrics::write_trace;
+use mpgraph_bench::report::{
+    dump_json, metrics_out_arg, print_table, trace_out_arg, write_json_to,
+};
 use mpgraph_bench::runners::resilience::run_resilience;
 use mpgraph_bench::ExpScale;
+use mpgraph_core::TraceConfig;
 
 fn main() {
     let scale = ExpScale::from_args();
-    let rep = run_resilience(&scale);
+    let trace_out = trace_out_arg();
+    let (rep, chrome) = run_resilience(&scale, trace_out.as_ref().map(|_| TraceConfig::default()));
     let table: Vec<Vec<String>> = rep
         .rows
         .iter()
@@ -69,5 +76,7 @@ fn main() {
     if let Ok(p) = dump_json("resilience", &rep) {
         println!("\nwrote {}", p.display());
     }
-    emit_trace_if_requested(&scale);
+    if let Some(path) = trace_out {
+        write_trace(&path, chrome);
+    }
 }

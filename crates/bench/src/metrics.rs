@@ -13,7 +13,7 @@
 //!
 //! The `resilience` binary is the one exception: its report already
 //! embeds the snapshot of its own guarded fault-injection run, so it
-//! serializes that instead of the carrier's.
+//! serializes that run's snapshot and trace instead of the carrier's.
 
 use crate::report::{metrics_out_arg, trace_out_arg, write_json_compact_to, write_json_to};
 use crate::scale::ExpScale;
@@ -75,7 +75,8 @@ pub fn emit_if_requested(scale: &ExpScale) {
     }
 }
 
-fn write_trace(path: &std::path::Path, chrome: Option<serde::Value>) {
+/// Writes a Chrome trace to `path`, reporting the outcome on the console.
+pub fn write_trace(path: &std::path::Path, chrome: Option<serde::Value>) {
     match chrome {
         Some(tr) => match write_json_compact_to(path, &tr) {
             Ok(()) => println!("chrome trace written to {}", path.display()),
@@ -83,19 +84,6 @@ fn write_trace(path: &std::path::Path, chrome: Option<serde::Value>) {
         },
         None => eprintln!("trace requested but the scoreboard produced none"),
     }
-}
-
-/// Trace-only entry point for binaries (the `resilience` runner) that
-/// serialize their own metrics snapshot but still want `--trace-out` to
-/// yield a carrier trace.
-pub fn emit_trace_if_requested(scale: &ExpScale) {
-    let Some(path) = trace_out_arg() else {
-        return;
-    };
-    write_trace(
-        &path,
-        collect_carrier(scale, Some(TraceConfig::default())).1,
-    );
 }
 
 #[cfg(test)]

@@ -13,12 +13,14 @@
 //!
 //! The runner also assembles the pipeline-wide [`HealthReport`]: guard
 //! condition, controller observe-errors, and the injector's fault ledger.
+//! With a [`TraceConfig`] the guarded run is also recorded, so its Chrome
+//! trace carries the guard's trip and recovery events.
 
 use crate::scale::ExpScale;
 use crate::workload::{build_workload, carrier};
 use mpgraph_core::{
     train_mpgraph, ComponentHealth, ComponentStatus, DegradationGuard, GuardConfig, HealthReport,
-    MetricsSnapshot, MpGraphPrefetcher, PrefetchScoreboard,
+    MetricsSnapshot, MpGraphPrefetcher, PrefetchScoreboard, TraceConfig,
 };
 use mpgraph_prefetchers::{BestOffset, BoConfig};
 use mpgraph_sim::{
@@ -123,8 +125,13 @@ pub fn health_report(
     report
 }
 
-/// Runs the three-way comparison on the GPOP/PR carrier workload.
-pub fn run_resilience(scale: &ExpScale) -> ResilienceReport {
+/// Runs the three-way comparison on the GPOP/PR carrier workload. With
+/// `trace` set, the guarded run's scoreboard records it and the Chrome
+/// trace of that run comes back alongside the report.
+pub fn run_resilience(
+    scale: &ExpScale,
+    trace: Option<TraceConfig>,
+) -> (ResilienceReport, Option<serde::Value>) {
     let w = build_workload(
         mpgraph_frameworks::Framework::Gpop,
         mpgraph_frameworks::App::Pr,
@@ -155,7 +162,10 @@ pub fn run_resilience(scale: &ExpScale) -> ResilienceReport {
     // prefetch it issues, and its snapshot rides along in the report.
     let mut guarded = DegradationGuard::new(mp, GuardConfig::default());
     let mut inj = FaultInjector::new(stall_faults(1));
-    let mut scoreboard = PrefetchScoreboard::new(w.num_phases, 4096);
+    let mut scoreboard = match trace {
+        Some(tc) => PrefetchScoreboard::with_trace(w.num_phases, 4096, tc),
+        None => PrefetchScoreboard::new(w.num_phases, 4096),
+    };
     let r_guarded = simulate_observed(
         &w.test,
         &mut guarded,
@@ -168,7 +178,7 @@ pub fn run_resilience(scale: &ExpScale) -> ResilienceReport {
     let metrics = guarded_snapshot(&scoreboard, &guarded);
     let mut report = health_report(&guarded, &r_guarded, &metrics);
     report.set_metrics(metrics.clone());
-    ResilienceReport {
+    let rep = ResilienceReport {
         health: report
             .components
             .iter()
@@ -182,7 +192,8 @@ pub fn run_resilience(scale: &ExpScale) -> ResilienceReport {
         guard_tripped: guarded.stats.trips > 0,
         metrics,
         rows,
-    }
+    };
+    (rep, scoreboard.chrome_trace())
 }
 
 #[cfg(test)]
@@ -195,7 +206,7 @@ mod tests {
     #[test]
     fn guard_rescues_ipc_under_stalls() {
         let scale = ExpScale::quick();
-        let rep = run_resilience(&scale);
+        let (rep, _) = run_resilience(&scale, None);
         assert!(rep.inference_stalls_injected > 0);
         assert!(rep.guard_tripped, "guard never tripped under 80% stalls");
 
@@ -232,7 +243,7 @@ mod tests {
     #[test]
     fn health_report_names_every_component_and_metrics_ride_along() {
         let scale = ExpScale::quick();
-        let rep = run_resilience(&scale);
+        let (rep, chrome) = run_resilience(&scale, Some(TraceConfig::default()));
         let names: Vec<&str> = rep.health.iter().map(|h| h.component.as_str()).collect();
         for expected in ["degradation-guard", "controller", "simulator"] {
             assert!(names.contains(&expected), "missing {expected} in {names:?}");
@@ -252,6 +263,10 @@ mod tests {
         assert!(m.detector.updates > 0);
         assert!(m.training.steps > 0);
         assert!(m.guard.trips > 0, "guard metrics missing trips");
+        // The trace is the guarded run's: one guard-trip instant per trip.
+        let chrome = serde_json::to_string(&chrome.expect("traced run")).expect("serializable");
+        let trip_instants = chrome.matches("\"guard-trip\"").count() as u64;
+        assert_eq!(trip_instants, m.guard.trips, "trace misses guard trips");
         // And the whole thing serializes for --metrics-out / CI artifacts.
         let text = serde_json::to_string(&rep.metrics).expect("metrics serialize");
         for key in [

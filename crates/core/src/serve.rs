@@ -1320,6 +1320,89 @@ mod tests {
     }
 
     #[test]
+    fn level_two_pin_recovers_only_after_calm_ladder_cooldown_and_clean_run() {
+        let cfg = ServeConfig {
+            num_shards: 1,
+            queue_capacity: 16,
+            batch_size: 1,
+            ..small_cfg()
+        };
+        let sb = PrefetchScoreboard::with_trace(2, 256, crate::TraceConfig::default());
+        let mut svc = PrefetchService::with_scoreboard(cfg, sb);
+        svc.register_stream(0, Box::new(FakeMl::new(5)));
+        let mut out = Vec::new();
+        // A full queue drained one item per pump stays above the high
+        // watermark for four pumps: two escalations, to level 2.
+        for b in 0..=16u64 {
+            svc.ingest(0, &acc(b), 0);
+        }
+        let mut pumps = 0;
+        while svc.overload_level() < 2 {
+            svc.pump(&mut out);
+            pumps += 1;
+            assert!(pumps < 16, "ladder never reached level 2");
+        }
+        assert_eq!(svc.metrics().degraded_accesses, 0);
+
+        // One access of the stream, then one pump; `n` counts them.
+        fn step(
+            svc: &mut PrefetchService,
+            out: &mut Vec<Prediction>,
+            n: &mut u64,
+            stall: u64,
+        ) -> Admission {
+            *n += 1;
+            let admission = svc.ingest(0, &acc(100 + *n), stall);
+            svc.pump(out);
+            admission
+        }
+        // Level 2 pins the healthy stream on its next access.
+        let mut pinned_fallbacks = 0u64;
+        let n = &mut pinned_fallbacks;
+        assert_eq!(step(&mut svc, &mut out, n, 0), Admission::Shed);
+        assert_eq!(svc.metrics().degraded_streams, 1);
+
+        // Clean fallback service while the ladder calms down: the
+        // cooldown and the clean run are met long before level 0, yet
+        // the pin holds until the ladder is back at 0.
+        while svc.overload_level() > 0 {
+            assert_eq!(step(&mut svc, &mut out, n, 0), Admission::Degraded);
+            assert!(!svc.is_quarantined(0), "a pinned stream is not quarantined");
+            assert_eq!(svc.metrics().stream_recoveries, 0);
+            assert!(*n < 64, "ladder never calmed");
+        }
+        let m = svc.metrics();
+        assert!(*n > cfg.stream_cooldown + u64::from(cfg.stream_recover_clean));
+        assert_eq!(m.per_stream[0].cooldown_remaining, 0);
+        assert_eq!(m.degraded_streams, 1);
+
+        // One stalled access restarts the clean run: recovery takes a
+        // full clean run from there, and not one access less.
+        assert_eq!(step(&mut svc, &mut out, n, 10_000), Admission::Degraded);
+        for _ in 1..cfg.stream_recover_clean {
+            assert_eq!(step(&mut svc, &mut out, n, 0), Admission::Degraded);
+            assert_eq!(svc.metrics().degraded_streams, 1);
+        }
+        assert_eq!(step(&mut svc, &mut out, n, 0), Admission::Degraded);
+        let m = svc.metrics();
+        assert_eq!(m.degraded_streams, 0, "stream never recovered");
+        assert_eq!(m.stream_recoveries, 1);
+        assert_eq!(m.quarantines, 0);
+        assert_eq!(m.degraded_accesses, pinned_fallbacks);
+        assert_eq!(svc.ingest(0, &acc(999), 0), Admission::Queued);
+
+        let events = svc
+            .scoreboard()
+            .map(|sb| sb.trace_events())
+            .unwrap_or_default();
+        let recovers = events
+            .iter()
+            .filter(|(_, e)| matches!(e, TraceEvent::StreamRecover { stream: 0 }))
+            .count();
+        assert_eq!(recovers, 1);
+    }
+
+    #[test]
     fn slow_stream_quarantined_without_touching_siblings() {
         let mut svc = PrefetchService::new(small_cfg());
         svc.register_stream(1, Box::new(FakeMl::new(5)));
