@@ -92,7 +92,7 @@ pub fn guarded_snapshot(
 ) -> MetricsSnapshot {
     let mut snap = scoreboard.snapshot();
     guard.inner().enrich_snapshot(&mut snap);
-    snap.guard = guard.metrics();
+    snap.guard = guard.stats.clone();
     snap
 }
 

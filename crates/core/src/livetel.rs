@@ -29,8 +29,7 @@
 //!   rate (miss fraction / budget, averaged over
 //!   [`SloConfig::window_intervals`] intervals). The resulting
 //!   [`SloVerdict`] feeds the service's overload ladder as an extra
-//!   escalation input (and [`crate::DegradationGuard::apply_slo_verdict`]
-//!   for guard users); every verdict change emits a
+//!   escalation input; every verdict change emits a
 //!   [`TraceEvent::SloEscalate`] / [`TraceEvent::SloRecover`]. A burn-rate
 //!   monitor fires on the *first* bad interval rather than waiting for a
 //!   per-stream miss window to fill, which is what makes it the early

@@ -860,11 +860,6 @@ metrics! {
         counter recoveries: u64,
         counter deadline_misses: u64,
         counter accesses_degraded: u64,
-        /// Trips forced by the live SLO monitor's Breach verdict
-        /// ([`crate::DegradationGuard::apply_slo_verdict`]) — a subset of
-        /// `trips`, kept separate so burn-rate-driven degradation is
-        /// distinguishable from the guard's own deadline/accuracy trips.
-        counter slo_trips: u64,
     }
 
     /// Predictor training counters.

@@ -12,8 +12,8 @@
 //! * **Per-stream isolation** — every stream owns its prefetcher and a
 //!   private Best-Offset fallback. A stream whose inference path trips its
 //!   deadline guard is *quarantined*: it degrades to the fallback alone,
-//!   with hysteretic recovery mirroring [`crate::DegradationGuard`], while
-//!   sibling streams keep full ML service.
+//!   with the hysteretic recovery of [`crate::DegradationGuard`] (both run
+//!   on [`Breaker`]), while sibling streams keep full ML service.
 //! * **Bounded queues + backpressure** — admission enqueues into
 //!   fixed-capacity per-shard queues ([`BoundedQueue`]). A full queue
 //!   sheds that access to the inline fallback and reports backpressure to
@@ -36,6 +36,7 @@
 //! time.
 
 use crate::cstp::{chain_prefetch_fused, FusedChainItem, FusedChainResult};
+use crate::degradation::Breaker;
 use crate::error::MpGraphError;
 use crate::livetel::LiveTelemetry;
 use crate::obs::{MetricsSnapshot, PrefetchScoreboard, ServeMetrics, StreamServeMetrics};
@@ -79,7 +80,7 @@ pub struct ServeConfig {
     /// Miss fraction over a full window that quarantines the stream.
     pub stream_trip_fraction: f64,
     /// Fallback accesses a degraded stream serves before recovery is
-    /// considered (cooldown, mirroring [`crate::GuardConfig`]).
+    /// considered (cooldown, as in [`crate::GuardConfig`]).
     pub stream_cooldown: u64,
     /// Consecutive stall-free accesses required on top of the cooldown.
     pub stream_recover_clean: u32,
@@ -247,28 +248,19 @@ pub struct Prediction {
     pub phase: u8,
 }
 
-/// Why a stream is currently off the ML path.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum StreamState {
-    Healthy,
-    /// Pinned degraded by the overload ladder (level 2).
-    Degraded,
-    /// Tripped its own deadline guard; isolated from siblings.
-    Quarantined,
-}
-
 struct StreamSlot {
     id: u32,
     /// Full ML prefetcher; `None` for auto-created fallback-only streams.
     ml: Option<Box<dyn Prefetcher + Send>>,
     fallback: BestOffset,
-    state: StreamState,
-    /// Sliding deadline-miss window over recent ML inferences.
-    misses: VecDeque<bool>,
-    /// Fallback accesses served since this stream left the ML path.
-    cooled: u64,
-    /// Consecutive stall-free accesses since the last faulty one.
-    clean_streak: u32,
+    /// Open while the stream is off the ML path, by its own deadline
+    /// quarantine or by the ladder's level-2 pin. It observes the
+    /// stream's ML deadline misses, and its cooldown clock is
+    /// `stats.fallback_served`.
+    breaker: Breaker,
+    /// The open breaker is a level-2 pin, which also waits for the ladder
+    /// to return to 0 before it recovers.
+    pinned: bool,
     /// Batch-compatibility signature when the prefetcher supports fused
     /// serving ([`MpGraphPrefetcher::batch_signature`]); `None` serves
     /// each of the stream's items solo.
@@ -279,15 +271,18 @@ struct StreamSlot {
 }
 
 impl StreamSlot {
-    fn new(id: u32, ml: Option<Box<dyn Prefetcher + Send>>) -> Self {
+    fn new(id: u32, ml: Option<Box<dyn Prefetcher + Send>>, cfg: &ServeConfig) -> Self {
         StreamSlot {
             id,
             ml,
             fallback: BestOffset::new(BoConfig::default()),
-            state: StreamState::Healthy,
-            misses: VecDeque::new(),
-            cooled: 0,
-            clean_streak: 0,
+            breaker: Breaker::new(
+                cfg.stream_miss_window,
+                cfg.stream_trip_fraction,
+                cfg.stream_cooldown,
+                cfg.stream_recover_clean,
+            ),
+            pinned: false,
             fuse_sig: None,
             stats: StreamServeMetrics {
                 id: u64::from(id),
@@ -296,8 +291,14 @@ impl StreamSlot {
         }
     }
 
-    fn off_ml_path(&self) -> bool {
-        self.ml.is_none() || self.state != StreamState::Healthy
+    fn quarantined(&self) -> bool {
+        self.breaker.is_open() && !self.pinned
+    }
+
+    /// Leaves the ML path: a level-2 pin, or a deadline quarantine.
+    fn trip(&mut self, pinned: bool) {
+        self.breaker.trip(self.stats.fallback_served);
+        self.pinned = pinned;
     }
 }
 
@@ -450,7 +451,7 @@ impl PrefetchService {
             None
         };
         let i = self.slot_for(id);
-        self.slots[i] = StreamSlot::new(id, Some(prefetcher));
+        self.slots[i] = StreamSlot::new(id, Some(prefetcher), &self.cfg);
         self.slots[i].fuse_sig = fuse_sig;
     }
 
@@ -461,7 +462,7 @@ impl PrefetchService {
             return i;
         }
         self.index.insert(id, self.slots.len());
-        self.slots.push(StreamSlot::new(id, None));
+        self.slots.push(StreamSlot::new(id, None, &self.cfg));
         self.counters.streams += 1;
         self.slots.len() - 1
     }
@@ -498,7 +499,7 @@ impl PrefetchService {
         self.scratch.clear();
         let s = &mut self.slots[slot];
         s.fallback.on_access(access, &mut self.scratch);
-        if s.off_ml_path() && s.ml.is_some() {
+        if s.breaker.is_open() {
             self.counters.degraded_accesses += 1;
         }
         s.stats.fallback_served += 1;
@@ -522,29 +523,18 @@ impl PrefetchService {
         self.note_recovery_progress(slot, stall);
     }
 
-    /// Hysteretic recovery bookkeeping for a stream off the ML path: a
-    /// cooldown's worth of fallback service plus a clean (stall-free) run,
-    /// and — for overload-pinned streams — a calm ladder.
+    /// Hysteretic recovery for a stream off the ML path: a cooldown's
+    /// worth of fallback service plus a clean (stall-free) run, and — for
+    /// overload-pinned streams — a calm ladder.
     fn note_recovery_progress(&mut self, slot: usize, stall: u64) {
         let s = &mut self.slots[slot];
-        if s.ml.is_none() || s.state == StreamState::Healthy {
+        if !s.breaker.is_open() {
             return;
         }
-        s.cooled += 1;
-        if stall == 0 {
-            s.clean_streak += 1;
-        } else {
-            s.clean_streak = 0;
-        }
-        let ladder_ok = s.state != StreamState::Degraded || self.level == 0;
-        if s.cooled >= self.cfg.stream_cooldown
-            && s.clean_streak >= self.cfg.stream_recover_clean
-            && ladder_ok
-        {
-            s.state = StreamState::Healthy;
-            s.misses.clear();
-            s.cooled = 0;
-            s.clean_streak = 0;
+        let recovered = s.breaker.probe(s.stats.fallback_served, stall == 0);
+        if recovered && (!s.pinned || self.level == 0) {
+            s.breaker.close();
+            s.pinned = false;
             let id = s.id;
             self.counters.stream_recoveries += 1;
             self.emit(TraceEvent::StreamRecover { stream: id });
@@ -565,7 +555,8 @@ impl PrefetchService {
         }
         let slot = self.slot_for(stream);
 
-        if self.slots[slot].off_ml_path() {
+        // Off the ML path: fallback-only, quarantined or pinned.
+        if self.slots[slot].ml.is_none() || self.slots[slot].breaker.is_open() {
             self.serve_fallback(slot, access, stall, None);
             return Admission::Degraded;
         }
@@ -573,12 +564,10 @@ impl PrefetchService {
             // Shed speculative ML work first — cheapest rung of the ladder.
             self.counters.shed_speculative += 1;
             self.slots[slot].stats.shed += 1;
-            if self.level >= 2 && self.slots[slot].state == StreamState::Healthy {
+            if self.level >= 2 {
                 // Level 2: pin the stream degraded (sticky until the
                 // ladder calms *and* the stream passes its cooldown).
-                self.slots[slot].state = StreamState::Degraded;
-                self.slots[slot].cooled = 0;
-                self.slots[slot].clean_streak = 0;
+                self.slots[slot].trip(true);
             }
             self.serve_fallback(slot, access, stall, None);
             return Admission::Shed;
@@ -827,46 +816,26 @@ impl PrefetchService {
         }
     }
 
-    /// Feeds one deadline observation into a stream's sliding miss window
-    /// and trips its quarantine when the miss fraction crosses the
-    /// threshold. Observations come from two places: ML inferences the
-    /// batch actually ran, and deferred items whose *own* stall already
-    /// exceeded the per-item deadline (without the latter, a faulty
-    /// stream whose every stalled item busts the batch deadline would be
-    /// deferred to fallback forever and never accumulate evidence against
-    /// itself). Already-quarantined streams are left alone.
+    /// Feeds one deadline observation into a stream's miss window and
+    /// trips its quarantine when the miss fraction crosses the threshold.
+    /// Observations come from two places: ML inferences the batch actually
+    /// ran, and deferred items whose *own* stall already exceeded the
+    /// per-item deadline (without the latter, a faulty stream whose every
+    /// stalled item busts the batch deadline would be deferred to fallback
+    /// forever and never accumulate evidence against itself).
+    /// Already-quarantined streams are left alone; a pinned stream still
+    /// observes, and its quarantine restarts the spell.
     fn note_deadline_observation(&mut self, slot: usize, missed: bool) {
-        let tripped = {
-            let s = &mut self.slots[slot];
-            if s.state == StreamState::Quarantined {
-                return;
-            }
-            s.stats.deadline_observations += 1;
-            if missed {
-                s.stats.deadline_misses += 1;
-            }
-            s.misses.push_back(missed);
-            while s.misses.len() > self.cfg.stream_miss_window {
-                s.misses.pop_front();
-            }
-            if s.misses.len() == self.cfg.stream_miss_window {
-                let miss_count = s.misses.iter().filter(|&&m| m).count();
-                let frac = miss_count as f64 / s.misses.len() as f64;
-                frac >= self.cfg.stream_trip_fraction
-            } else {
-                false
-            }
-        };
-        if tripped {
-            let id = {
-                let s = &mut self.slots[slot];
-                s.state = StreamState::Quarantined;
-                s.misses.clear();
-                s.cooled = 0;
-                s.clean_streak = 0;
-                s.stats.quarantines += 1;
-                s.id
-            };
+        let s = &mut self.slots[slot];
+        if s.quarantined() {
+            return;
+        }
+        s.stats.deadline_observations += 1;
+        s.stats.deadline_misses += u64::from(missed);
+        if s.breaker.observe(missed) {
+            s.trip(false);
+            s.stats.quarantines += 1;
+            let id = s.id;
             self.counters.quarantines += 1;
             self.emit(TraceEvent::StreamQuarantine { stream: id });
         }
@@ -1051,7 +1020,7 @@ impl PrefetchService {
     pub fn is_quarantined(&self, stream: u32) -> bool {
         self.index
             .get(&stream)
-            .map(|&i| self.slots[i].state == StreamState::Quarantined)
+            .map(|&i| self.slots[i].quarantined())
             .unwrap_or(false)
     }
 
@@ -1080,10 +1049,9 @@ impl PrefetchService {
     /// not depend on telemetry state, or the delta math would feed back
     /// into itself.
     fn base_metrics(&self) -> ServeMetrics {
-        let off_ml = |s: &StreamSlot| s.ml.is_some() && s.state != StreamState::Healthy;
         let mut m = ServeMetrics {
             overload_level: u64::from(self.level),
-            degraded_streams: self.slots.iter().filter(|s| off_ml(s)).count() as u64,
+            degraded_streams: self.slots.iter().filter(|s| s.breaker.is_open()).count() as u64,
             prediction_latency: self.prediction_latency.snapshot(),
             deferred_latency: self.deferred_latency.snapshot(),
             per_stream: self
@@ -1094,11 +1062,7 @@ impl PrefetchService {
                     // cooldown accesses still owed (clean-streak and
                     // ladder conditions come on top, so 0 here does not
                     // by itself mean "recovering next access").
-                    cooldown_remaining: if off_ml(s) {
-                        self.cfg.stream_cooldown.saturating_sub(s.cooled)
-                    } else {
-                        0
-                    },
+                    cooldown_remaining: s.breaker.cooldown_remaining(s.stats.fallback_served),
                     ..s.stats.clone()
                 })
                 .collect(),
