@@ -111,6 +111,70 @@ pub fn saturation_rate(cfg: &ServeConfig) -> usize {
     cfg.batch_size.min(by_deadline).max(1)
 }
 
+/// Why a `serve --stdin` line was rejected.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub enum StdinLineError {
+    /// Fewer than the three fields `stream pc vaddr`.
+    MissingField,
+    /// A field that is not a decimal or `0x`-hex `u64`.
+    BadNumber(String),
+    /// A stream id above `u32::MAX`.
+    StreamOutOfRange(u64),
+}
+
+impl std::fmt::Display for StdinLineError {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        match self {
+            StdinLineError::MissingField => write!(f, "want `stream pc vaddr [w]`"),
+            StdinLineError::BadNumber(field) => {
+                write!(f, "{field:?} is not a decimal or 0x-hex number")
+            }
+            StdinLineError::StreamOutOfRange(id) => {
+                write!(f, "stream id {id} does not fit in 32 bits")
+            }
+        }
+    }
+}
+
+impl std::error::Error for StdinLineError {}
+
+/// Parses a decimal or `0x`-prefixed hex `u64`.
+fn parse_num(field: &str) -> Result<u64, StdinLineError> {
+    match field
+        .strip_prefix("0x")
+        .or_else(|| field.strip_prefix("0X"))
+    {
+        Some(hex) => u64::from_str_radix(hex, 16),
+        None => field.parse(),
+    }
+    .map_err(|_| StdinLineError::BadNumber(field.to_string()))
+}
+
+/// Parses one line of `mpgraph serve --stdin` input: `stream pc vaddr
+/// [w]`, each number decimal or `0x`-hex, with a trailing `w` marking a
+/// write. Blank lines and `#` comments give `Ok(None)`. The access's
+/// `core` is 0; the caller maps streams onto cores.
+pub fn parse_stdin_line(line: &str) -> Result<Option<(u32, LlcAccess)>, StdinLineError> {
+    let line = line.trim();
+    if line.is_empty() || line.starts_with('#') {
+        return Ok(None);
+    }
+    let mut fields = line.split_whitespace();
+    let mut next = || fields.next().ok_or(StdinLineError::MissingField);
+    let (stream, pc, vaddr) = (next()?, next()?, next()?);
+    let (stream, pc, vaddr) = (parse_num(stream)?, parse_num(pc)?, parse_num(vaddr)?);
+    let stream = u32::try_from(stream).map_err(|_| StdinLineError::StreamOutOfRange(stream))?;
+    let access = LlcAccess {
+        pc,
+        block: vaddr >> 6,
+        core: 0,
+        is_write: fields.next() == Some("w"),
+        hit: false,
+        cycle: 0,
+    };
+    Ok(Some((stream, access)))
+}
+
 /// Zipf(s = 1) arrival weights across `streams`, normalized to sum to 1:
 /// stream `s` receives a `1/(s+1)` share. Graph-analytics front-ends are
 /// not uniform — a hot traversal stream dominates while cold streams

@@ -2,9 +2,9 @@
 //!
 //! The original shim lowered `par_iter()` to a sequential iterator. This
 //! version keeps the exact same call-site API (`par_iter`, `par_iter_mut`,
-//! `into_par_iter`, `map`, `flat_map`, `for_each`, `collect`, `sum`, and
-//! `join`) but executes on `std::thread::scope` worker threads, one ordered
-//! chunk per thread.
+//! `into_par_iter`, `map`, `flat_map`, `for_each`, `collect` and `sum`)
+//! but executes on `std::thread::scope` worker threads, one ordered chunk
+//! per thread.
 //!
 //! Determinism contract: results are **bit-identical to the sequential
 //! evaluation order**. Work is split into contiguous index chunks, each
@@ -197,28 +197,8 @@ where
     }
 }
 
-/// Runs `a` on the calling thread and `b` on a scoped worker, returning
-/// both results (inline when the host has a single CPU).
-pub fn join<A, B, RA, RB>(a: A, b: B) -> (RA, RB)
-where
-    A: FnOnce() -> RA + Send,
-    B: FnOnce() -> RB + Send,
-    RA: Send,
-    RB: Send,
-{
-    if num_threads() < 2 {
-        (a(), b())
-    } else {
-        std::thread::scope(|scope| {
-            let hb = scope.spawn(b);
-            let ra = a();
-            (ra, hb.join().expect("rayon shim join worker panicked"))
-        })
-    }
-}
-
 pub mod prelude {
-    pub use crate::{join, ParallelIterator};
+    pub use crate::ParallelIterator;
 
     /// Drop-in for rayon's `IntoParallelRefIterator`: anything iterable by
     /// reference gets a `par_iter` over shared references.
@@ -334,11 +314,5 @@ mod tests {
             })
             .collect();
         assert_eq!(out, vec![10, 20, 110, 120, 210, 220]);
-    }
-
-    #[test]
-    fn join_returns_both_results() {
-        let (a, b) = join(|| 2 + 2, || "temporal".len());
-        assert_eq!((a, b), (4, 8));
     }
 }

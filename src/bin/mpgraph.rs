@@ -20,6 +20,7 @@
 //! order), so the merged `--metrics-out` artifact is byte-identical at
 //! any `--shards` count.
 
+use mpgraph::bench::serve_load;
 use mpgraph::core::trace::TraceConfig as TelemetryConfig;
 use mpgraph::core::{
     build_detector, train_mpgraph, LiveTelemetry, LiveTelemetryConfig, MetricsSnapshot,
@@ -538,17 +539,10 @@ fn cmd_run_all(args: &Args) {
     write_trace_value(args, &m.chrome_trace());
 }
 
-/// Parses a decimal or `0x`-prefixed hex integer from a stdin field.
-fn parse_num(s: &str) -> Option<u64> {
-    match s.strip_prefix("0x").or_else(|| s.strip_prefix("0X")) {
-        Some(hex) => u64::from_str_radix(hex, 16).ok(),
-        None => s.parse().ok(),
-    }
-}
-
 /// Feeds stdin-driven accesses through the service: one access per line,
 /// `stream pc vaddr [w]` (decimal or 0x-hex; trailing `w` marks a write;
-/// blank lines and `#` comments skipped). Returns the access count.
+/// blank lines and `#` comments skipped; see
+/// [`serve_load::parse_stdin_line`]). Returns the access count.
 ///
 /// Never exits the process: malformed lines are skipped with a warning
 /// and a read error ends the loop early — either way the caller still
@@ -572,33 +566,16 @@ fn serve_from_stdin(
                 break;
             }
         };
-        let s = line.trim();
-        if s.is_empty() || s.starts_with('#') {
-            continue;
-        }
-        let mut f = s.split_whitespace();
-        let parsed = match (f.next(), f.next(), f.next()) {
-            (Some(stream), Some(pc), Some(vaddr)) => {
-                match (parse_num(stream), parse_num(pc), parse_num(vaddr)) {
-                    (Some(stream), Some(pc), Some(vaddr)) => Some((stream, pc, vaddr)),
-                    _ => None,
-                }
+        let (stream, mut access) = match serve_load::parse_stdin_line(&line) {
+            Ok(Some(parsed)) => parsed,
+            Ok(None) => continue,
+            Err(e) => {
+                eprintln!("warning: skipping stdin line {:?}: {e}", line.trim());
+                continue;
             }
-            _ => None,
         };
-        let Some((stream, pc, vaddr)) = parsed else {
-            eprintln!("warning: skipping stdin line {s:?}: want `stream pc vaddr [w]`");
-            continue;
-        };
-        let stream = stream as u32 % streams.max(1) as u32;
-        let access = LlcAccess {
-            pc,
-            block: vaddr >> 6,
-            core: (stream % 8) as u8,
-            is_write: f.next() == Some("w"),
-            hit: false,
-            cycle: 0,
-        };
+        let stream = stream % streams.max(1) as u32;
+        access.core = (stream % 8) as u8;
         svc.ingest(stream, &access, 0);
         n += 1;
         if n.is_multiple_of(rate) {
@@ -676,10 +653,7 @@ fn cmd_serve(args: &Args) {
         fuse: args.get("no-fuse").is_none(),
         ..ServeConfig::default()
     };
-    let saturation = (serve_cfg.batch_size as u64)
-        .min((serve_cfg.batch_deadline / serve_cfg.ml_item_cost.max(1)).max(1))
-        .max(1) as usize;
-    let rate = ((load * saturation as f64).round() as usize).max(1);
+    let rate = ((load * serve_load::saturation_rate(&serve_cfg) as f64).round() as usize).max(1);
 
     let mut svc = match scoreboard_for(args, num_phases) {
         Some(sb) => PrefetchService::with_scoreboard(serve_cfg, sb),
