@@ -5,17 +5,17 @@
 //! compressed" headline configuration.
 
 use crate::amma::AmmaConfig;
-use crate::backbone::Backbone;
-use crate::delta_predictor::{DeltaPredictor, DeltaRange};
+use crate::delta_predictor::{block_history, DeltaPredictor};
 use crate::page_predictor::{PageHead, PagePredictor};
+use crate::training::fit_phase_models;
 use crate::variants::Variant;
 use mpgraph_frameworks::MemRecord;
-use mpgraph_ml::guard::{GuardAction, TrainGuard};
-use mpgraph_ml::layers::{Linear, Module};
-use mpgraph_ml::loss::{binary_distillation_loss, distillation_loss};
-use mpgraph_ml::optim::Adam;
-use mpgraph_ml::tensor::rng;
-use mpgraph_ml::ScratchArena;
+use mpgraph_ml::layers::Sigmoid;
+use mpgraph_ml::loss::{
+    bce_with_logits, binary_distillation_loss, distillation_loss, softmax_cross_entropy,
+};
+use mpgraph_ml::metrics::top_k_indices;
+use mpgraph_prefetchers::mlcommon::{sample_starts, PageVocab};
 use mpgraph_prefetchers::TrainCfg;
 
 /// Distillation hyper-parameters.
@@ -44,8 +44,22 @@ impl Default for DistillCfg {
     }
 }
 
+impl DistillCfg {
+    /// The student's variant: the teacher's, or plain AMMA when the phase
+    /// models fold into one student.
+    fn student_variant(&self, teacher: Variant) -> Variant {
+        if self.single_student {
+            Variant::Amma
+        } else {
+            teacher
+        }
+    }
+}
+
 /// Distills a trained delta predictor into a smaller student, matching the
-/// teacher's per-label probabilities on the training stream.
+/// teacher's per-label probabilities on the training stream. Each student
+/// model trains on its own thread over the training walk's windows of its
+/// phase, as in [`DeltaPredictor::train`].
 pub fn distill_delta(
     teacher: &DeltaPredictor,
     records: &[MemRecord],
@@ -54,97 +68,29 @@ pub fn distill_delta(
 ) -> DeltaPredictor {
     let mut cfg = teacher.cfg;
     cfg.amma = dc.student_amma;
-    let dr = DeltaRange {
-        range: cfg.delta_range,
-    };
-    let num_phases = teacher.num_phases;
-    let (variant, model_count) = if dc.single_student {
-        (Variant::Amma, 1)
-    } else {
-        (teacher.variant, teacher.models.len())
-    };
-    let mut r = rng(tc.seed ^ 0xD157);
-    let mut models: Vec<(Backbone, Linear)> = (0..model_count)
-        .map(|_| {
-            let b = Backbone::new(variant.backbone_kind(), cfg.segments, 1, cfg.amma, &mut r);
-            let head = Linear::new(b.out_dim(), dr.num_labels(), &mut r);
-            (b, head)
-        })
-        .collect();
-    let mut opts: Vec<Adam> = (0..model_count).map(|_| Adam::new(tc.lr)).collect();
-    let mut guards: Vec<TrainGuard> = (0..model_count)
-        .map(|_| TrainGuard::new(crate::prefetcher::TRAIN_CHECKPOINT_INTERVAL))
-        .collect();
-
+    let variant = dc.student_variant(teacher.variant);
+    let mut student = DeltaPredictor::untrained(teacher.num_phases, variant, cfg, tc.seed ^ 0xD157);
+    let walk = student.walk(records, tc);
     let t = tc.history;
-    let usable = records.len().saturating_sub(t + cfg.look_forward);
-    let stride = (usable / tc.max_samples.max(1)).max(1);
-    let mut final_loss = 0.0f32;
-    // The teacher runs inference-only: its logits come out of one arena
-    // reused across every distillation step.
-    let mut teacher_arena = ScratchArena::new();
-    'epochs: for _ in 0..tc.epochs {
-        let mut i = 0usize;
-        let mut count = 0usize;
-        let mut loss_sum = 0.0f32;
-        while i + t + cfg.look_forward < records.len() && count < tc.max_samples {
-            let pos = i + t - 1;
-            let phase = records[pos].phase as usize % num_phases.max(1);
-            let midx = if dc.single_student {
-                0
-            } else {
-                phase % model_count
-            };
-            let hist: Vec<(u64, u64)> = records[i..i + t]
-                .iter()
-                .map(|rec| (rec.block(), rec.pc))
-                .collect();
+    let (final_loss, training) =
+        fit_phase_models("delta", &mut student.models, walk, tc, |m, &(i, phase)| {
+            let hist = block_history(&records[i..i + t]);
             // Teacher's soft targets (phase-appropriate teacher model).
-            let teacher_logits =
-                teacher.predict_logits_batch_in(&[hist.as_slice()], phase, &mut teacher_arena);
-            let x = DeltaPredictor::encode_hist(&cfg, &hist);
-            let (backbone, head) = &mut models[midx];
-            let pooled = backbone.forward(&x, phase);
-            let logits = head.forward(&pooled);
+            let teacher_logits = teacher.predict_logits(&hist, phase);
+            let logits = m.forward(&DeltaPredictor::encode(&cfg, &hist), phase);
             let (loss, dl) = binary_distillation_loss(&logits, &teacher_logits);
-            teacher_arena.give(teacher_logits);
-            let dp = head.backward(&dl);
-            backbone.backward(&dp);
-            opts[midx].step(backbone);
-            opts[midx].step(head);
-            i += stride;
-            count += 1;
-            match guards[midx].observe(
-                loss,
-                &mut [backbone as &mut dyn Module, head as &mut dyn Module],
-                &mut opts[midx].lr,
-            ) {
-                GuardAction::Continue => loss_sum += loss,
-                GuardAction::RolledBack { .. } => count -= 1,
-                GuardAction::Exhausted => break 'epochs,
-            }
-        }
-        final_loss = if count > 0 {
-            loss_sum / count as f32
-        } else {
-            f32::NAN
-        };
-    }
-    DeltaPredictor {
-        variant,
-        cfg,
-        models,
-        num_phases,
-        final_loss,
-        train_steps: 0,
-        train_rollbacks: 0,
-        int8_bytes: None,
-    }
+            m.backward(&dl);
+            loss
+        });
+    student.final_loss = final_loss;
+    student.training = training;
+    student
 }
 
-/// Distills a trained page predictor into a smaller student. The student
-/// uses the binary-encoded head when the teacher does; KD runs on the
-/// temperature-softened token distribution otherwise.
+/// Distills a trained page predictor into a smaller student on the global
+/// record stream. The student uses the binary-encoded head when the
+/// teacher does; KD runs on the temperature-softened token distribution
+/// otherwise. Each student model trains on its own thread.
 pub fn distill_page(
     teacher: &PagePredictor,
     records: &[MemRecord],
@@ -156,142 +102,68 @@ pub fn distill_page(
     if let Some(h) = dc.student_head {
         cfg.head = h;
     }
-    let num_phases = teacher.num_phases;
-    let (variant, model_count) = if dc.single_student {
-        (Variant::Amma, 1)
-    } else {
-        (teacher.variant, teacher.models.len())
-    };
-    // The student is trained against teacher logits, so construct it via
-    // the regular constructor path and then re-train its weights.
-    let mut student = PagePredictor::train(
-        records,
-        num_phases,
-        variant,
-        cfg,
-        &TrainCfg {
-            epochs: 0, // build architecture + vocab only; no hard-label training
-            ..*tc
-        },
-    );
-    let mut opts: Vec<Adam> = (0..model_count).map(|_| Adam::new(tc.lr)).collect();
-    let mut guards: Vec<TrainGuard> = (0..model_count)
-        .map(|_| TrainGuard::new(crate::prefetcher::TRAIN_CHECKPOINT_INTERVAL))
-        .collect();
-    let seq: Vec<(usize, u64, u8)> = records
-        .iter()
-        .map(|rec| (student.vocab.token_of(rec.page()), rec.pc, rec.phase))
-        .collect();
+    let variant = dc.student_variant(teacher.variant);
+    let mut student =
+        PagePredictor::untrained(records, teacher.num_phases, variant, cfg, tc.seed ^ 0x9A6E);
     let t = tc.history;
-    let usable = seq.len().saturating_sub(t + 1);
-    let stride = (usable / tc.max_samples.max(1)).max(1);
-    let mut final_loss = 0.0f32;
-    let mut teacher_arena = ScratchArena::new();
-    'epochs: for _ in 0..tc.epochs {
-        let mut i = 0usize;
-        let mut count = 0usize;
-        let mut loss_sum = 0.0f32;
-        while i + t < seq.len() && count < tc.max_samples {
-            let phase = seq[i + t - 1].2 as usize % num_phases.max(1);
-            let midx = if dc.single_student {
-                0
-            } else {
-                phase % model_count
-            };
-            let hist: Vec<(usize, u64)> = seq[i..i + t]
-                .iter()
-                .map(|&(tok, pc, _)| (tok, pc))
-                .collect();
-            // Teacher history uses the teacher's own vocabulary.
-            let t_hist: Vec<(usize, u64)> = records[i..i + t]
-                .iter()
-                .map(|rec| (teacher.vocab.token_of(rec.page()), rec.pc))
-                .collect();
-            let teacher_logits =
-                teacher.predict_logits_batch_in(&[t_hist.as_slice()], phase, &mut teacher_arena);
-            let (loss, dl) = {
-                let m = &mut student.models[midx];
-                let tokens: Vec<usize> = hist.iter().map(|&(tk, _)| tk).collect();
-                let addr = m.embed.forward(&tokens);
-                let mut pc = mpgraph_ml::tensor::Matrix::zeros(hist.len(), 1);
-                for (j, &(_, pcv)) in hist.iter().enumerate() {
-                    pc.data[j] = mpgraph_prefetchers::mlcommon::pc_feature(pcv);
+    let starts = sample_starts(
+        records.len(),
+        t,
+        records.len().saturating_sub(t + 1),
+        tc.max_samples,
+    );
+    let walk: Vec<(usize, usize)> = starts
+        .into_iter()
+        .map(|i| (i, records[i + t - 1].phase as usize % student.num_phases))
+        .collect();
+    let vocab_len = student.vocab.len().max(1);
+    let tokens = |vocab: &PageVocab, i: usize| -> Vec<(usize, u64)> {
+        records[i..i + t]
+            .iter()
+            .map(|rec| (vocab.token_of(rec.page()), rec.pc))
+            .collect()
+    };
+    let (final_loss, training) =
+        fit_phase_models("page", &mut student.models, walk, tc, |m, &(i, phase)| {
+            // Each side reads the window through its own vocabulary.
+            let teacher_logits = teacher.predict_logits(&tokens(&teacher.vocab, i), phase);
+            let logits = m.forward(&tokens(&student.vocab, i), phase);
+            let (loss, dl) = match (teacher.cfg.head, cfg.head) {
+                (PageHead::Softmax, PageHead::Softmax) => {
+                    // Softmax student heads are tied: `logits` is the
+                    // embedding-space projection, not the vocab-wide
+                    // row. Expand through the student's table for the
+                    // KD loss and pull the gradient back through the
+                    // same (frozen-for-this-product) table.
+                    let full = logits.matmul_bt(&m.embed.table.w);
+                    let (loss, d_full) = distillation_loss(&full, &teacher_logits, dc.temperature);
+                    (loss, d_full.matmul(&m.embed.table.w))
                 }
-                let x = crate::amma::ModalInput { addr, pc };
-                let pooled = m.backbone.forward(&x, phase);
-                let logits = m.head.forward(&pooled);
-                let (loss, dl) = match (teacher.cfg.head, cfg.head) {
-                    (PageHead::Softmax, PageHead::Softmax) => {
-                        // Softmax student heads are tied: `logits` is the
-                        // embedding-space projection, not the vocab-wide
-                        // row. Expand through the student's table for the
-                        // KD loss and pull the gradient back through the
-                        // same (frozen-for-this-product) table.
-                        let full = logits.matmul_bt(&m.embed.table.w);
-                        let (loss, d_full) =
-                            distillation_loss(&full, &teacher_logits, dc.temperature);
-                        (loss, d_full.matmul(&m.embed.table.w))
-                    }
-                    (PageHead::BinaryEncoded, PageHead::Softmax) => {
-                        // Bits-wide teacher vs vocab-wide student: decode
-                        // the teacher's token and distill it as a hard
-                        // label through the student's tied softmax.
-                        let probs = mpgraph_ml::layers::Sigmoid::infer(&teacher_logits);
-                        let top =
-                            PagePredictor::decode_bits(probs.row(0), student.vocab.len().max(1));
-                        let full = logits.matmul_bt(&m.embed.table.w);
-                        let (loss, d_full) = mpgraph_ml::loss::softmax_cross_entropy(&full, &[top]);
-                        (loss, d_full.matmul(&m.embed.table.w))
-                    }
-                    (PageHead::BinaryEncoded, PageHead::BinaryEncoded) => {
-                        binary_distillation_loss(&logits, &teacher_logits)
-                    }
-                    (PageHead::Softmax, PageHead::BinaryEncoded) => {
-                        // Head widths differ: distill the teacher's argmax
-                        // token through the student's binary target.
-                        let top = mpgraph_ml::metrics::top_k_indices(teacher_logits.row(0), 1)[0];
-                        let bits = logits.cols;
-                        let mut target = mpgraph_ml::tensor::Matrix::zeros(1, bits);
-                        for b in 0..bits {
-                            target.data[b] = ((top >> b) & 1) as f32;
-                        }
-                        mpgraph_ml::loss::bce_with_logits(&logits, &target)
-                    }
-                };
-                let dp = m.head.backward(&dl);
-                let (d_addr, _) = m.backbone.backward(&dp);
-                m.embed.backward(&d_addr);
-                (loss, dl)
+                (PageHead::BinaryEncoded, PageHead::Softmax) => {
+                    // Bits-wide teacher vs vocab-wide student: decode
+                    // the teacher's token and distill it as a hard
+                    // label through the student's tied softmax.
+                    let probs = Sigmoid::infer(&teacher_logits);
+                    let top = PagePredictor::decode_bits(probs.row(0), vocab_len);
+                    let full = logits.matmul_bt(&m.embed.table.w);
+                    let (loss, d_full) = softmax_cross_entropy(&full, &[top]);
+                    (loss, d_full.matmul(&m.embed.table.w))
+                }
+                (PageHead::BinaryEncoded, PageHead::BinaryEncoded) => {
+                    binary_distillation_loss(&logits, &teacher_logits)
+                }
+                (PageHead::Softmax, PageHead::BinaryEncoded) => {
+                    // Head widths differ: distill the teacher's argmax
+                    // token through the student's binary target.
+                    let top = top_k_indices(teacher_logits.row(0), 1)[0];
+                    bce_with_logits(&logits, &PagePredictor::binary_target(top, logits.cols))
+                }
             };
-            let _ = dl;
-            teacher_arena.give(teacher_logits);
-            let m = &mut student.models[midx];
-            opts[midx].step(&mut m.embed);
-            opts[midx].step(&mut m.backbone);
-            opts[midx].step(&mut m.head);
-            i += stride;
-            count += 1;
-            match guards[midx].observe(
-                loss,
-                &mut [
-                    &mut m.embed as &mut dyn Module,
-                    &mut m.backbone as &mut dyn Module,
-                    &mut m.head as &mut dyn Module,
-                ],
-                &mut opts[midx].lr,
-            ) {
-                GuardAction::Continue => loss_sum += loss,
-                GuardAction::RolledBack { .. } => count -= 1,
-                GuardAction::Exhausted => break 'epochs,
-            }
-        }
-        final_loss = if count > 0 {
-            loss_sum / count as f32
-        } else {
-            f32::NAN
-        };
-    }
+            m.backward(&dl);
+            loss
+        });
     student.final_loss = final_loss;
+    student.training = training;
     student
 }
 
@@ -410,6 +282,37 @@ mod tests {
             f1_s.f1 <= f1_t.f1 + 0.2,
             "student unexpectedly above teacher"
         );
+    }
+
+    #[test]
+    fn amma_pi_delta_students_keep_their_phase_embedding() {
+        let tr = trace();
+        let (dcfg, _, tc) = teacher_cfgs();
+        let tc = TrainCfg {
+            max_samples: 60,
+            epochs: 1,
+            ..tc
+        };
+        let teacher = DeltaPredictor::train(&tr, 2, Variant::AmmaPi, dcfg, &tc);
+        let dc = DistillCfg {
+            student_amma: AmmaConfig {
+                history: 5,
+                attn_dim: 4,
+                fusion_dim: 8,
+                layers: 1,
+                heads: 2,
+            },
+            ..DistillCfg::default()
+        };
+        let student = distill_delta(&teacher, &tr, &dc, &tc);
+        let scfg = DeltaPredictorConfig {
+            amma: dc.student_amma,
+            ..dcfg
+        };
+        let pi = DeltaPredictor::train(&tr, 2, Variant::AmmaPi, scfg, &tc);
+        let plain = DeltaPredictor::train(&tr, 2, Variant::Amma, scfg, &tc);
+        assert!(pi.num_params() > plain.num_params());
+        assert_eq!(student.num_params(), pi.num_params());
     }
 
     #[test]

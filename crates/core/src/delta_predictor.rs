@@ -5,51 +5,20 @@
 
 use crate::amma::{AmmaConfig, ModalInput};
 use crate::backbone::Backbone;
+use crate::obs::TrainMetrics;
+use crate::training::fit_phase_models;
 use crate::variants::Variant;
 use mpgraph_frameworks::MemRecord;
-use mpgraph_ml::guard::{GuardAction, TrainGuard};
+use mpgraph_ml::guard::Trainable;
 use mpgraph_ml::layers::{Linear, Module, Sigmoid};
 use mpgraph_ml::loss::bce_with_logits;
 use mpgraph_ml::metrics::{multilabel_f1, top_k_indices, Prf};
-use mpgraph_ml::optim::Adam;
 use mpgraph_ml::quant::quantize_module;
 use mpgraph_ml::tensor::{rng, Matrix};
 use mpgraph_ml::ScratchArena;
-use mpgraph_prefetchers::mlcommon::{dedup_lanes, pc_feature, segment_block};
+pub use mpgraph_prefetchers::mlcommon::DeltaRange;
+use mpgraph_prefetchers::mlcommon::{dedup_lanes, pc_feature, sample_starts, segment_block};
 use mpgraph_prefetchers::TrainCfg;
-use rayon::prelude::*;
-
-/// Bidirectional delta↔label mapping over `[-range, +range] \ {0}`.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct DeltaRange {
-    pub range: i64,
-}
-
-impl DeltaRange {
-    pub fn num_labels(&self) -> usize {
-        2 * self.range as usize
-    }
-
-    pub fn label_of(&self, delta: i64) -> Option<usize> {
-        if delta == 0 || delta.abs() > self.range {
-            return None;
-        }
-        Some(if delta > 0 {
-            (self.range + delta - 1) as usize
-        } else {
-            (self.range + delta) as usize
-        })
-    }
-
-    pub fn delta_of(&self, label: usize) -> i64 {
-        let l = label as i64;
-        if l >= self.range {
-            l - self.range + 1
-        } else {
-            l - self.range
-        }
-    }
-}
 
 /// Delta-predictor hyper-parameters.
 #[derive(Debug, Clone, Copy)]
@@ -80,6 +49,47 @@ impl Default for DeltaPredictorConfig {
     }
 }
 
+impl DeltaPredictorConfig {
+    /// The output bitmap's delta↔label mapping.
+    pub(crate) fn labels(&self) -> DeltaRange {
+        DeltaRange {
+            range: self.delta_range,
+        }
+    }
+}
+
+/// One phase model: a backbone and its bitmap head.
+#[derive(Clone)]
+pub(crate) struct DeltaModel {
+    pub(crate) backbone: Backbone,
+    pub(crate) head: Linear,
+}
+
+impl Trainable for DeltaModel {
+    fn parts(&mut self) -> Vec<&mut dyn Module> {
+        vec![&mut self.backbone, &mut self.head]
+    }
+}
+
+impl DeltaModel {
+    /// Training forward: head logits for one encoded window.
+    pub(crate) fn forward(&mut self, x: &ModalInput, phase: usize) -> Matrix {
+        let pooled = self.backbone.forward(x, phase);
+        self.head.forward(&pooled)
+    }
+
+    /// Backward from the logits' gradient through head and backbone.
+    pub(crate) fn backward(&mut self, d_logits: &Matrix) {
+        let dp = self.head.backward(d_logits);
+        self.backbone.backward(&dp);
+    }
+}
+
+/// The (block, pc) history of a record window.
+pub(crate) fn block_history(window: &[MemRecord]) -> Vec<(u64, u64)> {
+    window.iter().map(|rec| (rec.block(), rec.pc)).collect()
+}
+
 /// The spatial delta predictor, in any of the five Table 6 variants.
 /// `Clone` duplicates the trained weights, so a serving layer can stamp
 /// out per-stream prefetchers from one trained instance.
@@ -87,21 +97,20 @@ impl Default for DeltaPredictorConfig {
 pub struct DeltaPredictor {
     pub variant: Variant,
     pub cfg: DeltaPredictorConfig,
-    /// One (backbone, head) per phase for AMMA-PS, otherwise length 1.
-    pub(crate) models: Vec<(Backbone, Linear)>,
+    /// One model per phase for AMMA-PS, otherwise length 1.
+    pub(crate) models: Vec<DeltaModel>,
     /// Int8 storage bytes, set once [`DeltaPredictor::quantize`] has
     /// rounded the weights onto their int8 grid; `None` for plain f32.
     pub(crate) int8_bytes: Option<usize>,
     pub(crate) num_phases: usize,
     pub final_loss: f32,
-    /// Optimizer steps taken across all phase models and epochs.
-    pub train_steps: u64,
-    /// `TrainGuard` weight rollbacks during training (0 on clean runs).
-    pub train_rollbacks: u64,
+    /// Optimizer steps, guard rollbacks and one event per rollback, in
+    /// (model, step) order.
+    pub training: TrainMetrics,
 }
 
 impl DeltaPredictor {
-    fn encode(cfg: &DeltaPredictorConfig, hist: &[(u64, u64)]) -> ModalInput {
+    pub(crate) fn encode(cfg: &DeltaPredictorConfig, hist: &[(u64, u64)]) -> ModalInput {
         let mut addr = Matrix::zeros(hist.len(), cfg.segments);
         let mut pc = Matrix::zeros(hist.len(), 1);
         for (i, &(block, pcv)) in hist.iter().enumerate() {
@@ -112,33 +121,64 @@ impl DeltaPredictor {
         ModalInput { addr, pc }
     }
 
-    /// Builds the label bitmap for the access at `pos` (deltas of the next
-    /// `look_forward` accesses relative to `records[pos]`'s block).
-    fn label_bitmap(cfg: &DeltaPredictorConfig, records: &[MemRecord], pos: usize) -> Matrix {
-        let dr = DeltaRange {
-            range: cfg.delta_range,
+    /// Freshly initialised phase models (one per phase for the
+    /// phase-specific variants), drawn from `rng(seed)` model by model:
+    /// backbone, phase embedding (phase-informed variants), head.
+    pub(crate) fn untrained(
+        num_phases: usize,
+        variant: Variant,
+        cfg: DeltaPredictorConfig,
+        seed: u64,
+    ) -> Self {
+        let model_count = if variant.is_phase_specific() {
+            num_phases
+        } else {
+            1
         };
-        let cur = records[pos].block() as i64;
-        let mut target = Matrix::zeros(1, dr.num_labels());
-        for fut in records.iter().skip(pos + 1).take(cfg.look_forward) {
-            if let Some(l) = dr.label_of(fut.block() as i64 - cur) {
-                target.data[l] = 1.0;
-            }
+        let mut r = rng(seed);
+        let models = (0..model_count)
+            .map(|_| {
+                let mut backbone =
+                    Backbone::new(variant.backbone_kind(), cfg.segments, 1, cfg.amma, &mut r);
+                if variant.is_phase_informed() {
+                    backbone = backbone.with_phase_embedding(num_phases, &mut r);
+                }
+                let head = Linear::new(backbone.out_dim(), cfg.labels().num_labels(), &mut r);
+                DeltaModel { backbone, head }
+            })
+            .collect();
+        DeltaPredictor {
+            variant,
+            cfg,
+            models,
+            int8_bytes: None,
+            num_phases: num_phases.max(1),
+            final_loss: f32::NAN,
+            training: TrainMetrics::default(),
         }
-        target
+    }
+
+    /// The sample walk over `records`: strided window starts (a window of
+    /// `tc.history` accesses and its `look_forward` label accesses must
+    /// fit), each with its phase.
+    pub(crate) fn walk(&self, records: &[MemRecord], tc: &TrainCfg) -> Vec<(usize, usize)> {
+        let t = tc.history;
+        let reach = t + self.cfg.look_forward;
+        let starts = sample_starts(
+            records.len(),
+            reach,
+            records.len().saturating_sub(reach),
+            tc.max_samples,
+        );
+        starts
+            .into_iter()
+            .map(|i| (i, records[i + t - 1].phase as usize % self.num_phases))
+            .collect()
     }
 
     /// Trains the predictor on `records` (one framework iteration, with
-    /// ground-truth phase labels available offline per Figure 6).
-    ///
-    /// Phase-specific variants train their per-phase models concurrently:
-    /// a serial data-only walk first assigns every sample window to its
-    /// phase model (the same windows, in the same per-model order, that the
-    /// old interleaved loop produced), then each (model, optimizer, guard,
-    /// schedule) tuple trains independently on its own thread. Each model's
-    /// update sequence is fully self-contained, so the resulting weights
-    /// are bit-identical run to run regardless of thread scheduling. A
-    /// guard-exhausted model stops alone instead of aborting its siblings.
+    /// ground-truth phase labels available offline per Figure 6), each
+    /// phase model on its own thread.
     pub fn train(
         records: &[MemRecord],
         num_phases: usize,
@@ -146,195 +186,27 @@ impl DeltaPredictor {
         cfg: DeltaPredictorConfig,
         tc: &TrainCfg,
     ) -> Self {
-        Self::train_with_events(records, num_phases, variant, cfg, tc, None)
-    }
-
-    /// [`Self::train`] with a live rollback-event channel attached: every
-    /// `TrainGuard` rollback / exhaustion pushes a structured event into
-    /// `sink` at the moment it fires (see [`crate::TrainEventSink`]).
-    pub fn train_with_events(
-        records: &[MemRecord],
-        num_phases: usize,
-        variant: Variant,
-        cfg: DeltaPredictorConfig,
-        tc: &TrainCfg,
-        sink: Option<&crate::TrainEventSink>,
-    ) -> Self {
-        let dr = DeltaRange {
-            range: cfg.delta_range,
-        };
-        let model_count = if variant.is_phase_specific() {
-            num_phases
-        } else {
-            1
-        };
-        let mut r = rng(tc.seed ^ 0xDE17A);
-        let mut models: Vec<(Backbone, Linear)> = (0..model_count)
-            .map(|_| {
-                let mut b =
-                    Backbone::new(variant.backbone_kind(), cfg.segments, 1, cfg.amma, &mut r);
-                if variant.is_phase_informed() {
-                    b = b.with_phase_embedding(num_phases, &mut r);
-                }
-                let head = Linear::new(b.out_dim(), dr.num_labels(), &mut r);
-                (b, head)
-            })
-            .collect();
-        let mut opts: Vec<Adam> = (0..model_count).map(|_| Adam::new(tc.lr)).collect();
-        let mut guards: Vec<TrainGuard> = (0..model_count)
-            .map(|_| TrainGuard::new(crate::prefetcher::TRAIN_CHECKPOINT_INTERVAL))
-            .collect();
-
+        let mut p = Self::untrained(num_phases, variant, cfg, tc.seed ^ 0xDE17A);
+        let walk = p.walk(records, tc);
         let t = tc.history;
-        let usable = records.len().saturating_sub(t + cfg.look_forward);
-        let stride = (usable / tc.max_samples.max(1)).max(1);
-
-        // Serial data-only walk: assign sample windows to phase models.
-        let mut schedules: Vec<Vec<usize>> = vec![Vec::new(); model_count];
-        {
-            let mut i = 0usize;
-            let mut count = 0usize;
-            while i + t + cfg.look_forward < records.len() && count < tc.max_samples {
-                let pos = i + t - 1;
-                let phase = records[pos].phase as usize % num_phases.max(1);
-                let midx = if variant.is_phase_specific() {
-                    phase
-                } else {
-                    0
-                };
-                schedules[midx].push(i);
-                i += stride;
-                count += 1;
-            }
-        }
-
-        // Per-model training, fanned out over threads. `collect` preserves
-        // model order, and the final loss combines per-model sums in that
-        // order — a deterministic reduction.
-        type Job<'a> = (
-            (usize, &'a mut (Backbone, Linear), &'a mut Adam),
-            (&'a mut TrainGuard, &'a Vec<usize>),
-        );
-        let jobs: Vec<Job<'_>> = models
-            .iter_mut()
-            .zip(opts.iter_mut())
-            .zip(guards.iter_mut().zip(schedules.iter()))
-            .enumerate()
-            .map(|(midx, ((model, opt), rest))| ((midx, model, opt), rest))
-            .collect();
-        let stats: Vec<(f32, usize, u64)> = jobs
-            .into_par_iter()
-            .map(|((midx, model, opt), (guard, schedule))| {
-                Self::train_one_model(
-                    records, num_phases, &cfg, tc, model, opt, guard, schedule, midx, sink,
-                )
-            })
-            .collect();
-        let loss_sum: f32 = stats.iter().map(|&(l, _, _)| l).sum();
-        let count: usize = stats.iter().map(|&(_, c, _)| c).sum();
-        let train_steps: u64 = stats.iter().map(|&(_, _, s)| s).sum();
-        let train_rollbacks: u64 = guards.iter().map(|g| g.rollbacks as u64).sum();
-        let final_loss = if count > 0 {
-            loss_sum / count as f32
-        } else {
-            f32::NAN
-        };
-        DeltaPredictor {
-            variant,
-            cfg,
-            models,
-            int8_bytes: None,
-            num_phases: num_phases.max(1),
-            final_loss,
-            train_steps,
-            train_rollbacks,
-        }
+        let (final_loss, training) =
+            fit_phase_models("delta", &mut p.models, walk, tc, |m, &(i, phase)| {
+                let x = Self::encode(&cfg, &block_history(&records[i..i + t]));
+                let target = cfg
+                    .labels()
+                    .label_bitmap(records, i + t - 1, cfg.look_forward);
+                let (loss, dl) = bce_with_logits(&m.forward(&x, phase), &target);
+                m.backward(&dl);
+                loss
+            });
+        p.final_loss = final_loss;
+        p.training = training;
+        p
     }
 
-    /// Trains one phase model over its precomputed sample schedule for all
-    /// epochs. Returns the last completed epoch's (loss sum, sample count)
-    /// plus the total optimizer steps taken across every epoch.
-    #[allow(clippy::too_many_arguments)]
-    fn train_one_model(
-        records: &[MemRecord],
-        num_phases: usize,
-        cfg: &DeltaPredictorConfig,
-        tc: &TrainCfg,
-        model: &mut (Backbone, Linear),
-        opt: &mut Adam,
-        guard: &mut TrainGuard,
-        schedule: &[usize],
-        midx: usize,
-        sink: Option<&crate::TrainEventSink>,
-    ) -> (f32, usize, u64) {
-        let t = tc.history;
-        let (backbone, head) = model;
-        let mut last = (0.0f32, 0usize);
-        let mut steps = 0u64;
-        'epochs: for _ in 0..tc.epochs {
-            let mut count = 0usize;
-            let mut loss_sum = 0.0f32;
-            for &i in schedule {
-                let pos = i + t - 1;
-                let phase = records[pos].phase as usize % num_phases.max(1);
-                let hist: Vec<(u64, u64)> = records[i..i + t]
-                    .iter()
-                    .map(|rec| (rec.block(), rec.pc))
-                    .collect();
-                let x = Self::encode(cfg, &hist);
-                let target = Self::label_bitmap(cfg, records, pos);
-                let pooled = backbone.forward(&x, phase);
-                let logits = head.forward(&pooled);
-                let (loss, dl) = bce_with_logits(&logits, &target);
-                let dp = head.backward(&dl);
-                backbone.backward(&dp);
-                opt.step(backbone);
-                opt.step(head);
-                count += 1;
-                steps += 1;
-                match guard.observe(
-                    loss,
-                    &mut [backbone as &mut dyn Module, head as &mut dyn Module],
-                    &mut opt.lr,
-                ) {
-                    GuardAction::Continue => loss_sum += loss,
-                    GuardAction::RolledBack { new_lr } => {
-                        count -= 1;
-                        if let Some(sink) = sink {
-                            sink.record(crate::obs::TrainRollbackMetrics {
-                                predictor: "delta".to_string(),
-                                model: midx as u64,
-                                step: steps,
-                                new_lr: new_lr as f64,
-                                exhausted: false,
-                            });
-                        }
-                    }
-                    GuardAction::Exhausted => {
-                        if let Some(sink) = sink {
-                            sink.record(crate::obs::TrainRollbackMetrics {
-                                predictor: "delta".to_string(),
-                                model: midx as u64,
-                                step: steps,
-                                new_lr: 0.0,
-                                exhausted: true,
-                            });
-                        }
-                        break 'epochs;
-                    }
-                }
-            }
-            last = (loss_sum, count);
-        }
-        (last.0, last.1, steps)
-    }
-
-    fn model_for(&self, phase: usize) -> &(Backbone, Linear) {
-        if self.variant.is_phase_specific() {
-            &self.models[phase % self.models.len()]
-        } else {
-            &self.models[0]
-        }
+    /// The model serving `phase` (the only one unless phase-specific).
+    fn model_for(&self, phase: usize) -> &DeltaModel {
+        &self.models[phase % self.models.len()]
     }
 
     /// Rounds every weight of every phase model onto its int8 grid in
@@ -347,7 +219,7 @@ impl DeltaPredictor {
         let bytes = self
             .models
             .iter_mut()
-            .map(|(b, h)| quantize_module(b) + quantize_module(h))
+            .map(|m| quantize_module(&mut m.backbone) + quantize_module(&mut m.head))
             .sum();
         self.int8_bytes = Some(bytes);
         bytes
@@ -371,10 +243,10 @@ impl DeltaPredictor {
     /// Raw head logits (pre-sigmoid) through the allocating reference
     /// path, which the arena path is tested against bit for bit.
     pub fn predict_logits(&self, hist: &[(u64, u64)], phase: usize) -> Matrix {
-        let (backbone, head) = self.model_for(phase);
+        let m = self.model_for(phase);
         let x = Self::encode(&self.cfg, hist);
-        let pooled = backbone.infer(&x, phase);
-        head.infer(&pooled)
+        let pooled = m.backbone.infer(&x, phase);
+        m.head.infer(&pooled)
     }
 
     /// The one arena forward: raw head logits `[B, labels]` for
@@ -397,7 +269,7 @@ impl DeltaPredictor {
             hists.iter().all(|h| h.len() == t),
             "fused delta batch requires equal-length histories"
         );
-        let (backbone, head) = self.model_for(phase);
+        let m = self.model_for(phase);
         let mut addr = s.take(batch * t, self.cfg.segments);
         let mut pc = s.take(batch * t, 1);
         for (b, hist) in hists.iter().enumerate() {
@@ -408,11 +280,11 @@ impl DeltaPredictor {
             }
         }
         let x = ModalInput { addr, pc };
-        let pooled = backbone.infer_batch_in(&x, batch, phase, s);
+        let pooled = m.backbone.infer_batch_in(&x, batch, phase, s);
         let ModalInput { addr, pc } = x;
         s.give(addr);
         s.give(pc);
-        let logits = head.infer_in(&pooled, s);
+        let logits = m.head.infer_in(&pooled, s);
         s.give(pooled);
         logits
     }
@@ -455,9 +327,7 @@ impl DeltaPredictor {
             let uniq = self.predict_deltas_batch_in(&unique, phase, k, s);
             return lane_of.iter().map(|&i| uniq[i].clone()).collect();
         }
-        let dr = DeltaRange {
-            range: self.cfg.delta_range,
-        };
+        let dr = self.cfg.labels();
         let mut scores = self.predict_logits_batch_in(hists, phase, s);
         Sigmoid::infer_inplace(&mut scores);
         let out = (0..batch)
@@ -474,16 +344,9 @@ impl DeltaPredictor {
         out
     }
 
-    /// Crate-internal: encode a history window (shared with distillation).
-    pub(crate) fn encode_hist(cfg: &DeltaPredictorConfig, hist: &[(u64, u64)]) -> ModalInput {
-        Self::encode(cfg, hist)
-    }
-
     /// Top-`k` predicted deltas above the confidence threshold.
     pub fn predict_deltas(&self, hist: &[(u64, u64)], phase: usize, k: usize) -> Vec<i64> {
-        let dr = DeltaRange {
-            range: self.cfg.delta_range,
-        };
+        let dr = self.cfg.labels();
         let scores = self.predict_scores(hist, phase);
         top_k_indices(&scores, k)
             .into_iter()
@@ -496,23 +359,24 @@ impl DeltaPredictor {
     /// ground-truth future-delta bitmap over a test trace.
     pub fn evaluate_f1(&self, records: &[MemRecord], tc: &TrainCfg, max_samples: usize) -> Prf {
         let t = tc.history;
-        let usable = records.len().saturating_sub(t + self.cfg.look_forward);
-        let stride = (usable / max_samples.max(1)).max(1);
+        let reach = t + self.cfg.look_forward;
         let mut preds = Vec::new();
         let mut targs = Vec::new();
-        let mut i = 0usize;
-        while i + t + self.cfg.look_forward < records.len() && preds.len() < max_samples {
+        for i in sample_starts(
+            records.len(),
+            reach,
+            records.len().saturating_sub(reach),
+            max_samples,
+        ) {
             let pos = i + t - 1;
             let phase = records[pos].phase as usize % self.num_phases;
-            let hist: Vec<(u64, u64)> = records[i..i + t]
-                .iter()
-                .map(|rec| (rec.block(), rec.pc))
-                .collect();
-            let scores = self.predict_scores(&hist, phase);
-            let target = Self::label_bitmap(&self.cfg, records, pos);
+            let scores = self.predict_scores(&block_history(&records[i..i + t]), phase);
+            let target = self
+                .cfg
+                .labels()
+                .label_bitmap(records, pos, self.cfg.look_forward);
             preds.push(scores.iter().map(|&s| s >= self.cfg.threshold).collect());
             targs.push(target.data.iter().map(|&v| v > 0.5).collect());
-            i += stride;
         }
         multilabel_f1(&preds, &targs)
     }
@@ -521,7 +385,7 @@ impl DeltaPredictor {
     pub fn num_params(&self) -> usize {
         self.models
             .iter()
-            .map(|(b, h)| b.num_params() + h.num_params())
+            .map(|m| m.backbone.num_params() + m.head.num_params())
             .sum()
     }
 
@@ -534,9 +398,9 @@ impl DeltaPredictor {
                 out.extend_from_slice(&v.to_le_bytes());
             }
         };
-        for (b, h) in self.models.iter() {
-            b.for_each_param_ref(&mut push);
-            h.for_each_param_ref(&mut push);
+        for m in self.models.iter() {
+            m.backbone.for_each_param_ref(&mut push);
+            m.head.for_each_param_ref(&mut push);
         }
         out
     }

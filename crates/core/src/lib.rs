@@ -36,7 +36,7 @@ pub mod page_predictor;
 pub mod prefetcher;
 pub mod serve;
 pub mod trace;
-pub mod train_events;
+mod training;
 pub mod variants;
 
 pub use amma::{Amma, AmmaConfig, ModalInput};
@@ -69,5 +69,4 @@ pub use trace::{
     chrome_trace_json, chrome_trace_json_sharded, FlightRecorder, ShardTrace, TraceConfig,
     WindowMetrics, WindowPhaseMetrics,
 };
-pub use train_events::TrainEventSink;
 pub use variants::Variant;

@@ -867,15 +867,13 @@ metrics! {
     pub struct TrainMetrics {
         counter steps: u64,
         counter rollbacks: u64,
-        /// Structured rollback events captured by the training-side event
-        /// channel ([`crate::TrainEventSink`]); empty when training ran
-        /// without a sink attached.
+        /// One event per `TrainGuard` rollback, in (predictor, model,
+        /// step) order; each predictor carries its own.
         series rollback_events: Vec<TrainRollbackMetrics>,
     }
 
-    /// One training-time checkpoint rollback, as captured live by the
-    /// training event channel (model index, optimizer step, and the halved
-    /// learning rate it restarted with).
+    /// One training-time checkpoint rollback (model index, optimizer
+    /// step, and the halved learning rate it restarted with).
     #[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
     pub struct TrainRollbackMetrics {
         /// Which predictor emitted the event (`"delta"` / `"page"`).

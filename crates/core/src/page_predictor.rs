@@ -10,19 +10,21 @@
 
 use crate::amma::{AmmaConfig, ModalInput};
 use crate::backbone::Backbone;
+use crate::obs::TrainMetrics;
+use crate::training::fit_phase_models;
 use crate::variants::Variant;
 use mpgraph_frameworks::MemRecord;
-use mpgraph_ml::guard::{GuardAction, TrainGuard};
+use mpgraph_ml::guard::Trainable;
 use mpgraph_ml::layers::{Embedding, Linear, Module, Sigmoid};
 use mpgraph_ml::loss::{bce_with_logits, softmax_cross_entropy};
 use mpgraph_ml::metrics::top_k_indices;
-use mpgraph_ml::optim::Adam;
 use mpgraph_ml::quant::quantize_module;
 use mpgraph_ml::tensor::{rng, Matrix};
 use mpgraph_ml::ScratchArena;
-use mpgraph_prefetchers::mlcommon::{dedup_lanes, pc_feature, PageVocab};
+use mpgraph_prefetchers::mlcommon::{
+    dedup_lanes, pc_feature, per_core_streams, round_robin_windows, PageVocab,
+};
 use mpgraph_prefetchers::TrainCfg;
-use rayon::prelude::*;
 
 /// Output head style.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -70,6 +72,44 @@ pub(crate) struct PageModel {
     pub(crate) tied: bool,
 }
 
+impl Trainable for PageModel {
+    fn parts(&mut self) -> Vec<&mut dyn Module> {
+        vec![&mut self.embed, &mut self.backbone, &mut self.head]
+    }
+}
+
+impl PageModel {
+    /// Training forward over one (token, pc) window: the head output — the
+    /// embedding-space projection for the tied softmax head, the bit
+    /// logits for the binary-encoded one.
+    pub(crate) fn forward(&mut self, hist: &[(usize, u64)], phase: usize) -> Matrix {
+        let tokens: Vec<usize> = hist.iter().map(|&(tk, _)| tk).collect();
+        let x = ModalInput {
+            addr: self.embed.forward(&tokens),
+            pc: pc_column(hist),
+        };
+        let pooled = self.backbone.forward(&x, phase);
+        self.head.forward(&pooled)
+    }
+
+    /// Backward from the head output's gradient through head, backbone and
+    /// embedding.
+    pub(crate) fn backward(&mut self, d_out: &Matrix) {
+        let dp = self.head.backward(d_out);
+        let (d_addr, _d_pc) = self.backbone.backward(&dp);
+        self.embed.backward(&d_addr);
+    }
+}
+
+/// The hashed-PC modality of a (token, pc) window: `[T, 1]`.
+fn pc_column(hist: &[(usize, u64)]) -> Matrix {
+    let mut pc = Matrix::zeros(hist.len(), 1);
+    for (i, &(_, pcv)) in hist.iter().enumerate() {
+        pc.data[i] = pc_feature(pcv);
+    }
+    pc
+}
+
 /// The temporal page predictor, in any of the five Table 7 variants.
 /// `Clone` duplicates the trained weights and vocabulary, so a serving
 /// layer can stamp out per-stream prefetchers from one trained instance.
@@ -86,38 +126,14 @@ pub struct PagePredictor {
     /// Bits used by the binary-encoded head.
     bits: usize,
     pub final_loss: f32,
-    /// Optimizer steps taken across all phase models and epochs.
-    pub train_steps: u64,
-    /// `TrainGuard` weight rollbacks during training (0 on clean runs).
-    pub train_rollbacks: u64,
+    /// Optimizer steps, guard rollbacks and one event per rollback, in
+    /// (model, step) order.
+    pub training: TrainMetrics,
 }
 
 impl PagePredictor {
-    fn encode(
-        cfg: &PagePredictorConfig,
-        embed: &Embedding,
-        hist: &[(usize, u64)],
-        train: bool,
-        embed_mut: Option<&mut Embedding>,
-    ) -> ModalInput {
-        let tokens: Vec<usize> = hist.iter().map(|&(t, _)| t).collect();
-        let addr = if train {
-            embed_mut
-                .expect("train requires mutable embedding")
-                .forward(&tokens)
-        } else {
-            embed.infer(&tokens)
-        };
-        let mut pc = Matrix::zeros(hist.len(), 1);
-        for (i, &(_, pcv)) in hist.iter().enumerate() {
-            pc.data[i] = pc_feature(pcv);
-        }
-        let _ = cfg;
-        ModalInput { addr, pc }
-    }
-
     /// Binary target for token `t` with `bits` bits (LSB first).
-    fn binary_target(token: usize, bits: usize) -> Matrix {
+    pub(crate) fn binary_target(token: usize, bits: usize) -> Matrix {
         let mut m = Matrix::zeros(1, bits);
         for b in 0..bits {
             m.data[b] = ((token >> b) & 1) as f32;
@@ -137,40 +153,30 @@ impl PagePredictor {
         token.min(vocab_len.saturating_sub(1))
     }
 
-    pub fn train(
+    /// The vocabulary of `records` and freshly initialised phase models
+    /// (one per phase for the phase-specific variants), drawn from
+    /// `rng(seed)` model by model: embedding, backbone, phase embedding
+    /// (phase-informed variants), head.
+    pub(crate) fn untrained(
         records: &[MemRecord],
         num_phases: usize,
         variant: Variant,
         cfg: PagePredictorConfig,
-        tc: &TrainCfg,
-    ) -> Self {
-        Self::train_with_events(records, num_phases, variant, cfg, tc, None)
-    }
-
-    /// [`Self::train`] with a live rollback-event channel attached: every
-    /// `TrainGuard` rollback / exhaustion pushes a structured event into
-    /// `sink` at the moment it fires (see [`crate::TrainEventSink`]).
-    pub fn train_with_events(
-        records: &[MemRecord],
-        num_phases: usize,
-        variant: Variant,
-        cfg: PagePredictorConfig,
-        tc: &TrainCfg,
-        sink: Option<&crate::TrainEventSink>,
+        seed: u64,
     ) -> Self {
         let vocab = PageVocab::build(records, cfg.page_vocab);
         let bits = (usize::BITS - (cfg.page_vocab - 1).leading_zeros()) as usize;
-        let out_dim = match cfg.head {
-            PageHead::Softmax => cfg.page_vocab,
-            PageHead::BinaryEncoded => bits,
-        };
+        let tied = cfg.head == PageHead::Softmax;
+        // The tied head projects to the embedding space; the binary one
+        // predicts the bits.
+        let out_dim = if tied { cfg.embed_dim } else { bits };
         let model_count = if variant.is_phase_specific() {
             num_phases
         } else {
             1
         };
-        let mut r = rng(tc.seed ^ 0x9A6E);
-        let mut models: Vec<PageModel> = (0..model_count)
+        let mut r = rng(seed);
+        let models = (0..model_count)
             .map(|_| {
                 let embed = Embedding::new(cfg.page_vocab, cfg.embed_dim, &mut r);
                 let mut backbone =
@@ -178,13 +184,7 @@ impl PagePredictor {
                 if variant.is_phase_informed() {
                     backbone = backbone.with_phase_embedding(num_phases, &mut r);
                 }
-                let tied = cfg.head == PageHead::Softmax;
-                let head = if tied {
-                    // Project to the embedding space for the tied product.
-                    Linear::new(backbone.out_dim(), cfg.embed_dim, &mut r)
-                } else {
-                    Linear::new(backbone.out_dim(), out_dim, &mut r)
-                };
+                let head = Linear::new(backbone.out_dim(), out_dim, &mut r);
                 PageModel {
                     embed,
                     backbone,
@@ -193,88 +193,6 @@ impl PagePredictor {
                 }
             })
             .collect();
-        let mut opts: Vec<Adam> = (0..model_count).map(|_| Adam::new(tc.lr)).collect();
-        let mut guards: Vec<TrainGuard> = (0..model_count)
-            .map(|_| TrainGuard::new(crate::prefetcher::TRAIN_CHECKPOINT_INTERVAL))
-            .collect();
-
-        // Per-core token/pc/phase subsequences (see module docs).
-        let mut per_core: Vec<Vec<(usize, u64, u8)>> = vec![Vec::new(); 8];
-        for rec in records {
-            per_core[(rec.core as usize) % 8].push((vocab.token_of(rec.page()), rec.pc, rec.phase));
-        }
-        let t = tc.history;
-        let seqs: Vec<Vec<(usize, u64, u8)>> =
-            per_core.into_iter().filter(|s| s.len() > t + 1).collect();
-        let total: usize = seqs.iter().map(|s| s.len()).sum();
-        let usable = total.saturating_sub((t + 1) * seqs.len().max(1));
-        let stride = (usable / tc.max_samples.max(1)).max(1);
-
-        // Serial data-only walk over the per-core cursors: assign every
-        // (sequence, window) sample to its phase model, in the exact order
-        // the old interleaved loop visited them.
-        let mut schedules: Vec<Vec<(usize, usize)>> = vec![Vec::new(); model_count];
-        {
-            let mut count = 0usize;
-            let mut cursors: Vec<usize> = vec![0; seqs.len()];
-            let mut which = 0usize;
-            while count < tc.max_samples && !seqs.is_empty() {
-                let sidx = which % seqs.len();
-                which += 1;
-                let seq = &seqs[sidx];
-                let i = cursors[sidx];
-                if i + t >= seq.len() {
-                    if cursors
-                        .iter()
-                        .zip(seqs.iter())
-                        .all(|(c, s)| c + t >= s.len())
-                    {
-                        break;
-                    }
-                    continue;
-                }
-                cursors[sidx] += stride;
-                let phase = seq[i + t - 1].2 as usize % num_phases.max(1);
-                let midx = if variant.is_phase_specific() {
-                    phase
-                } else {
-                    0
-                };
-                schedules[midx].push((sidx, i));
-                count += 1;
-            }
-        }
-
-        // Per-model training fanned out over threads (see
-        // [`DeltaPredictor::train`] for the determinism argument).
-        type Job<'a> = (
-            (usize, &'a mut PageModel, &'a mut Adam),
-            (&'a mut TrainGuard, &'a Vec<(usize, usize)>),
-        );
-        let jobs: Vec<Job<'_>> = models
-            .iter_mut()
-            .zip(opts.iter_mut())
-            .zip(guards.iter_mut().zip(schedules.iter()))
-            .enumerate()
-            .map(|(midx, ((m, opt), rest))| ((midx, m, opt), rest))
-            .collect();
-        let stats: Vec<(f32, usize, u64)> = jobs
-            .into_par_iter()
-            .map(|((midx, m, opt), (guard, schedule))| {
-                Self::train_one_model(
-                    &seqs, num_phases, bits, tc, m, opt, guard, schedule, midx, sink,
-                )
-            })
-            .collect();
-        let loss_sum: f32 = stats.iter().map(|&(l, _, _)| l).sum();
-        let count: usize = stats.iter().map(|&(_, c, _)| c).sum();
-        let train_steps: u64 = stats.iter().map(|&(_, _, s)| s).sum();
-        let train_rollbacks: u64 = guards.iter().map(|g| g.rollbacks as u64).sum();
-        let final_loss = if count > 0 {
-            loss_sum / count as f32
-        } else {
-            f32::NAN
-        };
         PagePredictor {
             variant,
             cfg,
@@ -283,55 +201,44 @@ impl PagePredictor {
             int8_bytes: None,
             num_phases: num_phases.max(1),
             bits,
-            final_loss,
-            train_steps,
-            train_rollbacks,
+            final_loss: f32::NAN,
+            training: TrainMetrics::default(),
         }
     }
 
-    /// Trains one phase model over its precomputed (sequence, window)
-    /// schedule for all epochs. Returns the last completed epoch's
-    /// (loss sum, sample count).
-    #[allow(clippy::too_many_arguments)]
-    fn train_one_model(
-        seqs: &[Vec<(usize, u64, u8)>],
+    /// Trains on the per-core page streams of `records` (see module docs),
+    /// drawn round-robin across cores, each phase model on its own
+    /// thread.
+    pub fn train(
+        records: &[MemRecord],
         num_phases: usize,
-        bits: usize,
+        variant: Variant,
+        cfg: PagePredictorConfig,
         tc: &TrainCfg,
-        m: &mut PageModel,
-        opt: &mut Adam,
-        guard: &mut TrainGuard,
-        schedule: &[(usize, usize)],
-        midx: usize,
-        sink: Option<&crate::TrainEventSink>,
-    ) -> (f32, usize, u64) {
+    ) -> Self {
+        let mut p = Self::untrained(records, num_phases, variant, cfg, tc.seed ^ 0x9A6E);
         let t = tc.history;
-        let mut last = (0.0f32, 0usize);
-        let mut steps = 0u64;
-        'epochs: for _ in 0..tc.epochs {
-            let mut count = 0usize;
-            let mut loss_sum = 0.0f32;
-            for &(sidx, i) in schedule {
-                let seq = &seqs[sidx];
-                let phase = seq[i + t - 1].2 as usize % num_phases.max(1);
-                let target_tok = seq[i + t].0;
+        let seqs = per_core_streams(records, t, |rec| {
+            (p.vocab.token_of(rec.page()), rec.pc, rec.phase)
+        });
+        let walk: Vec<((usize, usize), usize)> = round_robin_windows(&seqs, t, tc.max_samples)
+            .into_iter()
+            .map(|(s, i)| ((s, i), seqs[s][i + t - 1].2 as usize % p.num_phases))
+            .collect();
+        let bits = p.bits;
+        let (final_loss, training) =
+            fit_phase_models("page", &mut p.models, walk, tc, |m, &((s, i), phase)| {
+                let seq = &seqs[s];
                 let hist: Vec<(usize, u64)> = seq[i..i + t]
                     .iter()
                     .map(|&(tok, pc, _)| (tok, pc))
                     .collect();
-                let tokens: Vec<usize> = hist.iter().map(|&(tk, _)| tk).collect();
-                let addr = m.embed.forward(&tokens);
-                let mut pc = Matrix::zeros(hist.len(), 1);
-                for (j, &(_, pcv)) in hist.iter().enumerate() {
-                    pc.data[j] = pc_feature(pcv);
-                }
-                let x = ModalInput { addr, pc };
-                let pooled = m.backbone.forward(&x, phase);
-                let (loss, dp) = if m.tied {
-                    // logits = proj(pooled) · E^T (tied with the embedding).
-                    let z = m.head.forward(&pooled); // [1, e]
+                let target = seq[i + t].0;
+                let z = m.forward(&hist, phase);
+                let (loss, d_z) = if m.tied {
+                    // logits = z · E^T (tied with the embedding).
                     let logits = z.matmul_bt(&m.embed.table.w); // [1, vocab]
-                    let (loss, dl) = softmax_cross_entropy(&logits, &[target_tok]);
+                    let (loss, dl) = softmax_cross_entropy(&logits, &[target]);
                     // d_z = dl · E ; dE[v] += dl[v] · z.
                     let d_z = dl.matmul(&m.embed.table.w);
                     let e_dim = m.embed.table.w.cols;
@@ -344,67 +251,21 @@ impl PagePredictor {
                             }
                         }
                     }
-                    (loss, m.head.backward(&d_z))
+                    (loss, d_z)
                 } else {
-                    let logits = m.head.forward(&pooled);
-                    let (loss, dl) =
-                        bce_with_logits(&logits, &Self::binary_target(target_tok, bits));
-                    (loss, m.head.backward(&dl))
+                    bce_with_logits(&z, &Self::binary_target(target, bits))
                 };
-                let (d_addr, _d_pc) = m.backbone.backward(&dp);
-                m.embed.backward(&d_addr);
-                opt.step(&mut m.embed);
-                opt.step(&mut m.backbone);
-                opt.step(&mut m.head);
-                count += 1;
-                steps += 1;
-                match guard.observe(
-                    loss,
-                    &mut [
-                        &mut m.embed as &mut dyn Module,
-                        &mut m.backbone as &mut dyn Module,
-                        &mut m.head as &mut dyn Module,
-                    ],
-                    &mut opt.lr,
-                ) {
-                    GuardAction::Continue => loss_sum += loss,
-                    GuardAction::RolledBack { new_lr } => {
-                        count -= 1;
-                        if let Some(sink) = sink {
-                            sink.record(crate::obs::TrainRollbackMetrics {
-                                predictor: "page".to_string(),
-                                model: midx as u64,
-                                step: steps,
-                                new_lr: new_lr as f64,
-                                exhausted: false,
-                            });
-                        }
-                    }
-                    GuardAction::Exhausted => {
-                        if let Some(sink) = sink {
-                            sink.record(crate::obs::TrainRollbackMetrics {
-                                predictor: "page".to_string(),
-                                model: midx as u64,
-                                step: steps,
-                                new_lr: 0.0,
-                                exhausted: true,
-                            });
-                        }
-                        break 'epochs;
-                    }
-                }
-            }
-            last = (loss_sum, count);
-        }
-        (last.0, last.1, steps)
+                m.backward(&d_z);
+                loss
+            });
+        p.final_loss = final_loss;
+        p.training = training;
+        p
     }
 
+    /// The model serving `phase` (the only one unless phase-specific).
     fn model_for(&self, phase: usize) -> &PageModel {
-        if self.variant.is_phase_specific() {
-            &self.models[phase % self.models.len()]
-        } else {
-            &self.models[0]
-        }
+        &self.models[phase % self.models.len()]
     }
 
     /// Rounds every weight of every phase model — token embedding (which
@@ -441,7 +302,11 @@ impl PagePredictor {
     /// reference path, which the arena path is tested against bit for bit.
     pub fn predict_logits(&self, hist: &[(usize, u64)], phase: usize) -> Matrix {
         let m = self.model_for(phase);
-        let x = Self::encode(&self.cfg, &m.embed, hist, false, None);
+        let tokens: Vec<usize> = hist.iter().map(|&(tk, _)| tk).collect();
+        let x = ModalInput {
+            addr: m.embed.infer(&tokens),
+            pc: pc_column(hist),
+        };
         let pooled = m.backbone.infer(&x, phase);
         if m.tied {
             m.head.infer(&pooled).matmul_bt(&m.embed.table.w)

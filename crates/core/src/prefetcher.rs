@@ -21,12 +21,6 @@ use mpgraph_prefetchers::mlcommon::History;
 use mpgraph_prefetchers::TrainCfg;
 use mpgraph_sim::{LlcAccess, PrefetchLane, PrefetchTag, Prefetcher, TraceEvent};
 
-/// Steps between [`mpgraph_ml::TrainGuard`] weight checkpoints in the
-/// predictor training loops: frequent enough that a rollback loses little
-/// progress, rare enough that cloning the (small, Table 5-sized) weights
-/// stays off the profile.
-pub const TRAIN_CHECKPOINT_INTERVAL: usize = 32;
-
 /// Which phase-transition detector drives the controller.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum DetectorChoice {
@@ -154,11 +148,6 @@ pub struct MpGraphPrefetcher {
     /// Whether the first traced access already reported the train-time
     /// rollback summary (training predates the replay clock).
     trace_started: bool,
-    /// Structured rollback events drained from the training-side event
-    /// channel ([`crate::TrainEventSink`]) at the end of `train_mpgraph`,
-    /// in deterministic (predictor, model, step) order. Empty when the
-    /// prefetcher was assembled via [`MpGraphPrefetcher::from_parts`].
-    pub train_rollback_events: Vec<crate::obs::TrainRollbackMetrics>,
 }
 
 /// Shared borrows of one prefetcher's models and chain state, handed to
@@ -184,27 +173,10 @@ pub fn train_mpgraph(
     cfg: MpGraphConfig,
     tc: &TrainCfg,
 ) -> MpGraphPrefetcher {
-    let sink = crate::TrainEventSink::new();
-    let delta = DeltaPredictor::train_with_events(
-        records,
-        num_phases,
-        cfg.variant,
-        cfg.delta,
-        tc,
-        Some(&sink),
-    );
-    let page = PagePredictor::train_with_events(
-        records,
-        num_phases,
-        cfg.variant,
-        cfg.page,
-        tc,
-        Some(&sink),
-    );
+    let delta = DeltaPredictor::train(records, num_phases, cfg.variant, cfg.delta, tc);
+    let page = PagePredictor::train(records, num_phases, cfg.variant, cfg.page, tc);
     let detector = build_detector(records, num_phases, cfg.detector);
-    let mut pf = MpGraphPrefetcher::from_parts(delta, page, detector, cfg, num_phases, tc.history);
-    pf.train_rollback_events = sink.drain();
-    pf
+    MpGraphPrefetcher::from_parts(delta, page, detector, cfg, num_phases, tc.history)
 }
 
 /// Builds (and where supervised, trains) the chosen transition detector.
@@ -260,7 +232,6 @@ impl MpGraphPrefetcher {
             trace_on: false,
             trace_events: Vec::new(),
             trace_started: false,
-            train_rollback_events: Vec::new(),
             cfg,
         }
     }
@@ -378,11 +349,9 @@ impl MpGraphPrefetcher {
             observations: self.controller.observations,
             observe_errors: self.observe_errors,
         };
-        snap.training = crate::obs::TrainMetrics {
-            steps: self.delta.train_steps + self.page.train_steps,
-            rollbacks: self.delta.train_rollbacks + self.page.train_rollbacks,
-            rollback_events: self.train_rollback_events.clone(),
-        };
+        // Delta events, then page events: (predictor, model, step) order.
+        snap.training = self.delta.training.clone();
+        snap.training.merge_at(&self.page.training, 0);
     }
 }
 
@@ -475,7 +444,7 @@ impl MpGraphPrefetcher {
                 // access (DESIGN.md §13).
                 self.trace_started = true;
                 self.trace_events.push(TraceEvent::TrainRollback {
-                    count: self.delta.train_rollbacks + self.page.train_rollbacks,
+                    count: self.delta.training.rollbacks + self.page.training.rollbacks,
                 });
             }
         }
@@ -678,6 +647,61 @@ mod tests {
                 seed: 33,
             },
         )
+    }
+
+    /// The snapshot's training section for `pf`: steps taken, one event
+    /// per rollback, events in (predictor, model, step) order.
+    fn reported_training(pf: &MpGraphPrefetcher, what: &str) -> crate::obs::TrainMetrics {
+        let mut snap = crate::obs::MetricsSnapshot::default();
+        pf.enrich_snapshot(&mut snap);
+        let t = snap.training;
+        assert!(t.steps > 0, "{what}: no steps reported");
+        assert!(t.rollbacks > 0, "{what}: the guard never rolled back");
+        assert_eq!(t.rollbacks, t.rollback_events.len() as u64, "{what}");
+        let keys: Vec<(String, u64, u64)> = t
+            .rollback_events
+            .iter()
+            .map(|e| (e.predictor.clone(), e.model, e.step))
+            .collect();
+        let mut sorted = keys.clone();
+        sorted.sort();
+        assert_eq!(keys, sorted, "{what}: events out of order");
+        t
+    }
+
+    #[test]
+    fn rollback_events_follow_the_predictors() {
+        // The learning rate of `pathological_lr_cannot_poison_the_weights`
+        // makes the guard roll back.
+        let records = workload(2);
+        let (cfg, tc) = quick_cfg();
+        let tc = TrainCfg { lr: 1e4, ..tc };
+        let trained = train_mpgraph(&records, 2, cfg, &tc);
+        let want = reported_training(&trained, "train_mpgraph");
+        let assemble = |delta, page| {
+            let detector = build_detector(&records, 2, cfg.detector);
+            MpGraphPrefetcher::from_parts(delta, page, detector, cfg, 2, tc.history)
+        };
+        let assembled = assemble(trained.delta.clone(), trained.page.clone());
+        let got = reported_training(&assembled, "from_parts");
+        assert_eq!((got.steps, got.rollbacks), (want.steps, want.rollbacks));
+        assert_eq!(got.rollback_events, want.rollback_events);
+        // Distilled students report their own training.
+        let dc = crate::compress::DistillCfg {
+            student_amma: AmmaConfig {
+                history: 5,
+                attn_dim: 4,
+                fusion_dim: 8,
+                layers: 1,
+                heads: 2,
+            },
+            ..crate::compress::DistillCfg::default()
+        };
+        let student = assemble(
+            crate::compress::distill_delta(&trained.delta, &records, &dc, &tc),
+            crate::compress::distill_page(&trained.page, &records, &dc, &tc),
+        );
+        reported_training(&student, "distilled");
     }
 
     #[test]

@@ -10,8 +10,15 @@
 //! snapshot, halves the learning rate, and lets training continue from
 //! known-good weights. After `max_rollbacks` restores the guard reports
 //! itself exhausted so the caller can stop wasting epochs.
+//!
+//! [`fit`] is the one training loop built on it: every model in the
+//! workspace — both MPGraph predictors, their distilled students and the
+//! three ML baselines — trains through it, so how a model trains (optimizer
+//! order, checkpoint cadence, rollback and loss bookkeeping) is decided in
+//! one place.
 
 use crate::layers::Module;
+use crate::optim::Adam;
 
 /// Deep copy of one module's parameter state (weights + Adam moments).
 #[derive(Debug, Clone, Default)]
@@ -100,7 +107,6 @@ pub struct TrainGuard {
     pub max_rollbacks: u32,
     /// A finite loss above this absolute value counts as divergence.
     pub divergence_limit: f32,
-    steps: usize,
     since_checkpoint: usize,
     pub rollbacks: u32,
     snaps: Vec<Snapshot>,
@@ -112,7 +118,6 @@ impl TrainGuard {
             checkpoint_interval: checkpoint_interval.max(1),
             max_rollbacks: 8,
             divergence_limit: 1e6,
-            steps: 0,
             since_checkpoint: usize::MAX, // force a checkpoint on first observe
             rollbacks: 0,
             snaps: Vec::new(),
@@ -122,11 +127,6 @@ impl TrainGuard {
     /// Whether the rollback budget is spent.
     pub fn exhausted(&self) -> bool {
         self.rollbacks >= self.max_rollbacks
-    }
-
-    /// Steps observed so far.
-    pub fn steps(&self) -> usize {
-        self.steps
     }
 
     fn checkpoint(&mut self, modules: &mut [&mut dyn Module]) {
@@ -156,18 +156,13 @@ impl TrainGuard {
         modules: &mut [&mut dyn Module],
         lr: &mut f32,
     ) -> GuardAction {
-        self.steps += 1;
         let bad = !loss.is_finite() || loss.abs() > self.divergence_limit;
         if bad {
-            if self.snaps.is_empty() {
-                // Nothing to restore (first-step blowup): halve and go on.
-                *lr *= 0.5;
-                self.rollbacks += 1;
-            } else {
-                self.rollback(modules);
-                *lr *= 0.5;
-                self.rollbacks += 1;
-            }
+            // A first-step blowup has no checkpoint to restore: it only
+            // halves the rate.
+            self.rollback(modules);
+            *lr *= 0.5;
+            self.rollbacks += 1;
             return if self.exhausted() {
                 GuardAction::Exhausted
             } else {
@@ -180,6 +175,104 @@ impl TrainGuard {
         }
         GuardAction::Continue
     }
+}
+
+/// Steps between [`TrainGuard`] weight checkpoints in [`fit`]: frequent
+/// enough that a rollback loses little progress, rare enough that cloning
+/// the (small, Table 5-sized) weights stays off the profile.
+pub const TRAIN_CHECKPOINT_INTERVAL: usize = 32;
+
+/// A model [`fit`] can train.
+pub trait Trainable {
+    /// The model's modules, in the order the optimizer steps them. `fit`
+    /// steps each one separately: [`Adam::step`] advances the timestep on
+    /// every call, so the part list (its length and its order) is part of
+    /// the training recipe, and changing it changes every weight.
+    fn parts(&mut self) -> Vec<&mut dyn Module>;
+}
+
+/// One guard intervention during [`fit`].
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub struct Rollback {
+    /// Optimizer step (1-based, counted across epochs) whose loss fired it.
+    pub step: u64,
+    /// Learning rate after the guard halved it.
+    pub new_lr: f32,
+    /// Whether the guard's budget ran out here, which ended training.
+    pub exhausted: bool,
+}
+
+/// What one [`fit`] run did.
+#[derive(Debug, Clone, Default, PartialEq)]
+pub struct FitReport {
+    /// Loss summed over the kept steps of the last completed epoch.
+    pub loss_sum: f32,
+    /// Steps of the last completed epoch the guard kept.
+    pub count: usize,
+    /// Optimizer steps over every epoch, rolled-back ones included.
+    pub steps: u64,
+    /// One entry per guard intervention, in step order.
+    pub rollbacks: Vec<Rollback>,
+}
+
+impl FitReport {
+    /// Mean kept loss of the last completed epoch (NaN when it kept none).
+    pub fn mean_loss(&self) -> f32 {
+        if self.count > 0 {
+            self.loss_sum / self.count as f32
+        } else {
+            f32::NAN
+        }
+    }
+}
+
+/// Trains `model` for `epochs` passes over `samples` with Adam at `lr`,
+/// guarded by a [`TrainGuard`] checkpointing every
+/// [`TRAIN_CHECKPOINT_INTERVAL`] steps. `step` runs one sample's forward
+/// and backward pass and returns its loss; `fit` then applies one
+/// [`Adam::step`] per [`Trainable::parts`] entry, in that order, and lets
+/// the guard observe the same parts. A rolled-back step's loss is dropped;
+/// an exhausted guard ends training, leaving the report on the last epoch
+/// that completed.
+pub fn fit<M: Trainable + ?Sized, S>(
+    model: &mut M,
+    samples: &[S],
+    epochs: usize,
+    lr: f32,
+    mut step: impl FnMut(&mut M, &S) -> f32,
+) -> FitReport {
+    let mut opt = Adam::new(lr);
+    let mut guard = TrainGuard::new(TRAIN_CHECKPOINT_INTERVAL);
+    let mut report = FitReport::default();
+    for _ in 0..epochs {
+        let (mut loss_sum, mut count) = (0.0f32, 0usize);
+        for sample in samples {
+            let loss = step(model, sample);
+            let mut parts = model.parts();
+            for part in parts.iter_mut() {
+                opt.step(&mut **part);
+            }
+            report.steps += 1;
+            let action = guard.observe(loss, &mut parts, &mut opt.lr);
+            if action == GuardAction::Continue {
+                loss_sum += loss;
+                count += 1;
+                continue;
+            }
+            let exhausted = action == GuardAction::Exhausted;
+            report.rollbacks.push(Rollback {
+                step: report.steps,
+                new_lr: opt.lr,
+                exhausted,
+            });
+            if exhausted {
+                return report;
+            }
+        }
+        report.loss_sum = loss_sum;
+        report.count = count;
+    }
+    report
 }
 
 #[cfg(test)]
@@ -276,6 +369,126 @@ mod tests {
         assert!(guard.exhausted());
         // lr halved three times.
         assert!((lr - 0.0125).abs() < 1e-6);
+    }
+
+    /// Two dense layers trained as one model.
+    #[derive(Clone)]
+    struct TwoPart {
+        a: Linear,
+        b: Linear,
+    }
+
+    impl Trainable for TwoPart {
+        fn parts(&mut self) -> Vec<&mut dyn Module> {
+            vec![&mut self.a, &mut self.b]
+        }
+    }
+
+    /// One regression step toward y = 2x - 1. On the (1-based) calls
+    /// listed in `bad` it reports a NaN loss, as a poisoned batch would.
+    fn regress(bad: &'static [u64]) -> impl FnMut(&mut TwoPart, &f32) -> f32 {
+        let mut calls = 0u64;
+        move |m, &x| {
+            calls += 1;
+            let h = m.a.forward(&Matrix::from_vec(1, 2, vec![x, 1.0 - x]));
+            let err = m.b.forward(&h).data[0] - (2.0 * x - 1.0);
+            let dh = m.b.backward(&Matrix::from_vec(1, 1, vec![err]));
+            m.a.backward(&dh);
+            if bad.contains(&calls) {
+                f32::NAN
+            } else {
+                err * err
+            }
+        }
+    }
+
+    /// Weight and Adam-moment bits of every parameter of `m`.
+    fn state_bits(m: &mut dyn Module) -> Vec<u32> {
+        let mut out = Vec::new();
+        m.for_each_param(&mut |p| {
+            for buf in [&p.w.data, &p.m, &p.v] {
+                out.extend(buf.iter().map(|x| x.to_bits()));
+            }
+        });
+        out
+    }
+
+    #[test]
+    fn fit_is_the_hand_written_guarded_loop() {
+        let mut r = rng(8);
+        let model = TwoPart {
+            a: Linear::new(2, 3, &mut r),
+            b: Linear::new(3, 1, &mut r),
+        };
+        let samples: Vec<f32> = (0..50).map(|i| i as f32 / 50.0).collect();
+        // A NaN after the step-33 checkpoint rolls back once; seven more in
+        // a row from step 60 spend the budget of 8 in the second epoch.
+        const BAD: &[u64] = &[40, 60, 61, 62, 63, 64, 65, 66];
+        let (epochs, lr) = (3, 0.01);
+
+        // The loop `fit` replaced: Adam per part in part order, then the
+        // guard over the same parts.
+        let mut hand = model.clone();
+        let mut step = regress(BAD);
+        let mut opt = Adam::new(lr);
+        let mut guard = TrainGuard::new(TRAIN_CHECKPOINT_INTERVAL);
+        let mut want = FitReport::default();
+        'epochs: for _ in 0..epochs {
+            let (mut loss_sum, mut count) = (0.0f32, 0usize);
+            for x in &samples {
+                let loss = step(&mut hand, x);
+                opt.step(&mut hand.a);
+                opt.step(&mut hand.b);
+                want.steps += 1;
+                match guard.observe(loss, &mut [&mut hand.a, &mut hand.b], &mut opt.lr) {
+                    GuardAction::Continue => {
+                        loss_sum += loss;
+                        count += 1;
+                    }
+                    action => {
+                        let exhausted = action == GuardAction::Exhausted;
+                        want.rollbacks.push(Rollback {
+                            step: want.steps,
+                            new_lr: opt.lr,
+                            exhausted,
+                        });
+                        if exhausted {
+                            break 'epochs;
+                        }
+                    }
+                }
+            }
+            want.loss_sum = loss_sum;
+            want.count = count;
+        }
+        let steps: Vec<u64> = want.rollbacks.iter().map(|r| r.step).collect();
+        assert_eq!(steps, BAD, "every bad loss rolls back");
+        assert!(want.rollbacks[7].exhausted && !want.rollbacks[6].exhausted);
+        assert_eq!((want.steps, want.count), (66, 49), "report keeps epoch 1");
+
+        let mut fitted = model.clone();
+        let got = fit(&mut fitted, &samples, epochs, lr, regress(BAD));
+        assert_eq!(got, want);
+        assert_eq!(got.loss_sum.to_bits(), want.loss_sum.to_bits());
+        assert_eq!(got.mean_loss().to_bits(), want.mean_loss().to_bits());
+        for (g, w) in got.rollbacks.iter().zip(&want.rollbacks) {
+            assert_eq!(g.new_lr.to_bits(), w.new_lr.to_bits());
+        }
+        assert_eq!(want.rollbacks[7].new_lr.to_bits(), opt.lr.to_bits());
+        assert_eq!(state_bits(&mut fitted.a), state_bits(&mut hand.a));
+        assert_eq!(state_bits(&mut fitted.b), state_bits(&mut hand.b));
+    }
+
+    #[test]
+    fn fit_reports_nan_mean_when_no_epoch_completes() {
+        let mut r = rng(9);
+        let mut m = TwoPart {
+            a: Linear::new(2, 3, &mut r),
+            b: Linear::new(3, 1, &mut r),
+        };
+        let report = fit(&mut m, &[0.5f32], 0, 0.01, regress(&[]));
+        assert_eq!((report.steps, report.count), (0, 0));
+        assert!(report.mean_loss().is_nan());
     }
 
     #[test]

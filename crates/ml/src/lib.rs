@@ -4,7 +4,8 @@
 //! dense tensors, trainable layers with explicit backward passes (Linear,
 //! Embedding, LayerNorm, activations), scaled dot-product and multi-head
 //! attention, Transformer encoder layers, an LSTM with BPTT (for the
-//! paper's baselines), Adam/SGD optimizers, the losses the two predictors
+//! paper's baselines), Adam/SGD optimizers, the one guarded training loop
+//! ([`guard::fit`]) every model trains through, the losses the two predictors
 //! train with, knowledge-distillation and int8-quantization utilities for
 //! §6.1, PCA for the Figure 2 motivation study, and the evaluation metrics
 //! of Tables 4, 6 and 7.
@@ -14,23 +15,27 @@
 //! random choice flows from a caller-provided [`tensor::rng`] seed.
 //!
 //! ```
+//! use mpgraph_ml::guard::{fit, Trainable};
 //! use mpgraph_ml::layers::{Linear, Module};
-//! use mpgraph_ml::optim::Adam;
 //! use mpgraph_ml::tensor::{rng, Matrix};
 //!
 //! // Fit y = 3x with one dense layer.
-//! let mut r = rng(0);
-//! let mut layer = Linear::new(1, 1, &mut r);
-//! let mut opt = Adam::new(0.05);
-//! for _ in 0..200 {
-//!     let x = Matrix::from_vec(4, 1, vec![-1.0, 0.5, 1.0, 2.0]);
-//!     let y = layer.forward(&x);
-//!     let mut d = Matrix::zeros(4, 1);
-//!     for i in 0..4 { d.data[i] = (y.data[i] - 3.0 * x.data[i]) / 4.0; }
-//!     layer.backward(&d);
-//!     opt.step(&mut layer);
+//! struct Line(Linear);
+//! impl Trainable for Line {
+//!     fn parts(&mut self) -> Vec<&mut dyn Module> {
+//!         vec![&mut self.0]
+//!     }
 //! }
-//! assert!((layer.w.w.data[0] - 3.0).abs() < 0.1);
+//! let mut line = Line(Linear::new(1, 1, &mut rng(0)));
+//! let xs = [-1.0f32, 0.5, 1.0, 2.0];
+//! let report = fit(&mut line, &[()], 200, 0.05, |m, _| {
+//!     let y = m.0.forward(&Matrix::from_vec(4, 1, xs.to_vec()));
+//!     let d: Vec<f32> = (0..4).map(|i| (y.data[i] - 3.0 * xs[i]) / 4.0).collect();
+//!     m.0.backward(&Matrix::from_vec(4, 1, d.clone()));
+//!     d.iter().map(|e| 2.0 * e * e).sum()
+//! });
+//! assert!(report.rollbacks.is_empty());
+//! assert!((line.0.w.w.data[0] - 3.0).abs() < 0.1);
 //! ```
 
 #![cfg_attr(not(test), deny(clippy::unwrap_used, clippy::panic))]
@@ -50,7 +55,7 @@ pub mod transformer;
 
 pub use arena::ScratchArena;
 pub use attention::{MultiHeadAttention, SelfAttention};
-pub use guard::{GuardAction, TrainGuard};
+pub use guard::{fit, FitReport, GuardAction, Rollback, TrainGuard, Trainable};
 pub use layers::{Embedding, LayerNorm, Linear, Module, Param, Relu, Sigmoid};
 pub use loss::{bce_with_logits, distillation_loss, softmax_cross_entropy};
 pub use lstm::Lstm;

@@ -3,12 +3,12 @@
 //! stream. Trained offline on the first iteration of the trace, then run
 //! online as an LLC prefetcher — the weakest ML baseline of Figures 10-12.
 
-use crate::mlcommon::{DeltaVocab, History};
+use crate::mlcommon::{sample_starts, DeltaVocab, History};
 use mpgraph_frameworks::MemRecord;
+use mpgraph_ml::guard::{fit, Trainable};
 use mpgraph_ml::layers::{Embedding, Linear, Module};
 use mpgraph_ml::loss::softmax_cross_entropy;
 use mpgraph_ml::lstm::Lstm;
-use mpgraph_ml::optim::Adam;
 use mpgraph_ml::tensor::{rng, Matrix};
 use mpgraph_sim::{LlcAccess, Prefetcher};
 
@@ -79,65 +79,54 @@ pub struct DeltaLstm {
     pub final_loss: f32,
 }
 
+impl Trainable for DeltaLstm {
+    fn parts(&mut self) -> Vec<&mut dyn Module> {
+        vec![&mut self.embed, &mut self.lstm, &mut self.head]
+    }
+}
+
 impl DeltaLstm {
     /// Trains on `records` (typically the first framework iteration).
     pub fn train(records: &[MemRecord], cfg: DeltaLstmConfig, tc: &TrainCfg) -> Self {
         let vocab = DeltaVocab::build(records, cfg.vocab);
-        let mut r = rng(tc.seed);
-        let mut embed = Embedding::new(cfg.vocab, cfg.embed_dim, &mut r);
-        let mut lstm = Lstm::new(cfg.embed_dim, cfg.hidden, &mut r);
-        let mut head = Linear::new(cfg.hidden, cfg.vocab, &mut r);
-        let mut opt = Adam::new(tc.lr);
-
         // Delta-class stream.
         let deltas: Vec<usize> = records
             .windows(2)
             .map(|w| vocab.class_of(w[1].block() as i64 - w[0].block() as i64))
             .collect();
-        let t = tc.history;
-        let usable = deltas.len().saturating_sub(t + 1);
-        let stride = (usable / tc.max_samples.max(1)).max(1);
-        let mut final_loss = 0.0;
-        for _epoch in 0..tc.epochs {
-            let mut i = 0;
-            let mut count = 0usize;
-            let mut loss_sum = 0.0f32;
-            while i + t < deltas.len() && count < tc.max_samples {
-                let hist = &deltas[i..i + t];
-                let target = deltas[i + t];
-                let x = embed.forward(hist);
-                let h = lstm.forward(&x);
-                let last = Matrix::from_vec(1, h.cols, h.row(h.rows - 1).to_vec());
-                let logits = head.forward(&last);
-                let (loss, dlogits) = softmax_cross_entropy(&logits, &[target]);
-                loss_sum += loss;
-                let dlast = head.backward(&dlogits);
-                let mut dh = Matrix::zeros(h.rows, h.cols);
-                dh.row_mut(h.rows - 1).copy_from_slice(dlast.row(0));
-                let dx = lstm.backward(&dh);
-                embed.backward(&dx);
-                opt.step(&mut embed);
-                opt.step(&mut lstm);
-                opt.step(&mut head);
-                i += stride;
-                count += 1;
-            }
-            final_loss = if count > 0 {
-                loss_sum / count as f32
-            } else {
-                f32::NAN
-            };
-        }
-        DeltaLstm {
-            hist: History::new(cfg.history_len(tc)),
+        let mut r = rng(tc.seed);
+        let mut model = DeltaLstm {
             cfg,
             vocab,
-            embed,
-            lstm,
-            head,
+            embed: Embedding::new(cfg.vocab, cfg.embed_dim, &mut r),
+            lstm: Lstm::new(cfg.embed_dim, cfg.hidden, &mut r),
+            head: Linear::new(cfg.hidden, cfg.vocab, &mut r),
+            hist: History::new(tc.history),
             last_block: None,
-            final_loss,
-        }
+            final_loss: f32::NAN,
+        };
+        let t = tc.history;
+        let starts = sample_starts(
+            deltas.len(),
+            t,
+            deltas.len().saturating_sub(t + 1),
+            tc.max_samples,
+        );
+        let report = fit(&mut model, &starts, tc.epochs, tc.lr, |m, &i| {
+            let x = m.embed.forward(&deltas[i..i + t]);
+            let h = m.lstm.forward(&x);
+            let last = Matrix::from_vec(1, h.cols, h.row(h.rows - 1).to_vec());
+            let logits = m.head.forward(&last);
+            let (loss, dlogits) = softmax_cross_entropy(&logits, &[deltas[i + t]]);
+            let dlast = m.head.backward(&dlogits);
+            let mut dh = Matrix::zeros(h.rows, h.cols);
+            dh.row_mut(h.rows - 1).copy_from_slice(dlast.row(0));
+            let dx = m.lstm.backward(&dh);
+            m.embed.backward(&dx);
+            loss
+        });
+        model.final_loss = report.mean_loss();
+        model
     }
 
     /// Predicted top-`k` delta classes (with softmax probability above the
@@ -161,12 +150,6 @@ impl DeltaLstm {
     /// Total trainable parameters (Table 8).
     pub fn num_params(&mut self) -> usize {
         self.embed.num_params() + self.lstm.num_params() + self.head.num_params()
-    }
-}
-
-impl DeltaLstmConfig {
-    fn history_len(&self, tc: &TrainCfg) -> usize {
-        tc.history
     }
 }
 

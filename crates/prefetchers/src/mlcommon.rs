@@ -1,9 +1,120 @@
 //! Shared plumbing for the ML-based prefetchers: delta and page
-//! vocabularies built from the training trace, sliding history windows, and
-//! feature encoders reused by Delta-LSTM, Voyager, TransFetch, and MPGraph.
+//! vocabularies built from the training trace, the delta-bitmap labels,
+//! the training sample walks, sliding history windows, and feature
+//! encoders reused by Delta-LSTM, Voyager, TransFetch, and MPGraph.
 
 use mpgraph_frameworks::MemRecord;
+use mpgraph_ml::tensor::Matrix;
 use std::collections::HashMap;
+
+/// Bidirectional delta↔label mapping over `[-range, +range] \ {0}`: the
+/// multi-label output of the delta-bitmap models (TransFetch and MPGraph's
+/// delta predictor).
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct DeltaRange {
+    pub range: i64,
+}
+
+impl DeltaRange {
+    pub fn num_labels(&self) -> usize {
+        2 * self.range as usize
+    }
+
+    pub fn label_of(&self, delta: i64) -> Option<usize> {
+        if delta == 0 || delta.abs() > self.range {
+            return None;
+        }
+        Some(if delta > 0 {
+            (self.range + delta - 1) as usize
+        } else {
+            (self.range + delta) as usize
+        })
+    }
+
+    pub fn delta_of(&self, label: usize) -> i64 {
+        let l = label as i64;
+        if l >= self.range {
+            l - self.range + 1
+        } else {
+            l - self.range
+        }
+    }
+
+    /// The `[1, labels]` training target for the access at `pos`: the
+    /// in-range block deltas of the next `look_forward` accesses relative
+    /// to `records[pos]`'s block.
+    pub fn label_bitmap(&self, records: &[MemRecord], pos: usize, look_forward: usize) -> Matrix {
+        let cur = records[pos].block() as i64;
+        let mut target = Matrix::zeros(1, self.num_labels());
+        for fut in records.iter().skip(pos + 1).take(look_forward) {
+            if let Some(l) = self.label_of(fut.block() as i64 - cur) {
+                target.data[l] = 1.0;
+            }
+        }
+        target
+    }
+}
+
+/// The strided sample walk of the trainers that read one stream: window
+/// starts `0, s, 2s, …` while `start + reach < len`, at most
+/// `max_samples` of them, with the stride `s` spreading `max_samples` over
+/// `usable` items (each walk keeps its own `reach` and `usable`).
+pub fn sample_starts(len: usize, reach: usize, usable: usize, max_samples: usize) -> Vec<usize> {
+    let stride = (usable / max_samples.max(1)).max(1);
+    (0..len)
+        .step_by(stride)
+        .take_while(|&i| i + reach < len)
+        .take(max_samples)
+        .collect()
+}
+
+/// Splits `records` into per-core streams of `item(record)` (core id mod
+/// 8: the LLC knows the requesting CPU, and a core's own stream carries the
+/// temporal structure the interleaved one hides), keeping the streams
+/// longer than `t + 1`.
+pub fn per_core_streams<T>(
+    records: &[MemRecord],
+    t: usize,
+    item: impl Fn(&MemRecord) -> T,
+) -> Vec<Vec<T>> {
+    let mut per_core: Vec<Vec<T>> = (0..8).map(|_| Vec::new()).collect();
+    for rec in records {
+        per_core[(rec.core as usize) % 8].push(item(rec));
+    }
+    per_core.retain(|s| s.len() > t + 1);
+    per_core
+}
+
+/// The round-robin sample walk over per-core streams: streams take
+/// turns, each advancing its cursor by one stride, until `max_samples`
+/// length-`t` windows are drawn or every stream is spent. Returns (stream,
+/// window start) pairs in walk order.
+pub fn round_robin_windows<T>(
+    seqs: &[Vec<T>],
+    t: usize,
+    max_samples: usize,
+) -> Vec<(usize, usize)> {
+    let total: usize = seqs.iter().map(Vec::len).sum();
+    let usable = total.saturating_sub((t + 1) * seqs.len().max(1));
+    let stride = (usable / max_samples.max(1)).max(1);
+    let mut cursors = vec![0usize; seqs.len()];
+    let mut out = Vec::new();
+    let mut which = 0usize;
+    while out.len() < max_samples && !seqs.is_empty() {
+        let s = which % seqs.len();
+        which += 1;
+        let i = cursors[s];
+        if i + t >= seqs[s].len() {
+            if cursors.iter().zip(seqs).all(|(c, s)| c + t >= s.len()) {
+                break;
+            }
+            continue;
+        }
+        cursors[s] += stride;
+        out.push((s, i));
+    }
+    out
+}
 
 /// Maps block-address deltas to dense class ids. Class 0 is the
 /// out-of-vocabulary bucket; the rest are the most frequent training deltas.

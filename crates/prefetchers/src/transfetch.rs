@@ -4,12 +4,12 @@
 //! paper reports highest accuracy (but lower coverage) for.
 
 use crate::delta_lstm::TrainCfg;
-use crate::mlcommon::{pc_feature, segment_block, History};
+use crate::mlcommon::{pc_feature, sample_starts, segment_block, DeltaRange, History};
 use mpgraph_frameworks::MemRecord;
+use mpgraph_ml::guard::{fit, Trainable};
 use mpgraph_ml::layers::{Linear, Module, Sigmoid};
 use mpgraph_ml::loss::bce_with_logits;
 use mpgraph_ml::metrics::top_k_indices;
-use mpgraph_ml::optim::Adam;
 use mpgraph_ml::tensor::{rng, Matrix};
 use mpgraph_ml::transformer::TransformerLayer;
 use mpgraph_sim::{LlcAccess, Prefetcher};
@@ -50,30 +50,10 @@ impl Default for TransFetchConfig {
 }
 
 impl TransFetchConfig {
-    /// Output bitmap width: 2 × delta_range (delta 0 excluded).
-    pub fn num_labels(&self) -> usize {
-        2 * self.delta_range as usize
-    }
-
-    /// Bitmap index of `delta` (None when out of range or 0).
-    pub fn label_of(&self, delta: i64) -> Option<usize> {
-        if delta == 0 || delta.abs() > self.delta_range {
-            return None;
-        }
-        Some(if delta > 0 {
-            (self.delta_range + delta - 1) as usize
-        } else {
-            (self.delta_range + delta) as usize
-        })
-    }
-
-    /// Inverse of [`Self::label_of`].
-    pub fn delta_of(&self, label: usize) -> i64 {
-        let l = label as i64;
-        if l >= self.delta_range {
-            l - self.delta_range + 1
-        } else {
-            l - self.delta_range
+    /// The output bitmap's delta↔label mapping.
+    pub(crate) fn labels(&self) -> DeltaRange {
+        DeltaRange {
+            range: self.delta_range,
         }
     }
 }
@@ -88,6 +68,26 @@ pub struct TransFetch {
     pub final_loss: f32,
 }
 
+impl Trainable for TransFetch {
+    fn parts(&mut self) -> Vec<&mut dyn Module> {
+        let mut parts: Vec<&mut dyn Module> = vec![&mut self.embed];
+        parts.extend(self.blocks.iter_mut().map(|b| b as &mut dyn Module));
+        parts.push(&mut self.head);
+        parts
+    }
+}
+
+/// Mean over the sequence rows: `[T, d]` → `[1, d]`.
+fn mean_pool(h: &Matrix) -> Matrix {
+    let mut pooled = Matrix::zeros(1, h.cols);
+    for r in 0..h.rows {
+        for c in 0..h.cols {
+            pooled.data[c] += h.at(r, c) / h.rows as f32;
+        }
+    }
+    pooled
+}
+
 impl TransFetch {
     fn encode(cfg: &TransFetchConfig, hist: &[(u64, u64)]) -> Matrix {
         let feat_dim = cfg.segments + 1;
@@ -100,109 +100,73 @@ impl TransFetch {
         x
     }
 
-    fn forward_logits(
-        embed: &mut Linear,
-        blocks: &mut [TransformerLayer],
-        head: &mut Linear,
-        x: &Matrix,
-    ) -> Matrix {
-        let mut h = embed.forward(x);
-        for b in blocks.iter_mut() {
-            h = b.forward(&h);
-        }
-        // Mean-pool over the sequence.
-        let mut pooled = Matrix::zeros(1, h.cols);
-        for r in 0..h.rows {
-            for c in 0..h.cols {
-                pooled.data[c] += h.at(r, c) / h.rows as f32;
-            }
-        }
-        head.forward(&pooled)
-    }
-
     fn infer_logits(&self, hist: &[(u64, u64)]) -> Matrix {
         let x = Self::encode(&self.cfg, hist);
         let mut h = self.embed.infer(&x);
         for b in &self.blocks {
             h = b.infer(&h);
         }
-        let mut pooled = Matrix::zeros(1, h.cols);
-        for r in 0..h.rows {
-            for c in 0..h.cols {
-                pooled.data[c] += h.at(r, c) / h.rows as f32;
+        self.head.infer(&mean_pool(&h))
+    }
+
+    /// One training sample: the window of `t` accesses at `i` against the
+    /// bitmap of the deltas that follow it. Returns the BCE loss.
+    fn train_step(&mut self, records: &[MemRecord], i: usize, t: usize) -> f32 {
+        let hist: Vec<(u64, u64)> = records[i..i + t]
+            .iter()
+            .map(|rec| (rec.block(), rec.pc))
+            .collect();
+        let target = self
+            .cfg
+            .labels()
+            .label_bitmap(records, i + t - 1, self.cfg.look_forward);
+        let mut h = self.embed.forward(&Self::encode(&self.cfg, &hist));
+        for b in self.blocks.iter_mut() {
+            h = b.forward(&h);
+        }
+        let logits = self.head.forward(&mean_pool(&h));
+        let (loss, dl) = bce_with_logits(&logits, &target);
+        // Backward through head, pooling, transformer stack, embed.
+        let d_pooled = self.head.backward(&dl);
+        let dim = self.cfg.dim;
+        let mut dh = Matrix::zeros(t, dim);
+        for rr in 0..t {
+            for c in 0..dim {
+                dh.data[rr * dim + c] = d_pooled.data[c] / t as f32;
             }
         }
-        self.head.infer(&pooled)
+        for b in self.blocks.iter_mut().rev() {
+            dh = b.backward(&dh);
+        }
+        let _ = self.embed.backward(&dh);
+        loss
     }
 
     pub fn train(records: &[MemRecord], cfg: TransFetchConfig, tc: &TrainCfg) -> Self {
         let mut r = rng(tc.seed ^ 0x7F47C4);
-        let mut embed = Linear::new(cfg.segments + 1, cfg.dim, &mut r);
-        let mut blocks: Vec<TransformerLayer> = (0..cfg.layers)
-            .map(|_| TransformerLayer::new(cfg.dim, cfg.heads, &mut r))
-            .collect();
-        let mut head = Linear::new(cfg.dim, cfg.num_labels(), &mut r);
-        let mut opt = Adam::new(tc.lr);
-
-        let t = tc.history;
-        let usable = records.len().saturating_sub(t + cfg.look_forward);
-        let stride = (usable / tc.max_samples.max(1)).max(1);
-        let mut final_loss = 0.0f32;
-        for _ in 0..tc.epochs {
-            let mut i = 0usize;
-            let mut count = 0usize;
-            let mut loss_sum = 0.0f32;
-            while i + t + cfg.look_forward < records.len() && count < tc.max_samples {
-                let hist: Vec<(u64, u64)> = records[i..i + t]
-                    .iter()
-                    .map(|rec| (rec.block(), rec.pc))
-                    .collect();
-                let cur = records[i + t - 1].block() as i64;
-                let mut target = Matrix::zeros(1, cfg.num_labels());
-                for fut in &records[i + t..i + t + cfg.look_forward] {
-                    if let Some(l) = cfg.label_of(fut.block() as i64 - cur) {
-                        target.data[l] = 1.0;
-                    }
-                }
-                let x = Self::encode(&cfg, &hist);
-                let logits = Self::forward_logits(&mut embed, &mut blocks, &mut head, &x);
-                let (loss, dl) = bce_with_logits(&logits, &target);
-                loss_sum += loss;
-                // Backward through head, pooling, transformer stack, embed.
-                let d_pooled = head.backward(&dl);
-                let rows = t;
-                let mut dh = Matrix::zeros(rows, cfg.dim);
-                for rr in 0..rows {
-                    for c in 0..cfg.dim {
-                        dh.data[rr * cfg.dim + c] = d_pooled.data[c] / rows as f32;
-                    }
-                }
-                for b in blocks.iter_mut().rev() {
-                    dh = b.backward(&dh);
-                }
-                let _ = embed.backward(&dh);
-                opt.step(&mut embed);
-                for b in blocks.iter_mut() {
-                    opt.step(b);
-                }
-                opt.step(&mut head);
-                i += stride;
-                count += 1;
-            }
-            final_loss = if count > 0 {
-                loss_sum / count as f32
-            } else {
-                f32::NAN
-            };
-        }
-        TransFetch {
-            hist: History::new(tc.history),
+        let mut model = TransFetch {
             cfg,
-            embed,
-            blocks,
-            head,
-            final_loss,
-        }
+            embed: Linear::new(cfg.segments + 1, cfg.dim, &mut r),
+            blocks: (0..cfg.layers)
+                .map(|_| TransformerLayer::new(cfg.dim, cfg.heads, &mut r))
+                .collect(),
+            head: Linear::new(cfg.dim, cfg.labels().num_labels(), &mut r),
+            hist: History::new(tc.history),
+            final_loss: f32::NAN,
+        };
+        let t = tc.history;
+        let reach = t + cfg.look_forward;
+        let starts = sample_starts(
+            records.len(),
+            reach,
+            records.len().saturating_sub(reach),
+            tc.max_samples,
+        );
+        let report = fit(&mut model, &starts, tc.epochs, tc.lr, |m, &i| {
+            m.train_step(records, i, t)
+        });
+        model.final_loss = report.mean_loss();
+        model
     }
 
     /// Predicted deltas, strongest first, up to `k`, above threshold.
@@ -212,7 +176,7 @@ impl TransFetch {
         top_k_indices(probs.row(0), k)
             .into_iter()
             .filter(|&i| probs.data[i] >= self.cfg.threshold)
-            .map(|i| self.cfg.delta_of(i))
+            .map(|i| self.cfg.labels().delta_of(i))
             .collect()
     }
 
@@ -300,13 +264,14 @@ mod tests {
     #[test]
     fn label_mapping_is_a_bijection() {
         let cfg = TransFetchConfig::default();
+        let labels = cfg.labels();
         for d in (-cfg.delta_range..=cfg.delta_range).filter(|&d| d != 0) {
-            let l = cfg.label_of(d).unwrap();
-            assert!(l < cfg.num_labels());
-            assert_eq!(cfg.delta_of(l), d);
+            let l = labels.label_of(d).unwrap();
+            assert!(l < labels.num_labels());
+            assert_eq!(labels.delta_of(l), d);
         }
-        assert_eq!(cfg.label_of(0), None);
-        assert_eq!(cfg.label_of(cfg.delta_range + 1), None);
+        assert_eq!(labels.label_of(0), None);
+        assert_eq!(labels.label_of(cfg.delta_range + 1), None);
     }
 
     #[test]

@@ -11,13 +11,13 @@
 //! — the same interleaving pathology the paper describes for ISB.
 
 use crate::delta_lstm::TrainCfg;
-use crate::mlcommon::{History, PageVocab};
+use crate::mlcommon::{per_core_streams, round_robin_windows, History, PageVocab};
 use mpgraph_frameworks::MemRecord;
+use mpgraph_ml::guard::{fit, Trainable};
 use mpgraph_ml::layers::{Embedding, Linear, Module};
 use mpgraph_ml::loss::softmax_cross_entropy;
 use mpgraph_ml::lstm::Lstm;
 use mpgraph_ml::metrics::top_k_indices;
-use mpgraph_ml::optim::Adam;
 use mpgraph_ml::tensor::{rng, Matrix};
 use mpgraph_sim::{LlcAccess, Prefetcher, BLOCK_BITS};
 
@@ -65,147 +65,116 @@ pub struct Voyager {
 /// Cores tracked by the per-core histories.
 const MAX_CORES: usize = 8;
 
+impl Trainable for Voyager {
+    fn parts(&mut self) -> Vec<&mut dyn Module> {
+        vec![
+            &mut self.page_embed,
+            &mut self.offset_embed,
+            &mut self.page_lstm,
+            &mut self.offset_lstm,
+            &mut self.page_head,
+            &mut self.offset_head,
+        ]
+    }
+}
+
 impl Voyager {
     pub fn train(records: &[MemRecord], cfg: VoyagerConfig, tc: &TrainCfg) -> Self {
         let vocab = PageVocab::build(records, cfg.page_vocab);
-        let mut r = rng(tc.seed ^ 0x70A6E5);
-        let mut page_embed = Embedding::new(cfg.page_vocab, cfg.page_embed, &mut r);
-        let mut offset_embed = Embedding::new(64, cfg.offset_embed, &mut r);
-        let mut page_lstm = Lstm::new(cfg.page_embed, cfg.hidden, &mut r);
-        let mut offset_lstm = Lstm::new(cfg.offset_embed, cfg.hidden, &mut r);
-        let mut page_head = Linear::new(cfg.hidden, cfg.page_vocab, &mut r);
-        let mut offset_head = Linear::new(2 * cfg.hidden, 64, &mut r);
-        let mut opt = Adam::new(tc.lr);
-
         // Per-core subsequences: the temporal patterns live within a
-        // core's own stream, not in the interleaved aggregate.
-        let mut per_core: Vec<Vec<(usize, usize)>> = vec![Vec::new(); MAX_CORES];
-        for rc in records {
-            per_core[(rc.core as usize) % MAX_CORES]
-                .push((vocab.token_of(rc.page()), rc.page_offset() as usize));
-        }
-        // Concatenate with per-core sampling: windows never straddle cores.
+        // core's own stream, not in the interleaved aggregate, and windows
+        // never straddle cores.
         let t = tc.history;
-        let seqs: Vec<&Vec<(usize, usize)>> = per_core.iter().filter(|s| s.len() > t + 1).collect();
-        let total: usize = seqs.iter().map(|s| s.len()).sum();
-        let usable = total.saturating_sub((t + 1) * seqs.len().max(1));
-        let stride = (usable / tc.max_samples.max(1)).max(1);
-        let mut final_loss = 0.0f32;
-        for _ in 0..tc.epochs {
-            let mut count = 0usize;
-            let mut loss_sum = 0.0f32;
-            // Round-robin over core subsequences.
-            let mut cursors: Vec<usize> = vec![0; seqs.len()];
-            let mut which = 0usize;
-            while count < tc.max_samples {
-                if seqs.is_empty() {
-                    break;
-                }
-                let s = seqs[which % seqs.len()];
-                let i = &mut cursors[which % seqs.len()];
-                which += 1;
-                if *i + t >= s.len() {
-                    if cursors
-                        .iter()
-                        .zip(seqs.iter())
-                        .all(|(c, s)| c + t >= s.len())
-                    {
-                        break;
-                    }
-                    continue;
-                }
-                let hist = &s[*i..*i + t];
-                let (tp, to) = s[*i + t];
-                let ptoks: Vec<usize> = hist.iter().map(|&(p, _)| p).collect();
-                let otoks: Vec<usize> = hist.iter().map(|&(_, o)| o).collect();
-
-                // ---- forward ----
-                let pe = page_embed.forward(&ptoks);
-                let ph = page_lstm.forward(&pe); // [T, H]
-                let oe = offset_embed.forward(&otoks);
-                let oh = offset_lstm.forward(&oe); // [T, H]
-                let p_last = Matrix::from_vec(1, ph.cols, ph.row(t - 1).to_vec());
-                let o_last = Matrix::from_vec(1, oh.cols, oh.row(t - 1).to_vec());
-                // Dot-product attention: query = offset hidden, keys/values
-                // = page hidden states.
-                let mut scores = ph.matmul_bt(&o_last).transpose(); // [1, T]
-                scores.scale(1.0 / (cfg.hidden as f32).sqrt());
-                let attn = scores.softmax_rows(); // [1, T]
-                let ctx = attn.matmul(&ph); // [1, H]
-                let offset_in = {
-                    let mut v = o_last.data.clone();
-                    v.extend_from_slice(&ctx.data);
-                    Matrix::from_vec(1, 2 * cfg.hidden, v)
-                };
-                let p_logits = page_head.forward(&p_last);
-                let o_logits = offset_head.forward(&offset_in);
-                let (pl, dp) = softmax_cross_entropy(&p_logits, &[tp]);
-                let (ol, dol) = softmax_cross_entropy(&o_logits, &[to]);
-                loss_sum += pl + ol;
-
-                // ---- backward ----
-                // Page head path.
-                let dp_last = page_head.backward(&dp);
-                // Offset head path.
-                let d_off_in = offset_head.backward(&dol);
-                let (d_o_last_head, d_ctx) = {
-                    let top = Matrix::from_vec(1, cfg.hidden, d_off_in.data[..cfg.hidden].to_vec());
-                    let bot = Matrix::from_vec(1, cfg.hidden, d_off_in.data[cfg.hidden..].to_vec());
-                    (top, bot)
-                };
-                // ctx = attn @ ph
-                let d_attn = d_ctx.matmul_bt(&ph); // [1, T]
-                                                   // attn^T [T,1] @ d_ctx [1,H] → [T,H]
-                let d_ph_from_ctx_init = attn.matmul_at(&d_ctx);
-                let mut d_scores = Matrix::softmax_rows_backward(&attn, &d_attn);
-                d_scores.scale(1.0 / (cfg.hidden as f32).sqrt());
-                // scores[0, j] = ph[j] · o_last
-                let d_ph_from_scores = d_scores.transpose().matmul(&o_last); // [T, H]
-                let d_o_last_attn = d_scores.matmul(&ph); // [1, H]
-                                                          // Accumulate page-LSTM output grads.
-                let mut d_ph = d_ph_from_ctx_init;
-                d_ph.add_assign(&d_ph_from_scores);
-                d_ph.row_mut(t - 1)
-                    .iter_mut()
-                    .zip(dp_last.row(0).iter())
-                    .for_each(|(a, &b)| *a += b);
-                // Offset-LSTM output grads.
-                let mut d_oh = Matrix::zeros(t, cfg.hidden);
-                d_oh.row_mut(t - 1)
-                    .iter_mut()
-                    .zip(d_o_last_head.row(0).iter().zip(d_o_last_attn.row(0).iter()))
-                    .for_each(|(a, (&b, &c))| *a = b + c);
-                let d_pe = page_lstm.backward(&d_ph);
-                let d_oe = offset_lstm.backward(&d_oh);
-                page_embed.backward(&d_pe);
-                offset_embed.backward(&d_oe);
-                opt.step(&mut page_embed);
-                opt.step(&mut offset_embed);
-                opt.step(&mut page_lstm);
-                opt.step(&mut offset_lstm);
-                opt.step(&mut page_head);
-                opt.step(&mut offset_head);
-                *i += stride;
-                count += 1;
-            }
-            final_loss = if count > 0 {
-                loss_sum / count as f32
-            } else {
-                f32::NAN
-            };
-        }
-        Voyager {
-            hists: (0..MAX_CORES).map(|_| History::new(tc.history)).collect(),
+        let seqs = per_core_streams(records, t, |rc| {
+            (vocab.token_of(rc.page()), rc.page_offset() as usize)
+        });
+        let windows = round_robin_windows(&seqs, t, tc.max_samples);
+        let mut r = rng(tc.seed ^ 0x70A6E5);
+        let mut model = Voyager {
             cfg,
             vocab,
-            page_embed,
-            offset_embed,
-            page_lstm,
-            offset_lstm,
-            page_head,
-            offset_head,
-            final_loss,
-        }
+            page_embed: Embedding::new(cfg.page_vocab, cfg.page_embed, &mut r),
+            offset_embed: Embedding::new(64, cfg.offset_embed, &mut r),
+            page_lstm: Lstm::new(cfg.page_embed, cfg.hidden, &mut r),
+            offset_lstm: Lstm::new(cfg.offset_embed, cfg.hidden, &mut r),
+            page_head: Linear::new(cfg.hidden, cfg.page_vocab, &mut r),
+            offset_head: Linear::new(2 * cfg.hidden, 64, &mut r),
+            hists: (0..MAX_CORES).map(|_| History::new(tc.history)).collect(),
+            final_loss: f32::NAN,
+        };
+        let report = fit(&mut model, &windows, tc.epochs, tc.lr, |m, &(s, i)| {
+            m.train_step(&seqs[s][i..=i + t])
+        });
+        model.final_loss = report.mean_loss();
+        model
+    }
+
+    /// One training sample: the (page token, offset) window `w[..t]`
+    /// against its successor `w[t]`. Returns the page plus offset loss.
+    fn train_step(&mut self, w: &[(usize, usize)]) -> f32 {
+        let t = w.len() - 1;
+        let hidden = self.cfg.hidden;
+        let (tp, to) = w[t];
+        let ptoks: Vec<usize> = w[..t].iter().map(|&(p, _)| p).collect();
+        let otoks: Vec<usize> = w[..t].iter().map(|&(_, o)| o).collect();
+
+        // ---- forward ----
+        let pe = self.page_embed.forward(&ptoks);
+        let ph = self.page_lstm.forward(&pe); // [T, H]
+        let oe = self.offset_embed.forward(&otoks);
+        let oh = self.offset_lstm.forward(&oe); // [T, H]
+        let p_last = Matrix::from_vec(1, ph.cols, ph.row(t - 1).to_vec());
+        let o_last = Matrix::from_vec(1, oh.cols, oh.row(t - 1).to_vec());
+        // Dot-product attention: query = offset hidden, keys/values
+        // = page hidden states.
+        let mut scores = ph.matmul_bt(&o_last).transpose(); // [1, T]
+        scores.scale(1.0 / (hidden as f32).sqrt());
+        let attn = scores.softmax_rows(); // [1, T]
+        let ctx = attn.matmul(&ph); // [1, H]
+        let offset_in = {
+            let mut v = o_last.data.clone();
+            v.extend_from_slice(&ctx.data);
+            Matrix::from_vec(1, 2 * hidden, v)
+        };
+        let p_logits = self.page_head.forward(&p_last);
+        let o_logits = self.offset_head.forward(&offset_in);
+        let (pl, dp) = softmax_cross_entropy(&p_logits, &[tp]);
+        let (ol, dol) = softmax_cross_entropy(&o_logits, &[to]);
+
+        // ---- backward ----
+        // Page head path.
+        let dp_last = self.page_head.backward(&dp);
+        // Offset head path.
+        let d_off_in = self.offset_head.backward(&dol);
+        let d_o_last_head = Matrix::from_vec(1, hidden, d_off_in.data[..hidden].to_vec());
+        let d_ctx = Matrix::from_vec(1, hidden, d_off_in.data[hidden..].to_vec());
+        // ctx = attn @ ph
+        let d_attn = d_ctx.matmul_bt(&ph); // [1, T]
+                                           // attn^T [T,1] @ d_ctx [1,H] → [T,H]
+        let d_ph_from_ctx = attn.matmul_at(&d_ctx);
+        let mut d_scores = Matrix::softmax_rows_backward(&attn, &d_attn);
+        d_scores.scale(1.0 / (hidden as f32).sqrt());
+        // scores[0, j] = ph[j] · o_last
+        let d_ph_from_scores = d_scores.transpose().matmul(&o_last); // [T, H]
+        let d_o_last_attn = d_scores.matmul(&ph); // [1, H]
+                                                  // Accumulate page-LSTM output grads.
+        let mut d_ph = d_ph_from_ctx;
+        d_ph.add_assign(&d_ph_from_scores);
+        d_ph.row_mut(t - 1)
+            .iter_mut()
+            .zip(dp_last.row(0).iter())
+            .for_each(|(a, &b)| *a += b);
+        // Offset-LSTM output grads.
+        let mut d_oh = Matrix::zeros(t, hidden);
+        d_oh.row_mut(t - 1)
+            .iter_mut()
+            .zip(d_o_last_head.row(0).iter().zip(d_o_last_attn.row(0).iter()))
+            .for_each(|(a, (&b, &c))| *a = b + c);
+        let d_pe = self.page_lstm.backward(&d_ph);
+        let d_oe = self.offset_lstm.backward(&d_oh);
+        self.page_embed.backward(&d_pe);
+        self.offset_embed.backward(&d_oe);
+        pl + ol
     }
 
     /// Inference: top page tokens and top offsets for the current history.
