@@ -11,8 +11,8 @@
 //!    dim 128);
 //! 3. `L` **Transformer layers** (Eq. 9-10, one layer, 4 heads, dim 128)
 //!    refine the fused sequence;
-//! 4. mean-pooling produces the sequence representation consumed by the
-//!    task head (MLP + sigmoid or softmax).
+//! 4. the last position's representation is the sequence readout consumed
+//!    by the task head (MLP + sigmoid or softmax).
 //!
 //! Default dimensions here are half of Table 5's (attention 32, fusion 64)
 //! so that the full per-phase × per-app training sweeps finish on a CPU in
@@ -23,7 +23,7 @@ use mpgraph_ml::arena::ScratchArena;
 use mpgraph_ml::attention::SelfAttention;
 use mpgraph_ml::layers::{Embedding, Linear, Module, Param};
 use mpgraph_ml::tensor::Matrix;
-use mpgraph_ml::transformer::TransformerLayer;
+use mpgraph_ml::transformer::{readout_batch_in, TransformerLayer};
 use rand_chacha::ChaCha8Rng;
 
 /// AMMA dimensions (Table 5).
@@ -221,11 +221,13 @@ impl Amma {
     /// are `[batch * T, F]` with each sequence contiguous. The linear
     /// embeddings, fusion concat, phase broadcast, and transformer FFNs
     /// fuse across the whole stack; self-attention and the positional
-    /// encoding stay per-sequence. Returns `[batch, fusion_dim]` with row
-    /// `b` bit-identical to [`Amma::infer`] on sequence `b` alone (the
-    /// whole batch shares one `phase`). This is the one arena forward:
-    /// single sequences run at `batch = 1`, allocation-free once the arena
-    /// is warm.
+    /// encoding stay per-sequence. The final transformer layer computes
+    /// only each sequence's last row, which is the readout (see
+    /// [`readout_batch_in`]). Returns `[batch, fusion_dim]` with row `b`
+    /// bit-identical to [`Amma::infer`] on sequence `b` alone (the whole
+    /// batch shares one `phase`). This is the one arena forward: single
+    /// sequences run at `batch = 1`, allocation-free once the arena is
+    /// warm.
     pub fn infer_batch_in(
         &self,
         x: &ModalInput,
@@ -242,10 +244,10 @@ impl Amma {
         s.add_positional_per_seq(&mut ea, seq);
         let mut ep = self.embed_pc.infer_in(&x.pc, s);
         s.add_positional_per_seq(&mut ep, seq);
-        let mut ha = self.attn_addr.infer_batch_in(&ea, batch, s);
+        let mut ha = self.attn_addr.infer_batch_in(&ea, batch, seq, s);
         ha.add_assign(&ea);
         s.give(ea);
-        let mut hp = self.attn_pc.infer_batch_in(&ep, batch, s);
+        let mut hp = self.attn_pc.infer_batch_in(&ep, batch, seq, s);
         hp.add_assign(&ep);
         s.give(ep);
         let mut fused_in = s.take(ha.rows, ha.cols + hp.cols);
@@ -256,7 +258,7 @@ impl Amma {
         }
         s.give(ha);
         s.give(hp);
-        let mut h = self.fusion.infer_batch_in(&fused_in, batch, s);
+        let mut h = self.fusion.infer_batch_in(&fused_in, batch, seq, s);
         h.add_assign(&fused_in);
         s.give(fused_in);
         if let Some(pe) = &self.phase_embed {
@@ -264,17 +266,7 @@ impl Amma {
             // without materializing it.
             pe.add_row_broadcast(phase, &mut h);
         }
-        for t in &self.trans {
-            let h2 = t.infer_batch_in(&h, batch, s);
-            s.give(h);
-            h = h2;
-        }
-        let mut pooled = s.take(batch, h.cols);
-        for b in 0..batch {
-            pooled.row_mut(b).copy_from_slice(h.row((b + 1) * seq - 1));
-        }
-        s.give(h);
-        pooled
+        readout_batch_in(&self.trans, h, batch, s)
     }
 
     /// Backward from the pooled gradient `[1, fusion_dim]`. Returns the
@@ -384,24 +376,35 @@ mod tests {
 
     #[test]
     fn arena_infer_is_bit_identical_and_allocation_free() {
-        let mut r = rng(11);
-        // Phase-informed variant exercises the broadcast path too.
-        let amma = Amma::new(4, 1, tiny_cfg(), &mut r).with_phase_embedding(3, &mut r);
-        let x = input(12, 5);
-        let mut s = mpgraph_ml::ScratchArena::new();
-        for phase in [0usize, 2, 1] {
-            let baseline = amma.infer(&x, phase);
-            let y = amma.infer_batch_in(&x, 1, phase, &mut s);
-            assert_eq!(y.data, baseline.data, "phase {phase}");
-            s.give(y);
+        // With no transformer layer the readout gathers the fused rows;
+        // otherwise it is the final layer's one-query output.
+        for layers in [0usize, 1, 2] {
+            let mut r = rng(11);
+            let cfg = AmmaConfig {
+                layers,
+                ..tiny_cfg()
+            };
+            // Phase-informed variant exercises the broadcast path too.
+            let amma = Amma::new(4, 1, cfg, &mut r).with_phase_embedding(3, &mut r);
+            let x = input(12, 5);
+            let mut s = mpgraph_ml::ScratchArena::new();
+            for phase in [0usize, 2, 1] {
+                let baseline = amma.infer(&x, phase);
+                let y = amma.infer_batch_in(&x, 1, phase, &mut s);
+                assert_eq!(y.data, baseline.data, "layers {layers} phase {phase}");
+                s.give(y);
+            }
+            let (_, misses_warm) = s.stats();
+            for _ in 0..4 {
+                let y = amma.infer_batch_in(&x, 1, 1, &mut s);
+                s.give(y);
+            }
+            let (_, misses) = s.stats();
+            assert_eq!(
+                misses, misses_warm,
+                "layers {layers}: steady state allocated"
+            );
         }
-        let (_, misses_warm) = s.stats();
-        for _ in 0..4 {
-            let y = amma.infer_batch_in(&x, 1, 1, &mut s);
-            s.give(y);
-        }
-        let (_, misses) = s.stats();
-        assert_eq!(misses, misses_warm, "steady state must not allocate");
     }
 
     #[test]

@@ -8,7 +8,7 @@ use mpgraph_ml::arena::ScratchArena;
 use mpgraph_ml::layers::{Linear, Module, Param};
 use mpgraph_ml::lstm::Lstm;
 use mpgraph_ml::tensor::Matrix;
-use mpgraph_ml::transformer::TransformerLayer;
+use mpgraph_ml::transformer::{readout_batch_in, TransformerLayer};
 use rand_chacha::ChaCha8Rng;
 
 /// Which sequence model extracts features.
@@ -156,9 +156,11 @@ impl Backbone {
     /// Batched inference: `x` stacks `batch` sequences (`[batch * T, F]`
     /// per modality, each sequence contiguous); returns `[batch, out_dim]`
     /// with row `b` bit-identical to [`Backbone::infer`] on sequence `b`
-    /// alone. The whole batch shares one `phase`. This is the only arena
-    /// forward: single sequences run at `batch = 1`, allocation-free for
-    /// every kind once the arena is warm.
+    /// alone. The whole batch shares one `phase`. The attention kinds'
+    /// final transformer layer computes only the readout row of each
+    /// sequence; the LSTM gathers it. This is the only arena forward:
+    /// single sequences run at `batch = 1`, allocation-free for every kind
+    /// once the arena is warm.
     pub fn infer_batch_in(
         &self,
         x: &ModalInput,
@@ -176,34 +178,19 @@ impl Backbone {
                 let cat = Self::concat_in(x, s);
                 let h = lstm.infer_batch_in(&cat, batch, s);
                 s.give(cat);
-                Self::pool_last_rows(h, batch, seq, s)
+                let pooled = s.take_trailing_rows(&h, batch, 1);
+                s.give(h);
+                pooled
             }
             Backbone::Attention { proj, layers, .. } => {
                 let cat = Self::concat_in(x, s);
                 let mut h = proj.infer_in(&cat, s);
                 s.give(cat);
                 s.add_positional_per_seq(&mut h, seq);
-                for l in layers {
-                    let h2 = l.infer_batch_in(&h, batch, s);
-                    s.give(h);
-                    h = h2;
-                }
-                Self::pool_last_rows(h, batch, seq, s)
+                readout_batch_in(layers, h, batch, s)
             }
             Backbone::Amma(a) => a.infer_batch_in(x, batch, phase, s),
         }
-    }
-
-    /// Gathers each sequence's final hidden row into a `[batch, cols]`
-    /// matrix — the batched form of the last-position readout — then
-    /// releases `h` back to the arena.
-    fn pool_last_rows(h: Matrix, batch: usize, seq: usize, s: &mut ScratchArena) -> Matrix {
-        let mut pooled = s.take(batch, h.cols);
-        for b in 0..batch {
-            pooled.row_mut(b).copy_from_slice(h.row((b + 1) * seq - 1));
-        }
-        s.give(h);
-        pooled
     }
 
     fn concat_in(x: &ModalInput, s: &mut ScratchArena) -> Matrix {

@@ -238,9 +238,11 @@ mod tests {
             ComponentStatus::Degraded,
             "2 trips",
         ));
-        let mut faults = FaultStats::default();
-        faults.inference_stalls = 7;
-        faults.stall_cycles_injected = 700;
+        let faults = FaultStats {
+            inference_stalls: 7,
+            stall_cycles_injected: 700,
+            ..FaultStats::default()
+        };
         r.set_faults(faults);
         let text = r.to_string();
         assert!(text.contains("guard"));
@@ -256,14 +258,18 @@ mod tests {
         let h = ComponentHealth::simulator_from_metrics(&clean);
         assert_eq!(h.status, ComponentStatus::Healthy);
 
-        let mut lossy = MetricsSnapshot::default();
-        lossy.untracked_completions = 3;
+        let lossy = MetricsSnapshot {
+            untracked_completions: 3,
+            ..MetricsSnapshot::default()
+        };
         let h = ComponentHealth::simulator_from_metrics(&lossy);
         assert_eq!(h.status, ComponentStatus::Degraded);
         assert!(h.detail.contains("3 untracked"));
 
-        let mut overflowed = MetricsSnapshot::default();
-        overflowed.inflight_overflow = 1;
+        let overflowed = MetricsSnapshot {
+            inflight_overflow: 1,
+            ..MetricsSnapshot::default()
+        };
         let h = ComponentHealth::simulator_from_metrics(&overflowed);
         assert_eq!(h.status, ComponentStatus::Degraded);
 
@@ -281,14 +287,18 @@ mod tests {
             ComponentStatus::Healthy
         );
 
-        let mut loaded = ServeMetrics::default();
-        loaded.overload_level = 1;
+        let loaded = ServeMetrics {
+            overload_level: 1,
+            ..ServeMetrics::default()
+        };
         let h = ComponentHealth::serve_from_metrics(&loaded);
         assert_eq!(h.status, ComponentStatus::Degraded);
         assert!(h.detail.contains("overload level 1"));
 
-        let mut quarantined = ServeMetrics::default();
-        quarantined.degraded_streams = 2;
+        let quarantined = ServeMetrics {
+            degraded_streams: 2,
+            ..ServeMetrics::default()
+        };
         assert_eq!(
             ComponentHealth::serve_from_metrics(&quarantined).status,
             ComponentStatus::Degraded
@@ -313,9 +323,11 @@ mod tests {
     fn display_folds_metrics_when_present() {
         let mut r = HealthReport::new();
         assert!(!r.to_string().contains("prefetch:"));
-        let mut m = MetricsSnapshot::default();
-        m.issued = 12;
-        m.accuracy = 0.5;
+        let mut m = MetricsSnapshot {
+            issued: 12,
+            accuracy: 0.5,
+            ..MetricsSnapshot::default()
+        };
         m.cstp.duplicates_suppressed = 3;
         m.inference_latency.p99 = 77;
         r.set_metrics(m);

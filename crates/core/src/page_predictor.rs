@@ -300,6 +300,8 @@ impl PagePredictor {
 
     /// Raw head logits (pre-softmax / pre-sigmoid) through the allocating
     /// reference path, which the arena path is tested against bit for bit.
+    /// The tied head's row spans all `page_vocab` slots: distillation's KD
+    /// loss reads every one.
     pub fn predict_logits(&self, hist: &[(usize, u64)], phase: usize) -> Matrix {
         let m = self.model_for(phase);
         let tokens: Vec<usize> = hist.iter().map(|&(tk, _)| tk).collect();
@@ -318,9 +320,13 @@ impl PagePredictor {
     /// The one arena forward: raw head logits `[B, out]` for `hists.len()`
     /// same-length (token, pc) windows sharing one phase. The windows are
     /// stacked into a single `(B·T, ·)` modal input so the embedding,
-    /// backbone, head and tied vocabulary product each run once; row `b`
-    /// is bit-identical to [`Self::predict_logits`] on window `b`. Single
-    /// windows run at B = 1. The caller `give`s the result back.
+    /// backbone, head and tied vocabulary product each run once. The tied
+    /// head computes only the live vocabulary, the tokens `vocab` maps
+    /// and top-k reads, so `out` is `vocab.len()` (at least 1, at most
+    /// `page_vocab`) and row `b` is bit-identical to that prefix of
+    /// [`Self::predict_logits`] on window `b`; the binary head's row is
+    /// all of it. Single windows run at B = 1. The caller `give`s the
+    /// result back.
     pub fn predict_logits_batch_in(
         &self,
         hists: &[&[(usize, u64)]],
@@ -352,7 +358,7 @@ impl PagePredictor {
         s.give(pc);
         let logits = if m.tied {
             let z = m.head.infer_in(&pooled, s);
-            let mut logits = s.take(z.rows, m.embed.table.w.rows);
+            let mut logits = s.take(z.rows, self.live_vocab());
             z.matmul_bt_into(&m.embed.table.w, &mut logits);
             s.give(z);
             logits
@@ -402,18 +408,15 @@ impl PagePredictor {
         }
         let mut logits = self.predict_logits_batch_in(hists, phase, s);
         let out = match self.cfg.head {
-            PageHead::Softmax => {
-                let valid = self.vocab.len().min(logits.cols).max(1);
-                (0..batch)
-                    .map(|b| {
-                        top_k_indices(&logits.row(b)[..valid], k + 1)
-                            .into_iter()
-                            .filter_map(|tk| self.vocab.page_of(tk))
-                            .take(k)
-                            .collect()
-                    })
-                    .collect()
-            }
+            PageHead::Softmax => (0..batch)
+                .map(|b| {
+                    top_k_indices(logits.row(b), k + 1)
+                        .into_iter()
+                        .filter_map(|tk| self.vocab.page_of(tk))
+                        .take(k)
+                        .collect()
+                })
+                .collect(),
             PageHead::BinaryEncoded => {
                 Sigmoid::infer_inplace(&mut logits);
                 (0..batch)
@@ -428,22 +431,22 @@ impl PagePredictor {
         out
     }
 
-    /// The logits row truncated to tokens the vocabulary actually maps:
-    /// head capacity is `page_vocab`, but only `vocab.len()` slots were
-    /// ever trained. Slots past that are random-init weights whose logits
-    /// can win top-k, and since they resolve to no page they would starve
-    /// downstream consumers (the CSTP temporal chain breaks before its
-    /// PBOT lookup when `predict_pages` comes back empty).
-    fn valid_logits<'a>(&self, logits: &'a Matrix) -> &'a [f32] {
-        let valid = self.vocab.len().min(logits.cols).max(1);
-        &logits.row(0)[..valid]
+    /// How many leading logits of the tied head are live: the tokens the
+    /// vocabulary maps, and all that top-k reads. Head capacity is
+    /// `page_vocab`, but only `vocab.len()` slots were ever trained. Slots past that are
+    /// random-init weights whose logits can win top-k, and since they
+    /// resolve to no page they would starve downstream consumers (the CSTP
+    /// temporal chain breaks before its PBOT lookup when `predict_pages`
+    /// comes back empty).
+    fn live_vocab(&self) -> usize {
+        self.vocab.len().min(self.cfg.page_vocab).max(1)
     }
 
     /// Top-`k` predicted page tokens for a (token, pc) history.
     pub fn predict_tokens(&self, hist: &[(usize, u64)], phase: usize, k: usize) -> Vec<usize> {
         let logits = self.predict_logits(hist, phase);
         match self.cfg.head {
-            PageHead::Softmax => top_k_indices(self.valid_logits(&logits), k),
+            PageHead::Softmax => top_k_indices(&logits.row(0)[..self.live_vocab()], k),
             PageHead::BinaryEncoded => {
                 let probs = Sigmoid::infer(&logits);
                 vec![Self::decode_bits(probs.row(0), self.vocab.len())]
@@ -672,6 +675,13 @@ mod tests {
                             let fused = model.predict_pages_batch_in(&refs, phase, 3, &mut s);
                             assert_eq!(fused.len(), batch);
                             let logits = model.predict_logits_batch_in(&refs, phase, &mut s);
+                            // The tied head computes the live vocabulary
+                            // only; the binary head all of its bits.
+                            let width = match head {
+                                PageHead::Softmax => model.vocab.len(),
+                                PageHead::BinaryEncoded => model.encoded_bits(),
+                            };
+                            assert_eq!((logits.rows, logits.cols), (batch, width));
                             for (b, h) in refs.iter().enumerate() {
                                 let what = format!(
                                     "{} {head:?} rounded={rounded} batch={batch} lane={b} phase={phase}",
@@ -680,7 +690,7 @@ mod tests {
                                 assert_eq!(fused[b], model.predict_pages(h, phase, 3), "{what}");
                                 assert_eq!(
                                     logits.row(b),
-                                    model.predict_logits(h, phase).row(0),
+                                    &model.predict_logits(h, phase).row(0)[..width],
                                     "{what}"
                                 );
                             }

@@ -26,11 +26,13 @@ use std::collections::BTreeMap;
 /// counter is monotonically non-decreasing by construction — exactly the
 /// contract the service's real counters obey.
 fn history(steps: &[(u64, u64, u64, u64, u64, u64)]) -> Vec<ServeMetrics> {
-    let mut cur = ServeMetrics::default();
-    cur.per_stream = vec![StreamServeMetrics {
-        id: 0,
-        ..StreamServeMetrics::default()
-    }];
+    let mut cur = ServeMetrics {
+        per_stream: vec![StreamServeMetrics {
+            id: 0,
+            ..StreamServeMetrics::default()
+        }],
+        ..ServeMetrics::default()
+    };
     let mut out = vec![cur.clone()];
     for &(ing, ml, fb, shed, obs, miss) in steps {
         // Sheds are a subset of ingested accesses in the real service, so

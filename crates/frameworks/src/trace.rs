@@ -431,7 +431,7 @@ mod tests {
         let mut rec = PhaseRecorder::new(3, 0);
         for core in 0..3usize {
             for i in 0..200u64 {
-                rec.log(core, 0x400000, (core as u64) << 32 | i * 64, false);
+                rec.log(core, 0x400000, ((core as u64) << 32) | (i * 64), false);
             }
         }
         let mut rng = ChaCha8Rng::seed_from_u64(1);

@@ -92,6 +92,25 @@ impl ScratchArena {
         }
     }
 
+    /// The last `n` rows of each of the `batch` equal-length sequences
+    /// stacked in `m`, copied into a `[batch * n, cols]` matrix from the
+    /// pool: the rows a last-position readout (`n = 1`) or a layer's
+    /// trailing queries read.
+    pub fn take_trailing_rows(&mut self, m: &Matrix, batch: usize, n: usize) -> Matrix {
+        assert!(
+            batch > 0 && m.rows.is_multiple_of(batch) && n <= m.rows / batch,
+            "trailing rows must fit each sequence"
+        );
+        let seq = m.rows / batch;
+        let width = n * m.cols;
+        let mut out = self.take(batch * n, m.cols);
+        for b in 0..batch {
+            let end = (b + 1) * seq * m.cols;
+            out.data[b * width..(b + 1) * width].copy_from_slice(&m.data[end - width..end]);
+        }
+        out
+    }
+
     /// `(hits, misses)` — a steady-state hot loop should only ever grow
     /// `hits` after warmup.
     pub fn stats(&self) -> (u64, u64) {

@@ -71,42 +71,61 @@ impl SelfAttention {
 
     /// Batched inference over `batch` stacked sequences: `x` is
     /// `[batch * seq, in_dim]` with each sequence occupying a contiguous
-    /// block of rows. The Q/K/V projections — shared by every row — run as
-    /// single fused matmuls over the whole stack; attention itself is
-    /// confined to each sequence's own `[seq, seq]` score block, so the
-    /// output is bit-identical to [`SelfAttention::infer`] run on each
-    /// sequence separately. The result comes from the arena; the caller
-    /// `give`s it back. Single sequences run here at `batch = 1`.
-    pub fn infer_batch_in(&self, x: &Matrix, batch: usize, s: &mut ScratchArena) -> Matrix {
+    /// block of rows. Keys and values cover every row; queries cover only
+    /// the last `queries` rows of each sequence, so the result is
+    /// `[batch * queries, head_dim]`. A layer whose rows all feed another
+    /// layer passes `queries = seq`; a final layer read only at its last
+    /// position passes 1. The projections — shared by every row — run as
+    /// single fused matmuls over the stack; attention itself is confined
+    /// to each sequence's own `[queries, seq]` score block. Every kernel
+    /// computes a row from its own inputs alone, so each output row is
+    /// bit-identical to the matching row of [`SelfAttention::infer`] on
+    /// its sequence. The result comes from the arena; the caller `give`s
+    /// it back. Single sequences run here at `batch = 1`.
+    pub fn infer_batch_in(
+        &self,
+        x: &Matrix,
+        batch: usize,
+        queries: usize,
+        s: &mut ScratchArena,
+    ) -> Matrix {
         assert!(
             batch > 0 && x.rows.is_multiple_of(batch),
             "rows must tile by batch"
         );
         let seq = x.rows / batch;
+        assert!(queries <= seq, "more queries than rows");
         let rows = x.rows;
         let hd = self.head_dim;
-        let mut q = s.take(rows, hd);
+        let mut q = s.take(batch * queries, hd);
         let mut k = s.take(rows, hd);
         let mut v = s.take(rows, hd);
-        x.matmul_into(&self.wq.w, &mut q);
+        if queries == seq {
+            x.matmul_into(&self.wq.w, &mut q);
+        } else {
+            let xq = s.take_trailing_rows(x, batch, queries);
+            xq.matmul_into(&self.wq.w, &mut q);
+            s.give(xq);
+        }
         x.matmul_into(&self.wk.w, &mut k);
         x.matmul_into(&self.wv.w, &mut v);
-        let mut y = s.take(rows, hd);
-        let mut qb = s.take(seq, hd);
+        let mut y = s.take(batch * queries, hd);
+        let mut qb = s.take(queries, hd);
         let mut kb = s.take(seq, hd);
         let mut vb = s.take(seq, hd);
-        let mut yb = s.take(seq, hd);
-        let mut scores = s.take(seq, seq);
+        let mut yb = s.take(queries, hd);
+        let mut scores = s.take(queries, seq);
         for b in 0..batch {
             let span = b * seq * hd..(b + 1) * seq * hd;
-            qb.data.copy_from_slice(&q.data[span.clone()]);
+            let q_span = b * queries * hd..(b + 1) * queries * hd;
+            qb.data.copy_from_slice(&q.data[q_span.clone()]);
             kb.data.copy_from_slice(&k.data[span.clone()]);
-            vb.data.copy_from_slice(&v.data[span.clone()]);
+            vb.data.copy_from_slice(&v.data[span]);
             qb.matmul_bt_into(&kb, &mut scores);
             scores.scale(1.0 / (hd as f32).sqrt());
             scores.softmax_rows_inplace();
             scores.matmul_into(&vb, &mut yb);
-            y.data[span].copy_from_slice(&yb.data);
+            y.data[q_span].copy_from_slice(&yb.data);
         }
         s.give(qb);
         s.give(kb);
@@ -199,15 +218,22 @@ impl MultiHeadAttention {
         concat.matmul(&self.wo.w)
     }
 
-    /// Batched inference over `batch` stacked sequences; see
-    /// [`SelfAttention::infer_batch_in`]. Bit-identical to per-sequence
+    /// Batched inference over `batch` stacked sequences for the last
+    /// `queries` rows of each; see [`SelfAttention::infer_batch_in`]. Each
+    /// output row is bit-identical to the matching row of per-sequence
     /// [`MultiHeadAttention::infer`].
-    pub fn infer_batch_in(&self, x: &Matrix, batch: usize, s: &mut ScratchArena) -> Matrix {
-        let rows = x.rows;
+    pub fn infer_batch_in(
+        &self,
+        x: &Matrix,
+        batch: usize,
+        queries: usize,
+        s: &mut ScratchArena,
+    ) -> Matrix {
+        let rows = batch * queries;
         let head_dim = self.dim / self.heads.len();
         let mut concat = s.take(rows, self.dim);
         for (h, head) in self.heads.iter().enumerate() {
-            let y = head.infer_batch_in(x, batch, s);
+            let y = head.infer_batch_in(x, batch, queries, s);
             for r in 0..rows {
                 concat.row_mut(r)[h * head_dim..(h + 1) * head_dim].copy_from_slice(y.row(r));
             }

@@ -540,7 +540,7 @@ mod tests {
         let mut s = Sigmoid::default();
         let _ = s.forward(&x);
         let dx = s.backward(&w);
-        check_input_grad(&x, |xx| Sigmoid::infer(xx), &dx, &w, 1e-3);
+        check_input_grad(&x, Sigmoid::infer, &dx, &w, 1e-3);
     }
 
     #[test]

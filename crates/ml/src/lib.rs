@@ -4,7 +4,7 @@
 //! dense tensors, trainable layers with explicit backward passes (Linear,
 //! Embedding, LayerNorm, activations), scaled dot-product and multi-head
 //! attention, Transformer encoder layers, an LSTM with BPTT (for the
-//! paper's baselines), Adam/SGD optimizers, the one guarded training loop
+//! paper's baselines), the Adam optimizer, the one guarded training loop
 //! ([`guard::fit`]) every model trains through, the losses the two predictors
 //! train with, knowledge-distillation and int8-quantization utilities for
 //! §6.1, PCA for the Figure 2 motivation study, and the evaluation metrics
@@ -60,7 +60,7 @@ pub use layers::{Embedding, LayerNorm, Linear, Module, Param, Relu, Sigmoid};
 pub use loss::{bce_with_logits, distillation_loss, softmax_cross_entropy};
 pub use lstm::Lstm;
 pub use metrics::{accuracy_at_k, multilabel_f1, top_k_indices, Prf};
-pub use optim::{Adam, Sgd};
+pub use optim::Adam;
 pub use pca::Pca;
 pub use quant::{float_storage_bytes, quantize_module, QuantizedTensor};
 pub use tensor::{rng, Matrix};

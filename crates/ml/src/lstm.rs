@@ -413,10 +413,10 @@ mod tests {
             let y = head.forward(&h);
             let mut d = Matrix::zeros(y.rows, 1);
             let mut loss = 0.0;
-            for t in 0..y.rows {
-                let e = y.data[t] - target[t];
+            for ((dt, &yt), &tt) in d.data.iter_mut().zip(&y.data).zip(&target) {
+                let e = yt - tt;
                 loss += 0.5 * e * e;
-                d.data[t] = e;
+                *dt = e;
             }
             let dh = head.backward(&d);
             let _ = l.backward(&dh);

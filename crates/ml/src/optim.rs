@@ -1,5 +1,5 @@
-//! Optimizers: Adam (used for all model training in the reproduction) and
-//! plain SGD (tests and ablations).
+//! The optimizer: Adam, which every model in the reproduction trains with
+//! (through [`crate::guard::fit`]).
 
 use crate::layers::{Module, Param};
 
@@ -59,35 +59,6 @@ impl Adam {
     }
 }
 
-/// Plain SGD with optional momentum (stored in the Adam `m` buffer).
-#[derive(Debug, Clone)]
-pub struct Sgd {
-    pub lr: f32,
-    pub momentum: f32,
-}
-
-impl Sgd {
-    pub fn new(lr: f32) -> Self {
-        Sgd { lr, momentum: 0.0 }
-    }
-
-    pub fn step(&mut self, module: &mut dyn Module) {
-        let (lr, mom) = (self.lr, self.momentum);
-        module.for_each_param(&mut |p: &mut Param| {
-            for i in 0..p.w.data.len() {
-                let g = p.g.data[i];
-                if mom > 0.0 {
-                    p.m[i] = mom * p.m[i] + g;
-                    p.w.data[i] -= lr * p.m[i];
-                } else {
-                    p.w.data[i] -= lr * g;
-                }
-            }
-            p.g.data.fill(0.0);
-        });
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -95,40 +66,27 @@ mod tests {
     use crate::tensor::{rng, Matrix};
 
     /// Fits y = 2x + 1 with a 1×1 linear layer.
-    fn fit(opt_is_adam: bool) -> (f32, f32) {
+    fn fit() -> (f32, f32) {
         let mut r = rng(1);
         let mut l = Linear::new(1, 1, &mut r);
         let xs: Vec<f32> = (0..16).map(|i| i as f32 / 8.0 - 1.0).collect();
         let mut adam = Adam::new(0.05);
-        let mut sgd = Sgd::new(0.1);
         for _ in 0..400 {
             let x = Matrix::from_vec(xs.len(), 1, xs.clone());
             let y = l.forward(&x);
             let mut d = Matrix::zeros(y.rows, 1);
-            for i in 0..y.rows {
-                let target = 2.0 * xs[i] + 1.0;
-                d.data[i] = (y.data[i] - target) / y.rows as f32;
+            for ((di, &yi), &xi) in d.data.iter_mut().zip(&y.data).zip(&xs) {
+                *di = (yi - (2.0 * xi + 1.0)) / y.rows as f32;
             }
             let _ = l.backward(&d);
-            if opt_is_adam {
-                adam.step(&mut l);
-            } else {
-                sgd.step(&mut l);
-            }
+            adam.step(&mut l);
         }
         (l.w.w.data[0], l.b.w.data[0])
     }
 
     #[test]
     fn adam_fits_linear_regression() {
-        let (w, b) = fit(true);
-        assert!((w - 2.0).abs() < 0.05, "w {w}");
-        assert!((b - 1.0).abs() < 0.05, "b {b}");
-    }
-
-    #[test]
-    fn sgd_fits_linear_regression() {
-        let (w, b) = fit(false);
+        let (w, b) = fit();
         assert!((w - 2.0).abs() < 0.05, "w {w}");
         assert!((b - 1.0).abs() < 0.05, "b {b}");
     }

@@ -171,14 +171,18 @@ impl Matrix {
     /// Both operands are traversed along contiguous rows, so each output
     /// element is a dot product; four independent accumulators expose
     /// instruction-level parallelism that a strictly-ordered sum hides.
+    ///
+    /// `out` may be narrower than `other.rows`: it then holds the products
+    /// with the first `out.cols` rows of `other` only (the tied page head
+    /// reads just the live vocabulary). Each element is one dot product,
+    /// so the columns it computes do not depend on how many it skips.
     pub fn matmul_bt_into(&self, other: &Matrix, out: &mut Matrix) {
         assert_eq!(self.cols, other.cols, "matmul_bt shape");
-        assert_eq!(
-            (out.rows, out.cols),
-            (self.rows, other.rows),
+        assert!(
+            out.rows == self.rows && out.cols <= other.rows,
             "matmul_bt out shape"
         );
-        let (m, n) = (self.rows, other.rows);
+        let (m, n) = (self.rows, out.cols);
         for i in 0..m {
             let a_row = self.row(i);
             let o_row = &mut out.data[i * n..(i + 1) * n];

@@ -103,14 +103,29 @@ impl TransformerLayer {
         self.ln2.infer(&y)
     }
 
-    /// Batched inference over `batch` stacked sequences: attention is
-    /// confined per sequence (see
-    /// [`MultiHeadAttention::infer_batch_in`]); the FFN and layer norms
-    /// are row-wise, so they fuse across the whole stack for free.
-    /// Bit-identical to per-sequence [`TransformerLayer::infer`].
-    pub fn infer_batch_in(&self, x: &Matrix, batch: usize, s: &mut ScratchArena) -> Matrix {
-        let mut h = self.msa.infer_batch_in(x, batch, s);
-        h.add_assign(x);
+    /// Batched inference over `batch` stacked sequences, computing only
+    /// the last `queries` rows of each: attention is confined per sequence
+    /// and reads every row as a key and value (see
+    /// [`MultiHeadAttention::infer_batch_in`]); Wo, the residuals, the FFN
+    /// and the layer norms are row-wise, so they run on the query rows
+    /// alone and fuse across the whole stack. Returns
+    /// `[batch * queries, dim]`, each row bit-identical to the matching
+    /// row of per-sequence [`TransformerLayer::infer`].
+    pub fn infer_batch_in(
+        &self,
+        x: &Matrix,
+        batch: usize,
+        queries: usize,
+        s: &mut ScratchArena,
+    ) -> Matrix {
+        let mut h = self.msa.infer_batch_in(x, batch, queries, s);
+        if h.rows == x.rows {
+            h.add_assign(x);
+        } else {
+            let xq = s.take_trailing_rows(x, batch, queries);
+            h.add_assign(&xq);
+            s.give(xq);
+        }
         self.ln1.infer_inplace(&mut h);
         let mut y = self.ffn.infer_in(&h, s);
         y.add_assign(&h);
@@ -130,6 +145,33 @@ impl TransformerLayer {
         dx.add_assign(&d);
         dx
     }
+}
+
+/// Runs `layers` over the `batch` sequences stacked in `h` and returns the
+/// last-position readout `[batch, dim]`. Every layer but the final one
+/// computes all rows, because the next layer reads them as keys and
+/// values; the final one computes one query row per sequence, and that row
+/// is the readout. With no layers the readout is `h`'s last rows. `h` goes
+/// back to the arena.
+pub fn readout_batch_in(
+    layers: &[TransformerLayer],
+    mut h: Matrix,
+    batch: usize,
+    s: &mut ScratchArena,
+) -> Matrix {
+    let seq = h.rows / batch;
+    for (i, layer) in layers.iter().enumerate() {
+        let queries = if i + 1 == layers.len() { 1 } else { seq };
+        let next = layer.infer_batch_in(&h, batch, queries, s);
+        s.give(h);
+        h = next;
+    }
+    if layers.is_empty() {
+        let last = s.take_trailing_rows(&h, batch, 1);
+        s.give(h);
+        h = last;
+    }
+    h
 }
 
 impl Module for TransformerLayer {
@@ -223,24 +265,44 @@ mod tests {
     fn arena_infer_is_bit_identical_and_allocation_free() {
         let mut r = rng(7);
         let t = TransformerLayer::new(8, 4, &mut r);
-        let x = Matrix::xavier(3, 8, &mut r);
-        let baseline = t.infer(&x);
+        let seq = 3;
+        let seqs: Vec<Matrix> = (0..5).map(|_| Matrix::xavier(seq, 8, &mut r)).collect();
+        let baselines: Vec<Matrix> = seqs.iter().map(|x| t.infer(x)).collect();
         let mut s = crate::arena::ScratchArena::new();
-        // Warmup round.
-        let w = t.infer_batch_in(&x, 1, &mut s);
-        assert_eq!(w.data, baseline.data, "arena path must be bit-identical");
-        s.give(w);
-        let (_, misses_after_warmup) = s.stats();
-        for _ in 0..5 {
-            let y = t.infer_batch_in(&x, 1, &mut s);
-            assert_eq!(y.data, baseline.data);
-            s.give(y);
+        for batch in [1usize, 2, 5] {
+            let mut x = Matrix::zeros(batch * seq, 8);
+            for (b, q) in seqs[..batch].iter().enumerate() {
+                x.data[b * seq * 8..(b + 1) * seq * 8].copy_from_slice(&q.data);
+            }
+            // Every row, the last two, and the one-query readout: each
+            // computed row equals the matching row of the full reference.
+            let check = |s: &mut crate::arena::ScratchArena| {
+                for queries in [seq, 2, 1] {
+                    let y = t.infer_batch_in(&x, batch, queries, s);
+                    assert_eq!((y.rows, y.cols), (batch * queries, 8));
+                    for (b, baseline) in baselines[..batch].iter().enumerate() {
+                        for i in 0..queries {
+                            assert_eq!(
+                                y.row(b * queries + i),
+                                baseline.row(seq - queries + i),
+                                "batch={batch} queries={queries} seq={b} row={i}"
+                            );
+                        }
+                    }
+                    s.give(y);
+                }
+            };
+            check(&mut s);
+            let (_, misses_after_warmup) = s.stats();
+            for _ in 0..3 {
+                check(&mut s);
+            }
+            let (_, misses) = s.stats();
+            assert_eq!(
+                misses, misses_after_warmup,
+                "batch={batch}: steady state must not allocate"
+            );
         }
-        let (_, misses) = s.stats();
-        assert_eq!(
-            misses, misses_after_warmup,
-            "steady state must not allocate"
-        );
     }
 
     #[test]

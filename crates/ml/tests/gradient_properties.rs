@@ -64,7 +64,7 @@ proptest! {
         let _ = s.forward(&x);
         let dx = s.backward(&w);
         let coords: Vec<usize> = (0..n).collect();
-        let worst = check(&x, &w, &dx, |m| Sigmoid::infer(m), &coords);
+        let worst = check(&x, &w, &dx, Sigmoid::infer, &coords);
         prop_assert!(worst < 1e-2, "worst {}", worst);
     }
 

@@ -54,20 +54,30 @@ proptest! {
         assert_close(&out, &want, "matmul_into");
     }
 
+    /// A narrower `out` holds the products with the first `width` rows of
+    /// `b` only, bit for bit the leading columns of the full product.
     #[test]
     fn matmul_bt_matches_reference(
         m in 0usize..19,
         k in 0usize..19,
         n in 0usize..19,
+        width in 0usize..19,
         seed in 0u64..1_000_000,
     ) {
         let a = mat(m, k, seed);
         let b = mat(n, k, seed.wrapping_add(2));
         let want = a.matmul_bt_ref(&b);
-        assert_close(&a.matmul_bt(&b), &want, "matmul_bt");
+        let full = a.matmul_bt(&b);
+        assert_close(&full, &want, "matmul_bt");
         let mut out = dirty(m, n);
         a.matmul_bt_into(&b, &mut out);
         assert_close(&out, &want, "matmul_bt_into");
+        let width = width.min(n);
+        let mut narrow = dirty(m, width);
+        a.matmul_bt_into(&b, &mut narrow);
+        for i in 0..m {
+            prop_assert_eq!(narrow.row(i), &full.row(i)[..width]);
+        }
     }
 
     #[test]

@@ -365,8 +365,10 @@ mod tests {
 
     #[test]
     fn validate_rejects_bad_rates() {
-        let mut cfg = FaultConfig::default();
-        cfg.stall_rate = 1.5;
+        let mut cfg = FaultConfig {
+            stall_rate: 1.5,
+            ..FaultConfig::default()
+        };
         assert!(cfg.validate().is_err());
         cfg.stall_rate = f64::NAN;
         assert!(cfg.validate().is_err());

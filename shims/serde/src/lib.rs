@@ -245,7 +245,7 @@ mod tests {
     fn primitives_roundtrip() {
         assert_eq!(u64::from_value(&42u64.to_value()).unwrap(), 42);
         assert_eq!(i64::from_value(&(-3i64).to_value()).unwrap(), -3);
-        assert_eq!(bool::from_value(&true.to_value()).unwrap(), true);
+        assert!(bool::from_value(&true.to_value()).unwrap());
         assert_eq!(
             String::from_value(&"hi".to_string().to_value()).unwrap(),
             "hi"
