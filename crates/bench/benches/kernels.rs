@@ -146,36 +146,37 @@ fn bench_attention(c: &mut Criterion) {
     let mut r = rng(1);
     let attn = SelfAttention::new(64, 64, &mut r);
     let x = Matrix::xavier(9, 64, &mut r);
-    c.bench_function("self_attention_forward_9x64", |b| {
-        b.iter(|| black_box(attn.infer(&x)))
-    });
     let amma = Amma::new(9, 1, AmmaConfig::default(), &mut r);
     let input = ModalInput {
         addr: Matrix::xavier(9, 9, &mut r),
         pc: Matrix::xavier(9, 1, &mut r),
     };
-    c.bench_function("amma_infer_default", |b| {
-        b.iter(|| black_box(amma.infer(&input, 0)))
-    });
     let paper = Amma::new(9, 1, AmmaConfig::paper(), &mut r);
-    c.bench_function("amma_infer_paper_dims", |b| {
-        b.iter(|| black_box(paper.infer(&input, 0)))
-    });
-    // Warm-arena path: after warmup the arena free-lists satisfy every
-    // request, so this measures the allocation-free steady state.
+    // Every forward runs on one arena: after the first call its
+    // free-lists satisfy every request, so these measure the
+    // allocation-free steady state.
     let mut arena = ScratchArena::new();
-    for _ in 0..4 {
-        let y = amma.infer_batch_in(&input, 1, 0, &mut arena);
-        arena.give(y);
-    }
-    c.bench_function("amma_infer_in_warm_arena", |b| {
+    c.bench_function("self_attention_forward_9x64", |b| {
         b.iter(|| {
-            let y = amma.infer_batch_in(black_box(&input), 1, 0, &mut arena);
+            let y = attn.infer_batch_in(black_box(&x), 1, 9, &mut arena);
             let v = y.data[0];
             arena.give(y);
             black_box(v)
         })
     });
+    for (name, model) in [
+        ("amma_infer_default", &amma),
+        ("amma_infer_paper_dims", &paper),
+    ] {
+        c.bench_function(name, |b| {
+            b.iter(|| {
+                let y = model.infer_batch_in(black_box(&input), 1, 0, &mut arena);
+                let v = y.data[0];
+                arena.give(y);
+                black_box(v)
+            })
+        });
+    }
 }
 
 fn bench_simulator(c: &mut Criterion) {

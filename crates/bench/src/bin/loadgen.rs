@@ -12,6 +12,9 @@
 //! [--zipf] [--quant] [--metrics-out FILE] [--trace-out FILE]
 //! [--live-metrics FILE|-] [--expose FILE] [--live-interval N]`
 //!
+//! Each `N` must be a whole number, and `--streams` at least 1; a bad
+//! value exits with status 2 and names the flag.
+//!
 //! `--zipf` replaces the uniform round-robin arrivals with Zipf(1)
 //! weights across streams (hot stream 0 down to the coldest); the
 //! per-stream p50/p99 spread is reported either way.
@@ -42,13 +45,29 @@ use mpgraph_bench::ExpScale;
 use mpgraph_core::{LiveTelemetry, LiveTelemetryConfig, ServeConfig, TraceConfig};
 use serde::Serialize;
 
-fn usize_arg(flag: &str, default: usize) -> usize {
+/// The value of the numeric flag `flag` in `args`: `default` when the
+/// flag is absent, an error naming the flag when its value is missing,
+/// not a whole number, or below `min`.
+fn count_arg(args: &[String], flag: &str, default: usize, min: usize) -> Result<usize, String> {
+    let Some(i) = args.iter().position(|a| a == flag) else {
+        return Ok(default);
+    };
+    let value = args.get(i + 1).map_or("", String::as_str);
+    match value.parse::<usize>() {
+        Ok(n) if n >= min => Ok(n),
+        Ok(n) => Err(format!("{flag} must be at least {min}, got {n}")),
+        Err(_) => Err(format!("{flag} takes a whole number, got {value:?}")),
+    }
+}
+
+/// [`count_arg`] over the process arguments; exits with status 2 and the
+/// message on a bad value.
+fn usize_arg(flag: &str, default: usize, min: usize) -> usize {
     let args: Vec<String> = std::env::args().collect();
-    args.iter()
-        .position(|a| a == flag)
-        .and_then(|i| args.get(i + 1))
-        .and_then(|v| v.parse().ok())
-        .unwrap_or(default)
+    count_arg(&args, flag, default, min).unwrap_or_else(|e| {
+        eprintln!("loadgen: {e}");
+        std::process::exit(2);
+    })
 }
 
 fn str_arg(flag: &str) -> Option<String> {
@@ -61,14 +80,14 @@ fn str_arg(flag: &str) -> Option<String> {
 
 /// Builds the optional live-telemetry attachment from the CLI flags;
 /// exits with an error when a requested sink cannot be created.
-fn live_from_args() -> Option<LiveTelemetry> {
+fn live_from_args(interval_pumps: u64) -> Option<LiveTelemetry> {
     let sink = str_arg("--live-metrics");
     let expose = str_arg("--expose");
     if sink.is_none() && expose.is_none() {
         return None;
     }
     let cfg = LiveTelemetryConfig {
-        interval_pumps: usize_arg("--live-interval", 16) as u64,
+        interval_pumps,
         ..LiveTelemetryConfig::default()
     };
     let cfg = match cfg.try_new() {
@@ -110,8 +129,9 @@ fn main() {
     let chaos = args.iter().any(|a| a == "--chaos");
     let quick = args.iter().any(|a| a == "--quick");
     let zipf = args.iter().any(|a| a == "--zipf");
-    let streams = usize_arg("--streams", 8);
-    let ticks = usize_arg("--ticks", if quick { 200 } else { 2000 }) as u64;
+    let streams = usize_arg("--streams", 8, 1);
+    let ticks = usize_arg("--ticks", if quick { 200 } else { 2000 }, 0) as u64;
+    let live_interval = usize_arg("--live-interval", 16, 0) as u64;
 
     let quant = args.iter().any(|a| a == "--quant");
 
@@ -125,7 +145,7 @@ fn main() {
     }
     let setup = setup;
     let weights = zipf.then(|| zipf_weights(streams));
-    let live = live_from_args();
+    let live = live_from_args(live_interval);
     let live_attached = live.is_some();
     let outcome = run_load_sweep(
         &setup,
@@ -291,5 +311,34 @@ fn main() {
             },
             None => eprintln!("trace requested but the service produced none"),
         }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::count_arg;
+
+    fn args(v: &[&str]) -> Vec<String> {
+        v.iter().map(|a| a.to_string()).collect()
+    }
+
+    #[test]
+    fn count_flags_parse_strictly() {
+        let parse = |v: &[&str]| count_arg(&args(v), "--streams", 8, 1);
+        assert_eq!(parse(&["loadgen", "--streams", "8"]), Ok(8));
+        assert_eq!(parse(&["loadgen", "--quick"]), Ok(8));
+        for bad in [
+            &["loadgen", "--streams", "0"][..],
+            &["loadgen", "--streams", "abc"],
+            &["loadgen", "--streams", "-3"],
+            &["loadgen", "--streams"],
+        ] {
+            let err = parse(bad).expect_err("bad value accepted");
+            assert!(err.contains("--streams"), "{bad:?}: {err}");
+        }
+        // A zero tick count is allowed; a malformed one is not.
+        let ticks = |v: &str| count_arg(&args(&["loadgen", "--ticks", v]), "--ticks", 200, 0);
+        assert_eq!(ticks("0"), Ok(0));
+        assert!(ticks("abc").is_err_and(|e| e.contains("--ticks")));
     }
 }

@@ -610,30 +610,24 @@ pub fn run_chaos(
     }
     let mut inj = FaultInjector::new(FaultConfig::only(FaultKind::StallInference, 0.8, seed));
     let rate = (saturation_rate(&cfg) / 2).max(1);
-
-    let records = setup.accesses();
-    let mut cursors = vec![0usize; streams];
-    for (s, c) in cursors.iter_mut().enumerate() {
-        *c = (s * records.len() / streams) % records.len().max(1);
-    }
     let mut out = Vec::new();
-    let mut next_stream = 0usize;
-    for _ in 0..ticks {
-        for _ in 0..rate {
-            let s = next_stream % streams;
-            next_stream += 1;
-            let r = &records[cursors[s]];
-            cursors[s] = (cursors[s] + 1) % records.len();
-            let stall = if victims.contains(&(s as u32)) {
-                inj.inference_stall()
-            } else {
-                0
-            };
-            svc.ingest(s as u32, &access_of(r), stall);
+    let victim_stall = |s: u32| {
+        if victims.contains(&s) {
+            inj.inference_stall()
+        } else {
+            0
         }
-        svc.pump(&mut out);
-    }
-    svc.flush(&mut out);
+    };
+    drive(
+        &mut svc,
+        setup,
+        streams,
+        ticks,
+        rate,
+        None,
+        victim_stall,
+        &mut out,
+    );
     svc.finish_live_telemetry();
 
     let quarantined: Vec<u32> = (0..streams as u32)

@@ -193,30 +193,6 @@ impl Amma {
         Self::pool(&h)
     }
 
-    /// Inference forward (no caches).
-    pub fn infer(&self, x: &ModalInput, phase: usize) -> Matrix {
-        let pe = mpgraph_ml::tensor::positional_encoding(x.addr.rows, self.cfg.attn_dim);
-        let mut ea = self.embed_addr.infer(&x.addr);
-        ea.add_assign(&pe);
-        let mut ep = self.embed_pc.infer(&x.pc);
-        ep.add_assign(&pe);
-        let mut ha = self.attn_addr.infer(&ea);
-        ha.add_assign(&ea);
-        let mut hp = self.attn_pc.infer(&ep);
-        hp.add_assign(&ep);
-        let fused_in = Self::fuse(&ha, &hp);
-        let mut h = self.fusion.infer(&fused_in);
-        h.add_assign(&fused_in);
-        if let Some(pe) = &self.phase_embed {
-            let e = pe.infer(&vec![phase; h.rows]);
-            h.add_assign(&e);
-        }
-        for t in &self.trans {
-            h = t.infer(&h);
-        }
-        Self::pool(&h)
-    }
-
     /// Batched inference over `batch` stacked sequences: `x.addr`/`x.pc`
     /// are `[batch * T, F]` with each sequence contiguous. The linear
     /// embeddings, fusion concat, phase broadcast, and transformer FFNs
@@ -224,10 +200,10 @@ impl Amma {
     /// encoding stay per-sequence. The final transformer layer computes
     /// only each sequence's last row, which is the readout (see
     /// [`readout_batch_in`]). Returns `[batch, fusion_dim]` with row `b`
-    /// bit-identical to [`Amma::infer`] on sequence `b` alone (the whole
-    /// batch shares one `phase`). This is the one arena forward: single
-    /// sequences run at `batch = 1`, allocation-free once the arena is
-    /// warm.
+    /// bit-identical to the training [`Amma::forward`] on sequence `b`
+    /// alone (the whole batch shares one `phase`). This is the one
+    /// inference forward: single sequences run at `batch = 1`,
+    /// allocation-free once the arena is warm.
     pub fn infer_batch_in(
         &self,
         x: &ModalInput,
@@ -363,57 +339,72 @@ mod tests {
     }
 
     #[test]
-    fn infer_matches_forward() {
-        let mut r = rng(3);
-        let mut amma = Amma::new(4, 1, tiny_cfg(), &mut r);
-        let x = input(4, 5);
-        let a = amma.forward(&x, 0);
-        let b = amma.infer(&x, 0);
-        for (p, q) in a.data.iter().zip(b.data.iter()) {
-            assert!((p - q).abs() < 1e-6);
-        }
-    }
-
-    #[test]
     fn arena_infer_is_bit_identical_and_allocation_free() {
         // With no transformer layer the readout gathers the fused rows;
-        // otherwise it is the final layer's one-query output.
+        // otherwise it is the final layer's one-query output. The
+        // phase-informed variant exercises the broadcast path too.
+        let bits = |v: &[f32]| -> Vec<u32> { v.iter().map(|x| x.to_bits()).collect() };
         for layers in [0usize, 1, 2] {
-            let mut r = rng(11);
-            let cfg = AmmaConfig {
-                layers,
-                ..tiny_cfg()
-            };
-            // Phase-informed variant exercises the broadcast path too.
-            let amma = Amma::new(4, 1, cfg, &mut r).with_phase_embedding(3, &mut r);
-            let x = input(12, 5);
-            let mut s = mpgraph_ml::ScratchArena::new();
-            for phase in [0usize, 2, 1] {
-                let baseline = amma.infer(&x, phase);
-                let y = amma.infer_batch_in(&x, 1, phase, &mut s);
-                assert_eq!(y.data, baseline.data, "layers {layers} phase {phase}");
+            for informed in [false, true] {
+                let mut r = rng(11);
+                let cfg = AmmaConfig {
+                    layers,
+                    ..tiny_cfg()
+                };
+                let mut amma = Amma::new(4, 1, cfg, &mut r);
+                if informed {
+                    amma = amma.with_phase_embedding(3, &mut r);
+                }
+                // The training forward on a clone is the reference.
+                let mut reference = amma.clone();
+                let seqs: Vec<ModalInput> = (0..5u64).map(|i| input(12 + i, 5)).collect();
+                let mut s = mpgraph_ml::ScratchArena::new();
+                for batch in [1usize, 2, 5] {
+                    let stacked = ModalInput {
+                        addr: seqs[1..batch]
+                            .iter()
+                            .fold(seqs[0].addr.clone(), |acc, q| Matrix::vcat(&acc, &q.addr)),
+                        pc: seqs[1..batch]
+                            .iter()
+                            .fold(seqs[0].pc.clone(), |acc, q| Matrix::vcat(&acc, &q.pc)),
+                    };
+                    for phase in [0usize, 2, 1] {
+                        let y = amma.infer_batch_in(&stacked, batch, phase, &mut s);
+                        assert_eq!((y.rows, y.cols), (batch, 16));
+                        for (b, q) in seqs[..batch].iter().enumerate() {
+                            assert_eq!(
+                                bits(y.row(b)),
+                                bits(&reference.forward(q, phase).data),
+                                "layers {layers} informed {informed} batch {batch} seq {b} \
+                                 phase {phase}"
+                            );
+                        }
+                        s.give(y);
+                    }
+                }
+                let y = amma.infer_batch_in(&seqs[0], 1, 1, &mut s);
                 s.give(y);
+                let (_, misses_warm) = s.stats();
+                for _ in 0..4 {
+                    let y = amma.infer_batch_in(&seqs[0], 1, 1, &mut s);
+                    s.give(y);
+                }
+                let (_, misses) = s.stats();
+                assert_eq!(
+                    misses, misses_warm,
+                    "layers {layers} informed {informed}: steady state allocated"
+                );
             }
-            let (_, misses_warm) = s.stats();
-            for _ in 0..4 {
-                let y = amma.infer_batch_in(&x, 1, 1, &mut s);
-                s.give(y);
-            }
-            let (_, misses) = s.stats();
-            assert_eq!(
-                misses, misses_warm,
-                "layers {layers}: steady state allocated"
-            );
         }
     }
 
     #[test]
     fn phase_informed_variant_distinguishes_phases() {
         let mut r = rng(5);
-        let amma = Amma::new(4, 1, tiny_cfg(), &mut r).with_phase_embedding(2, &mut r);
+        let mut amma = Amma::new(4, 1, tiny_cfg(), &mut r).with_phase_embedding(2, &mut r);
         let x = input(6, 5);
-        let y0 = amma.infer(&x, 0);
-        let y1 = amma.infer(&x, 1);
+        let y0 = amma.forward(&x, 0);
+        let y1 = amma.forward(&x, 1);
         assert!(amma.is_phase_informed());
         let diff: f32 = y0
             .data
@@ -443,8 +434,8 @@ mod tests {
         // Check one embed_addr weight gradient numerically.
         let eps = 1e-2f32;
         let analytic = amma.embed_addr.w.g.at(1, 2);
-        let loss = |m: &Amma| -> f32 {
-            m.infer(&x, 0)
+        let loss = |m: &mut Amma| -> f32 {
+            m.forward(&x, 0)
                 .data
                 .iter()
                 .zip(w.data.iter())
@@ -455,7 +446,7 @@ mod tests {
         *p.embed_addr.w.w.at_mut(1, 2) += eps;
         let mut m = amma.clone();
         *m.embed_addr.w.w.at_mut(1, 2) -= eps;
-        let num = (loss(&p) - loss(&m)) / (2.0 * eps);
+        let num = (loss(&mut p) - loss(&mut m)) / (2.0 * eps);
         assert!(
             (num - analytic).abs() < 5e-2,
             "numeric {num} vs analytic {analytic}"
@@ -499,7 +490,7 @@ mod tests {
         // Both patterns classified correctly.
         for class in 0..2 {
             let x = make(class, 0.02);
-            let logits = head.infer(&amma.infer(&x, 0));
+            let logits = head.forward(&amma.forward(&x, 0));
             let pred = if logits.data[0] > logits.data[1] {
                 0
             } else {

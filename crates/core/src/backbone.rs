@@ -135,32 +135,14 @@ impl Backbone {
         }
     }
 
-    pub fn infer(&self, x: &ModalInput, phase: usize) -> Matrix {
-        match self {
-            Backbone::Lstm { lstm, .. } => {
-                let h = lstm.infer(&Self::concat(x));
-                Matrix::from_vec(1, h.cols, h.row(h.rows - 1).to_vec())
-            }
-            Backbone::Attention { proj, layers, .. } => {
-                let mut h = proj.infer(&Self::concat(x));
-                h.add_assign(&mpgraph_ml::tensor::positional_encoding(h.rows, h.cols));
-                for l in layers {
-                    h = l.infer(&h);
-                }
-                Matrix::from_vec(1, h.cols, h.row(h.rows - 1).to_vec())
-            }
-            Backbone::Amma(a) => a.infer(x, phase),
-        }
-    }
-
     /// Batched inference: `x` stacks `batch` sequences (`[batch * T, F]`
     /// per modality, each sequence contiguous); returns `[batch, out_dim]`
-    /// with row `b` bit-identical to [`Backbone::infer`] on sequence `b`
-    /// alone. The whole batch shares one `phase`. The attention kinds'
-    /// final transformer layer computes only the readout row of each
-    /// sequence; the LSTM gathers it. This is the only arena forward:
-    /// single sequences run at `batch = 1`, allocation-free for every kind
-    /// once the arena is warm.
+    /// with row `b` bit-identical to the training [`Backbone::forward`] on
+    /// sequence `b` alone. The whole batch shares one `phase`. The
+    /// attention kinds' final transformer layer computes only the readout
+    /// row of each sequence; the LSTM gathers it. This is the only
+    /// inference forward: single sequences run at `batch = 1`,
+    /// allocation-free for every kind once the arena is warm.
     pub fn infer_batch_in(
         &self,
         x: &ModalInput,
@@ -297,6 +279,12 @@ mod tests {
         }
     }
 
+    const KINDS: [BackboneKind; 3] = [
+        BackboneKind::Lstm,
+        BackboneKind::Attention,
+        BackboneKind::Amma,
+    ];
+
     fn input(seed: u64) -> ModalInput {
         let mut r = rng(seed);
         ModalInput {
@@ -305,72 +293,87 @@ mod tests {
         }
     }
 
+    fn bits(v: &[f32]) -> Vec<u32> {
+        v.iter().map(|x| x.to_bits()).collect()
+    }
+
     #[test]
     fn all_kinds_produce_same_shape() {
         let mut r = rng(1);
-        for kind in [
-            BackboneKind::Lstm,
-            BackboneKind::Attention,
-            BackboneKind::Amma,
-        ] {
+        for kind in KINDS {
             let mut b = Backbone::new(kind, 3, 1, tiny_cfg(), &mut r);
             let y = b.forward(&input(2), 0);
             assert_eq!((y.rows, y.cols), (1, 16), "{}", kind.name());
             assert_eq!(b.out_dim(), 16);
-            let y2 = b.infer(&input(2), 0);
-            for (a, c) in y.data.iter().zip(y2.data.iter()) {
-                assert!((a - c).abs() < 1e-6, "{}", kind.name());
-            }
+            let y2 = b.infer_batch_in(&input(2), 1, 0, &mut ScratchArena::new());
+            assert_eq!(bits(&y.data), bits(&y2.data), "{}", kind.name());
         }
     }
 
     #[test]
     fn batched_inference_is_bit_identical_per_sequence() {
         let mut r = rng(7);
-        for kind in [
-            BackboneKind::Lstm,
-            BackboneKind::Attention,
-            BackboneKind::Amma,
-        ] {
-            // Phase embedding on (AMMA-PI) exercises the broadcast path.
-            let mut b =
-                Backbone::new(kind, 3, 1, tiny_cfg(), &mut r).with_phase_embedding(2, &mut r);
-            let mut s = ScratchArena::new();
-            // Ragged coverage via odd batch sizes; every batch shares T
-            // (the fused serve path stacks equal-length histories). The
-            // last two batches run on int8-rounded weights, as `quantize`
-            // leaves them: the same path serves them.
-            let batches = [1usize, 2, 5, 16, 1, 16];
-            for (pass, batch) in batches.into_iter().enumerate() {
-                let rounded = pass >= 4;
-                if pass == 4 {
-                    mpgraph_ml::quant::quantize_module(&mut b);
+        // AMMA at 0, 1 and 2 transformer layers (the other kinds ignore
+        // the count), each with and without the phase embedding (AMMA-PI
+        // exercises the broadcast path).
+        for kind in KINDS {
+            for layers in [0usize, 1, 2] {
+                for informed in [false, true] {
+                    let cfg = AmmaConfig {
+                        layers,
+                        ..tiny_cfg()
+                    };
+                    let mut b = Backbone::new(kind, 3, 1, cfg, &mut r);
+                    if informed {
+                        b = b.with_phase_embedding(2, &mut r);
+                    }
+                    check_batches_against_forward(
+                        &mut b,
+                        &format!("{} L{layers} pi={informed}", kind.name()),
+                    );
                 }
-                let t = 4;
-                let seqs: Vec<ModalInput> = (0..batch).map(|i| input(100 + i as u64)).collect();
-                let mut addr = Matrix::zeros(batch * t, 3);
-                let mut pc = Matrix::zeros(batch * t, 1);
+            }
+        }
+    }
+
+    /// Runs `b`'s arena forward over odd batch sizes and checks each row
+    /// against the training forward on a clone, bit for bit. The last two
+    /// batches run on int8-rounded weights, as `quantize` leaves them: the
+    /// same path serves them.
+    fn check_batches_against_forward(b: &mut Backbone, what: &str) {
+        let mut s = ScratchArena::new();
+        // Every batch shares T (the fused serve path stacks equal-length
+        // histories).
+        let batches = [1usize, 2, 5, 16, 1, 16];
+        let mut reference = b.clone();
+        for (pass, batch) in batches.into_iter().enumerate() {
+            let rounded = pass >= 4;
+            if pass == 4 {
+                mpgraph_ml::quant::quantize_module(b);
+                reference = b.clone();
+            }
+            let t = 4;
+            let seqs: Vec<ModalInput> = (0..batch).map(|i| input(100 + i as u64)).collect();
+            let mut addr = Matrix::zeros(batch * t, 3);
+            let mut pc = Matrix::zeros(batch * t, 1);
+            for (i, q) in seqs.iter().enumerate() {
+                for row in 0..t {
+                    addr.row_mut(i * t + row).copy_from_slice(q.addr.row(row));
+                    pc.data[i * t + row] = q.pc.data[row];
+                }
+            }
+            let stacked = ModalInput { addr, pc };
+            for phase in 0..2 {
+                let fused = b.infer_batch_in(&stacked, batch, phase, &mut s);
+                assert_eq!((fused.rows, fused.cols), (batch, 16));
                 for (i, q) in seqs.iter().enumerate() {
-                    for row in 0..t {
-                        addr.row_mut(i * t + row).copy_from_slice(q.addr.row(row));
-                        pc.data[i * t + row] = q.pc.data[row];
-                    }
+                    assert_eq!(
+                        bits(fused.row(i)),
+                        bits(&reference.forward(q, phase).data),
+                        "{what} rounded={rounded} batch={batch} seq={i} phase={phase}"
+                    );
                 }
-                let stacked = ModalInput { addr, pc };
-                for phase in 0..2 {
-                    let fused = b.infer_batch_in(&stacked, batch, phase, &mut s);
-                    assert_eq!((fused.rows, fused.cols), (batch, 16));
-                    for (i, q) in seqs.iter().enumerate() {
-                        let reference = b.infer(q, phase);
-                        assert_eq!(
-                            fused.row(i),
-                            reference.row(0),
-                            "{} rounded={rounded} batch={batch} seq={i} phase={phase}",
-                            kind.name()
-                        );
-                    }
-                    s.give(fused);
-                }
+                s.give(fused);
             }
         }
     }
@@ -378,11 +381,7 @@ mod tests {
     #[test]
     fn backward_accumulates_gradients_everywhere() {
         let mut r = rng(3);
-        for kind in [
-            BackboneKind::Lstm,
-            BackboneKind::Attention,
-            BackboneKind::Amma,
-        ] {
+        for kind in KINDS {
             let mut b = Backbone::new(kind, 3, 1, tiny_cfg(), &mut r);
             let _ = b.forward(&input(4), 0);
             let mut d = Matrix::zeros(1, 16);
@@ -397,17 +396,13 @@ mod tests {
     #[test]
     fn single_sequence_arena_forward_is_allocation_free_for_every_kind() {
         let mut r = rng(7);
-        for kind in [
-            BackboneKind::Lstm,
-            BackboneKind::Attention,
-            BackboneKind::Amma,
-        ] {
+        for kind in KINDS {
             let b = Backbone::new(kind, 3, 1, tiny_cfg(), &mut r);
             let x = input(8);
-            let baseline = b.infer(&x, 0);
+            let baseline = b.clone().forward(&x, 0);
             let mut s = ScratchArena::new();
             let y = b.infer_batch_in(&x, 1, 0, &mut s);
-            assert_eq!(y.data, baseline.data, "{}", kind.name());
+            assert_eq!(bits(&y.data), bits(&baseline.data), "{}", kind.name());
             s.give(y);
             let (_, warm) = s.stats();
             let y2 = b.infer_batch_in(&x, 1, 0, &mut s);
@@ -420,14 +415,14 @@ mod tests {
     #[test]
     fn phase_embedding_only_affects_amma() {
         let mut r = rng(5);
-        let b = Backbone::new(BackboneKind::Lstm, 3, 1, tiny_cfg(), &mut r)
+        let mut b = Backbone::new(BackboneKind::Lstm, 3, 1, tiny_cfg(), &mut r)
             .with_phase_embedding(2, &mut r);
         // LSTM backbone ignores the request (stays phase-blind).
         let x = input(6);
-        assert_eq!(b.infer(&x, 0), b.infer(&x, 1));
-        let a = Backbone::new(BackboneKind::Amma, 3, 1, tiny_cfg(), &mut r)
+        assert_eq!(b.forward(&x, 0), b.forward(&x, 1));
+        let mut a = Backbone::new(BackboneKind::Amma, 3, 1, tiny_cfg(), &mut r)
             .with_phase_embedding(2, &mut r);
-        assert_ne!(a.infer(&x, 0), a.infer(&x, 1));
+        assert_ne!(a.forward(&x, 0), a.forward(&x, 1));
     }
 
     #[test]

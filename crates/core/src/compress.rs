@@ -399,8 +399,9 @@ mod tests {
             .iter()
             .map(|&p| (student.vocab.token_of(p), 0x401000))
             .collect();
-        let t_top = teacher.predict_pages(&t_hist, 1, 1);
-        let s_top = student.predict_pages(&s_hist, 1, 1);
+        let mut s = mpgraph_ml::ScratchArena::new();
+        let t_top = teacher.predict_pages_in(&t_hist, 1, 1, &mut s);
+        let s_top = student.predict_pages_in(&s_hist, 1, 1, &mut s);
         assert_eq!(
             s_top, t_top,
             "student diverged from the teacher's argmax on the trained cycle"

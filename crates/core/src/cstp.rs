@@ -153,7 +153,8 @@ impl CstpConfig {
     }
 }
 
-/// Generates one CSTP prefetch batch.
+/// Generates one CSTP prefetch batch: the serial reference walk, one
+/// window per model call, each a B = 1 forward on a local arena.
 ///
 /// * `block_hist` — the last T (block, pc) pairs, most recent last;
 /// * `page_hist` — the last T (page token, pc) pairs;
@@ -172,9 +173,10 @@ pub fn chain_prefetch(
 ) -> Vec<u64> {
     let mut out = Vec::with_capacity(cfg.max_degree());
     let &(cur_block, _) = block_hist.last().expect("non-empty history");
+    let s = &mut ScratchArena::new();
 
     // --- Spatial at the current access: Ds deltas.
-    for d in delta.predict_deltas(block_hist, phase, cfg.spatial_degree) {
+    for d in delta.predict_deltas_in(block_hist, phase, cfg.spatial_degree, s) {
         let t = cur_block as i64 + d;
         if t >= 0 {
             out.push(t as u64);
@@ -187,7 +189,7 @@ pub fn chain_prefetch(
     let mut bh: Vec<(u64, u64)> = block_hist.to_vec();
     for _step in 0..cfg.temporal_degree {
         // Predict the next page (skip the OOV token).
-        let Some(&next_page) = page.predict_pages(&ph, phase, 1).first() else {
+        let Some(&next_page) = page.predict_pages_in(&ph, phase, 1, s).first() else {
             break;
         };
         // PBOT lookup: chain ends when the page base offset is missing.
@@ -205,7 +207,7 @@ pub fn chain_prefetch(
         if let Some(slot) = bh.last_mut() {
             *slot = (base, pbot_pc);
         }
-        for d in delta.predict_deltas(&bh, phase, cfg.spatial_degree.saturating_sub(1)) {
+        for d in delta.predict_deltas_in(&bh, phase, cfg.spatial_degree.saturating_sub(1), s) {
             let t = base as i64 + d;
             if t >= 0 {
                 out.push(t as u64);
@@ -230,9 +232,10 @@ pub fn chain_prefetch(
     out
 }
 
-/// [`chain_prefetch`] on the arena path: [`chain_prefetch_fused`] with one
-/// item (B = 1), so model inference is allocation-free after warmup and
-/// the batch is bit-identical to the serial reference. `lanes` is cleared
+/// [`chain_prefetch`] through the fused walk: [`chain_prefetch_fused`]
+/// with one item (B = 1) on the caller's arena, so model inference is
+/// allocation-free after warmup and the batch is bit-identical to the
+/// serial walk. `lanes` is cleared
 /// and refilled parallel to the returned batch, marking each candidate
 /// [`PrefetchLane::Spatial`] or [`PrefetchLane::Temporal`] for per-lane
 /// scoreboard attribution.
@@ -535,6 +538,7 @@ mod tests {
         let mut arena_stats = CstpStats::default();
         let mut arena = ScratchArena::new();
         let mut unused = ScratchArena::new();
+        let mut spatial_arena = ScratchArena::new();
         let mut lanes = Vec::new();
         for r in trace {
             bh.push((r.block(), r.pc));
@@ -564,7 +568,7 @@ mod tests {
             assert_eq!(a, b, "serial and arena batches diverged");
             let cur = r.block() as i64;
             let spatial: Vec<u64> = delta
-                .predict_deltas(&bh, phase, cfg.spatial_degree)
+                .predict_deltas_in(&bh, phase, cfg.spatial_degree, &mut spatial_arena)
                 .into_iter()
                 .filter(|&d| cur + d >= 0)
                 .map(|d| (cur + d) as u64)

@@ -235,25 +235,18 @@ impl DeltaPredictor {
         self.int8_bytes
     }
 
-    /// Sigmoid probabilities over the delta bitmap.
-    pub fn predict_scores(&self, hist: &[(u64, u64)], phase: usize) -> Vec<f32> {
-        Sigmoid::infer(&self.predict_logits(hist, phase)).data
-    }
-
-    /// Raw head logits (pre-sigmoid) through the allocating reference
-    /// path, which the arena path is tested against bit for bit.
+    /// Raw head logits (pre-sigmoid) `[1, labels]` for one window:
+    /// [`Self::predict_logits_batch_in`] at B = 1 on a fresh arena.
+    /// Distillation reads the teacher's logits here.
     pub fn predict_logits(&self, hist: &[(u64, u64)], phase: usize) -> Matrix {
-        let m = self.model_for(phase);
-        let x = Self::encode(&self.cfg, hist);
-        let pooled = m.backbone.infer(&x, phase);
-        m.head.infer(&pooled)
+        self.predict_logits_batch_in(&[hist], phase, &mut ScratchArena::new())
     }
 
-    /// The one arena forward: raw head logits `[B, labels]` for
+    /// The one inference forward: raw head logits `[B, labels]` for
     /// `hists.len()` same-length history windows sharing one phase (and
     /// therefore one model). The windows are stacked into a single
     /// `(B·T, ·)` modal input so the backbone and head each run once;
-    /// row `b` is bit-identical to [`Self::predict_logits`] on window `b`,
+    /// row `b` is bit-identical to the training forward on window `b`,
     /// because every kernel on the path computes each output row from its
     /// own input rows alone. Single windows run at B = 1. The caller
     /// `give`s the result back.
@@ -289,8 +282,7 @@ impl DeltaPredictor {
         logits
     }
 
-    /// [`Self::predict_deltas_batch_in`] for one window (B = 1) — the
-    /// arena counterpart of [`Self::predict_deltas`].
+    /// [`Self::predict_deltas_batch_in`] for one window (B = 1).
     pub fn predict_deltas_in(
         &self,
         hist: &[(u64, u64)],
@@ -306,7 +298,7 @@ impl DeltaPredictor {
     /// Top-`k` predicted deltas above the confidence threshold for each of
     /// `hists.len()` same-length windows sharing one phase, from one
     /// [`Self::predict_logits_batch_in`] forward. Row `b` equals
-    /// [`Self::predict_deltas`] on window `b`.
+    /// [`Self::predict_deltas_in`] on window `b`.
     pub fn predict_deltas_batch_in(
         &self,
         hists: &[&[(u64, u64)]],
@@ -344,17 +336,6 @@ impl DeltaPredictor {
         out
     }
 
-    /// Top-`k` predicted deltas above the confidence threshold.
-    pub fn predict_deltas(&self, hist: &[(u64, u64)], phase: usize, k: usize) -> Vec<i64> {
-        let dr = self.cfg.labels();
-        let scores = self.predict_scores(hist, phase);
-        top_k_indices(&scores, k)
-            .into_iter()
-            .filter(|&i| scores[i] >= self.cfg.threshold)
-            .map(|i| dr.delta_of(i))
-            .collect()
-    }
-
     /// Table 6 metric: micro-F1 of the thresholded bitmap against the
     /// ground-truth future-delta bitmap over a test trace.
     pub fn evaluate_f1(&self, records: &[MemRecord], tc: &TrainCfg, max_samples: usize) -> Prf {
@@ -362,6 +343,8 @@ impl DeltaPredictor {
         let reach = t + self.cfg.look_forward;
         let mut preds = Vec::new();
         let mut targs = Vec::new();
+        let thr = self.cfg.threshold;
+        let mut s = ScratchArena::new();
         for i in sample_starts(
             records.len(),
             reach,
@@ -370,13 +353,16 @@ impl DeltaPredictor {
         ) {
             let pos = i + t - 1;
             let phase = records[pos].phase as usize % self.num_phases;
-            let scores = self.predict_scores(&block_history(&records[i..i + t]), phase);
+            let hist = block_history(&records[i..i + t]);
+            let mut scores = self.predict_logits_batch_in(&[&hist], phase, &mut s);
+            Sigmoid::infer_inplace(&mut scores);
             let target = self
                 .cfg
                 .labels()
                 .label_bitmap(records, pos, self.cfg.look_forward);
-            preds.push(scores.iter().map(|&s| s >= self.cfg.threshold).collect());
+            preds.push(scores.data.iter().map(|&p| p >= thr).collect());
             targs.push(target.data.iter().map(|&v| v > 0.5).collect());
+            s.give(scores);
         }
         multilabel_f1(&preds, &targs)
     }
@@ -409,6 +395,10 @@ impl DeltaPredictor {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    fn bits(v: &[f32]) -> Vec<u32> {
+        v.iter().map(|x| x.to_bits()).collect()
+    }
 
     fn rec(vaddr: u64, pc: u64, phase: u8) -> MemRecord {
         MemRecord {
@@ -486,12 +476,13 @@ mod tests {
         let f1 = model.evaluate_f1(&trace, &tc, 200);
         assert!(f1.f1 > 0.5, "f1 {:?}", f1);
         // Phase 0 history → deltas dominated by +1..+look_forward pattern.
+        let mut s = ScratchArena::new();
         let hist: Vec<(u64, u64)> = (0..5).map(|i| ((1 << 16) + i, 0x400000)).collect();
-        let deltas = model.predict_deltas(&hist, 0, 3);
+        let deltas = model.predict_deltas_in(&hist, 0, 3, &mut s);
         assert!(deltas.contains(&1), "phase-0 deltas {deltas:?}");
         // Phase 1 history → stride 4.
         let hist1: Vec<(u64, u64)> = (0..5).map(|i| ((1 << 18) + 4 * i, 0x401000)).collect();
-        let deltas1 = model.predict_deltas(&hist1, 1, 3);
+        let deltas1 = model.predict_deltas_in(&hist1, 1, 3, &mut s);
         assert!(deltas1.contains(&4), "phase-1 deltas {deltas1:?}");
     }
 
@@ -538,6 +529,9 @@ mod tests {
                 if rounded {
                     model.quantize();
                 }
+                // The reference is the training forward, on clones of the
+                // phase models so the served ones keep no cache.
+                let mut reference = model.models.clone();
                 for batch in [1usize, 2, 5, 16] {
                     let refs: Vec<&[(u64, u64)]> =
                         hists[..batch].iter().map(Vec::as_slice).collect();
@@ -545,15 +539,22 @@ mod tests {
                         let fused = model.predict_deltas_batch_in(&refs, phase, 4, &mut s);
                         assert_eq!(fused.len(), batch);
                         let logits = model.predict_logits_batch_in(&refs, phase, &mut s);
+                        let m = &mut reference[phase % model.models.len()];
                         for (b, h) in refs.iter().enumerate() {
                             let what = format!(
                                 "{} rounded={rounded} batch={batch} lane={b} phase={phase}",
                                 v.name()
                             );
-                            assert_eq!(fused[b], model.predict_deltas(h, phase, 4), "{what}");
+                            let expected = m.forward(&DeltaPredictor::encode(&cfg, h), phase);
+                            assert_eq!(bits(logits.row(b)), bits(&expected.data), "{what}");
                             assert_eq!(
-                                logits.row(b),
-                                model.predict_logits(h, phase).row(0),
+                                bits(model.predict_logits(h, phase).row(0)),
+                                bits(&expected.data),
+                                "{what}"
+                            );
+                            assert_eq!(
+                                fused[b],
+                                model.predict_deltas_in(h, phase, 4, &mut s),
                                 "{what}"
                             );
                         }
@@ -579,7 +580,7 @@ mod tests {
         };
         let model = DeltaPredictor::train(&trace, 2, Variant::Amma, cfg, &tc);
         let hist: Vec<(u64, u64)> = (0..5).map(|i| ((1 << 16) + i, 0x400000)).collect();
-        let scores = model.predict_scores(&hist, 0);
+        let scores = Sigmoid::infer(&model.predict_logits(&hist, 0)).data;
         assert!(
             scores.iter().all(|s| s.is_finite()),
             "NaN leaked into inference"
@@ -600,13 +601,10 @@ mod tests {
         let mut s = mpgraph_ml::ScratchArena::new();
         for phase in [0usize, 1] {
             // Warmup, then steady state must not allocate.
-            model.predict_deltas_in(&hist, phase, 3, &mut s);
+            let warm = model.predict_deltas_in(&hist, phase, 3, &mut s);
             let (_, misses_after_warmup) = s.stats();
             for _ in 0..4 {
-                assert_eq!(
-                    model.predict_deltas_in(&hist, phase, 3, &mut s),
-                    model.predict_deltas(&hist, phase, 3)
-                );
+                assert_eq!(model.predict_deltas_in(&hist, phase, 3, &mut s), warm);
             }
             let (_, misses) = s.stats();
             assert_eq!(misses, misses_after_warmup, "steady state allocated");
@@ -641,11 +639,12 @@ mod tests {
         assert!(deltas1.contains(&4), "phase-1 deltas {deltas1:?}");
         // And the scores track the f32 model closely.
         for (hist, phase) in [(&hist, 0usize), (&hist1, 1)] {
-            let exact = f32_model.predict_scores(hist, phase);
-            let quant = model.predict_scores(hist, phase);
+            let exact = Sigmoid::infer(&f32_model.predict_logits(hist, phase));
+            let quant = Sigmoid::infer(&model.predict_logits(hist, phase));
             let diff = exact
+                .data
                 .iter()
-                .zip(quant.iter())
+                .zip(quant.data.iter())
                 .fold(0.0f32, |m, (a, b)| m.max((a - b).abs()));
             assert!(diff < 0.12, "phase {phase}: sigmoid diff {diff}");
         }

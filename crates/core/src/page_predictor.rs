@@ -298,36 +298,51 @@ impl PagePredictor {
         self.int8_bytes
     }
 
-    /// Raw head logits (pre-softmax / pre-sigmoid) through the allocating
-    /// reference path, which the arena path is tested against bit for bit.
-    /// The tied head's row spans all `page_vocab` slots: distillation's KD
-    /// loss reads every one.
+    /// Raw head logits (pre-softmax / pre-sigmoid) `[1, out]` for one
+    /// window, from the head output of the arena forward at B = 1 on a
+    /// fresh arena. The tied head's row spans all `page_vocab` slots, not
+    /// just the live vocabulary: distillation's KD loss reads every one.
     pub fn predict_logits(&self, hist: &[(usize, u64)], phase: usize) -> Matrix {
         let m = self.model_for(phase);
-        let tokens: Vec<usize> = hist.iter().map(|&(tk, _)| tk).collect();
-        let x = ModalInput {
-            addr: m.embed.infer(&tokens),
-            pc: pc_column(hist),
-        };
-        let pooled = m.backbone.infer(&x, phase);
+        let z = self.head_out_batch_in(&[hist], phase, &mut ScratchArena::new());
         if m.tied {
-            m.head.infer(&pooled).matmul_bt(&m.embed.table.w)
+            z.matmul_bt(&m.embed.table.w)
         } else {
-            m.head.infer(&pooled)
+            z
         }
     }
 
-    /// The one arena forward: raw head logits `[B, out]` for `hists.len()`
-    /// same-length (token, pc) windows sharing one phase. The windows are
-    /// stacked into a single `(B·T, ·)` modal input so the embedding,
-    /// backbone, head and tied vocabulary product each run once. The tied
-    /// head computes only the live vocabulary, the tokens `vocab` maps
-    /// and top-k reads, so `out` is `vocab.len()` (at least 1, at most
-    /// `page_vocab`) and row `b` is bit-identical to that prefix of
-    /// [`Self::predict_logits`] on window `b`; the binary head's row is
-    /// all of it. Single windows run at B = 1. The caller `give`s the
-    /// result back.
+    /// The one inference forward: raw head logits `[B, out]` for
+    /// `hists.len()` same-length (token, pc) windows sharing one phase.
+    /// The windows are stacked into a single `(B·T, ·)` modal input so the
+    /// embedding, backbone, head and tied vocabulary product each run
+    /// once. The tied head computes only the live vocabulary, the tokens
+    /// `vocab` maps and top-k reads, so `out` is `vocab.len()` (at least
+    /// 1, at most `page_vocab`) and row `b` is bit-identical to that
+    /// prefix of the training forward's `z·Eᵀ` on window `b`; the binary
+    /// head's row is all of it. Single windows run at B = 1. The caller
+    /// `give`s the result back.
     pub fn predict_logits_batch_in(
+        &self,
+        hists: &[&[(usize, u64)]],
+        phase: usize,
+        s: &mut ScratchArena,
+    ) -> Matrix {
+        let z = self.head_out_batch_in(hists, phase, s);
+        let m = self.model_for(phase);
+        if !m.tied {
+            return z;
+        }
+        let mut logits = s.take(z.rows, self.live_vocab());
+        z.matmul_bt_into(&m.embed.table.w, &mut logits);
+        s.give(z);
+        logits
+    }
+
+    /// The head output `[B, out]` of the stacked windows: the
+    /// embedding-space projection `z` for the tied head, the bit logits
+    /// for the binary one.
+    fn head_out_batch_in(
         &self,
         hists: &[&[(usize, u64)]],
         phase: usize,
@@ -356,21 +371,12 @@ impl PagePredictor {
         let ModalInput { addr, pc } = x;
         s.give(addr);
         s.give(pc);
-        let logits = if m.tied {
-            let z = m.head.infer_in(&pooled, s);
-            let mut logits = s.take(z.rows, self.live_vocab());
-            z.matmul_bt_into(&m.embed.table.w, &mut logits);
-            s.give(z);
-            logits
-        } else {
-            m.head.infer_in(&pooled, s)
-        };
+        let z = m.head.infer_in(&pooled, s);
         s.give(pooled);
-        logits
+        z
     }
 
-    /// [`Self::predict_pages_batch_in`] for one window (B = 1) — the arena
-    /// counterpart of [`Self::predict_pages`].
+    /// [`Self::predict_pages_batch_in`] for one window (B = 1).
     pub fn predict_pages_in(
         &self,
         hist: &[(usize, u64)],
@@ -386,7 +392,7 @@ impl PagePredictor {
     /// Top predicted pages for each of `hists.len()` same-length (token,
     /// pc) windows sharing one phase, from one
     /// [`Self::predict_logits_batch_in`] forward. Row `b` equals
-    /// [`Self::predict_pages`] on window `b`.
+    /// [`Self::predict_pages_in`] on window `b`.
     pub fn predict_pages_batch_in(
         &self,
         hists: &[&[(usize, u64)]],
@@ -436,31 +442,10 @@ impl PagePredictor {
     /// `page_vocab`, but only `vocab.len()` slots were ever trained. Slots past that are
     /// random-init weights whose logits can win top-k, and since they
     /// resolve to no page they would starve downstream consumers (the CSTP
-    /// temporal chain breaks before its PBOT lookup when `predict_pages`
-    /// comes back empty).
+    /// temporal chain breaks before its PBOT lookup when the predicted
+    /// pages come back empty).
     fn live_vocab(&self) -> usize {
         self.vocab.len().min(self.cfg.page_vocab).max(1)
-    }
-
-    /// Top-`k` predicted page tokens for a (token, pc) history.
-    pub fn predict_tokens(&self, hist: &[(usize, u64)], phase: usize, k: usize) -> Vec<usize> {
-        let logits = self.predict_logits(hist, phase);
-        match self.cfg.head {
-            PageHead::Softmax => top_k_indices(&logits.row(0)[..self.live_vocab()], k),
-            PageHead::BinaryEncoded => {
-                let probs = Sigmoid::infer(&logits);
-                vec![Self::decode_bits(probs.row(0), self.vocab.len())]
-            }
-        }
-    }
-
-    /// Top predicted *page numbers* (tokens resolved through the vocab).
-    pub fn predict_pages(&self, hist: &[(usize, u64)], phase: usize, k: usize) -> Vec<u64> {
-        self.predict_tokens(hist, phase, k + 1)
-            .into_iter()
-            .filter_map(|t| self.vocab.page_of(t))
-            .take(k)
-            .collect()
     }
 
     /// Table 7 metric: accuracy@`k` — the top-1 predicted page counts as
@@ -482,6 +467,7 @@ impl PagePredictor {
         let stride = (total_len.saturating_sub(t + k) / max_samples.max(1)).max(1);
         let mut hits = 0usize;
         let mut total = 0usize;
+        let mut s = ScratchArena::new();
         for seq in per_core.iter().filter(|s| s.len() > t + k) {
             let mut i = 0usize;
             while i + t + k < seq.len() && total < max_samples {
@@ -490,7 +476,7 @@ impl PagePredictor {
                     .iter()
                     .map(|rec| (self.vocab.token_of(rec.page()), rec.pc))
                     .collect();
-                let preds = self.predict_pages(&hist, phase, 1);
+                let preds = self.predict_pages_in(&hist, phase, 1, &mut s);
                 if let Some(&p) = preds.first() {
                     if seq[i + t..i + t + k].iter().any(|r| r.page() == p) {
                         hits += 1;
@@ -540,6 +526,10 @@ impl PagePredictor {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    fn bits(v: &[f32]) -> Vec<u32> {
+        v.iter().map(|x| x.to_bits()).collect()
+    }
 
     fn rec(page: u64, pc: u64, phase: u8) -> MemRecord {
         MemRecord {
@@ -617,7 +607,7 @@ mod tests {
             .iter()
             .map(|&p| (model.vocab.token_of(p), 0x400000))
             .collect();
-        let pages = model.predict_pages(&hist, 0, 1);
+        let pages = model.predict_pages_in(&hist, 0, 1, &mut ScratchArena::new());
         assert_eq!(pages, vec![10]);
     }
 
@@ -646,7 +636,7 @@ mod tests {
         };
         for head in [PageHead::Softmax, PageHead::BinaryEncoded] {
             let cfg = PagePredictorConfig { head, ..cfg };
-            for v in [Variant::Lstm, Variant::Attention, Variant::AmmaPs] {
+            for v in Variant::ALL {
                 let mut model = PagePredictor::train(&trace, 2, v, cfg, &tc);
                 let mut s = ScratchArena::new();
                 // Distinct equal-length token histories over the trained
@@ -668,6 +658,9 @@ mod tests {
                     if rounded {
                         model.quantize();
                     }
+                    // The reference is the training forward, on clones of
+                    // the phase models so the served ones keep no cache.
+                    let mut reference = model.models.clone();
                     for batch in [1usize, 2, 5, 16] {
                         let refs: Vec<&[(usize, u64)]> =
                             hists[..batch].iter().map(Vec::as_slice).collect();
@@ -682,15 +675,33 @@ mod tests {
                                 PageHead::BinaryEncoded => model.encoded_bits(),
                             };
                             assert_eq!((logits.rows, logits.cols), (batch, width));
+                            let m = &mut reference[phase % model.models.len()];
                             for (b, h) in refs.iter().enumerate() {
                                 let what = format!(
                                     "{} {head:?} rounded={rounded} batch={batch} lane={b} phase={phase}",
                                     v.name()
                                 );
-                                assert_eq!(fused[b], model.predict_pages(h, phase, 3), "{what}");
+                                // Training forward: head output z, then
+                                // the tied head's z·Eᵀ over every slot.
+                                let z = m.forward(h, phase);
+                                let full = if m.tied {
+                                    z.matmul_bt(&m.embed.table.w)
+                                } else {
+                                    z
+                                };
                                 assert_eq!(
-                                    logits.row(b),
-                                    &model.predict_logits(h, phase).row(0)[..width],
+                                    bits(logits.row(b)),
+                                    bits(&full.data[..width]),
+                                    "{what}"
+                                );
+                                // The B = 1 wrapper is full width: all
+                                // `page_vocab` slots for the tied head.
+                                let single = model.predict_logits(h, phase);
+                                assert_eq!(single.cols, full.cols, "{what}");
+                                assert_eq!(bits(&single.data), bits(&full.data), "{what}");
+                                assert_eq!(
+                                    fused[b],
+                                    model.predict_pages_in(h, phase, 3, &mut s),
                                     "{what}"
                                 );
                             }
@@ -720,13 +731,10 @@ mod tests {
                 .collect();
             let mut s = mpgraph_ml::ScratchArena::new();
             for phase in [0usize, 1] {
-                model.predict_pages_in(&hist, phase, 2, &mut s);
+                let warm = model.predict_pages_in(&hist, phase, 2, &mut s);
                 let (_, misses_after_warmup) = s.stats();
                 for _ in 0..4 {
-                    assert_eq!(
-                        model.predict_pages_in(&hist, phase, 2, &mut s),
-                        model.predict_pages(&hist, phase, 2)
-                    );
+                    assert_eq!(model.predict_pages_in(&hist, phase, 2, &mut s), warm);
                 }
                 let (_, misses) = s.stats();
                 assert_eq!(misses, misses_after_warmup, "steady state allocated");

@@ -120,12 +120,6 @@ impl Csr {
         self.offsets[v as usize] as usize..self.offsets[v as usize + 1] as usize
     }
 
-    /// Weight of the edge at flat index `e`.
-    #[inline]
-    pub fn weight_at(&self, e: usize) -> f32 {
-        self.weights[e]
-    }
-
     /// Returns the transpose graph (in-edges become out-edges). PowerGraph's
     /// Gather phase and PageRank pull-style iterations need it.
     pub fn transpose(&self) -> Csr {
@@ -223,10 +217,6 @@ impl CsrBuilder {
 
     pub fn add_edge(&mut self, src: VertexId, dst: VertexId) {
         self.edges.push((src, dst, 1.0));
-    }
-
-    pub fn add_weighted_edge(&mut self, src: VertexId, dst: VertexId, w: f32) {
-        self.edges.push((src, dst, w));
     }
 
     pub fn num_edges(&self) -> usize {

@@ -1,6 +1,6 @@
 //! Scratch-buffer arena for allocation-free inference.
 //!
-//! Every `infer` call in the seed implementation allocated roughly a dozen
+//! Every inference call in the seed implementation allocated roughly a dozen
 //! intermediate matrices; at prefetcher rates (one inference per L2 access)
 //! the allocator became a measurable part of the per-prediction latency. A
 //! [`ScratchArena`] is a free-list of `f32` buffers keyed by length: layers

@@ -60,15 +60,6 @@ impl SelfAttention {
         y
     }
 
-    pub fn infer(&self, x: &Matrix) -> Matrix {
-        let q = x.matmul(&self.wq.w);
-        let k = x.matmul(&self.wk.w);
-        let v = x.matmul(&self.wv.w);
-        let mut scores = q.matmul_bt(&k);
-        scores.scale(1.0 / (self.head_dim as f32).sqrt());
-        scores.softmax_rows().matmul(&v)
-    }
-
     /// Batched inference over `batch` stacked sequences: `x` is
     /// `[batch * seq, in_dim]` with each sequence occupying a contiguous
     /// block of rows. Keys and values cover every row; queries cover only
@@ -79,9 +70,10 @@ impl SelfAttention {
     /// single fused matmuls over the stack; attention itself is confined
     /// to each sequence's own `[queries, seq]` score block. Every kernel
     /// computes a row from its own inputs alone, so each output row is
-    /// bit-identical to the matching row of [`SelfAttention::infer`] on
-    /// its sequence. The result comes from the arena; the caller `give`s
-    /// it back. Single sequences run here at `batch = 1`.
+    /// bit-identical to the matching row of the training
+    /// [`SelfAttention::forward`] on its sequence. The result comes from
+    /// the arena; the caller `give`s it back. Single sequences run here at
+    /// `batch = 1`.
     pub fn infer_batch_in(
         &self,
         x: &Matrix,
@@ -201,27 +193,24 @@ impl MultiHeadAttention {
     }
 
     pub fn forward(&mut self, x: &Matrix) -> Matrix {
-        let concat = self.concat(x, true);
-        concat.matmul(&self.wo.w)
-    }
-
-    pub fn infer(&self, x: &Matrix) -> Matrix {
         let s = x.rows;
-        let mut concat = Matrix::zeros(s, self.dim);
         let head_dim = self.dim / self.heads.len();
-        for (h, head) in self.heads.iter().enumerate() {
-            let y = head.infer(x);
+        let mut concat = Matrix::zeros(s, self.dim);
+        for (h, head) in self.heads.iter_mut().enumerate() {
+            let y = head.forward(x);
             for r in 0..s {
                 concat.row_mut(r)[h * head_dim..(h + 1) * head_dim].copy_from_slice(y.row(r));
             }
         }
-        concat.matmul(&self.wo.w)
+        let out = concat.matmul(&self.wo.w);
+        self.cache_concat = Some(concat);
+        out
     }
 
     /// Batched inference over `batch` stacked sequences for the last
     /// `queries` rows of each; see [`SelfAttention::infer_batch_in`]. Each
-    /// output row is bit-identical to the matching row of per-sequence
-    /// [`MultiHeadAttention::infer`].
+    /// output row is bit-identical to the matching row of the training
+    /// [`MultiHeadAttention::forward`] on its sequence.
     pub fn infer_batch_in(
         &self,
         x: &Matrix,
@@ -243,24 +232,6 @@ impl MultiHeadAttention {
         concat.matmul_into(&self.wo.w, &mut out);
         s.give(concat);
         out
-    }
-
-    fn concat(&mut self, x: &Matrix, train: bool) -> Matrix {
-        let s = x.rows;
-        let head_dim = self.dim / self.heads.len();
-        let mut concat = Matrix::zeros(s, self.dim);
-        for h in 0..self.heads.len() {
-            let y = if train {
-                self.heads[h].forward(x)
-            } else {
-                self.heads[h].infer(x)
-            };
-            for r in 0..s {
-                concat.row_mut(r)[h * head_dim..(h + 1) * head_dim].copy_from_slice(y.row(r));
-            }
-        }
-        self.cache_concat = Some(concat.clone());
-        concat
     }
 
     pub fn backward(&mut self, dy: &Matrix) -> Matrix {
@@ -309,6 +280,49 @@ mod tests {
 
     fn weighted_sum(y: &Matrix, w: &Matrix) -> f32 {
         y.data.iter().zip(w.data.iter()).map(|(a, b)| a * b).sum()
+    }
+
+    fn bits(v: &[f32]) -> Vec<u32> {
+        v.iter().map(|x| x.to_bits()).collect()
+    }
+
+    #[test]
+    fn arena_forward_matches_training_forward_at_every_query_count() {
+        let mut r = rng(8);
+        let single = SelfAttention::new(8, 4, &mut r);
+        let multi = MultiHeadAttention::new(8, 2, &mut r);
+        let seq = 4;
+        let seqs: Vec<Matrix> = (0..5).map(|_| Matrix::xavier(seq, 8, &mut r)).collect();
+        let single_ref: Vec<Matrix> = seqs.iter().map(|x| single.clone().forward(x)).collect();
+        let multi_ref: Vec<Matrix> = seqs.iter().map(|x| multi.clone().forward(x)).collect();
+        let mut s = crate::arena::ScratchArena::new();
+        for batch in [1usize, 2, 5] {
+            let x = seqs[1..batch]
+                .iter()
+                .fold(seqs[0].clone(), |acc, q| Matrix::vcat(&acc, q));
+            for queries in 1..=seq {
+                let outputs = [
+                    (
+                        single.infer_batch_in(&x, batch, queries, &mut s),
+                        &single_ref,
+                    ),
+                    (multi.infer_batch_in(&x, batch, queries, &mut s), &multi_ref),
+                ];
+                for (layer, (y, refs)) in outputs.into_iter().enumerate() {
+                    assert_eq!(y.rows, batch * queries);
+                    for (b, reference) in refs[..batch].iter().enumerate() {
+                        for i in 0..queries {
+                            assert_eq!(
+                                bits(y.row(b * queries + i)),
+                                bits(reference.row(seq - queries + i)),
+                                "layer {layer} batch={batch} queries={queries} seq={b} row={i}"
+                            );
+                        }
+                    }
+                    s.give(y);
+                }
+            }
+        }
     }
 
     #[test]
@@ -363,8 +377,8 @@ mod tests {
             xp.data[i] += eps;
             let mut xm = x.clone();
             xm.data[i] -= eps;
-            let num =
-                (weighted_sum(&a.infer(&xp), &w) - weighted_sum(&a.infer(&xm), &w)) / (2.0 * eps);
+            let num = (weighted_sum(&a.forward(&xp), &w) - weighted_sum(&a.forward(&xm), &w))
+                / (2.0 * eps);
             assert!(
                 (num - dx.data[i]).abs() < 3e-2,
                 "idx {i}: {num} vs {}",
@@ -388,8 +402,8 @@ mod tests {
             // Perturb wq[pi][get].
             *ap.wq.w.at_mut(pi, get) += eps;
             *am.wq.w.at_mut(pi, get) -= eps;
-            let num =
-                (weighted_sum(&ap.infer(&x), &w) - weighted_sum(&am.infer(&x), &w)) / (2.0 * eps);
+            let num = (weighted_sum(&ap.forward(&x), &w) - weighted_sum(&am.forward(&x), &w))
+                / (2.0 * eps);
             let analytic = a.wq.g.at(pi, get);
             assert!(
                 (num - analytic).abs() < 3e-2,
@@ -423,7 +437,7 @@ mod tests {
             xp.data[i] += eps;
             let mut xm = x.clone();
             xm.data[i] -= eps;
-            let num = (weighted_sum(&mha.infer(&xp), &w) - weighted_sum(&mha.infer(&xm), &w))
+            let num = (weighted_sum(&mha.forward(&xp), &w) - weighted_sum(&mha.forward(&xm), &w))
                 / (2.0 * eps);
             assert!(
                 (num - dx.data[i]).abs() < 3e-2,

@@ -102,13 +102,6 @@ impl Linear {
         y
     }
 
-    /// Inference-only forward (no cache).
-    pub fn infer(&self, x: &Matrix) -> Matrix {
-        let mut y = x.matmul(&self.w.w);
-        y.add_bias(&self.b.w.data);
-        y
-    }
-
     /// Inference-only forward into an arena-owned buffer (no allocation
     /// after warmup). The caller is responsible for `give`-ing the result
     /// back once it is done with it.
@@ -164,12 +157,7 @@ impl Embedding {
 
     pub fn forward(&mut self, tokens: &[usize]) -> Matrix {
         self.cache_tokens = tokens.to_vec();
-        self.infer(tokens)
-    }
-
-    pub fn infer(&self, tokens: &[usize]) -> Matrix {
-        let dim = self.table.w.cols;
-        let mut out = Matrix::zeros(tokens.len(), dim);
+        let mut out = Matrix::zeros(tokens.len(), self.table.w.cols);
         self.lookup_into(tokens, &mut out);
         out
     }
@@ -236,16 +224,6 @@ pub struct Relu {
 impl Relu {
     pub fn forward(&mut self, x: &Matrix) -> Matrix {
         self.mask = x.data.iter().map(|&v| v > 0.0).collect();
-        let mut y = x.clone();
-        for v in y.data.iter_mut() {
-            if *v < 0.0 {
-                *v = 0.0;
-            }
-        }
-        y
-    }
-
-    pub fn infer(x: &Matrix) -> Matrix {
         let mut y = x.clone();
         Self::infer_inplace(&mut y);
         y
@@ -353,12 +331,6 @@ impl LayerNorm {
             }
         }
         self.cache = Some((xhat, means, inv_stds));
-        y
-    }
-
-    pub fn infer(&self, x: &Matrix) -> Matrix {
-        let mut y = x.clone();
-        self.infer_inplace(&mut y);
         y
     }
 
@@ -479,8 +451,8 @@ mod tests {
         let w = Matrix::xavier(4, 2, &mut r); // loss weighting
         let _y = l.forward(&x);
         let dx = l.backward(&w);
-        let l2 = l.clone();
-        check_input_grad(&x, |xx| l2.infer(xx), &dx, &w, 2e-2);
+        let mut l2 = l.clone();
+        check_input_grad(&x, |xx| l2.forward(xx), &dx, &w, 2e-2);
         // Weight gradient check on one entry.
         let eps = 1e-2f32;
         let (wi, wj) = (1, 0);
@@ -488,15 +460,15 @@ mod tests {
         *lp.w.w.at_mut(wi, wj) += eps;
         let mut lm = l.clone();
         *lm.w.w.at_mut(wi, wj) -= eps;
-        let f = |m: &Linear| -> f32 {
-            m.infer(&x)
+        let f = |m: &mut Linear| -> f32 {
+            m.forward(&x)
                 .data
                 .iter()
                 .zip(w.data.iter())
                 .map(|(a, b)| a * b)
                 .sum()
         };
-        let num = (f(&lp) - f(&lm)) / (2.0 * eps);
+        let num = (f(&mut lp) - f(&mut lm)) / (2.0 * eps);
         assert!((num - l.w.g.at(wi, wj)).abs() < 2e-2);
     }
 
@@ -520,8 +492,8 @@ mod tests {
     #[should_panic(expected = "out of vocab")]
     fn embedding_rejects_oov() {
         let mut r = rng(4);
-        let e = Embedding::new(4, 2, &mut r);
-        let _ = e.infer(&[4]);
+        let mut e = Embedding::new(4, 2, &mut r);
+        let _ = e.forward(&[4]);
     }
 
     #[test]
@@ -568,8 +540,8 @@ mod tests {
         let w = Matrix::xavier(2, 5, &mut r);
         let _ = ln.forward(&x);
         let dx = ln.backward(&w);
-        let ln2 = ln.clone();
-        check_input_grad(&x, |xx| ln2.infer(xx), &dx, &w, 3e-2);
+        let mut ln2 = ln.clone();
+        check_input_grad(&x, |xx| ln2.forward(xx), &dx, &w, 3e-2);
     }
 
     #[test]

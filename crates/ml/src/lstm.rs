@@ -136,28 +136,14 @@ impl Lstm {
         out
     }
 
-    /// Inference without caching.
-    pub fn infer(&self, x: &Matrix) -> Matrix {
-        assert_eq!(x.cols, self.in_dim);
-        let mut h = vec![0.0; self.hidden];
-        let mut c = vec![0.0; self.hidden];
-        let mut out = Matrix::zeros(x.rows, self.hidden);
-        for t in 0..x.rows {
-            let (_cache, h_new, c_new) = self.step(x.row(t), &h, &c);
-            out.row_mut(t).copy_from_slice(&h_new);
-            h = h_new;
-            c = c_new;
-        }
-        out
-    }
-
     /// Batched inference over `batch` stacked sequences (`x` is
     /// `[batch * seq, in_dim]`, each sequence contiguous): every sequence
     /// runs its own recurrence from zero state, advanced in lock-step so
     /// the gate weights stream through cache once per timestep instead of
     /// once per sequence. The recurrence updates the hidden and cell state
     /// in place, so the steady state allocates nothing. Bit-identical to
-    /// per-sequence [`Lstm::infer`]; single sequences run at `batch = 1`.
+    /// the training [`Lstm::forward`] on each sequence; single sequences
+    /// run at `batch = 1`.
     pub fn infer_batch_in(&self, x: &Matrix, batch: usize, s: &mut ScratchArena) -> Matrix {
         assert_eq!(x.cols, self.in_dim);
         assert!(
@@ -292,29 +278,35 @@ mod tests {
     }
 
     #[test]
-    fn infer_matches_forward() {
-        let mut r = rng(2);
-        let mut l = Lstm::new(4, 6, &mut r);
-        let x = Matrix::xavier(5, 4, &mut r);
-        let a = l.forward(&x);
-        let b = l.infer(&x);
-        assert_eq!(a, b);
-    }
-
-    #[test]
-    fn arena_infer_matches_infer_bit_exactly() {
+    fn arena_infer_matches_forward_bit_exactly() {
         let mut r = rng(8);
         let l = Lstm::new(4, 6, &mut r);
-        let x = Matrix::xavier(5, 4, &mut r);
-        let baseline = l.infer(&x);
+        let seqs: Vec<Matrix> = (0..3).map(|_| Matrix::xavier(5, 4, &mut r)).collect();
+        let bits = |v: &[f32]| -> Vec<u32> { v.iter().map(|x| x.to_bits()).collect() };
         let mut s = crate::arena::ScratchArena::new();
-        for _ in 0..3 {
-            let y = l.infer_batch_in(&x, 1, &mut s);
-            assert_eq!(y.data, baseline.data);
-            s.give(y);
+        // One sequence, then three in lock-step: every sequence's rows
+        // equal the training forward's on that sequence alone.
+        for batch in [1usize, 3] {
+            let x = seqs[1..batch]
+                .iter()
+                .fold(seqs[0].clone(), |acc, q| Matrix::vcat(&acc, q));
+            let mut warm_misses = None;
+            for _ in 0..3 {
+                let y = l.infer_batch_in(&x, batch, &mut s);
+                for (b, q) in seqs[..batch].iter().enumerate() {
+                    let reference = l.clone().forward(q);
+                    assert_eq!(
+                        bits(&y.data[b * 5 * 6..(b + 1) * 5 * 6]),
+                        bits(&reference.data),
+                        "batch={batch} seq={b}"
+                    );
+                }
+                s.give(y);
+                let (_, misses) = s.stats();
+                let warm = *warm_misses.get_or_insert(misses);
+                assert_eq!(misses, warm, "batch={batch}: steady state allocated");
+            }
         }
-        let (_, misses) = s.stats();
-        assert_eq!(misses, 4, "only the warmup round may allocate");
     }
 
     #[test]
@@ -337,8 +329,8 @@ mod tests {
         let _ = l.forward(&x);
         let dx = l.backward(&w);
         let eps = 1e-2f32;
-        let loss = |m: &Matrix| -> f32 {
-            l.infer(m)
+        let mut loss = |m: &Matrix| -> f32 {
+            l.forward(m)
                 .data
                 .iter()
                 .zip(w.data.iter())
@@ -368,8 +360,8 @@ mod tests {
         let _ = l.forward(&x);
         let _ = l.backward(&w);
         let eps = 1e-2f32;
-        let loss = |m: &Lstm| -> f32 {
-            m.infer(&x)
+        let loss = |m: &mut Lstm| -> f32 {
+            m.forward(&x)
                 .data
                 .iter()
                 .zip(w.data.iter())
@@ -381,7 +373,7 @@ mod tests {
             *lp.w_ih.w.at_mut(pi, pj) += eps;
             let mut lm = l.clone();
             *lm.w_ih.w.at_mut(pi, pj) -= eps;
-            let num = (loss(&lp) - loss(&lm)) / (2.0 * eps);
+            let num = (loss(&mut lp) - loss(&mut lm)) / (2.0 * eps);
             let analytic = l.w_ih.g.at(pi, pj);
             assert!(
                 (num - analytic).abs() < 2e-2,

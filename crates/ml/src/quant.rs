@@ -210,9 +210,9 @@ mod tests {
         let mut r = rng(3);
         let mut l = Linear::new(8, 8, &mut r);
         let x = Matrix::xavier(4, 8, &mut r);
-        let before = l.infer(&x);
+        let before = l.forward(&x);
         quantize_module(&mut l);
-        let after = l.infer(&x);
+        let after = l.forward(&x);
         for (a, b) in before.data.iter().zip(after.data.iter()) {
             assert!((a - b).abs() < 0.05, "{a} vs {b}");
         }

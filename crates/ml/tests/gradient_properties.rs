@@ -49,9 +49,9 @@ proptest! {
         let w = Matrix::xavier(rows, dout, &mut r);
         let _ = l.forward(&x);
         let dx = l.backward(&w);
-        let l2 = l.clone();
+        let mut l2 = l.clone();
         let coords: Vec<usize> = (0..x.data.len()).collect();
-        let worst = check(&x, &w, &dx, |m| l2.infer(m), &coords);
+        let worst = check(&x, &w, &dx, |m| l2.forward(m), &coords);
         prop_assert!(worst < 2e-2, "worst {}", worst);
     }
 
@@ -79,9 +79,9 @@ proptest! {
         let w = Matrix::xavier(rows, dim, &mut r);
         let _ = ln.forward(&x);
         let dx = ln.backward(&w);
-        let ln2 = ln.clone();
+        let mut ln2 = ln.clone();
         let coords: Vec<usize> = (0..x.data.len()).collect();
-        let worst = check(&x, &w, &dx, |m| ln2.infer(m), &coords);
+        let worst = check(&x, &w, &dx, |m| ln2.forward(m), &coords);
         prop_assert!(worst < 6e-2, "worst {}", worst);
     }
 
@@ -94,7 +94,7 @@ proptest! {
         let _ = a.forward(&x);
         let dx = a.backward(&w);
         let coords: Vec<usize> = (0..x.data.len()).step_by(2).collect();
-        let worst = check(&x, &w, &dx, |m| a.infer(m), &coords);
+        let worst = check(&x, &w, &dx, |m| a.forward(m), &coords);
         prop_assert!(worst < 5e-2, "worst {}", worst);
     }
 
@@ -107,7 +107,7 @@ proptest! {
         let _ = l.forward(&x);
         let dx = l.backward(&w);
         let coords: Vec<usize> = (0..x.data.len()).collect();
-        let worst = check(&x, &w, &dx, |m| l.infer(m), &coords);
+        let worst = check(&x, &w, &dx, |m| l.forward(m), &coords);
         prop_assert!(worst < 3e-2, "worst {}", worst);
     }
 
@@ -124,8 +124,8 @@ proptest! {
         let _ = t.forward(&x);
         let dx = t.backward(&w);
         let eps = 1e-2f32;
-        let loss = |m: &Matrix| -> f32 {
-            t.infer(m).data.iter().zip(w.data.iter()).map(|(a, b)| a * b).sum()
+        let mut loss = |m: &Matrix| -> f32 {
+            t.forward(m).data.iter().zip(w.data.iter()).map(|(a, b)| a * b).sum()
         };
         let mut numeric = vec![0.0f32; x.data.len()];
         for (i, n) in numeric.iter_mut().enumerate() {

@@ -10,6 +10,7 @@ use mpgraph_ml::layers::{Embedding, Linear, Module};
 use mpgraph_ml::loss::softmax_cross_entropy;
 use mpgraph_ml::lstm::Lstm;
 use mpgraph_ml::tensor::{rng, Matrix};
+use mpgraph_ml::ScratchArena;
 use mpgraph_sim::{LlcAccess, Prefetcher};
 
 /// Shared training hyper-parameters for all ML prefetchers in this crate.
@@ -132,10 +133,12 @@ impl DeltaLstm {
     /// Predicted top-`k` delta classes (with softmax probability above the
     /// confidence threshold) for a delta-class history.
     fn predict(&self, hist: &[usize], k: usize) -> Vec<usize> {
-        let x = self.embed.infer(hist);
-        let h = self.lstm.infer(&x);
-        let last = Matrix::from_vec(1, h.cols, h.row(h.rows - 1).to_vec());
-        let probs = self.head.infer(&last).softmax_rows();
+        let s = &mut ScratchArena::new();
+        let x = self.embed.infer_in(hist, s);
+        let h = self.lstm.infer_batch_in(&x, 1, s);
+        let last = s.take_trailing_rows(&h, 1, 1);
+        let mut probs = self.head.infer_in(&last, s);
+        probs.softmax_rows_inplace();
         mpgraph_ml::metrics::top_k_indices(probs.row(0), k)
             .into_iter()
             .filter(|&c| probs.data[c] >= self.cfg_threshold())

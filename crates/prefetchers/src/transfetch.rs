@@ -12,6 +12,7 @@ use mpgraph_ml::loss::bce_with_logits;
 use mpgraph_ml::metrics::top_k_indices;
 use mpgraph_ml::tensor::{rng, Matrix};
 use mpgraph_ml::transformer::TransformerLayer;
+use mpgraph_ml::ScratchArena;
 use mpgraph_sim::{LlcAccess, Prefetcher};
 
 /// TransFetch model dimensions.
@@ -100,15 +101,6 @@ impl TransFetch {
         x
     }
 
-    fn infer_logits(&self, hist: &[(u64, u64)]) -> Matrix {
-        let x = Self::encode(&self.cfg, hist);
-        let mut h = self.embed.infer(&x);
-        for b in &self.blocks {
-            h = b.infer(&h);
-        }
-        self.head.infer(&mean_pool(&h))
-    }
-
     /// One training sample: the window of `t` accesses at `i` against the
     /// bitmap of the deltas that follow it. Returns the BCE loss.
     fn train_step(&mut self, records: &[MemRecord], i: usize, t: usize) -> f32 {
@@ -169,10 +161,20 @@ impl TransFetch {
         model
     }
 
-    /// Predicted deltas, strongest first, up to `k`, above threshold.
-    pub fn predict_deltas(&self, hist: &[(u64, u64)], k: usize) -> Vec<i64> {
-        let logits = self.infer_logits(hist);
-        let probs = Sigmoid::infer(&logits);
+    /// Predicted deltas, strongest first, up to `k`, above threshold,
+    /// through the arena forward on a local arena. Mean pooling reads
+    /// every row, so every layer computes all of them as queries.
+    fn predict(&self, hist: &[(u64, u64)], k: usize) -> Vec<i64> {
+        let s = &mut ScratchArena::new();
+        let x = Self::encode(&self.cfg, hist);
+        let mut h = self.embed.infer_in(&x, s);
+        for b in &self.blocks {
+            let next = b.infer_batch_in(&h, 1, hist.len(), s);
+            s.give(h);
+            h = next;
+        }
+        let mut probs = self.head.infer_in(&mean_pool(&h), s);
+        Sigmoid::infer_inplace(&mut probs);
         top_k_indices(probs.row(0), k)
             .into_iter()
             .filter(|&i| probs.data[i] >= self.cfg.threshold)
@@ -203,7 +205,7 @@ impl Prefetcher for TransFetch {
         if !self.hist.is_full() {
             return;
         }
-        for d in self.predict_deltas(self.hist.items(), self.cfg.degree) {
+        for d in self.predict(self.hist.items(), self.cfg.degree) {
             let t = a.block as i64 + d;
             if t >= 0 {
                 out.push(t as u64);
@@ -284,7 +286,7 @@ mod tests {
         // include small positive values consistent with the interleaving
         // (+2 for self, +5-ish for the other stream re-interleaved, etc.).
         let hist: Vec<(u64, u64)> = trace[100..106].iter().map(|r| (r.block(), r.pc)).collect();
-        let deltas = model.predict_deltas(&hist, 3);
+        let deltas = model.predict(&hist, 3);
         assert!(!deltas.is_empty());
         assert!(deltas.iter().all(|&d| d != 0 && d.abs() <= 15));
     }

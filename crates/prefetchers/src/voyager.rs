@@ -19,6 +19,7 @@ use mpgraph_ml::loss::softmax_cross_entropy;
 use mpgraph_ml::lstm::Lstm;
 use mpgraph_ml::metrics::top_k_indices;
 use mpgraph_ml::tensor::{rng, Matrix};
+use mpgraph_ml::ScratchArena;
 use mpgraph_sim::{LlcAccess, Prefetcher, BLOCK_BITS};
 
 /// Voyager model dimensions (scaled-down per DESIGN.md §5).
@@ -187,8 +188,11 @@ impl Voyager {
         let t = hist.len();
         let ptoks: Vec<usize> = hist.iter().map(|&(p, _)| p).collect();
         let otoks: Vec<usize> = hist.iter().map(|&(_, o)| o).collect();
-        let ph = self.page_lstm.infer(&self.page_embed.infer(&ptoks));
-        let oh = self.offset_lstm.infer(&self.offset_embed.infer(&otoks));
+        let s = &mut ScratchArena::new();
+        let pe = self.page_embed.infer_in(&ptoks, s);
+        let ph = self.page_lstm.infer_batch_in(&pe, 1, s);
+        let oe = self.offset_embed.infer_in(&otoks, s);
+        let oh = self.offset_lstm.infer_batch_in(&oe, 1, s);
         let p_last = Matrix::from_vec(1, ph.cols, ph.row(t - 1).to_vec());
         let o_last = Matrix::from_vec(1, oh.cols, oh.row(t - 1).to_vec());
         let mut scores = ph.matmul_bt(&o_last).transpose();
@@ -198,8 +202,8 @@ impl Voyager {
         let mut v = o_last.data.clone();
         v.extend_from_slice(&ctx.data);
         let offset_in = Matrix::from_vec(1, 2 * self.cfg.hidden, v);
-        let p_logits = self.page_head.infer(&p_last);
-        let o_logits = self.offset_head.infer(&offset_in);
+        let p_logits = self.page_head.infer_in(&p_last, s);
+        let o_logits = self.offset_head.infer_in(&offset_in, s);
         (
             top_k_indices(p_logits.row(0), pages_k),
             top_k_indices(o_logits.row(0), offs_k),

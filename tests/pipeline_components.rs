@@ -167,8 +167,8 @@ fn distillation_pipeline_runs_on_framework_trace() {
     assert!(after < before);
     // Quantized student still produces bounded predictions.
     let hist: Vec<(u64, u64)> = train[..5].iter().map(|r| (r.block(), r.pc)).collect();
-    let scores = student.predict_scores(&hist, 0);
-    assert!(scores.iter().all(|s| (0.0..=1.0).contains(s)));
+    let scores = mpgraph::ml::Sigmoid::infer(&student.predict_logits(&hist, 0));
+    assert!(scores.data.iter().all(|s| (0.0..=1.0).contains(s)));
 }
 
 #[test]
