@@ -35,14 +35,14 @@
 //! atomically every interval. See DESIGN.md §18.
 
 use mpgraph_bench::report::{
-    dump_json, f, metrics_out_arg, pct, print_table, trace_out_arg, write_json_compact_to,
-    write_json_to,
+    dump_json, f, flag_value, metrics_out_arg, pct, print_table, trace_out_arg,
+    write_json_compact_to, write_json_to,
 };
 use mpgraph_bench::serve_load::{
-    run_chaos, run_fused_comparison, run_load_sweep, zipf_weights, LoadgenSetup,
+    run_chaos, run_fused_comparison, run_load_sweep, Arrival, LoadgenSetup,
 };
 use mpgraph_bench::ExpScale;
-use mpgraph_core::{LiveTelemetry, LiveTelemetryConfig, ServeConfig, TraceConfig};
+use mpgraph_core::{LiveTelemetry, ServeConfig, TraceConfig};
 use serde::Serialize;
 
 /// The value of the numeric flag `flag` in `args`: `default` when the
@@ -68,49 +68,6 @@ fn usize_arg(flag: &str, default: usize, min: usize) -> usize {
         eprintln!("loadgen: {e}");
         std::process::exit(2);
     })
-}
-
-fn str_arg(flag: &str) -> Option<String> {
-    let args: Vec<String> = std::env::args().collect();
-    args.iter()
-        .position(|a| a == flag)
-        .and_then(|i| args.get(i + 1))
-        .cloned()
-}
-
-/// Builds the optional live-telemetry attachment from the CLI flags;
-/// exits with an error when a requested sink cannot be created.
-fn live_from_args(interval_pumps: u64) -> Option<LiveTelemetry> {
-    let sink = str_arg("--live-metrics");
-    let expose = str_arg("--expose");
-    if sink.is_none() && expose.is_none() {
-        return None;
-    }
-    let cfg = LiveTelemetryConfig {
-        interval_pumps,
-        ..LiveTelemetryConfig::default()
-    };
-    let cfg = match cfg.try_new() {
-        Ok(c) => c,
-        Err(e) => {
-            eprintln!("invalid live-telemetry config: {e}");
-            std::process::exit(2);
-        }
-    };
-    let mut tel = LiveTelemetry::new(cfg);
-    if let Some(spec) = sink {
-        tel = match tel.with_sink(&spec) {
-            Ok(t) => t,
-            Err(e) => {
-                eprintln!("cannot open --live-metrics sink {spec}: {e}");
-                std::process::exit(2);
-            }
-        };
-    }
-    if let Some(path) = expose {
-        tel = tel.with_expose(path);
-    }
-    Some(tel)
 }
 
 #[derive(Serialize)]
@@ -144,8 +101,20 @@ fn main() {
         );
     }
     let setup = setup;
-    let weights = zipf.then(|| zipf_weights(streams));
-    let live = live_from_args(live_interval);
+    let arrival = if zipf {
+        Arrival::Zipf
+    } else {
+        Arrival::RoundRobin
+    };
+    let live = LiveTelemetry::from_outputs(
+        flag_value("live-metrics").as_deref(),
+        flag_value("expose").as_deref(),
+        live_interval,
+    )
+    .unwrap_or_else(|e| {
+        eprintln!("loadgen: {e}");
+        std::process::exit(2);
+    });
     let live_attached = live.is_some();
     let outcome = run_load_sweep(
         &setup,
@@ -153,7 +122,7 @@ fn main() {
         streams,
         ticks,
         &[0.5, 1.0, 2.0],
-        weights.as_deref(),
+        arrival,
         Some(TraceConfig::with_adaptive()),
         live,
     );

@@ -57,19 +57,19 @@ pub fn dump_json_compact<T: Serialize>(name: &str, value: &T) -> std::io::Result
     Ok(path)
 }
 
-/// Parses `--<flag> <path>` (or `--<flag>=<path>`) from argv. Returns
+/// Parses `--<flag> <value>` (or `--<flag>=<value>`) from argv. Returns
 /// `None` when the flag is absent, so binaries that never heard of it keep
 /// working unchanged.
-fn path_arg(flag: &str) -> Option<PathBuf> {
+pub fn flag_value(flag: &str) -> Option<String> {
     let args: Vec<String> = std::env::args().collect();
     let eq_prefix = format!("--{flag}=");
     let bare = format!("--{flag}");
     for (i, a) in args.iter().enumerate() {
-        if let Some(p) = a.strip_prefix(&eq_prefix) {
-            return Some(PathBuf::from(p));
+        if let Some(v) = a.strip_prefix(&eq_prefix) {
+            return Some(v.to_string());
         }
         if *a == bare {
-            return args.get(i + 1).map(PathBuf::from);
+            return args.get(i + 1).cloned();
         }
     }
     None
@@ -77,12 +77,12 @@ fn path_arg(flag: &str) -> Option<PathBuf> {
 
 /// Parses `--metrics-out <path>` from argv.
 pub fn metrics_out_arg() -> Option<PathBuf> {
-    path_arg("metrics-out")
+    flag_value("metrics-out").map(PathBuf::from)
 }
 
 /// Parses `--trace-out <path>` from argv (Chrome-trace/Perfetto export).
 pub fn trace_out_arg() -> Option<PathBuf> {
-    path_arg("trace-out")
+    flag_value("trace-out").map(PathBuf::from)
 }
 
 /// Writes a metrics snapshot (or any serializable value) as pretty JSON to

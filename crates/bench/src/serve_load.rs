@@ -282,12 +282,29 @@ fn build_service(
     svc
 }
 
+/// How each tick's offered accesses spread over the streams (the
+/// arrivals of [`run_load_sweep`]; [`run_fused_comparison`] replays in
+/// lockstep and [`run_chaos`] round-robin).
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Arrival {
+    /// Round-robin, one access per stream per round, each stream replaying
+    /// the records from its own offset so concurrent streams are not in
+    /// lockstep on identical addresses.
+    RoundRobin,
+    /// Round-robin with every stream replaying from record 0, so each
+    /// round offers every stream the same record.
+    Lockstep,
+    /// Zipf(1) weights across streams (see [`zipf_weights`]) from the
+    /// round-robin offsets: each stream accrues fractional credit
+    /// `rate·wₛ` per tick and ingests one access per whole credit, so
+    /// skewed arrival rates stay exact over the run without any
+    /// randomness.
+    Zipf,
+}
+
 /// Drives `svc` open-loop for `ticks` pump rounds at `rate` accesses per
-/// round. With `weights: None` the offered load spreads round-robin over
-/// `streams`; with weights (see [`zipf_weights`]) each stream accrues
-/// fractional credit `rate·wₛ` per tick and ingests one access per whole
-/// credit, so skewed arrival rates stay exact over the run without any
-/// randomness. `stall_for` supplies the injected inference stall per
+/// round, spread over `streams` by `arrival`; with no streams nothing is
+/// offered. `stall_for` supplies the injected inference stall per
 /// (stream, access) — the chaos hook. Predictions accumulate into `out`.
 #[allow(clippy::too_many_arguments)]
 fn drive(
@@ -296,45 +313,49 @@ fn drive(
     streams: usize,
     ticks: u64,
     rate: usize,
-    weights: Option<&[f64]>,
+    arrival: Arrival,
     mut stall_for: impl FnMut(u32) -> u64,
     out: &mut Vec<Prediction>,
 ) -> (u64, u64, f64) {
     let records = setup.accesses();
-    let mut cursors = vec![0usize; streams];
-    // Offset each stream's replay so concurrent streams are not in
-    // lockstep on identical addresses.
-    for (s, c) in cursors.iter_mut().enumerate() {
-        *c = (s * records.len() / streams.max(1)) % records.len().max(1);
-    }
+    let mut cursors: Vec<usize> = (0..streams)
+        .map(|s| match arrival {
+            Arrival::Lockstep => 0,
+            Arrival::RoundRobin | Arrival::Zipf => {
+                (s * records.len() / streams) % records.len().max(1)
+            }
+        })
+        .collect();
+    let weights = zipf_weights(streams);
     let mut credit = vec![0.0f64; streams];
     let mut offered = 0u64;
+    let mut offer = |svc: &mut PrefetchService, s: usize| {
+        let r = &records[cursors[s]];
+        cursors[s] = (cursors[s] + 1) % records.len();
+        let stall = stall_for(s as u32);
+        svc.ingest(s as u32, &access_of(r), stall);
+        offered += 1;
+    };
     let mut next_stream = 0usize;
     let before = out.len();
     let started = std::time::Instant::now();
     for _ in 0..ticks {
-        match weights {
-            None => {
+        match arrival {
+            Arrival::RoundRobin | Arrival::Lockstep => {
                 for _ in 0..rate {
-                    let s = next_stream % streams;
+                    let Some(s) = next_stream.checked_rem(streams) else {
+                        break;
+                    };
+                    offer(svc, s);
                     next_stream += 1;
-                    let r = &records[cursors[s]];
-                    cursors[s] = (cursors[s] + 1) % records.len();
-                    let stall = stall_for(s as u32);
-                    svc.ingest(s as u32, &access_of(r), stall);
-                    offered += 1;
                 }
             }
-            Some(w) => {
+            Arrival::Zipf => {
                 for s in 0..streams {
-                    credit[s] += rate as f64 * w.get(s).copied().unwrap_or(0.0);
+                    credit[s] += rate as f64 * weights[s];
                     while credit[s] >= 1.0 {
                         credit[s] -= 1.0;
-                        let r = &records[cursors[s]];
-                        cursors[s] = (cursors[s] + 1) % records.len();
-                        let stall = stall_for(s as u32);
-                        svc.ingest(s as u32, &access_of(r), stall);
-                        offered += 1;
+                        offer(svc, s);
                     }
                 }
             }
@@ -351,9 +372,8 @@ fn drive(
 }
 
 /// Runs the sweep: one fresh service per load factor (points are
-/// independent measurements, not a continuation). `weights` selects
-/// heterogeneous per-stream arrivals (see [`zipf_weights`]); `None` keeps
-/// the uniform round-robin drive. `live` attaches a
+/// independent measurements, not a continuation), each driven with
+/// `arrival`. `live` attaches a
 /// [`LiveTelemetry`] pump to the *traced* (highest-load) point only —
 /// the same point whose snapshot and Chrome trace the sweep keeps — so
 /// its NDJSON/exposition sinks, pump-stage histograms, and SLO verdict
@@ -365,7 +385,7 @@ pub fn run_load_sweep(
     streams: usize,
     ticks: u64,
     factors: &[f64],
-    weights: Option<&[f64]>,
+    arrival: Arrival,
     trace: Option<TraceConfig>,
     live: Option<LiveTelemetry>,
 ) -> SweepOutcome {
@@ -393,7 +413,7 @@ pub fn run_load_sweep(
             streams,
             ticks,
             rate,
-            weights,
+            arrival,
             |_| 0,
             &mut out,
         );
@@ -463,7 +483,7 @@ pub struct FusedComparison {
 /// at 1× saturation, and checks the fused path is a pure optimization:
 /// bit-identical output, fewer forwards, higher wall-clock throughput.
 ///
-/// The streams replay the *same* record sequence (no per-stream offset):
+/// The streams replay the *same* record sequence ([`Arrival::Lockstep`]):
 /// graph-analytics front-ends fan one traversal out to parallel workers,
 /// so concurrent streams sit in the same phase — exactly the condition
 /// under which batch-compatible waves form.
@@ -474,34 +494,21 @@ pub fn run_fused_comparison(
     ticks: u64,
 ) -> FusedComparison {
     let rate = saturation_rate(&cfg);
-    let records = setup.accesses();
-
     let run = |fuse: bool, ticks: u64| -> (Vec<Prediction>, f64, u64, (u64, u64, u64)) {
         let mut c = cfg;
         c.fuse = fuse;
         let mut svc = build_service(setup, c, streams, None);
         let mut out = Vec::new();
-        let mut cursor = 0usize;
-        let mut next_stream = 0usize;
-        let mut offered = 0u64;
-        let started = std::time::Instant::now();
-        for _ in 0..ticks {
-            for _ in 0..rate {
-                let s = next_stream % streams;
-                next_stream += 1;
-                let r = &records[cursor];
-                // All streams share one cursor: lockstep replay, advanced
-                // once per full round so every stream sees every record.
-                if s == streams - 1 {
-                    cursor = (cursor + 1) % records.len();
-                }
-                svc.ingest(s as u32, &access_of(r), 0);
-                offered += 1;
-            }
-            svc.pump(&mut out);
-        }
-        svc.flush(&mut out);
-        let per_sec = offered as f64 / started.elapsed().as_secs_f64().max(1e-9);
+        let (offered, _, per_sec) = drive(
+            &mut svc,
+            setup,
+            streams,
+            ticks,
+            rate,
+            Arrival::Lockstep,
+            |_| 0,
+            &mut out,
+        );
         let m = svc.metrics();
         (
             out,
@@ -624,7 +631,7 @@ pub fn run_chaos(
         streams,
         ticks,
         rate,
-        None,
+        Arrival::RoundRobin,
         victim_stall,
         &mut out,
     );
@@ -692,7 +699,7 @@ mod tests {
             4,
             120,
             &[0.5, 1.0, 2.0],
-            None,
+            Arrival::RoundRobin,
             Some(TraceConfig::with_adaptive()),
             None,
         );
@@ -742,7 +749,16 @@ mod tests {
 
         let scale = ExpScale::quick();
         let setup = LoadgenSetup::prepare(&scale);
-        let outcome = run_load_sweep(&setup, quick_cfg(), 4, 120, &[1.0], Some(&w), None, None);
+        let outcome = run_load_sweep(
+            &setup,
+            quick_cfg(),
+            4,
+            120,
+            &[1.0],
+            Arrival::Zipf,
+            None,
+            None,
+        );
         let p = &outcome.points[0];
         assert_eq!(p.accesses, p.predictions);
         // The hot stream sees Zipf-many more completions than the cold
@@ -848,6 +864,30 @@ mod tests {
     }
 
     #[test]
+    fn zero_streams_offer_nothing() {
+        let scale = ExpScale::quick();
+        let setup = LoadgenSetup::prepare(&scale);
+        for arrival in [Arrival::RoundRobin, Arrival::Lockstep, Arrival::Zipf] {
+            let outcome = run_load_sweep(
+                &setup,
+                quick_cfg(),
+                0,
+                20,
+                &[1.0],
+                arrival,
+                Some(TraceConfig::default()),
+                None,
+            );
+            let p = &outcome.points[0];
+            assert_eq!((p.accesses, p.predictions), (0, 0), "{arrival:?}");
+            assert!(p.per_stream.is_empty());
+        }
+        let cmp = run_fused_comparison(&setup, quick_cfg(), 0, 20);
+        assert_eq!(cmp.accesses, 0);
+        assert!(cmp.bit_identical);
+    }
+
+    #[test]
     fn chaos_quarantines_victims_and_spares_siblings() {
         let scale = ExpScale::quick();
         let setup = LoadgenSetup::prepare(&scale);
@@ -904,7 +944,7 @@ mod tests {
             4,
             120,
             &[0.5, 2.0],
-            None,
+            Arrival::RoundRobin,
             Some(TraceConfig::with_adaptive()),
             Some(tel),
         );

@@ -135,18 +135,10 @@ pub fn run_combo_opts(
 
     let mut snapshot = sb.snapshot();
     mp.enrich_snapshot(&mut snapshot);
-    let recorder = sb
-        .flight_recorder()
-        .cloned()
+    let trace = sb
+        .shard_trace(&combo.label())
         .expect("scoreboard was built with tracing attached");
-    let records = sb.trace_records();
-    let trace = ShardTrace {
-        label: combo.label(),
-        recorder,
-        windows: sb.windows(),
-        end: records,
-        live: Vec::new(),
-    };
+    let records = trace.end;
     ComboResult {
         combo,
         base,

@@ -66,7 +66,7 @@ pub use prefetcher::{
 };
 pub use serve::{Admission, BoundedQueue, Prediction, PrefetchService, ServeConfig};
 pub use trace::{
-    chrome_trace_json, chrome_trace_json_sharded, FlightRecorder, ShardTrace, TraceConfig,
-    WindowMetrics, WindowPhaseMetrics,
+    chrome_trace_json_sharded, FlightRecorder, ShardTrace, TraceConfig, WindowMetrics,
+    WindowPhaseMetrics,
 };
 pub use variants::Variant;

@@ -479,6 +479,35 @@ impl LiveTelemetry {
         }
     }
 
+    /// The live telemetry a command line asks for: the NDJSON `sink`
+    /// (`--live-metrics`, see [`LiveTelemetry::with_sink`]) and the
+    /// exposition file `expose` (`--expose`), closing an interval every
+    /// `interval_pumps` pumps (`--live-interval`). `Ok(None)` when neither
+    /// output is requested; an invalid interval or an unwritable sink is
+    /// an error.
+    pub fn from_outputs(
+        sink: Option<&str>,
+        expose: Option<&str>,
+        interval_pumps: u64,
+    ) -> Result<Option<Self>, MpGraphError> {
+        if sink.is_none() && expose.is_none() {
+            return Ok(None);
+        }
+        let cfg = LiveTelemetryConfig {
+            interval_pumps,
+            ..LiveTelemetryConfig::default()
+        }
+        .try_new()?;
+        let mut tel = LiveTelemetry::new(cfg);
+        if let Some(spec) = sink {
+            tel = tel.with_sink(spec)?;
+        }
+        if let Some(path) = expose {
+            tel = tel.with_expose(path);
+        }
+        Ok(Some(tel))
+    }
+
     /// Attaches the NDJSON sink: `"-"` streams to stdout, anything else
     /// creates/truncates that file. Fails up front on an unwritable path
     /// rather than silently dropping every interval later.
@@ -830,5 +859,24 @@ mod tests {
         let events = tel.finish(95, 950, &cur2);
         assert!(events.is_empty());
         assert_eq!(tel.intervals_closed(), 2);
+    }
+
+    #[test]
+    fn from_outputs_attaches_only_what_was_asked_for() {
+        assert!(matches!(
+            LiveTelemetry::from_outputs(None, None, 0),
+            Ok(None)
+        ));
+        let expose = std::env::temp_dir().join("mpgraph_livetel_from_outputs.prom");
+        let expose = expose.to_str().expect("utf-8 temp path");
+        let tel = LiveTelemetry::from_outputs(None, Some(expose), 8)
+            .expect("valid outputs")
+            .expect("an output was asked for");
+        assert_eq!(tel.config().interval_pumps, 8);
+        let bad_interval = LiveTelemetry::from_outputs(None, Some(expose), 0);
+        assert!(bad_interval.is_err_and(|e| e.to_string().contains("interval_pumps")));
+        let missing_dir = std::env::temp_dir().join("mpgraph_no_such_dir/live.ndjson");
+        let unwritable = LiveTelemetry::from_outputs(missing_dir.to_str(), None, 8);
+        assert!(unwritable.is_err_and(|e| e.to_string().contains("live-metrics sink")));
     }
 }

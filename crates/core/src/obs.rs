@@ -13,7 +13,9 @@
 
 use crate::cstp::CstpStats;
 use crate::metric::ratio;
-use crate::trace::{chrome_trace_json, FlightRecorder, TraceConfig, WindowMetrics};
+use crate::trace::{
+    chrome_trace_json_sharded, FlightRecorder, ShardTrace, TraceConfig, WindowMetrics,
+};
 use mpgraph_sim::{DropReason, PrefetchLane, PrefetchObserver, PrefetchTag, TraceEvent};
 use serde::{Deserialize, Serialize};
 
@@ -518,13 +520,6 @@ impl PrefetchScoreboard {
         })
     }
 
-    /// Borrow of the underlying flight recorder, for callers (the sharded
-    /// matrix driver) that assemble a multi-process Chrome trace out of
-    /// several scoreboards. `None` without tracing attached.
-    pub fn flight_recorder(&self) -> Option<&FlightRecorder> {
-        self.trace.as_ref().map(|ts| &ts.recorder)
-    }
-
     /// Total records seen by the record clock (0 without tracing).
     pub fn trace_records(&self) -> u64 {
         self.trace.as_ref().map_or(0, |ts| ts.records)
@@ -550,19 +545,22 @@ impl PrefetchScoreboard {
         out
     }
 
-    /// Chrome-trace / Perfetto JSON of the recorded run (see
-    /// [`chrome_trace_json`]). `None` without tracing attached.
+    /// Chrome-trace / Perfetto JSON of the recorded run: its
+    /// [`PrefetchScoreboard::shard_trace`] as the one process `mpgraph`
+    /// (see [`chrome_trace_json_sharded`]). `None` without tracing
+    /// attached.
     pub fn chrome_trace(&self) -> Option<serde::Value> {
-        let ts = self.trace.as_ref()?;
-        Some(chrome_trace_json(&ts.recorder, &self.windows(), ts.records))
+        let shard = self.shard_trace("mpgraph")?;
+        Some(chrome_trace_json_sharded(std::slice::from_ref(&shard)))
     }
 
-    /// The recorded run packaged as a [`crate::trace::ShardTrace`] (no
-    /// live-interval series — callers that have one, like
-    /// `PrefetchService`, fill it in). `None` without tracing attached.
-    pub fn shard_trace(&self, label: &str) -> Option<crate::trace::ShardTrace> {
+    /// The recorded run packaged as a [`ShardTrace`], the one way a
+    /// scoreboard's run reaches the Perfetto export (no live-interval
+    /// series — callers that have one, like `PrefetchService`, fill it
+    /// in). `None` without tracing attached.
+    pub fn shard_trace(&self, label: &str) -> Option<ShardTrace> {
         let ts = self.trace.as_ref()?;
-        Some(crate::trace::ShardTrace {
+        Some(ShardTrace {
             label: label.to_string(),
             recorder: ts.recorder.clone(),
             windows: self.windows(),

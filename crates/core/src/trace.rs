@@ -8,10 +8,11 @@
 //! in [`FlightRecorder::overwritten`]) — flight-recorder semantics: the
 //! most recent history is always available, however long the run.
 //!
-//! [`chrome_trace_json`] renders a recorded run as Chrome-trace /
+//! [`chrome_trace_json_sharded`] renders recorded runs as Chrome-trace /
 //! Perfetto JSON (`{"traceEvents": [...]}`): phase residency as "X"
-//! complete slices, detector / guard / CSTP events as "i" instants, and
-//! the windowed telemetry series as "C" counters. Timestamps are the
+//! complete slices, every recorded event as an "i" instant on the track
+//! one event table gives it, and the windowed and live-interval series
+//! as "C" counters. Timestamps are the
 //! sim's access index (reported to Perfetto as microseconds — the replay
 //! has no wall clock, and the index is the natural timeline).
 //!
@@ -196,18 +197,75 @@ const TID_TELEMETRY: u64 = 5;
 const TID_SERVE: u64 = 6;
 const TID_LIVETEL: u64 = 7;
 
+/// Every track of a shard's process, with its `thread_name`.
+const TRACKS: [(u64, &str); 7] = [
+    (TID_PHASES, "phases"),
+    (TID_DETECTOR, "detector"),
+    (TID_GUARD, "guard"),
+    (TID_CSTP, "cstp"),
+    (TID_TELEMETRY, "telemetry"),
+    (TID_SERVE, "serve"),
+    (TID_LIVETEL, "livetel"),
+];
+
+/// The event table: the track each event's instant lands on, and its
+/// payload as Chrome-trace args (in display order). Every event is one
+/// instant; the slices a few of them also bound are drawn in
+/// [`append_shard`].
+fn track_and_args(ev: TraceEvent) -> (u64, Vec<(&'static str, Value)>) {
+    use TraceEvent::*;
+    let n = Value::U64;
+    match ev {
+        PhaseArmed => (TID_DETECTOR, vec![]),
+        PhaseConfirmed { prev_phase } => (TID_DETECTOR, vec![("prev_phase", n(prev_phase.into()))]),
+        PhaseSelected { phase } => (TID_DETECTOR, vec![("phase", n(phase.into()))]),
+        CstpChain {
+            steps,
+            pbot_hits,
+            pbot_misses,
+        } => (
+            TID_CSTP,
+            vec![
+                ("steps", n(steps.into())),
+                ("pbot_hits", n(pbot_hits.into())),
+                ("pbot_misses", n(pbot_misses.into())),
+            ],
+        ),
+        GuardTrip | GuardRecover | InflightOverflow => (TID_GUARD, vec![]),
+        DegradationWindow { accesses } => (TID_GUARD, vec![("accesses", n(accesses))]),
+        TrainRollback { count } => (TID_GUARD, vec![("count", n(count))]),
+        StreamQuarantine { stream } | StreamRecover { stream } => {
+            (TID_SERVE, vec![("stream", n(stream.into()))])
+        }
+        OverloadShed { level } | OverloadRecover { level } => {
+            (TID_SERVE, vec![("level", n(level.into()))])
+        }
+        BatchTimeout { deferred } => (TID_SERVE, vec![("deferred", n(deferred.into()))]),
+        SloEscalate { level, burn_x100 } => (
+            TID_LIVETEL,
+            vec![
+                ("level", n(level.into())),
+                ("burn_rate", Value::F64(f64::from(burn_x100) / 100.0)),
+            ],
+        ),
+        SloRecover { level } => (TID_LIVETEL, vec![("level", n(level.into()))]),
+        TelemetryInterval { seq } => (TID_LIVETEL, vec![("seq", n(seq.into()))]),
+    }
+}
+
 fn obj(fields: Vec<(&str, Value)>) -> Value {
     Value::Object(fields.into_iter().map(|(k, v)| (k.into(), v)).collect())
 }
 
-fn meta_thread(pid: u64, tid: u64, name: &str) -> Value {
-    obj(vec![
-        ("name", Value::Str("thread_name".into())),
+fn meta(pid: u64, tid: Option<u64>, name: &str, args: Vec<(&str, Value)>) -> Value {
+    let mut fields = vec![
+        ("name", Value::Str(name.into())),
         ("ph", Value::Str("M".into())),
         ("pid", Value::U64(pid)),
-        ("tid", Value::U64(tid)),
-        ("args", obj(vec![("name", Value::Str(name.into()))])),
-    ])
+    ];
+    fields.extend(tid.map(|t| ("tid", Value::U64(t))));
+    fields.push(("args", obj(args)));
+    obj(fields)
 }
 
 fn instant(pid: u64, tid: u64, ts: u64, name: &str, args: Value) -> (u64, u64, Value) {
@@ -226,22 +284,23 @@ fn instant(pid: u64, tid: u64, ts: u64, name: &str, args: Value) -> (u64, u64, V
     )
 }
 
-fn slice(pid: u64, tid: u64, ts: u64, dur: u64, name: &str) -> (u64, u64, Value) {
+/// A complete slice over `[start, end)`.
+fn slice(pid: u64, tid: u64, start: u64, end: u64, name: &str) -> (u64, u64, Value) {
     (
         tid,
-        ts,
+        start,
         obj(vec![
             ("name", Value::Str(name.into())),
             ("ph", Value::Str("X".into())),
-            ("ts", Value::U64(ts)),
-            ("dur", Value::U64(dur)),
+            ("ts", Value::U64(start)),
+            ("dur", Value::U64(end.saturating_sub(start))),
             ("pid", Value::U64(pid)),
             ("tid", Value::U64(tid)),
         ]),
     )
 }
 
-fn counter_at(pid: u64, tid: u64, ts: u64, name: &str, value: f64) -> (u64, u64, Value) {
+fn counter(pid: u64, tid: u64, ts: u64, name: &str, value: f64) -> (u64, u64, Value) {
     (
         tid,
         ts,
@@ -256,36 +315,10 @@ fn counter_at(pid: u64, tid: u64, ts: u64, name: &str, value: f64) -> (u64, u64,
     )
 }
 
-fn counter(pid: u64, ts: u64, name: &str, value: f64) -> (u64, u64, Value) {
-    counter_at(pid, TID_TELEMETRY, ts, name, value)
-}
-
-/// Renders the recorded run as a Chrome-trace JSON value
-/// (`{"traceEvents": [...]}`, the format Perfetto and `chrome://tracing`
-/// load directly).
-///
-/// Tracks (pid 1): `phases` (tid 1) carries phase residency as complete
-/// slices — one slice per span between confirmed transitions, so slice
-/// count equals confirmed transitions + 1; `detector` (tid 2) and `cstp`
-/// (tid 4) carry instants; `guard` (tid 3) carries trip/recover instants
-/// plus a degraded-span slice per trip→recover pair; `telemetry` (tid 5)
-/// carries the windowed accuracy / coverage / PBOT-hit-rate counter
-/// series. Events are sorted by (tid, ts) so `ts` is monotonic per track.
-/// `end` is the total record count, closing the final phase slice.
-pub fn chrome_trace_json(rec: &FlightRecorder, windows: &[WindowMetrics], end: u64) -> Value {
-    let shard = ShardTrace {
-        label: "mpgraph".to_string(),
-        recorder: rec.clone(),
-        windows: windows.to_vec(),
-        end,
-        live: Vec::new(),
-    };
-    chrome_trace_json_sharded(std::slice::from_ref(&shard))
-}
-
-/// One shard's recorded run, as assembled by the sharded matrix driver:
-/// the flight recorder, the windowed series, the total record count, and
-/// a display label (the framework/app/dataset combo).
+/// One shard's recorded run, the one input of the Perfetto export: the
+/// flight recorder, the windowed series, the total record count, and a
+/// display label. [`crate::PrefetchScoreboard::shard_trace`] packages a
+/// scoreboard's run this way.
 #[derive(Debug, Clone)]
 pub struct ShardTrace {
     /// Perfetto process name for this shard (e.g. `"gpop/pr/rmat"`).
@@ -306,278 +339,94 @@ fn append_shard(events: &mut Vec<Value>, pid: u64, shard: &ShardTrace) {
     // (tid, ts, event) triples, sorted at the end for per-track monotonic ts.
     let mut timed: Vec<(u64, u64, Value)> = Vec::new();
 
-    let mut phase_slice_start: u64 = 0;
-    let mut current_phase: u64 = 0;
+    let mut phase_start: u64 = 0;
+    let mut current_phase: u8 = 0;
     let mut trip_at: Option<u64> = None;
-    let end = shard.end;
     for (at, ev) in shard.recorder.events() {
         match ev {
-            TraceEvent::PhaseArmed => {
-                timed.push(instant(pid, TID_DETECTOR, at, ev.name(), obj(vec![])));
-            }
             TraceEvent::PhaseConfirmed { prev_phase } => {
                 // Close the residency slice for the phase that was live.
-                let dur = at.saturating_sub(phase_slice_start);
                 let name = format!("phase {prev_phase}");
-                timed.push(slice(pid, TID_PHASES, phase_slice_start, dur, &name));
-                phase_slice_start = at;
-                timed.push(instant(
-                    pid,
-                    TID_DETECTOR,
-                    at,
-                    ev.name(),
-                    obj(vec![("prev_phase", Value::U64(prev_phase as u64))]),
-                ));
+                timed.push(slice(pid, TID_PHASES, phase_start, at, &name));
+                phase_start = at;
             }
-            TraceEvent::PhaseSelected { phase } => {
-                current_phase = phase as u64;
-                timed.push(instant(
-                    pid,
-                    TID_DETECTOR,
-                    at,
-                    ev.name(),
-                    obj(vec![("phase", Value::U64(phase as u64))]),
-                ));
-            }
-            TraceEvent::CstpChain {
-                steps,
-                pbot_hits,
-                pbot_misses,
-            } => {
-                timed.push(instant(
-                    pid,
-                    TID_CSTP,
-                    at,
-                    ev.name(),
-                    obj(vec![
-                        ("steps", Value::U64(steps as u64)),
-                        ("pbot_hits", Value::U64(pbot_hits as u64)),
-                        ("pbot_misses", Value::U64(pbot_misses as u64)),
-                    ]),
-                ));
-            }
-            TraceEvent::GuardTrip => {
-                trip_at = Some(at);
-                timed.push(instant(pid, TID_GUARD, at, ev.name(), obj(vec![])));
-            }
+            TraceEvent::PhaseSelected { phase } => current_phase = phase,
+            TraceEvent::GuardTrip => trip_at = Some(at),
             TraceEvent::GuardRecover => {
                 if let Some(start) = trip_at.take() {
-                    timed.push(slice(
-                        pid,
-                        TID_GUARD,
-                        start,
-                        at.saturating_sub(start),
-                        "degraded",
-                    ));
+                    timed.push(slice(pid, TID_GUARD, start, at, "degraded"));
                 }
-                timed.push(instant(pid, TID_GUARD, at, ev.name(), obj(vec![])));
             }
-            TraceEvent::DegradationWindow { accesses } => {
-                timed.push(instant(
-                    pid,
-                    TID_GUARD,
-                    at,
-                    ev.name(),
-                    obj(vec![("accesses", Value::U64(accesses))]),
-                ));
-            }
-            TraceEvent::TrainRollback { count } => {
-                timed.push(instant(
-                    pid,
-                    TID_GUARD,
-                    at,
-                    ev.name(),
-                    obj(vec![("count", Value::U64(count))]),
-                ));
-            }
-            TraceEvent::InflightOverflow => {
-                timed.push(instant(pid, TID_GUARD, at, ev.name(), obj(vec![])));
-            }
-            TraceEvent::StreamQuarantine { stream } => {
-                timed.push(instant(
-                    pid,
-                    TID_SERVE,
-                    at,
-                    ev.name(),
-                    obj(vec![("stream", Value::U64(stream as u64))]),
-                ));
-            }
-            TraceEvent::StreamRecover { stream } => {
-                timed.push(instant(
-                    pid,
-                    TID_SERVE,
-                    at,
-                    ev.name(),
-                    obj(vec![("stream", Value::U64(stream as u64))]),
-                ));
-            }
-            TraceEvent::OverloadShed { level } => {
-                timed.push(instant(
-                    pid,
-                    TID_SERVE,
-                    at,
-                    ev.name(),
-                    obj(vec![("level", Value::U64(level as u64))]),
-                ));
-            }
-            TraceEvent::OverloadRecover { level } => {
-                timed.push(instant(
-                    pid,
-                    TID_SERVE,
-                    at,
-                    ev.name(),
-                    obj(vec![("level", Value::U64(level as u64))]),
-                ));
-            }
-            TraceEvent::BatchTimeout { deferred } => {
-                timed.push(instant(
-                    pid,
-                    TID_SERVE,
-                    at,
-                    ev.name(),
-                    obj(vec![("deferred", Value::U64(deferred as u64))]),
-                ));
-            }
-            TraceEvent::SloEscalate { level, burn_x100 } => {
-                timed.push(instant(
-                    pid,
-                    TID_LIVETEL,
-                    at,
-                    ev.name(),
-                    obj(vec![
-                        ("level", Value::U64(level as u64)),
-                        ("burn_rate", Value::F64(burn_x100 as f64 / 100.0)),
-                    ]),
-                ));
-            }
-            TraceEvent::SloRecover { level } => {
-                timed.push(instant(
-                    pid,
-                    TID_LIVETEL,
-                    at,
-                    ev.name(),
-                    obj(vec![("level", Value::U64(level as u64))]),
-                ));
-            }
-            TraceEvent::TelemetryInterval { seq } => {
-                timed.push(instant(
-                    pid,
-                    TID_LIVETEL,
-                    at,
-                    ev.name(),
-                    obj(vec![("seq", Value::U64(seq as u64))]),
-                ));
-            }
+            _ => {}
         }
+        let (tid, args) = track_and_args(ev);
+        timed.push(instant(pid, tid, at, ev.name(), obj(args)));
     }
     // Final residency slice: the selected phase runs to the end of trace.
     let name = format!("phase {current_phase}");
-    timed.push(slice(
-        pid,
-        TID_PHASES,
-        phase_slice_start,
-        end.saturating_sub(phase_slice_start),
-        &name,
-    ));
+    timed.push(slice(pid, TID_PHASES, phase_start, shard.end, &name));
     // A trip that never recovered stays degraded through the end.
     if let Some(start) = trip_at {
-        timed.push(slice(
-            pid,
-            TID_GUARD,
-            start,
-            end.saturating_sub(start),
-            "degraded",
-        ));
+        timed.push(slice(pid, TID_GUARD, start, shard.end, "degraded"));
     }
 
     for w in &shard.windows {
-        timed.push(counter(pid, w.end, "accuracy", w.accuracy));
-        timed.push(counter(pid, w.end, "coverage", w.coverage));
-        timed.push(counter(pid, w.end, "pbot_hit_rate", w.pbot_hit_rate));
+        let series = [
+            ("accuracy", w.accuracy),
+            ("coverage", w.coverage),
+            ("pbot_hit_rate", w.pbot_hit_rate),
+        ];
+        for (name, value) in series {
+            timed.push(counter(pid, TID_TELEMETRY, w.end, name, value));
+        }
     }
-
     // Live-telemetry counter tracks: per-interval serve rates, the SLO
     // burn/verdict series, and the pump-stage p99s, all stamped where the
     // interval closed on the record clock.
     for iv in &shard.live {
-        let ts = iv.at_record;
-        timed.push(counter_at(
-            pid,
-            TID_LIVETEL,
-            ts,
-            "shed_fraction",
-            iv.shed_fraction,
-        ));
-        timed.push(counter_at(
-            pid,
-            TID_LIVETEL,
-            ts,
-            "deadline_miss_fraction",
-            iv.deadline_miss_fraction,
-        ));
-        timed.push(counter_at(
-            pid,
-            TID_LIVETEL,
-            ts,
-            "slo_burn_rate",
-            iv.burn_rate,
-        ));
-        timed.push(counter_at(
-            pid,
-            TID_LIVETEL,
-            ts,
-            "slo_verdict",
-            iv.verdict_level as f64,
-        ));
-        timed.push(counter_at(
-            pid,
-            TID_LIVETEL,
-            ts,
-            "queue_wait_p99_cycles",
-            iv.queue_wait_p99_cycles as f64,
-        ));
-        timed.push(counter_at(
-            pid,
-            TID_LIVETEL,
-            ts,
-            "forward_p99_ns",
-            iv.forward_p99_ns as f64,
-        ));
+        let series = [
+            ("shed_fraction", iv.shed_fraction),
+            ("deadline_miss_fraction", iv.deadline_miss_fraction),
+            ("slo_burn_rate", iv.burn_rate),
+            ("slo_verdict", iv.verdict_level as f64),
+            ("queue_wait_p99_cycles", iv.queue_wait_p99_cycles as f64),
+            ("forward_p99_ns", iv.forward_p99_ns as f64),
+        ];
+        for (name, value) in series {
+            timed.push(counter(pid, TID_LIVETEL, iv.at_record, name, value));
+        }
     }
 
     timed.sort_by_key(|&(tid, ts, _)| (tid, ts));
 
-    events.push(obj(vec![
-        ("name", Value::Str("process_name".into())),
-        ("ph", Value::Str("M".into())),
-        ("pid", Value::U64(pid)),
-        ("args", obj(vec![("name", Value::Str(shard.label.clone()))])),
-    ]));
-    events.push(obj(vec![
-        ("name", Value::Str("process_sort_index".into())),
-        ("ph", Value::Str("M".into())),
-        ("pid", Value::U64(pid)),
-        ("args", obj(vec![("sort_index", Value::U64(pid))])),
-    ]));
-    for (tid, name) in [
-        (TID_PHASES, "phases"),
-        (TID_DETECTOR, "detector"),
-        (TID_GUARD, "guard"),
-        (TID_CSTP, "cstp"),
-        (TID_TELEMETRY, "telemetry"),
-        (TID_SERVE, "serve"),
-        (TID_LIVETEL, "livetel"),
-    ] {
-        events.push(meta_thread(pid, tid, name));
+    let label = Value::Str(shard.label.clone());
+    events.push(meta(pid, None, "process_name", vec![("name", label)]));
+    let sort_index = vec![("sort_index", Value::U64(pid))];
+    events.push(meta(pid, None, "process_sort_index", sort_index));
+    for (tid, name) in TRACKS {
+        let args = vec![("name", Value::Str(name.into()))];
+        events.push(meta(pid, Some(tid), "thread_name", args));
     }
     events.extend(timed.into_iter().map(|(_, _, v)| v));
 }
 
-/// Multi-process Chrome-trace JSON: each [`ShardTrace`] becomes its own
-/// Perfetto process (pid = shard index + 1, process name = shard label),
-/// so a sharded `mpgraph run --all` renders the whole framework × app ×
-/// dataset matrix as parallel swimlanes on one timeline. With a single
-/// shard this degenerates to exactly [`chrome_trace_json`].
+/// Renders recorded runs as Chrome-trace JSON (`{"traceEvents": [...]}`,
+/// the format Perfetto and `chrome://tracing` load directly). Each
+/// [`ShardTrace`] becomes its own Perfetto process (pid = shard index + 1,
+/// process name = shard label), so a sharded `mpgraph run --all` renders
+/// the whole framework × app × dataset matrix as parallel swimlanes on
+/// one timeline; a single scoreboard or service exports one shard.
+///
+/// Each process has seven tracks. `phases` (tid 1) carries phase
+/// residency as complete slices, one per span between confirmed
+/// transitions, so slice count equals confirmed transitions + 1.
+/// `detector` (tid 2), `guard` (tid 3), `cstp` (tid 4), `serve` (tid 6)
+/// and `livetel` (tid 7) carry each event as an instant, on the track the
+/// event table gives it; `guard` also carries a `degraded` slice per
+/// trip→recover pair. `telemetry` (tid 5) carries the windowed accuracy /
+/// coverage / PBOT-hit-rate counter series and `livetel` the
+/// live-interval counter series. Events are sorted by (tid, ts) so `ts`
+/// is monotonic per track.
 pub fn chrome_trace_json_sharded(shards: &[ShardTrace]) -> Value {
     let mut events: Vec<Value> = Vec::new();
     for (i, shard) in shards.iter().enumerate() {
@@ -639,6 +488,18 @@ mod tests {
         assert_eq!(r.events().next(), Some((1, TraceEvent::GuardRecover)));
     }
 
+    /// The single-process export of one recorded run.
+    fn export(recorder: FlightRecorder, windows: Vec<WindowMetrics>, end: u64) -> Value {
+        let shard = ShardTrace {
+            label: "mpgraph".into(),
+            recorder,
+            windows,
+            end,
+            live: Vec::new(),
+        };
+        chrome_trace_json_sharded(std::slice::from_ref(&shard))
+    }
+
     fn track_ts(events: &[Value]) -> Vec<(u64, u64)> {
         events
             .iter()
@@ -692,7 +553,7 @@ mod tests {
                 ..WindowMetrics::default()
             },
         ];
-        let v = chrome_trace_json(&r, &windows, 64);
+        let v = export(r, windows.clone(), 64);
         let Some(Value::Array(events)) = v.get("traceEvents") else {
             panic!("no traceEvents array");
         };
@@ -754,7 +615,7 @@ mod tests {
         r.record(6, TraceEvent::BatchTimeout { deferred: 3 });
         r.record(9, TraceEvent::StreamRecover { stream: 7 });
         r.record(12, TraceEvent::OverloadRecover { level: 0 });
-        let v = chrome_trace_json(&r, &[], 16);
+        let v = export(r, Vec::new(), 16);
         let Some(Value::Array(events)) = v.get("traceEvents") else {
             panic!("no traceEvents array");
         };
@@ -920,6 +781,131 @@ mod tests {
             _ => true,
         }));
     }
+
+    /// One of each of the 17 event kinds (a guard trip that recovers and
+    /// one that runs to the end), two windows and one live interval,
+    /// exported and compared byte for byte with the expected JSON, one
+    /// trace event per line. Same-`(tid, ts)` ties (the recovery at 30,
+    /// the telemetry interval at 40) pin the push order the stable sort
+    /// keeps.
+    #[test]
+    fn golden_export_covers_every_event_kind() {
+        use crate::obs::LiveIntervalSummary;
+        let mut r = FlightRecorder::new(32);
+        r.record(0, TraceEvent::TrainRollback { count: 2 });
+        r.record(5, TraceEvent::PhaseArmed);
+        r.record(10, TraceEvent::PhaseConfirmed { prev_phase: 0 });
+        r.record(14, TraceEvent::PhaseSelected { phase: 1 });
+        r.record(
+            16,
+            TraceEvent::CstpChain {
+                steps: 3,
+                pbot_hits: 2,
+                pbot_misses: 1,
+            },
+        );
+        r.record(20, TraceEvent::GuardTrip);
+        r.record(22, TraceEvent::InflightOverflow);
+        r.record(30, TraceEvent::GuardRecover);
+        r.record(30, TraceEvent::DegradationWindow { accesses: 9 });
+        r.record(33, TraceEvent::OverloadShed { level: 1 });
+        r.record(34, TraceEvent::StreamQuarantine { stream: 7 });
+        r.record(35, TraceEvent::BatchTimeout { deferred: 3 });
+        r.record(
+            36,
+            TraceEvent::SloEscalate {
+                level: 2,
+                burn_x100: 450,
+            },
+        );
+        r.record(40, TraceEvent::TelemetryInterval { seq: 0 });
+        r.record(41, TraceEvent::StreamRecover { stream: 7 });
+        r.record(42, TraceEvent::OverloadRecover { level: 0 });
+        r.record(43, TraceEvent::SloRecover { level: 0 });
+        r.record(50, TraceEvent::GuardTrip);
+        let shard = ShardTrace {
+            label: "golden".into(),
+            recorder: r,
+            windows: vec![
+                WindowMetrics {
+                    end: 32,
+                    accuracy: 0.5,
+                    coverage: 0.25,
+                    pbot_hit_rate: 0.75,
+                    ..WindowMetrics::default()
+                },
+                WindowMetrics {
+                    start: 32,
+                    end: 64,
+                    accuracy: 0.625,
+                    ..WindowMetrics::default()
+                },
+            ],
+            end: 64,
+            live: vec![LiveIntervalSummary {
+                at_record: 40,
+                shed_fraction: 0.25,
+                deadline_miss_fraction: 0.125,
+                burn_rate: 4.5,
+                verdict_level: 2,
+                queue_wait_p99_cycles: 12,
+                forward_p99_ns: 800,
+                ..LiveIntervalSummary::default()
+            }],
+        };
+        let v = chrome_trace_json_sharded(std::slice::from_ref(&shard));
+        let text = serde_json::to_string(&v).expect("serialize trace");
+        let expected: String = GOLDEN_EXPORT.lines().map(str::trim).collect();
+        assert_eq!(text, expected);
+    }
+
+    const GOLDEN_EXPORT: &str = r#"
+        {"traceEvents":[
+        {"name":"process_name","ph":"M","pid":1,"args":{"name":"golden"}},
+        {"name":"process_sort_index","ph":"M","pid":1,"args":{"sort_index":1}},
+        {"name":"thread_name","ph":"M","pid":1,"tid":1,"args":{"name":"phases"}},
+        {"name":"thread_name","ph":"M","pid":1,"tid":2,"args":{"name":"detector"}},
+        {"name":"thread_name","ph":"M","pid":1,"tid":3,"args":{"name":"guard"}},
+        {"name":"thread_name","ph":"M","pid":1,"tid":4,"args":{"name":"cstp"}},
+        {"name":"thread_name","ph":"M","pid":1,"tid":5,"args":{"name":"telemetry"}},
+        {"name":"thread_name","ph":"M","pid":1,"tid":6,"args":{"name":"serve"}},
+        {"name":"thread_name","ph":"M","pid":1,"tid":7,"args":{"name":"livetel"}},
+        {"name":"phase 0","ph":"X","ts":0,"dur":10,"pid":1,"tid":1},
+        {"name":"phase 1","ph":"X","ts":10,"dur":54,"pid":1,"tid":1},
+        {"name":"phase-armed","ph":"i","s":"t","ts":5,"pid":1,"tid":2,"args":{}},
+        {"name":"phase-confirmed","ph":"i","s":"t","ts":10,"pid":1,"tid":2,"args":{"prev_phase":0}},
+        {"name":"phase-selected","ph":"i","s":"t","ts":14,"pid":1,"tid":2,"args":{"phase":1}},
+        {"name":"train-rollback","ph":"i","s":"t","ts":0,"pid":1,"tid":3,"args":{"count":2}},
+        {"name":"guard-trip","ph":"i","s":"t","ts":20,"pid":1,"tid":3,"args":{}},
+        {"name":"degraded","ph":"X","ts":20,"dur":10,"pid":1,"tid":3},
+        {"name":"inflight-overflow","ph":"i","s":"t","ts":22,"pid":1,"tid":3,"args":{}},
+        {"name":"guard-recover","ph":"i","s":"t","ts":30,"pid":1,"tid":3,"args":{}},
+        {"name":"degradation-window","ph":"i","s":"t","ts":30,"pid":1,"tid":3,"args":{"accesses":9}},
+        {"name":"guard-trip","ph":"i","s":"t","ts":50,"pid":1,"tid":3,"args":{}},
+        {"name":"degraded","ph":"X","ts":50,"dur":14,"pid":1,"tid":3},
+        {"name":"cstp-chain","ph":"i","s":"t","ts":16,"pid":1,"tid":4,"args":{"steps":3,"pbot_hits":2,"pbot_misses":1}},
+        {"name":"accuracy","ph":"C","ts":32,"pid":1,"tid":5,"args":{"accuracy":0.5}},
+        {"name":"coverage","ph":"C","ts":32,"pid":1,"tid":5,"args":{"coverage":0.25}},
+        {"name":"pbot_hit_rate","ph":"C","ts":32,"pid":1,"tid":5,"args":{"pbot_hit_rate":0.75}},
+        {"name":"accuracy","ph":"C","ts":64,"pid":1,"tid":5,"args":{"accuracy":0.625}},
+        {"name":"coverage","ph":"C","ts":64,"pid":1,"tid":5,"args":{"coverage":0}},
+        {"name":"pbot_hit_rate","ph":"C","ts":64,"pid":1,"tid":5,"args":{"pbot_hit_rate":0}},
+        {"name":"overload-shed","ph":"i","s":"t","ts":33,"pid":1,"tid":6,"args":{"level":1}},
+        {"name":"stream-quarantine","ph":"i","s":"t","ts":34,"pid":1,"tid":6,"args":{"stream":7}},
+        {"name":"batch-timeout","ph":"i","s":"t","ts":35,"pid":1,"tid":6,"args":{"deferred":3}},
+        {"name":"stream-recover","ph":"i","s":"t","ts":41,"pid":1,"tid":6,"args":{"stream":7}},
+        {"name":"overload-recover","ph":"i","s":"t","ts":42,"pid":1,"tid":6,"args":{"level":0}},
+        {"name":"slo-escalate","ph":"i","s":"t","ts":36,"pid":1,"tid":7,"args":{"level":2,"burn_rate":4.5}},
+        {"name":"telemetry-interval","ph":"i","s":"t","ts":40,"pid":1,"tid":7,"args":{"seq":0}},
+        {"name":"shed_fraction","ph":"C","ts":40,"pid":1,"tid":7,"args":{"shed_fraction":0.25}},
+        {"name":"deadline_miss_fraction","ph":"C","ts":40,"pid":1,"tid":7,"args":{"deadline_miss_fraction":0.125}},
+        {"name":"slo_burn_rate","ph":"C","ts":40,"pid":1,"tid":7,"args":{"slo_burn_rate":4.5}},
+        {"name":"slo_verdict","ph":"C","ts":40,"pid":1,"tid":7,"args":{"slo_verdict":2}},
+        {"name":"queue_wait_p99_cycles","ph":"C","ts":40,"pid":1,"tid":7,"args":{"queue_wait_p99_cycles":12}},
+        {"name":"forward_p99_ns","ph":"C","ts":40,"pid":1,"tid":7,"args":{"forward_p99_ns":800}},
+        {"name":"slo-recover","ph":"i","s":"t","ts":43,"pid":1,"tid":7,"args":{"level":0}}
+        ],"displayTimeUnit":"ms"}
+    "#;
 
     #[test]
     fn window_metrics_round_trip_through_serde() {

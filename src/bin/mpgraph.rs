@@ -23,8 +23,8 @@
 use mpgraph::bench::serve_load;
 use mpgraph::core::trace::TraceConfig as TelemetryConfig;
 use mpgraph::core::{
-    build_detector, train_mpgraph, LiveTelemetry, LiveTelemetryConfig, MetricsSnapshot,
-    MpGraphConfig, MpGraphPrefetcher, PrefetchScoreboard, PrefetchService, ServeConfig,
+    build_detector, train_mpgraph, LiveTelemetry, MetricsSnapshot, MpGraphConfig,
+    MpGraphPrefetcher, PrefetchScoreboard, PrefetchService, ServeConfig,
 };
 use mpgraph::frameworks::{generate_trace, io, App, Framework, Trace, TraceConfig};
 use mpgraph::graph::{standin, Dataset};
@@ -250,34 +250,6 @@ fn scoreboard_for(args: &Args, num_phases: usize) -> Option<PrefetchScoreboard> 
         args.get("metrics-out")
             .map(|_| PrefetchScoreboard::new(phases, 4096))
     }
-}
-
-/// Builds the serve command's live-telemetry attachment from
-/// `--live-metrics` / `--expose` / `--live-interval`, or `None` when no
-/// live output was requested.
-fn live_telemetry_for(args: &Args) -> Option<LiveTelemetry> {
-    let sink = args.get("live-metrics");
-    let expose = args.get("expose");
-    if sink.is_none() && expose.is_none() {
-        return None;
-    }
-    let cfg = LiveTelemetryConfig {
-        interval_pumps: args.get_u64("live-interval", 16),
-        ..LiveTelemetryConfig::default()
-    };
-    let cfg = cfg
-        .try_new()
-        .unwrap_or_else(|e| die(&format!("invalid live-telemetry config: {e}")));
-    let mut tel = LiveTelemetry::new(cfg);
-    if let Some(spec) = sink {
-        tel = tel
-            .with_sink(spec)
-            .unwrap_or_else(|e| die(&format!("cannot open --live-metrics sink {spec}: {e}")));
-    }
-    if let Some(path) = expose {
-        tel = tel.with_expose(path);
-    }
-    Some(tel)
 }
 
 fn write_metrics(args: &Args, snap: &MetricsSnapshot) {
@@ -659,7 +631,13 @@ fn cmd_serve(args: &Args) {
         Some(sb) => PrefetchService::with_scoreboard(serve_cfg, sb),
         None => PrefetchService::new(serve_cfg),
     };
-    let live_attached = match live_telemetry_for(args) {
+    let live = LiveTelemetry::from_outputs(
+        args.get("live-metrics"),
+        args.get("expose"),
+        args.get_u64("live-interval", 16),
+    )
+    .unwrap_or_else(|e| die(&e.to_string()));
+    let live_attached = match live {
         Some(tel) => {
             svc.enable_live_telemetry(tel);
             true
