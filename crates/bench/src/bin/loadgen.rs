@@ -13,7 +13,8 @@
 //! [--live-metrics FILE|-] [--expose FILE] [--live-interval N]`
 //!
 //! Each `N` must be a whole number, and `--streams` at least 1; a bad
-//! value exits with status 2 and names the flag.
+//! value, or a `FILE` flag with no value (last, or followed by another
+//! `--` flag), exits with status 2 and names the flag.
 //!
 //! `--zipf` replaces the uniform round-robin arrivals with Zipf(1)
 //! weights across streams (hot stream 0 down to the coldest); the
@@ -35,7 +36,7 @@
 //! atomically every interval. See DESIGN.md §18.
 
 use mpgraph_bench::report::{
-    dump_json, f, flag_value, metrics_out_arg, pct, print_table, trace_out_arg,
+    dump_json, f, flag_arg, metrics_out_arg, pct, print_table, trace_out_arg,
     write_json_compact_to, write_json_to,
 };
 use mpgraph_bench::serve_load::{
@@ -89,6 +90,11 @@ fn main() {
     let streams = usize_arg("--streams", 8, 1);
     let ticks = usize_arg("--ticks", if quick { 200 } else { 2000 }, 0) as u64;
     let live_interval = usize_arg("--live-interval", 16, 0) as u64;
+    // Path flags are read before training, so a missing value fails fast.
+    let live_metrics = flag_arg("live-metrics");
+    let expose = flag_arg("expose");
+    let metrics_out = metrics_out_arg();
+    let trace_out = trace_out_arg();
 
     let quant = args.iter().any(|a| a == "--quant");
 
@@ -106,15 +112,12 @@ fn main() {
     } else {
         Arrival::RoundRobin
     };
-    let live = LiveTelemetry::from_outputs(
-        flag_value("live-metrics").as_deref(),
-        flag_value("expose").as_deref(),
-        live_interval,
-    )
-    .unwrap_or_else(|e| {
-        eprintln!("loadgen: {e}");
-        std::process::exit(2);
-    });
+    let live =
+        LiveTelemetry::from_outputs(live_metrics.as_deref(), expose.as_deref(), live_interval)
+            .unwrap_or_else(|e| {
+                eprintln!("loadgen: {e}");
+                std::process::exit(2);
+            });
     let live_attached = live.is_some();
     let outcome = run_load_sweep(
         &setup,
@@ -266,13 +269,13 @@ fn main() {
     ) {
         println!("wrote {}", p.display());
     }
-    if let Some(path) = metrics_out_arg() {
+    if let Some(path) = metrics_out {
         match write_json_to(&path, &outcome.snapshot) {
             Ok(()) => println!("metrics snapshot written to {}", path.display()),
             Err(e) => eprintln!("failed to write metrics to {}: {e}", path.display()),
         }
     }
-    if let Some(path) = trace_out_arg() {
+    if let Some(path) = trace_out {
         match &outcome.chrome_trace {
             Some(tr) => match write_json_compact_to(&path, tr) {
                 Ok(()) => println!("chrome trace written to {}", path.display()),

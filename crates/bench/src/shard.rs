@@ -162,8 +162,7 @@ impl MatrixResult {
     /// The merged Perfetto export: one process per combo, pid = position
     /// in canonical matrix order + 1.
     pub fn chrome_trace(&self) -> serde::Value {
-        let shards: Vec<ShardTrace> = self.combos.iter().map(|c| c.trace.clone()).collect();
-        chrome_trace_json_sharded(&shards)
+        chrome_trace_json_sharded(self.combos.iter().map(|c| &c.trace))
     }
 }
 

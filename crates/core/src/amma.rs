@@ -23,7 +23,7 @@ use mpgraph_ml::arena::ScratchArena;
 use mpgraph_ml::attention::SelfAttention;
 use mpgraph_ml::layers::{Embedding, Linear, Module, Param};
 use mpgraph_ml::tensor::Matrix;
-use mpgraph_ml::transformer::{readout_batch_in, TransformerLayer};
+use mpgraph_ml::transformer::{readout_backward, readout_batch_in, TransformerLayer};
 use rand_chacha::ChaCha8Rng;
 
 /// AMMA dimensions (Table 5).
@@ -85,6 +85,29 @@ pub struct ModalInput {
     pub pc: Matrix,
 }
 
+/// Feature-wise concatenation `[T, A] ++ [T, B] → [T, A + B]` into an
+/// arena buffer: AMMA's fusion input, and the other backbones' modalities.
+pub(crate) fn concat_cols_in(a: &Matrix, b: &Matrix, s: &mut ScratchArena) -> Matrix {
+    assert_eq!(a.rows, b.rows);
+    let mut out = s.take(a.rows, a.cols + b.cols);
+    for r in 0..a.rows {
+        out.row_mut(r)[..a.cols].copy_from_slice(a.row(r));
+        out.row_mut(r)[a.cols..].copy_from_slice(b.row(r));
+    }
+    out
+}
+
+/// The backward of [`concat_cols_in`]: splits a gradient at column `at`.
+pub(crate) fn split_cols(d: &Matrix, at: usize) -> (Matrix, Matrix) {
+    let mut left = Matrix::zeros(d.rows, at);
+    let mut right = Matrix::zeros(d.rows, d.cols - at);
+    for r in 0..d.rows {
+        left.row_mut(r).copy_from_slice(&d.row(r)[..at]);
+        right.row_mut(r).copy_from_slice(&d.row(r)[at..]);
+    }
+    (left, right)
+}
+
 /// The AMMA backbone (feature extractor).
 #[derive(Debug, Clone)]
 pub struct Amma {
@@ -99,7 +122,6 @@ pub struct Amma {
     /// Optional phase-informed side input (AMMA-PI): one embedding per
     /// phase, added to the fused representation after the MMAF layer.
     phase_embed: Option<Embedding>,
-    cache_rows: usize,
 }
 
 impl Amma {
@@ -115,7 +137,6 @@ impl Amma {
                 .map(|_| TransformerLayer::new(cfg.fusion_dim, cfg.heads, rng))
                 .collect(),
             phase_embed: None,
-            cache_rows: 0,
             cfg,
         }
     }
@@ -135,75 +156,22 @@ impl Amma {
         self.cfg.fusion_dim
     }
 
-    fn fuse(a: &Matrix, b: &Matrix) -> Matrix {
-        // Feature-wise concatenation: [T, A] ++ [T, A] → [T, 2A].
-        assert_eq!(a.rows, b.rows);
-        let mut out = Matrix::zeros(a.rows, a.cols + b.cols);
-        for r in 0..a.rows {
-            out.row_mut(r)[..a.cols].copy_from_slice(a.row(r));
-            out.row_mut(r)[a.cols..].copy_from_slice(b.row(r));
-        }
-        out
-    }
-
-    fn unfuse(d: &Matrix, a_cols: usize) -> (Matrix, Matrix) {
-        let b_cols = d.cols - a_cols;
-        let mut da = Matrix::zeros(d.rows, a_cols);
-        let mut db = Matrix::zeros(d.rows, b_cols);
-        for r in 0..d.rows {
-            da.row_mut(r).copy_from_slice(&d.row(r)[..a_cols]);
-            db.row_mut(r).copy_from_slice(&d.row(r)[a_cols..]);
-        }
-        (da, db)
-    }
-
-    /// Sequence readout: the last position's representation (the standard
-    /// next-token readout — with attention underneath, the last position
-    /// already aggregates the whole history; mean pooling would dilute it).
-    fn pool(h: &Matrix) -> Matrix {
-        Matrix::from_vec(1, h.cols, h.row(h.rows - 1).to_vec())
-    }
-
-    /// Training forward: pooled `[1, fusion_dim]` representation.
-    /// `phase` is consumed only by the phase-informed variant.
-    pub fn forward(&mut self, x: &ModalInput, phase: usize) -> Matrix {
-        self.cache_rows = x.addr.rows;
-        let pe = mpgraph_ml::tensor::positional_encoding(x.addr.rows, self.cfg.attn_dim);
-        let mut ea = self.embed_addr.forward(&x.addr);
-        ea.add_assign(&pe);
-        let mut ep = self.embed_pc.forward(&x.pc);
-        ep.add_assign(&pe);
-        // Residual connections around each attention keep a direct path
-        // from the embeddings to the readout (gradient flow; standard
-        // practice even where Figure 7 leaves it implicit).
-        let mut ha = self.attn_addr.forward(&ea);
-        ha.add_assign(&ea);
-        let mut hp = self.attn_pc.forward(&ep);
-        hp.add_assign(&ep);
-        let fused_in = Self::fuse(&ha, &hp);
-        let mut h = self.fusion.forward(&fused_in);
-        h.add_assign(&fused_in);
-        if let Some(pe) = &mut self.phase_embed {
-            let e = pe.forward(&vec![phase; h.rows]);
-            h.add_assign(&e);
-        }
-        for t in self.trans.iter_mut() {
-            h = t.forward(&h);
-        }
-        Self::pool(&h)
-    }
-
-    /// Batched inference over `batch` stacked sequences: `x.addr`/`x.pc`
+    /// The one forward, over `batch` stacked sequences: `x.addr`/`x.pc`
     /// are `[batch * T, F]` with each sequence contiguous. The linear
     /// embeddings, fusion concat, phase broadcast, and transformer FFNs
     /// fuse across the whole stack; self-attention and the positional
-    /// encoding stay per-sequence. The final transformer layer computes
-    /// only each sequence's last row, which is the readout (see
-    /// [`readout_batch_in`]). Returns `[batch, fusion_dim]` with row `b`
-    /// bit-identical to the training [`Amma::forward`] on sequence `b`
-    /// alone (the whole batch shares one `phase`). This is the one
-    /// inference forward: single sequences run at `batch = 1`,
-    /// allocation-free once the arena is warm.
+    /// encoding stay per-sequence. Residual connections around each
+    /// attention keep a direct path from the embeddings to the readout
+    /// (gradient flow; standard practice even where Figure 7 leaves it
+    /// implicit). The readout is each sequence's last position — with
+    /// attention underneath it already aggregates the whole history, where
+    /// mean pooling would dilute it — so the final transformer layer
+    /// computes only that row (see [`readout_batch_in`]). Returns
+    /// `[batch, fusion_dim]` with row `b` bit-identical to the forward on
+    /// sequence `b` alone (the whole batch shares one `phase`, which only
+    /// the phase-informed variant reads). Single sequences run at
+    /// `batch = 1`, allocation-free once the arena is warm; training runs
+    /// them on a taping arena, which records for [`Amma::backward`].
     pub fn infer_batch_in(
         &self,
         x: &ModalInput,
@@ -226,12 +194,7 @@ impl Amma {
         let mut hp = self.attn_pc.infer_batch_in(&ep, batch, seq, s);
         hp.add_assign(&ep);
         s.give(ep);
-        let mut fused_in = s.take(ha.rows, ha.cols + hp.cols);
-        let a_cols = ha.cols;
-        for r in 0..ha.rows {
-            fused_in.row_mut(r)[..a_cols].copy_from_slice(ha.row(r));
-            fused_in.row_mut(r)[a_cols..].copy_from_slice(hp.row(r));
-        }
+        let fused_in = concat_cols_in(&ha, &hp, s);
         s.give(ha);
         s.give(hp);
         let mut h = self.fusion.infer_batch_in(&fused_in, batch, seq, s);
@@ -240,37 +203,38 @@ impl Amma {
         if let Some(pe) = &self.phase_embed {
             // Same values as adding the repeated-token embedding matrix,
             // without materializing it.
-            pe.add_row_broadcast(phase, &mut h);
+            pe.add_row_broadcast(phase, &mut h, s);
         }
         readout_batch_in(&self.trans, h, batch, s)
     }
 
-    /// Backward from the pooled gradient `[1, fusion_dim]`. Returns the
-    /// gradients w.r.t. the two modality inputs `(d_addr, d_pc)` so that
-    /// upstream embeddings (the page tokenizer) can train through AMMA.
-    pub fn backward(&mut self, d_pooled: &Matrix) -> (Matrix, Matrix) {
-        let rows = self.cache_rows;
-        let dim = self.cfg.fusion_dim;
-        // Last-position readout: the gradient enters at the final row only.
-        let mut dh = Matrix::zeros(rows, dim);
-        dh.row_mut(rows - 1).copy_from_slice(d_pooled.row(0));
-        for t in self.trans.iter_mut().rev() {
-            dh = t.backward(&dh);
-        }
+    /// Backward from the readout's gradient `[1, fusion_dim]` over a taped
+    /// forward of one `seq`-row sequence. Returns the gradients w.r.t. the
+    /// two modality inputs `(d_addr, d_pc)` so that upstream embeddings
+    /// (the page tokenizer) can train through AMMA. The per-modality
+    /// branches pop in reverse of their forward order; they share no
+    /// parameter, so every gradient keeps its bits.
+    pub fn backward(
+        &mut self,
+        d_pooled: &Matrix,
+        seq: usize,
+        s: &mut ScratchArena,
+    ) -> (Matrix, Matrix) {
+        let dh = readout_backward(&mut self.trans, d_pooled, seq, s);
         if let Some(pe) = &mut self.phase_embed {
-            pe.backward(&dh);
+            pe.backward(&dh, s);
         }
         // h = fusion(f) + f
-        let mut d_fused_in = self.fusion.backward(&dh);
+        let mut d_fused_in = self.fusion.backward(&dh, s);
         d_fused_in.add_assign(&dh);
-        let (d_ha, d_hp) = Self::unfuse(&d_fused_in, self.cfg.attn_dim);
-        // ha = attn(ea) + ea
-        let mut d_ea = self.attn_addr.backward(&d_ha);
-        d_ea.add_assign(&d_ha);
-        let mut d_ep = self.attn_pc.backward(&d_hp);
+        let (d_ha, d_hp) = split_cols(&d_fused_in, self.cfg.attn_dim);
+        // hp = attn(ep) + ep, ha = attn(ea) + ea
+        let mut d_ep = self.attn_pc.backward(&d_hp, s);
         d_ep.add_assign(&d_hp);
-        let d_addr = self.embed_addr.backward(&d_ea);
-        let d_pc = self.embed_pc.backward(&d_ep);
+        let mut d_ea = self.attn_addr.backward(&d_ha, s);
+        d_ea.add_assign(&d_ha);
+        let d_pc = self.embed_pc.backward(&d_ep, s);
+        let d_addr = self.embed_addr.backward(&d_ea, s);
         (d_addr, d_pc)
     }
 }
@@ -329,11 +293,24 @@ mod tests {
         }
     }
 
+    /// The forward on one sequence.
+    fn infer(amma: &Amma, x: &ModalInput, phase: usize) -> Matrix {
+        amma.infer_batch_in(x, 1, phase, &mut ScratchArena::new())
+    }
+
+    /// The training forward: one sequence on a taping arena, returned with
+    /// the tape for the backward.
+    fn taped(amma: &Amma, x: &ModalInput, phase: usize) -> (Matrix, ScratchArena) {
+        let mut s = ScratchArena::with_tape();
+        let y = amma.infer_batch_in(x, 1, phase, &mut s);
+        (y, s)
+    }
+
     #[test]
     fn forward_shapes() {
         let mut r = rng(1);
-        let mut amma = Amma::new(4, 1, tiny_cfg(), &mut r);
-        let y = amma.forward(&input(2, 5), 0);
+        let amma = Amma::new(4, 1, tiny_cfg(), &mut r);
+        let y = infer(&amma, &input(2, 5), 0);
         assert_eq!((y.rows, y.cols), (1, 16));
         assert_eq!(amma.out_dim(), 16);
     }
@@ -355,8 +332,6 @@ mod tests {
                 if informed {
                     amma = amma.with_phase_embedding(3, &mut r);
                 }
-                // The training forward on a clone is the reference.
-                let mut reference = amma.clone();
                 let seqs: Vec<ModalInput> = (0..5u64).map(|i| input(12 + i, 5)).collect();
                 let mut s = mpgraph_ml::ScratchArena::new();
                 for batch in [1usize, 2, 5] {
@@ -372,9 +347,11 @@ mod tests {
                         let y = amma.infer_batch_in(&stacked, batch, phase, &mut s);
                         assert_eq!((y.rows, y.cols), (batch, 16));
                         for (b, q) in seqs[..batch].iter().enumerate() {
+                            // The training forward (B = 1, every row a
+                            // query, taped) is the reference.
                             assert_eq!(
                                 bits(y.row(b)),
-                                bits(&reference.forward(q, phase).data),
+                                bits(&taped(&amma, q, phase).0.data),
                                 "layers {layers} informed {informed} batch {batch} seq {b} \
                                  phase {phase}"
                             );
@@ -401,10 +378,10 @@ mod tests {
     #[test]
     fn phase_informed_variant_distinguishes_phases() {
         let mut r = rng(5);
-        let mut amma = Amma::new(4, 1, tiny_cfg(), &mut r).with_phase_embedding(2, &mut r);
+        let amma = Amma::new(4, 1, tiny_cfg(), &mut r).with_phase_embedding(2, &mut r);
         let x = input(6, 5);
-        let y0 = amma.forward(&x, 0);
-        let y1 = amma.forward(&x, 1);
+        let y0 = infer(&amma, &x, 0);
+        let y1 = infer(&amma, &x, 1);
         assert!(amma.is_phase_informed());
         let diff: f32 = y0
             .data
@@ -418,24 +395,25 @@ mod tests {
     #[test]
     fn plain_variant_ignores_phase_argument() {
         let mut r = rng(6);
-        let mut amma = Amma::new(4, 1, tiny_cfg(), &mut r);
+        let amma = Amma::new(4, 1, tiny_cfg(), &mut r);
         let x = input(7, 5);
-        assert_eq!(amma.forward(&x, 0), amma.forward(&x, 1));
+        assert_eq!(infer(&amma, &x, 0), infer(&amma, &x, 1));
     }
 
     #[test]
     fn gradient_matches_finite_difference() {
         let mut r = rng(7);
-        let mut amma = Amma::new(4, 1, tiny_cfg(), &mut r);
+        let mut amma = Amma::new(4, 1, tiny_cfg(), &mut r).with_phase_embedding(2, &mut r);
         let x = input(8, 4);
         let w = Matrix::xavier(1, 16, &mut r);
-        let _y = amma.forward(&x, 0);
-        amma.backward(&w);
+        let (_y, mut s) = taped(&amma, &x, 1);
+        amma.backward(&w, 4, &mut s);
+        assert_eq!(s.tape_len(), 0, "the backward pops every record");
         // Check one embed_addr weight gradient numerically.
         let eps = 1e-2f32;
         let analytic = amma.embed_addr.w.g.at(1, 2);
-        let loss = |m: &mut Amma| -> f32 {
-            m.forward(&x, 0)
+        let loss = |m: &Amma| -> f32 {
+            infer(m, &x, 1)
                 .data
                 .iter()
                 .zip(w.data.iter())
@@ -446,7 +424,7 @@ mod tests {
         *p.embed_addr.w.w.at_mut(1, 2) += eps;
         let mut m = amma.clone();
         *m.embed_addr.w.w.at_mut(1, 2) -= eps;
-        let num = (loss(&mut p) - loss(&mut m)) / (2.0 * eps);
+        let num = (loss(&p) - loss(&m)) / (2.0 * eps);
         assert!(
             (num - analytic).abs() < 5e-2,
             "numeric {num} vs analytic {analytic}"
@@ -476,21 +454,24 @@ mod tests {
                 pc: Matrix::zeros(rows, 1),
             }
         };
+        let mut s = ScratchArena::with_tape();
         for step in 0..300 {
             let class = step % 2;
             let x = make(class, (step % 7) as f32 * 0.01);
-            let pooled = amma.forward(&x, 0);
-            let logits = head.forward(&pooled);
+            let pooled = amma.infer_batch_in(&x, 1, 0, &mut s);
+            let logits = head.infer_in(&pooled, &mut s);
+            s.give(pooled);
             let (_, d) = mpgraph_ml::loss::softmax_cross_entropy(&logits, &[class]);
-            let dp = head.backward(&d);
-            amma.backward(&dp);
+            s.give(logits);
+            let dp = head.backward(&d, &mut s);
+            amma.backward(&dp, 5, &mut s);
             opt.step(&mut amma);
             opt.step(&mut head);
         }
         // Both patterns classified correctly.
         for class in 0..2 {
             let x = make(class, 0.02);
-            let logits = head.forward(&amma.forward(&x, 0));
+            let logits = head.infer_in(&infer(&amma, &x, 0), &mut ScratchArena::new());
             let pred = if logits.data[0] > logits.data[1] {
                 0
             } else {

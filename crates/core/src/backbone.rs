@@ -3,12 +3,12 @@
 //! a vanilla attention stack (the TransFetch-style row), or AMMA — so the
 //! only difference measured is exactly what the paper varies.
 
-use crate::amma::{Amma, AmmaConfig, ModalInput};
+use crate::amma::{concat_cols_in, split_cols, Amma, AmmaConfig, ModalInput};
 use mpgraph_ml::arena::ScratchArena;
 use mpgraph_ml::layers::{Linear, Module, Param};
 use mpgraph_ml::lstm::Lstm;
 use mpgraph_ml::tensor::Matrix;
-use mpgraph_ml::transformer::{readout_batch_in, TransformerLayer};
+use mpgraph_ml::transformer::{readout_backward, readout_batch_in, TransformerLayer};
 use rand_chacha::ChaCha8Rng;
 
 /// Which sequence model extracts features.
@@ -40,14 +40,12 @@ impl BackboneKind {
 pub enum Backbone {
     Lstm {
         lstm: Lstm,
-        cache_rows: usize,
         pc_feats: usize,
     },
     Attention {
         proj: Linear,
         layers: Vec<TransformerLayer>,
         dim: usize,
-        cache_rows: usize,
         pc_feats: usize,
     },
     Amma(Box<Amma>),
@@ -64,7 +62,6 @@ impl Backbone {
         match kind {
             BackboneKind::Lstm => Backbone::Lstm {
                 lstm: Lstm::new(addr_feats + pc_feats, cfg.fusion_dim, rng),
-                cache_rows: 0,
                 pc_feats,
             },
             BackboneKind::Attention => Backbone::Attention {
@@ -73,7 +70,6 @@ impl Backbone {
                     .map(|_| TransformerLayer::new(cfg.fusion_dim, cfg.heads, rng))
                     .collect(),
                 dim: cfg.fusion_dim,
-                cache_rows: 0,
                 pc_feats,
             },
             BackboneKind::Amma => {
@@ -98,51 +94,14 @@ impl Backbone {
         }
     }
 
-    fn concat(x: &ModalInput) -> Matrix {
-        let rows = x.addr.rows;
-        let mut out = Matrix::zeros(rows, x.addr.cols + x.pc.cols);
-        for r in 0..rows {
-            out.row_mut(r)[..x.addr.cols].copy_from_slice(x.addr.row(r));
-            out.row_mut(r)[x.addr.cols..].copy_from_slice(x.pc.row(r));
-        }
-        out
-    }
-
-    pub fn forward(&mut self, x: &ModalInput, phase: usize) -> Matrix {
-        match self {
-            Backbone::Lstm {
-                lstm, cache_rows, ..
-            } => {
-                *cache_rows = x.addr.rows;
-                let h = lstm.forward(&Self::concat(x));
-                Matrix::from_vec(1, h.cols, h.row(h.rows - 1).to_vec())
-            }
-            Backbone::Attention {
-                proj,
-                layers,
-                cache_rows,
-                ..
-            } => {
-                *cache_rows = x.addr.rows;
-                let mut h = proj.forward(&Self::concat(x));
-                h.add_assign(&mpgraph_ml::tensor::positional_encoding(h.rows, h.cols));
-                for l in layers.iter_mut() {
-                    h = l.forward(&h);
-                }
-                Matrix::from_vec(1, h.cols, h.row(h.rows - 1).to_vec())
-            }
-            Backbone::Amma(a) => a.forward(x, phase),
-        }
-    }
-
-    /// Batched inference: `x` stacks `batch` sequences (`[batch * T, F]`
+    /// The one forward: `x` stacks `batch` sequences (`[batch * T, F]`
     /// per modality, each sequence contiguous); returns `[batch, out_dim]`
-    /// with row `b` bit-identical to the training [`Backbone::forward`] on
-    /// sequence `b` alone. The whole batch shares one `phase`. The
-    /// attention kinds' final transformer layer computes only the readout
-    /// row of each sequence; the LSTM gathers it. This is the only
-    /// inference forward: single sequences run at `batch = 1`,
-    /// allocation-free for every kind once the arena is warm.
+    /// with row `b` bit-identical to the forward on sequence `b` alone.
+    /// The whole batch shares one `phase`. The attention kinds' final
+    /// transformer layer computes only the readout row of each sequence;
+    /// the LSTM gathers it. Single sequences run at `batch = 1`,
+    /// allocation-free for every kind once the arena is warm; training runs
+    /// them on a taping arena, which records for [`Backbone::backward`].
     pub fn infer_batch_in(
         &self,
         x: &ModalInput,
@@ -157,7 +116,7 @@ impl Backbone {
         let seq = x.addr.rows / batch;
         match self {
             Backbone::Lstm { lstm, .. } => {
-                let cat = Self::concat_in(x, s);
+                let cat = concat_cols_in(&x.addr, &x.pc, s);
                 let h = lstm.infer_batch_in(&cat, batch, s);
                 s.give(cat);
                 let pooled = s.take_trailing_rows(&h, batch, 1);
@@ -165,7 +124,7 @@ impl Backbone {
                 pooled
             }
             Backbone::Attention { proj, layers, .. } => {
-                let cat = Self::concat_in(x, s);
+                let cat = concat_cols_in(&x.addr, &x.pc, s);
                 let mut h = proj.infer_in(&cat, s);
                 s.give(cat);
                 s.add_positional_per_seq(&mut h, seq);
@@ -175,64 +134,35 @@ impl Backbone {
         }
     }
 
-    fn concat_in(x: &ModalInput, s: &mut ScratchArena) -> Matrix {
-        let rows = x.addr.rows;
-        let mut out = s.take(rows, x.addr.cols + x.pc.cols);
-        for r in 0..rows {
-            out.row_mut(r)[..x.addr.cols].copy_from_slice(x.addr.row(r));
-            out.row_mut(r)[x.addr.cols..].copy_from_slice(x.pc.row(r));
-        }
-        out
-    }
-
-    /// Backward pass; returns gradients w.r.t. the modality inputs
+    /// Backward from the readout's gradient over a taped forward of one
+    /// `seq`-row sequence; returns gradients w.r.t. the modality inputs
     /// `(d_addr, d_pc)` so upstream embeddings can train.
-    pub fn backward(&mut self, d_out: &Matrix) -> (Matrix, Matrix) {
+    pub fn backward(
+        &mut self,
+        d_out: &Matrix,
+        seq: usize,
+        s: &mut ScratchArena,
+    ) -> (Matrix, Matrix) {
         match self {
-            Backbone::Lstm {
-                lstm,
-                cache_rows,
-                pc_feats,
-                ..
-            } => {
-                let rows = *cache_rows;
-                let mut dh = Matrix::zeros(rows, d_out.cols);
-                dh.row_mut(rows - 1).copy_from_slice(d_out.row(0));
-                let dx = lstm.backward(&dh);
-                Self::split_concat(&dx, *pc_feats)
+            Backbone::Lstm { lstm, pc_feats } => {
+                // The readout is the last hidden row.
+                let mut dh = Matrix::zeros(seq, d_out.cols);
+                dh.row_mut(seq - 1).copy_from_slice(d_out.row(0));
+                let dx = lstm.backward(&dh, s);
+                split_cols(&dx, dx.cols - *pc_feats)
             }
             Backbone::Attention {
                 proj,
                 layers,
-                cache_rows,
-                dim,
                 pc_feats,
                 ..
             } => {
-                let rows = *cache_rows;
-                let mut dh = Matrix::zeros(rows, *dim);
-                dh.row_mut(rows - 1).copy_from_slice(d_out.row(0));
-                for l in layers.iter_mut().rev() {
-                    dh = l.backward(&dh);
-                }
-                let dx = proj.backward(&dh);
-                Self::split_concat(&dx, *pc_feats)
+                let dh = readout_backward(layers, d_out, seq, s);
+                let dx = proj.backward(&dh, s);
+                split_cols(&dx, dx.cols - *pc_feats)
             }
-            Backbone::Amma(a) => a.backward(d_out),
+            Backbone::Amma(a) => a.backward(d_out, seq, s),
         }
-    }
-
-    /// Splits a concatenated-input gradient back into (addr, pc) parts;
-    /// the pc modality occupies the trailing `pc_cols` columns.
-    fn split_concat(dx: &Matrix, pc_cols: usize) -> (Matrix, Matrix) {
-        let a_cols = dx.cols - pc_cols;
-        let mut da = Matrix::zeros(dx.rows, a_cols);
-        let mut dp = Matrix::zeros(dx.rows, pc_cols);
-        for r in 0..dx.rows {
-            da.row_mut(r).copy_from_slice(&dx.row(r)[..a_cols]);
-            dp.row_mut(r).copy_from_slice(&dx.row(r)[a_cols..]);
-        }
-        (da, dp)
     }
 }
 
@@ -297,12 +227,20 @@ mod tests {
         v.iter().map(|x| x.to_bits()).collect()
     }
 
+    /// The training forward: one sequence on a taping arena (every row of
+    /// every layer a query), returned with the tape for the backward.
+    fn taped(b: &Backbone, x: &ModalInput, phase: usize) -> (Matrix, ScratchArena) {
+        let mut s = ScratchArena::with_tape();
+        let y = b.infer_batch_in(x, 1, phase, &mut s);
+        (y, s)
+    }
+
     #[test]
     fn all_kinds_produce_same_shape() {
         let mut r = rng(1);
         for kind in KINDS {
-            let mut b = Backbone::new(kind, 3, 1, tiny_cfg(), &mut r);
-            let y = b.forward(&input(2), 0);
+            let b = Backbone::new(kind, 3, 1, tiny_cfg(), &mut r);
+            let (y, _) = taped(&b, &input(2), 0);
             assert_eq!((y.rows, y.cols), (1, 16), "{}", kind.name());
             assert_eq!(b.out_dim(), 16);
             let y2 = b.infer_batch_in(&input(2), 1, 0, &mut ScratchArena::new());
@@ -310,12 +248,11 @@ mod tests {
         }
     }
 
-    #[test]
-    fn batched_inference_is_bit_identical_per_sequence() {
+    /// Every kind at 0, 1 and 2 transformer layers (the LSTM ignores the
+    /// count), each with and without the phase embedding (AMMA-PI
+    /// exercises the broadcast path).
+    fn each_backbone(mut check: impl FnMut(Backbone, &str)) {
         let mut r = rng(7);
-        // AMMA at 0, 1 and 2 transformer layers (the other kinds ignore
-        // the count), each with and without the phase embedding (AMMA-PI
-        // exercises the broadcast path).
         for kind in KINDS {
             for layers in [0usize, 1, 2] {
                 for informed in [false, true] {
@@ -327,30 +264,45 @@ mod tests {
                     if informed {
                         b = b.with_phase_embedding(2, &mut r);
                     }
-                    check_batches_against_forward(
-                        &mut b,
-                        &format!("{} L{layers} pi={informed}", kind.name()),
-                    );
+                    check(b, &format!("{} L{layers} pi={informed}", kind.name()));
                 }
             }
         }
     }
 
+    #[test]
+    fn batched_inference_is_bit_identical_per_sequence() {
+        each_backbone(|mut b, what| check_batches_against_forward(&mut b, what));
+    }
+
+    #[test]
+    fn taped_forward_matches_untaped_and_backward_drains_the_tape() {
+        each_backbone(|mut b, what| {
+            for phase in 0..2 {
+                let x = input(30 + phase as u64);
+                let (y, mut s) = taped(&b, &x, phase);
+                let plain = b.infer_batch_in(&x, 1, phase, &mut ScratchArena::new());
+                assert_eq!(bits(&y.data), bits(&plain.data), "{what} phase={phase}");
+                let (d_addr, d_pc) = b.backward(&y, 4, &mut s);
+                assert_eq!((d_addr.rows, d_addr.cols, d_pc.cols), (4, 3, 1), "{what}");
+                assert_eq!(s.tape_len(), 0, "{what}: tape not drained");
+            }
+        });
+    }
+
     /// Runs `b`'s arena forward over odd batch sizes and checks each row
-    /// against the training forward on a clone, bit for bit. The last two
-    /// batches run on int8-rounded weights, as `quantize` leaves them: the
-    /// same path serves them.
+    /// against the training forward (B = 1, taped), bit for bit. The last
+    /// two batches run on int8-rounded weights, as `quantize` leaves them:
+    /// the same path serves them.
     fn check_batches_against_forward(b: &mut Backbone, what: &str) {
         let mut s = ScratchArena::new();
         // Every batch shares T (the fused serve path stacks equal-length
         // histories).
         let batches = [1usize, 2, 5, 16, 1, 16];
-        let mut reference = b.clone();
         for (pass, batch) in batches.into_iter().enumerate() {
             let rounded = pass >= 4;
             if pass == 4 {
                 mpgraph_ml::quant::quantize_module(b);
-                reference = b.clone();
             }
             let t = 4;
             let seqs: Vec<ModalInput> = (0..batch).map(|i| input(100 + i as u64)).collect();
@@ -369,7 +321,7 @@ mod tests {
                 for (i, q) in seqs.iter().enumerate() {
                     assert_eq!(
                         bits(fused.row(i)),
-                        bits(&reference.forward(q, phase).data),
+                        bits(&taped(b, q, phase).0.data),
                         "{what} rounded={rounded} batch={batch} seq={i} phase={phase}"
                     );
                 }
@@ -383,10 +335,10 @@ mod tests {
         let mut r = rng(3);
         for kind in KINDS {
             let mut b = Backbone::new(kind, 3, 1, tiny_cfg(), &mut r);
-            let _ = b.forward(&input(4), 0);
+            let (_, mut s) = taped(&b, &input(4), 0);
             let mut d = Matrix::zeros(1, 16);
             d.data.fill(1.0);
-            b.backward(&d);
+            b.backward(&d, 4, &mut s);
             let mut total = 0.0f32;
             b.for_each_param(&mut |p| total += p.g.norm());
             assert!(total > 0.0, "{} has zero gradients", kind.name());
@@ -399,7 +351,7 @@ mod tests {
         for kind in KINDS {
             let b = Backbone::new(kind, 3, 1, tiny_cfg(), &mut r);
             let x = input(8);
-            let baseline = b.clone().forward(&x, 0);
+            let (baseline, _) = taped(&b, &x, 0);
             let mut s = ScratchArena::new();
             let y = b.infer_batch_in(&x, 1, 0, &mut s);
             assert_eq!(bits(&y.data), bits(&baseline.data), "{}", kind.name());
@@ -415,14 +367,15 @@ mod tests {
     #[test]
     fn phase_embedding_only_affects_amma() {
         let mut r = rng(5);
-        let mut b = Backbone::new(BackboneKind::Lstm, 3, 1, tiny_cfg(), &mut r)
+        let infer =
+            |b: &Backbone, phase| b.infer_batch_in(&input(6), 1, phase, &mut ScratchArena::new());
+        let b = Backbone::new(BackboneKind::Lstm, 3, 1, tiny_cfg(), &mut r)
             .with_phase_embedding(2, &mut r);
         // LSTM backbone ignores the request (stays phase-blind).
-        let x = input(6);
-        assert_eq!(b.forward(&x, 0), b.forward(&x, 1));
-        let mut a = Backbone::new(BackboneKind::Amma, 3, 1, tiny_cfg(), &mut r)
+        assert_eq!(infer(&b, 0), infer(&b, 1));
+        let a = Backbone::new(BackboneKind::Amma, 3, 1, tiny_cfg(), &mut r)
             .with_phase_embedding(2, &mut r);
-        assert_ne!(a.forward(&x, 0), a.forward(&x, 1));
+        assert_ne!(infer(&a, 0), infer(&a, 1));
     }
 
     #[test]

@@ -72,16 +72,22 @@ pub fn distill_delta(
     let mut student = DeltaPredictor::untrained(teacher.num_phases, variant, cfg, tc.seed ^ 0xD157);
     let walk = student.walk(records, tc);
     let t = tc.history;
-    let (final_loss, training) =
-        fit_phase_models("delta", &mut student.models, walk, tc, |m, &(i, phase)| {
+    let (final_loss, training) = fit_phase_models(
+        "delta",
+        &mut student.models,
+        walk,
+        tc,
+        |m, &(i, phase), s| {
             let hist = block_history(&records[i..i + t]);
             // Teacher's soft targets (phase-appropriate teacher model).
             let teacher_logits = teacher.predict_logits(&hist, phase);
-            let logits = m.forward(&DeltaPredictor::encode(&cfg, &hist), phase);
+            let logits = m.logits_in(&cfg, &[&hist], phase, s);
             let (loss, dl) = binary_distillation_loss(&logits, &teacher_logits);
-            m.backward(&dl);
+            s.give(logits);
+            m.backward(&dl, t, s);
             loss
-        });
+        },
+    );
     student.final_loss = final_loss;
     student.training = training;
     student
@@ -123,11 +129,15 @@ pub fn distill_page(
             .map(|rec| (vocab.token_of(rec.page()), rec.pc))
             .collect()
     };
-    let (final_loss, training) =
-        fit_phase_models("page", &mut student.models, walk, tc, |m, &(i, phase)| {
+    let (final_loss, training) = fit_phase_models(
+        "page",
+        &mut student.models,
+        walk,
+        tc,
+        |m, &(i, phase), s| {
             // Each side reads the window through its own vocabulary.
             let teacher_logits = teacher.predict_logits(&tokens(&teacher.vocab, i), phase);
-            let logits = m.forward(&tokens(&student.vocab, i), phase);
+            let logits = m.head_out_in(&[&tokens(&student.vocab, i)], phase, s);
             let (loss, dl) = match (teacher.cfg.head, cfg.head) {
                 (PageHead::Softmax, PageHead::Softmax) => {
                     // Softmax student heads are tied: `logits` is the
@@ -159,9 +169,11 @@ pub fn distill_page(
                     bce_with_logits(&logits, &PagePredictor::binary_target(top, logits.cols))
                 }
             };
-            m.backward(&dl);
+            s.give(logits);
+            m.backward(&dl, t, s);
             loss
-        });
+        },
+    );
     student.final_loss = final_loss;
     student.training = training;
     student

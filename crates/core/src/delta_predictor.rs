@@ -72,16 +72,50 @@ impl Trainable for DeltaModel {
 }
 
 impl DeltaModel {
-    /// Training forward: head logits for one encoded window.
-    pub(crate) fn forward(&mut self, x: &ModalInput, phase: usize) -> Matrix {
-        let pooled = self.backbone.forward(x, phase);
-        self.head.forward(&pooled)
+    /// The one forward: head logits `[B, labels]` for `hists.len()`
+    /// same-length history windows sharing one phase. The windows are
+    /// stacked into a single `(B·T, ·)` modal input so the backbone and
+    /// head each run once; row `b` is bit-identical to the forward on
+    /// window `b` alone, because every kernel on the path computes each
+    /// output row from its own input rows alone. Training runs one window
+    /// on a taping arena. The caller `give`s the result back.
+    pub(crate) fn logits_in(
+        &self,
+        cfg: &DeltaPredictorConfig,
+        hists: &[&[(u64, u64)]],
+        phase: usize,
+        s: &mut ScratchArena,
+    ) -> Matrix {
+        let batch = hists.len();
+        let t = hists.first().map_or(0, |h| h.len());
+        assert!(
+            hists.iter().all(|h| h.len() == t),
+            "fused delta batch requires equal-length histories"
+        );
+        let mut addr = s.take(batch * t, cfg.segments);
+        let mut pc = s.take(batch * t, 1);
+        for (b, hist) in hists.iter().enumerate() {
+            for (i, &(block, pcv)) in hist.iter().enumerate() {
+                addr.row_mut(b * t + i)
+                    .copy_from_slice(&segment_block(block, cfg.segments));
+                pc.data[b * t + i] = pc_feature(pcv);
+            }
+        }
+        let x = ModalInput { addr, pc };
+        let pooled = self.backbone.infer_batch_in(&x, batch, phase, s);
+        let ModalInput { addr, pc } = x;
+        s.give(addr);
+        s.give(pc);
+        let logits = self.head.infer_in(&pooled, s);
+        s.give(pooled);
+        logits
     }
 
-    /// Backward from the logits' gradient through head and backbone.
-    pub(crate) fn backward(&mut self, d_logits: &Matrix) {
-        let dp = self.head.backward(d_logits);
-        self.backbone.backward(&dp);
+    /// Backward from the logits' gradient through head and backbone, over
+    /// a taped forward of one `seq`-long window.
+    pub(crate) fn backward(&mut self, d_logits: &Matrix, seq: usize, s: &mut ScratchArena) {
+        let dp = self.head.backward(d_logits, s);
+        self.backbone.backward(&dp, seq, s);
     }
 }
 
@@ -110,17 +144,6 @@ pub struct DeltaPredictor {
 }
 
 impl DeltaPredictor {
-    pub(crate) fn encode(cfg: &DeltaPredictorConfig, hist: &[(u64, u64)]) -> ModalInput {
-        let mut addr = Matrix::zeros(hist.len(), cfg.segments);
-        let mut pc = Matrix::zeros(hist.len(), 1);
-        for (i, &(block, pcv)) in hist.iter().enumerate() {
-            addr.row_mut(i)
-                .copy_from_slice(&segment_block(block, cfg.segments));
-            pc.data[i] = pc_feature(pcv);
-        }
-        ModalInput { addr, pc }
-    }
-
     /// Freshly initialised phase models (one per phase for the
     /// phase-specific variants), drawn from `rng(seed)` model by model:
     /// backbone, phase embedding (phase-informed variants), head.
@@ -190,13 +213,15 @@ impl DeltaPredictor {
         let walk = p.walk(records, tc);
         let t = tc.history;
         let (final_loss, training) =
-            fit_phase_models("delta", &mut p.models, walk, tc, |m, &(i, phase)| {
-                let x = Self::encode(&cfg, &block_history(&records[i..i + t]));
+            fit_phase_models("delta", &mut p.models, walk, tc, |m, &(i, phase), s| {
+                let hist = block_history(&records[i..i + t]);
                 let target = cfg
                     .labels()
                     .label_bitmap(records, i + t - 1, cfg.look_forward);
-                let (loss, dl) = bce_with_logits(&m.forward(&x, phase), &target);
-                m.backward(&dl);
+                let logits = m.logits_in(&cfg, &[&hist], phase, s);
+                let (loss, dl) = bce_with_logits(&logits, &target);
+                s.give(logits);
+                m.backward(&dl, t, s);
                 loss
             });
         p.final_loss = final_loss;
@@ -244,42 +269,16 @@ impl DeltaPredictor {
 
     /// The one inference forward: raw head logits `[B, labels]` for
     /// `hists.len()` same-length history windows sharing one phase (and
-    /// therefore one model). The windows are stacked into a single
-    /// `(B·T, ·)` modal input so the backbone and head each run once;
-    /// row `b` is bit-identical to the training forward on window `b`,
-    /// because every kernel on the path computes each output row from its
-    /// own input rows alone. Single windows run at B = 1. The caller
-    /// `give`s the result back.
+    /// therefore one model), from that model's one forward (the one
+    /// training runs too). Single windows run at B = 1. The caller `give`s
+    /// the result back.
     pub fn predict_logits_batch_in(
         &self,
         hists: &[&[(u64, u64)]],
         phase: usize,
         s: &mut ScratchArena,
     ) -> Matrix {
-        let batch = hists.len();
-        let t = hists.first().map_or(0, |h| h.len());
-        assert!(
-            hists.iter().all(|h| h.len() == t),
-            "fused delta batch requires equal-length histories"
-        );
-        let m = self.model_for(phase);
-        let mut addr = s.take(batch * t, self.cfg.segments);
-        let mut pc = s.take(batch * t, 1);
-        for (b, hist) in hists.iter().enumerate() {
-            for (i, &(block, pcv)) in hist.iter().enumerate() {
-                addr.row_mut(b * t + i)
-                    .copy_from_slice(&segment_block(block, self.cfg.segments));
-                pc.data[b * t + i] = pc_feature(pcv);
-            }
-        }
-        let x = ModalInput { addr, pc };
-        let pooled = m.backbone.infer_batch_in(&x, batch, phase, s);
-        let ModalInput { addr, pc } = x;
-        s.give(addr);
-        s.give(pc);
-        let logits = m.head.infer_in(&pooled, s);
-        s.give(pooled);
-        logits
+        self.model_for(phase).logits_in(&self.cfg, hists, phase, s)
     }
 
     /// [`Self::predict_deltas_batch_in`] for one window (B = 1).
@@ -529,9 +528,6 @@ mod tests {
                 if rounded {
                     model.quantize();
                 }
-                // The reference is the training forward, on clones of the
-                // phase models so the served ones keep no cache.
-                let mut reference = model.models.clone();
                 for batch in [1usize, 2, 5, 16] {
                     let refs: Vec<&[(u64, u64)]> =
                         hists[..batch].iter().map(Vec::as_slice).collect();
@@ -539,13 +535,16 @@ mod tests {
                         let fused = model.predict_deltas_batch_in(&refs, phase, 4, &mut s);
                         assert_eq!(fused.len(), batch);
                         let logits = model.predict_logits_batch_in(&refs, phase, &mut s);
-                        let m = &mut reference[phase % model.models.len()];
+                        let m = &model.models[phase % model.models.len()];
                         for (b, h) in refs.iter().enumerate() {
                             let what = format!(
                                 "{} rounded={rounded} batch={batch} lane={b} phase={phase}",
                                 v.name()
                             );
-                            let expected = m.forward(&DeltaPredictor::encode(&cfg, h), phase);
+                            // The reference is the training forward: one
+                            // window on a taping arena.
+                            let expected =
+                                m.logits_in(&cfg, &[h], phase, &mut ScratchArena::with_tape());
                             assert_eq!(bits(logits.row(b)), bits(&expected.data), "{what}");
                             assert_eq!(
                                 bits(model.predict_logits(h, phase).row(0)),

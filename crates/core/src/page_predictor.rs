@@ -79,35 +79,54 @@ impl Trainable for PageModel {
 }
 
 impl PageModel {
-    /// Training forward over one (token, pc) window: the head output — the
-    /// embedding-space projection for the tied softmax head, the bit
-    /// logits for the binary-encoded one.
-    pub(crate) fn forward(&mut self, hist: &[(usize, u64)], phase: usize) -> Matrix {
-        let tokens: Vec<usize> = hist.iter().map(|&(tk, _)| tk).collect();
-        let x = ModalInput {
-            addr: self.embed.forward(&tokens),
-            pc: pc_column(hist),
-        };
-        let pooled = self.backbone.forward(&x, phase);
-        self.head.forward(&pooled)
+    /// The one forward: the head output `[B, out]` for `hists.len()`
+    /// same-length (token, pc) windows sharing one phase — the
+    /// embedding-space projection `z` for the tied softmax head, the bit
+    /// logits for the binary-encoded one. The windows are stacked into a
+    /// single `(B·T, ·)` modal input so the embedding, backbone and head
+    /// each run once; row `b` is bit-identical to the forward on window
+    /// `b` alone. Training runs one window on a taping arena. The caller
+    /// `give`s the result back.
+    pub(crate) fn head_out_in(
+        &self,
+        hists: &[&[(usize, u64)]],
+        phase: usize,
+        s: &mut ScratchArena,
+    ) -> Matrix {
+        let batch = hists.len();
+        let t = hists.first().map_or(0, |h| h.len());
+        assert!(
+            hists.iter().all(|h| h.len() == t),
+            "fused page batch requires equal-length histories"
+        );
+        let tokens: Vec<usize> = hists
+            .iter()
+            .flat_map(|h| h.iter().map(|&(tk, _)| tk))
+            .collect();
+        let addr = self.embed.infer_in(&tokens, s);
+        let mut pc = s.take(batch * t, 1);
+        for (b, hist) in hists.iter().enumerate() {
+            for (i, &(_, pcv)) in hist.iter().enumerate() {
+                pc.data[b * t + i] = pc_feature(pcv);
+            }
+        }
+        let x = ModalInput { addr, pc };
+        let pooled = self.backbone.infer_batch_in(&x, batch, phase, s);
+        let ModalInput { addr, pc } = x;
+        s.give(addr);
+        s.give(pc);
+        let z = self.head.infer_in(&pooled, s);
+        s.give(pooled);
+        z
     }
 
     /// Backward from the head output's gradient through head, backbone and
-    /// embedding.
-    pub(crate) fn backward(&mut self, d_out: &Matrix) {
-        let dp = self.head.backward(d_out);
-        let (d_addr, _d_pc) = self.backbone.backward(&dp);
-        self.embed.backward(&d_addr);
+    /// embedding, over a taped forward of one `seq`-long window.
+    pub(crate) fn backward(&mut self, d_out: &Matrix, seq: usize, s: &mut ScratchArena) {
+        let dp = self.head.backward(d_out, s);
+        let (d_addr, _d_pc) = self.backbone.backward(&dp, seq, s);
+        self.embed.backward(&d_addr, s);
     }
-}
-
-/// The hashed-PC modality of a (token, pc) window: `[T, 1]`.
-fn pc_column(hist: &[(usize, u64)]) -> Matrix {
-    let mut pc = Matrix::zeros(hist.len(), 1);
-    for (i, &(_, pcv)) in hist.iter().enumerate() {
-        pc.data[i] = pc_feature(pcv);
-    }
-    pc
 }
 
 /// The temporal page predictor, in any of the five Table 7 variants.
@@ -227,14 +246,14 @@ impl PagePredictor {
             .collect();
         let bits = p.bits;
         let (final_loss, training) =
-            fit_phase_models("page", &mut p.models, walk, tc, |m, &((s, i), phase)| {
-                let seq = &seqs[s];
+            fit_phase_models("page", &mut p.models, walk, tc, |m, &((c, i), phase), s| {
+                let seq = &seqs[c];
                 let hist: Vec<(usize, u64)> = seq[i..i + t]
                     .iter()
                     .map(|&(tok, pc, _)| (tok, pc))
                     .collect();
                 let target = seq[i + t].0;
-                let z = m.forward(&hist, phase);
+                let z = m.head_out_in(&[&hist], phase, s);
                 let (loss, d_z) = if m.tied {
                     // logits = z · E^T (tied with the embedding).
                     let logits = z.matmul_bt(&m.embed.table.w); // [1, vocab]
@@ -255,7 +274,8 @@ impl PagePredictor {
                 } else {
                     bce_with_logits(&z, &Self::binary_target(target, bits))
                 };
-                m.backward(&d_z);
+                s.give(z);
+                m.backward(&d_z, t, s);
                 loss
             });
         p.final_loss = final_loss;
@@ -304,7 +324,7 @@ impl PagePredictor {
     /// just the live vocabulary: distillation's KD loss reads every one.
     pub fn predict_logits(&self, hist: &[(usize, u64)], phase: usize) -> Matrix {
         let m = self.model_for(phase);
-        let z = self.head_out_batch_in(&[hist], phase, &mut ScratchArena::new());
+        let z = m.head_out_in(&[hist], phase, &mut ScratchArena::new());
         if m.tied {
             z.matmul_bt(&m.embed.table.w)
         } else {
@@ -313,23 +333,22 @@ impl PagePredictor {
     }
 
     /// The one inference forward: raw head logits `[B, out]` for
-    /// `hists.len()` same-length (token, pc) windows sharing one phase.
-    /// The windows are stacked into a single `(B·T, ·)` modal input so the
-    /// embedding, backbone, head and tied vocabulary product each run
-    /// once. The tied head computes only the live vocabulary, the tokens
-    /// `vocab` maps and top-k reads, so `out` is `vocab.len()` (at least
-    /// 1, at most `page_vocab`) and row `b` is bit-identical to that
-    /// prefix of the training forward's `z·Eᵀ` on window `b`; the binary
-    /// head's row is all of it. Single windows run at B = 1. The caller
-    /// `give`s the result back.
+    /// `hists.len()` same-length (token, pc) windows sharing one phase,
+    /// from that model's one forward (the one training runs too) and one
+    /// tied vocabulary product. The tied head computes only the live
+    /// vocabulary, the tokens `vocab` maps and top-k reads, so `out` is
+    /// `vocab.len()` (at least 1, at most `page_vocab`) and row `b` is
+    /// bit-identical to that prefix of training's full-width `z·Eᵀ` on
+    /// window `b`; the binary head's row is all of it. Single windows run
+    /// at B = 1. The caller `give`s the result back.
     pub fn predict_logits_batch_in(
         &self,
         hists: &[&[(usize, u64)]],
         phase: usize,
         s: &mut ScratchArena,
     ) -> Matrix {
-        let z = self.head_out_batch_in(hists, phase, s);
         let m = self.model_for(phase);
+        let z = m.head_out_in(hists, phase, s);
         if !m.tied {
             return z;
         }
@@ -337,43 +356,6 @@ impl PagePredictor {
         z.matmul_bt_into(&m.embed.table.w, &mut logits);
         s.give(z);
         logits
-    }
-
-    /// The head output `[B, out]` of the stacked windows: the
-    /// embedding-space projection `z` for the tied head, the bit logits
-    /// for the binary one.
-    fn head_out_batch_in(
-        &self,
-        hists: &[&[(usize, u64)]],
-        phase: usize,
-        s: &mut ScratchArena,
-    ) -> Matrix {
-        let batch = hists.len();
-        let t = hists.first().map_or(0, |h| h.len());
-        assert!(
-            hists.iter().all(|h| h.len() == t),
-            "fused page batch requires equal-length histories"
-        );
-        let m = self.model_for(phase);
-        let tokens: Vec<usize> = hists
-            .iter()
-            .flat_map(|h| h.iter().map(|&(tk, _)| tk))
-            .collect();
-        let addr = m.embed.infer_in(&tokens, s);
-        let mut pc = s.take(batch * t, 1);
-        for (b, hist) in hists.iter().enumerate() {
-            for (i, &(_, pcv)) in hist.iter().enumerate() {
-                pc.data[b * t + i] = pc_feature(pcv);
-            }
-        }
-        let x = ModalInput { addr, pc };
-        let pooled = m.backbone.infer_batch_in(&x, batch, phase, s);
-        let ModalInput { addr, pc } = x;
-        s.give(addr);
-        s.give(pc);
-        let z = m.head.infer_in(&pooled, s);
-        s.give(pooled);
-        z
     }
 
     /// [`Self::predict_pages_batch_in`] for one window (B = 1).
@@ -658,9 +640,6 @@ mod tests {
                     if rounded {
                         model.quantize();
                     }
-                    // The reference is the training forward, on clones of
-                    // the phase models so the served ones keep no cache.
-                    let mut reference = model.models.clone();
                     for batch in [1usize, 2, 5, 16] {
                         let refs: Vec<&[(usize, u64)]> =
                             hists[..batch].iter().map(Vec::as_slice).collect();
@@ -675,15 +654,16 @@ mod tests {
                                 PageHead::BinaryEncoded => model.encoded_bits(),
                             };
                             assert_eq!((logits.rows, logits.cols), (batch, width));
-                            let m = &mut reference[phase % model.models.len()];
+                            let m = &model.models[phase % model.models.len()];
                             for (b, h) in refs.iter().enumerate() {
                                 let what = format!(
                                     "{} {head:?} rounded={rounded} batch={batch} lane={b} phase={phase}",
                                     v.name()
                                 );
-                                // Training forward: head output z, then
-                                // the tied head's z·Eᵀ over every slot.
-                                let z = m.forward(h, phase);
+                                // Training forward (one window, taped):
+                                // head output z, then the tied head's z·Eᵀ
+                                // over every slot.
+                                let z = m.head_out_in(&[h], phase, &mut ScratchArena::with_tape());
                                 let full = if m.tied {
                                     z.matmul_bt(&m.embed.table.w)
                                 } else {

@@ -426,10 +426,11 @@ fn append_shard(events: &mut Vec<Value>, pid: u64, shard: &ShardTrace) {
 /// trip→recover pair. `telemetry` (tid 5) carries the windowed accuracy /
 /// coverage / PBOT-hit-rate counter series and `livetel` the
 /// live-interval counter series. Events are sorted by (tid, ts) so `ts`
-/// is monotonic per track.
-pub fn chrome_trace_json_sharded(shards: &[ShardTrace]) -> Value {
+/// is monotonic per track. The shards are only read, so a caller holding
+/// them elsewhere passes borrows.
+pub fn chrome_trace_json_sharded<'a>(shards: impl IntoIterator<Item = &'a ShardTrace>) -> Value {
     let mut events: Vec<Value> = Vec::new();
-    for (i, shard) in shards.iter().enumerate() {
+    for (i, shard) in shards.into_iter().enumerate() {
         append_shard(&mut events, i as u64 + 1, shard);
     }
     obj(vec![

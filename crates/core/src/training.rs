@@ -13,6 +13,7 @@
 
 use crate::obs::{TrainMetrics, TrainRollbackMetrics};
 use mpgraph_ml::guard::{fit, FitReport, Trainable};
+use mpgraph_ml::ScratchArena;
 use mpgraph_prefetchers::TrainCfg;
 use rayon::prelude::*;
 
@@ -29,7 +30,7 @@ pub(crate) fn fit_phase_models<M, S>(
     models: &mut [M],
     walk: impl IntoIterator<Item = (S, usize)>,
     tc: &TrainCfg,
-    step: impl Fn(&mut M, &(S, usize)) -> f32 + Sync,
+    step: impl Fn(&mut M, &(S, usize), &mut ScratchArena) -> f32 + Sync,
 ) -> (f32, TrainMetrics)
 where
     M: Trainable + Send + Sync,

@@ -1,18 +1,28 @@
-//! Scratch-buffer arena for allocation-free inference.
+//! Scratch-buffer arena for allocation-free forwards, and the tape that
+//! training records on it.
 //!
 //! Every inference call in the seed implementation allocated roughly a dozen
 //! intermediate matrices; at prefetcher rates (one inference per L2 access)
 //! the allocator became a measurable part of the per-prediction latency. A
 //! [`ScratchArena`] is a free-list of `f32` buffers keyed by length: layers
 //! `take` intermediates from it and `give` them back, so after the first
-//! inference (warmup) the steady state performs no heap allocation at all.
+//! forward (warmup) the steady state performs no heap allocation at all.
 //!
 //! The arena is deliberately *not* stored inside models: models stay `Sync`
 //! and shareable across threads, and each caller (the prefetcher hot path, a
-//! bench thread, an evaluation worker) owns its own arena, passed down as
-//! `&mut` through the `infer_in` / `infer_batch_in` methods. Buffer reuse
-//! is LIFO, so the most recently released buffer — the one most likely
-//! still in cache — is handed out first.
+//! bench thread, an evaluation worker, a training loop) owns its own arena,
+//! passed down as `&mut` through the `infer_in` / `infer_batch_in` methods
+//! — each layer's one forward. Buffer reuse is LIFO, so the most recently
+//! released buffer — the one most likely still in cache — is handed out
+//! first.
+//!
+//! An arena made with [`ScratchArena::with_tape`] also carries a *tape*: a
+//! LIFO of arena buffers holding exactly what each layer's `backward`
+//! reads. A taped forward [`record`](ScratchArena::record)s those buffers
+//! instead of giving them back, and the backward, run in reverse layer
+//! order, [`pop`](ScratchArena::pop)s and gives them back. Training runs
+//! the same forward as inference this way, and a warm training step takes
+//! every buffer from the pool.
 
 use crate::tensor::{positional_encoding, Matrix};
 use std::collections::HashMap;
@@ -23,6 +33,8 @@ use std::collections::HashMap;
 pub struct ScratchArena {
     pools: HashMap<usize, Vec<Vec<f32>>>,
     pe_cache: HashMap<(usize, usize), Matrix>,
+    /// `Some` while forwards record for a backward (see the module docs).
+    tape: Option<Vec<Matrix>>,
     hits: u64,
     misses: u64,
 }
@@ -30,6 +42,55 @@ pub struct ScratchArena {
 impl ScratchArena {
     pub fn new() -> Self {
         Self::default()
+    }
+
+    /// An arena whose forwards record a tape for the backward pass. A
+    /// taped forward runs one sequence (B = 1) and computes every row of
+    /// every layer, because the backward reads them all; its output is
+    /// bit-identical to the untaped forward's.
+    pub fn with_tape() -> Self {
+        ScratchArena {
+            tape: Some(Vec::new()),
+            ..Self::default()
+        }
+    }
+
+    /// Whether forwards on this arena record a tape.
+    pub fn taping(&self) -> bool {
+        self.tape.is_some()
+    }
+
+    /// Hands a buffer the forward is done with to the tape when taping,
+    /// and back to the pool otherwise.
+    pub fn record(&mut self, m: Matrix) {
+        match &mut self.tape {
+            Some(tape) => tape.push(m),
+            None => self.give(m),
+        }
+    }
+
+    /// Records a copy of `m` (a pool buffer) when taping; a no-op
+    /// otherwise.
+    pub fn record_copy(&mut self, m: &Matrix) {
+        if self.taping() {
+            let mut copy = self.take(m.rows, m.cols);
+            copy.data.copy_from_slice(&m.data);
+            self.record(copy);
+        }
+    }
+
+    /// Pops the most recent tape entry. A backward pops its forward's
+    /// records in reverse and `give`s each back when done with it.
+    pub fn pop(&mut self) -> Matrix {
+        self.tape
+            .as_mut()
+            .and_then(Vec::pop)
+            .expect("backward without a taped forward")
+    }
+
+    /// Entries on the tape: zero once every backward has run.
+    pub fn tape_len(&self) -> usize {
+        self.tape.as_ref().map_or(0, Vec::len)
     }
 
     /// Hands out a zeroed `rows × cols` matrix, reusing a previously

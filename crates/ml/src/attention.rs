@@ -15,16 +15,6 @@ pub struct SelfAttention {
     pub wk: Param,
     pub wv: Param,
     head_dim: usize,
-    cache: Option<AttnCache>,
-}
-
-#[derive(Debug, Clone)]
-struct AttnCache {
-    x: Matrix,
-    q: Matrix,
-    k: Matrix,
-    v: Matrix,
-    attn: Matrix, // post-softmax weights
 }
 
 impl SelfAttention {
@@ -34,7 +24,6 @@ impl SelfAttention {
             wk: Param::xavier(in_dim, head_dim, rng),
             wv: Param::xavier(in_dim, head_dim, rng),
             head_dim,
-            cache: None,
         }
     }
 
@@ -42,25 +31,7 @@ impl SelfAttention {
         self.head_dim
     }
 
-    pub fn forward(&mut self, x: &Matrix) -> Matrix {
-        let q = x.matmul(&self.wq.w);
-        let k = x.matmul(&self.wk.w);
-        let v = x.matmul(&self.wv.w);
-        let mut scores = q.matmul_bt(&k);
-        scores.scale(1.0 / (self.head_dim as f32).sqrt());
-        let attn = scores.softmax_rows();
-        let y = attn.matmul(&v);
-        self.cache = Some(AttnCache {
-            x: x.clone(),
-            q,
-            k,
-            v,
-            attn,
-        });
-        y
-    }
-
-    /// Batched inference over `batch` stacked sequences: `x` is
+    /// The forward over `batch` stacked sequences: `x` is
     /// `[batch * seq, in_dim]` with each sequence occupying a contiguous
     /// block of rows. Keys and values cover every row; queries cover only
     /// the last `queries` rows of each sequence, so the result is
@@ -70,10 +41,11 @@ impl SelfAttention {
     /// single fused matmuls over the stack; attention itself is confined
     /// to each sequence's own `[queries, seq]` score block. Every kernel
     /// computes a row from its own inputs alone, so each output row is
-    /// bit-identical to the matching row of the training
-    /// [`SelfAttention::forward`] on its sequence. The result comes from
-    /// the arena; the caller `give`s it back. Single sequences run here at
-    /// `batch = 1`.
+    /// bit-identical to the matching row of the same forward on its
+    /// sequence alone with every row a query. The result comes from the
+    /// arena; the caller `give`s it back. Single sequences run at
+    /// `batch = 1`. A taped forward (B = 1, every row a query) records
+    /// `x`, Q, K, V and the attention weights for [`SelfAttention::backward`].
     pub fn infer_batch_in(
         &self,
         x: &Matrix,
@@ -87,6 +59,10 @@ impl SelfAttention {
         );
         let seq = x.rows / batch;
         assert!(queries <= seq, "more queries than rows");
+        assert!(
+            !s.taping() || (batch == 1 && queries == seq),
+            "a taped forward runs one sequence with every row a query"
+        );
         let rows = x.rows;
         let hd = self.head_dim;
         let mut q = s.take(batch * queries, hd);
@@ -123,33 +99,44 @@ impl SelfAttention {
         s.give(kb);
         s.give(vb);
         s.give(yb);
-        s.give(scores);
-        s.give(q);
-        s.give(k);
-        s.give(v);
+        s.record_copy(x);
+        s.record(q);
+        s.record(k);
+        s.record(v);
+        // At B = 1 the last score block is the whole attention matrix.
+        s.record(scores);
         y
     }
 
-    pub fn backward(&mut self, dy: &Matrix) -> Matrix {
-        let c = self.cache.as_ref().expect("forward before backward");
+    /// Pops the recorded `x`, Q, K, V and attention weights and
+    /// backpropagates `dy`.
+    pub fn backward(&mut self, dy: &Matrix, s: &mut ScratchArena) -> Matrix {
+        let attn = s.pop();
+        let v = s.pop();
+        let k = s.pop();
+        let q = s.pop();
+        let x = s.pop();
         let scale = 1.0 / (self.head_dim as f32).sqrt();
         // Y = A V
-        let d_attn = dy.matmul_bt(&c.v);
-        let dv = c.attn.matmul_at(dy);
+        let d_attn = dy.matmul_bt(&v);
+        let dv = attn.matmul_at(dy);
         // A = softmax(S)
-        let mut ds = Matrix::softmax_rows_backward(&c.attn, &d_attn);
+        let mut ds = Matrix::softmax_rows_backward(&attn, &d_attn);
         ds.scale(scale);
         // S = Q K^T (scaled already folded into ds)
-        let dq = ds.matmul(&c.k);
-        let dk = ds.matmul_at(&c.q);
+        let dq = ds.matmul(&k);
+        let dk = ds.matmul_at(&q);
         // Parameter grads.
-        self.wq.g.add_assign(&c.x.matmul_at(&dq));
-        self.wk.g.add_assign(&c.x.matmul_at(&dk));
-        self.wv.g.add_assign(&c.x.matmul_at(&dv));
+        self.wq.g.add_assign(&x.matmul_at(&dq));
+        self.wk.g.add_assign(&x.matmul_at(&dk));
+        self.wv.g.add_assign(&x.matmul_at(&dv));
         // Input grad.
         let mut dx = dq.matmul_bt(&self.wq.w);
         dx.add_assign(&dk.matmul_bt(&self.wk.w));
         dx.add_assign(&dv.matmul_bt(&self.wv.w));
+        for m in [attn, v, k, q, x] {
+            s.give(m);
+        }
         dx
     }
 }
@@ -175,7 +162,6 @@ pub struct MultiHeadAttention {
     pub heads: Vec<SelfAttention>,
     pub wo: Param,
     dim: usize,
-    cache_concat: Option<Matrix>,
 }
 
 impl MultiHeadAttention {
@@ -188,29 +174,13 @@ impl MultiHeadAttention {
                 .collect(),
             wo: Param::xavier(dim, dim, rng),
             dim,
-            cache_concat: None,
         }
     }
 
-    pub fn forward(&mut self, x: &Matrix) -> Matrix {
-        let s = x.rows;
-        let head_dim = self.dim / self.heads.len();
-        let mut concat = Matrix::zeros(s, self.dim);
-        for (h, head) in self.heads.iter_mut().enumerate() {
-            let y = head.forward(x);
-            for r in 0..s {
-                concat.row_mut(r)[h * head_dim..(h + 1) * head_dim].copy_from_slice(y.row(r));
-            }
-        }
-        let out = concat.matmul(&self.wo.w);
-        self.cache_concat = Some(concat);
-        out
-    }
-
-    /// Batched inference over `batch` stacked sequences for the last
-    /// `queries` rows of each; see [`SelfAttention::infer_batch_in`]. Each
-    /// output row is bit-identical to the matching row of the training
-    /// [`MultiHeadAttention::forward`] on its sequence.
+    /// The forward over `batch` stacked sequences for the last `queries`
+    /// rows of each; see [`SelfAttention::infer_batch_in`]. A taped
+    /// forward records each head's entries, then the concatenated heads
+    /// (Wo's input).
     pub fn infer_batch_in(
         &self,
         x: &Matrix,
@@ -230,30 +200,39 @@ impl MultiHeadAttention {
         }
         let mut out = s.take(rows, self.wo.w.cols);
         concat.matmul_into(&self.wo.w, &mut out);
-        s.give(concat);
+        s.record(concat);
         out
     }
 
-    pub fn backward(&mut self, dy: &Matrix) -> Matrix {
-        let concat = self.cache_concat.as_ref().expect("forward before backward");
+    /// Pops the recorded concatenation and every head's entries (last
+    /// head first) and backpropagates `dy`. The heads' input gradients
+    /// are summed in head order.
+    pub fn backward(&mut self, dy: &Matrix, s: &mut ScratchArena) -> Matrix {
+        let concat = s.pop();
         self.wo.g.add_assign(&concat.matmul_at(dy));
+        s.give(concat);
         let d_concat = dy.matmul_bt(&self.wo.w);
         let head_dim = self.dim / self.heads.len();
-        let mut dx: Option<Matrix> = None;
-        for (h, head) in self.heads.iter_mut().enumerate() {
-            let mut d_head = Matrix::zeros(d_concat.rows, head_dim);
-            for r in 0..d_concat.rows {
-                d_head
-                    .row_mut(r)
-                    .copy_from_slice(&d_concat.row(r)[h * head_dim..(h + 1) * head_dim]);
-            }
-            let g = head.backward(&d_head);
-            match &mut dx {
-                None => dx = Some(g),
-                Some(acc) => acc.add_assign(&g),
-            }
+        let mut grads: Vec<Matrix> = self
+            .heads
+            .iter_mut()
+            .enumerate()
+            .rev()
+            .map(|(h, head)| {
+                let mut d_head = Matrix::zeros(d_concat.rows, head_dim);
+                for r in 0..d_concat.rows {
+                    d_head
+                        .row_mut(r)
+                        .copy_from_slice(&d_concat.row(r)[h * head_dim..(h + 1) * head_dim]);
+                }
+                head.backward(&d_head, s)
+            })
+            .collect();
+        let mut dx = grads.pop().expect("at least one head");
+        for g in grads.iter().rev() {
+            dx.add_assign(g);
         }
-        dx.expect("at least one head")
+        dx
     }
 }
 
@@ -286,6 +265,22 @@ mod tests {
         v.iter().map(|x| x.to_bits()).collect()
     }
 
+    /// The forward at B = 1 with every row a query.
+    fn full(a: &SelfAttention, x: &Matrix) -> Matrix {
+        a.infer_batch_in(x, 1, x.rows, &mut ScratchArena::new())
+    }
+
+    /// [`full`] on a taping arena, returned with the tape for the
+    /// backward.
+    fn taped<F>(fwd: F, x: &Matrix) -> (Matrix, ScratchArena)
+    where
+        F: Fn(&Matrix, usize, usize, &mut ScratchArena) -> Matrix,
+    {
+        let mut s = ScratchArena::with_tape();
+        let y = fwd(x, 1, x.rows, &mut s);
+        (y, s)
+    }
+
     #[test]
     fn arena_forward_matches_training_forward_at_every_query_count() {
         let mut r = rng(8);
@@ -293,8 +288,16 @@ mod tests {
         let multi = MultiHeadAttention::new(8, 2, &mut r);
         let seq = 4;
         let seqs: Vec<Matrix> = (0..5).map(|_| Matrix::xavier(seq, 8, &mut r)).collect();
-        let single_ref: Vec<Matrix> = seqs.iter().map(|x| single.clone().forward(x)).collect();
-        let multi_ref: Vec<Matrix> = seqs.iter().map(|x| multi.clone().forward(x)).collect();
+        // The reference is the training forward: B = 1, every row a
+        // query, on a taping arena.
+        let single_ref: Vec<Matrix> = seqs
+            .iter()
+            .map(|x| taped(|x, b, q, s| single.infer_batch_in(x, b, q, s), x).0)
+            .collect();
+        let multi_ref: Vec<Matrix> = seqs
+            .iter()
+            .map(|x| taped(|x, b, q, s| multi.infer_batch_in(x, b, q, s), x).0)
+            .collect();
         let mut s = crate::arena::ScratchArena::new();
         for batch in [1usize, 2, 5] {
             let x = seqs[1..batch]
@@ -328,9 +331,9 @@ mod tests {
     #[test]
     fn self_attention_shapes() {
         let mut r = rng(1);
-        let mut a = SelfAttention::new(8, 4, &mut r);
+        let a = SelfAttention::new(8, 4, &mut r);
         let x = Matrix::xavier(5, 8, &mut r);
-        let y = a.forward(&x);
+        let y = full(&a, &x);
         assert_eq!((y.rows, y.cols), (5, 4));
         assert_eq!(a.out_dim(), 4);
     }
@@ -350,7 +353,7 @@ mod tests {
                 .collect(),
         );
         let x = Matrix::xavier(6, 4, &mut r);
-        let y = a.forward(&x);
+        let y = full(&a, &x);
         for c in 0..4 {
             let (mut lo, mut hi) = (f32::INFINITY, f32::NEG_INFINITY);
             for row in 0..6 {
@@ -369,16 +372,17 @@ mod tests {
         let mut a = SelfAttention::new(4, 3, &mut r);
         let x = Matrix::xavier(3, 4, &mut r);
         let w = Matrix::xavier(3, 3, &mut r);
-        let _ = a.forward(&x);
-        let dx = a.backward(&w);
+        let (_, mut s) = taped(|x, b, q, s| a.infer_batch_in(x, b, q, s), &x);
+        let dx = a.backward(&w, &mut s);
+        assert_eq!(s.tape_len(), 0);
         let eps = 1e-2f32;
         for i in 0..x.data.len() {
             let mut xp = x.clone();
             xp.data[i] += eps;
             let mut xm = x.clone();
             xm.data[i] -= eps;
-            let num = (weighted_sum(&a.forward(&xp), &w) - weighted_sum(&a.forward(&xm), &w))
-                / (2.0 * eps);
+            let num =
+                (weighted_sum(&full(&a, &xp), &w) - weighted_sum(&full(&a, &xm), &w)) / (2.0 * eps);
             assert!(
                 (num - dx.data[i]).abs() < 3e-2,
                 "idx {i}: {num} vs {}",
@@ -393,8 +397,8 @@ mod tests {
         let mut a = SelfAttention::new(3, 2, &mut r);
         let x = Matrix::xavier(4, 3, &mut r);
         let w = Matrix::xavier(4, 2, &mut r);
-        let _ = a.forward(&x);
-        let _ = a.backward(&w);
+        let (_, mut s) = taped(|x, b, q, s| a.infer_batch_in(x, b, q, s), &x);
+        let _ = a.backward(&w, &mut s);
         let eps = 1e-2f32;
         for (pi, get) in [(0usize, 0usize), (1, 1), (2, 0)] {
             let mut ap = a.clone();
@@ -402,8 +406,8 @@ mod tests {
             // Perturb wq[pi][get].
             *ap.wq.w.at_mut(pi, get) += eps;
             *am.wq.w.at_mut(pi, get) -= eps;
-            let num = (weighted_sum(&ap.forward(&x), &w) - weighted_sum(&am.forward(&x), &w))
-                / (2.0 * eps);
+            let num =
+                (weighted_sum(&full(&ap, &x), &w) - weighted_sum(&full(&am, &x), &w)) / (2.0 * eps);
             let analytic = a.wq.g.at(pi, get);
             assert!(
                 (num - analytic).abs() < 3e-2,
@@ -415,9 +419,9 @@ mod tests {
     #[test]
     fn multi_head_shapes_and_params() {
         let mut r = rng(5);
-        let mut mha = MultiHeadAttention::new(8, 4, &mut r);
+        let mha = MultiHeadAttention::new(8, 4, &mut r);
         let x = Matrix::xavier(6, 8, &mut r);
-        let y = mha.forward(&x);
+        let y = mha.infer_batch_in(&x, 1, 6, &mut ScratchArena::new());
         assert_eq!((y.rows, y.cols), (6, 8));
         // 4 heads × 3 matrices × 8×2 + Wo 8×8.
         assert_eq!(mha.num_params(), 4 * 3 * 16 + 64);
@@ -429,16 +433,17 @@ mod tests {
         let mut mha = MultiHeadAttention::new(4, 2, &mut r);
         let x = Matrix::xavier(3, 4, &mut r);
         let w = Matrix::xavier(3, 4, &mut r);
-        let _ = mha.forward(&x);
-        let dx = mha.backward(&w);
+        let (_, mut s) = taped(|x, b, q, s| mha.infer_batch_in(x, b, q, s), &x);
+        let dx = mha.backward(&w, &mut s);
+        assert_eq!(s.tape_len(), 0);
+        let f = |m: &Matrix| mha.infer_batch_in(m, 1, m.rows, &mut ScratchArena::new());
         let eps = 1e-2f32;
         for i in [0usize, 3, 7, 11] {
             let mut xp = x.clone();
             xp.data[i] += eps;
             let mut xm = x.clone();
             xm.data[i] -= eps;
-            let num = (weighted_sum(&mha.forward(&xp), &w) - weighted_sum(&mha.forward(&xm), &w))
-                / (2.0 * eps);
+            let num = (weighted_sum(&f(&xp), &w) - weighted_sum(&f(&xm), &w)) / (2.0 * eps);
             assert!(
                 (num - dx.data[i]).abs() < 3e-2,
                 "idx {i}: {num} vs {}",

@@ -15,8 +15,11 @@
 //! workspace — both MPGraph predictors, their distilled students and the
 //! three ML baselines — trains through it, so how a model trains (optimizer
 //! order, checkpoint cadence, rollback and loss bookkeeping) is decided in
-//! one place.
+//! one place. It also owns the taping [`ScratchArena`] each step's forward
+//! records on and its backward drains, so a model trains through the same
+//! forward it serves with.
 
+use crate::arena::ScratchArena;
 use crate::layers::Module;
 use crate::optim::Adam;
 
@@ -229,25 +232,29 @@ impl FitReport {
 /// Trains `model` for `epochs` passes over `samples` with Adam at `lr`,
 /// guarded by a [`TrainGuard`] checkpointing every
 /// [`TRAIN_CHECKPOINT_INTERVAL`] steps. `step` runs one sample's forward
-/// and backward pass and returns its loss; `fit` then applies one
-/// [`Adam::step`] per [`Trainable::parts`] entry, in that order, and lets
-/// the guard observe the same parts. A rolled-back step's loss is dropped;
-/// an exhausted guard ends training, leaving the report on the last epoch
-/// that completed.
+/// on the taping arena it is handed, then the backward that drains the
+/// tape, and returns the loss; `fit` then applies one [`Adam::step`] per
+/// [`Trainable::parts`] entry, in that order, and lets the guard observe
+/// the same parts. One arena serves every step, so once the first step
+/// has filled its pool a step takes all its buffers from it. A
+/// rolled-back step's loss is dropped; an exhausted guard ends training,
+/// leaving the report on the last epoch that completed.
 pub fn fit<M: Trainable + ?Sized, S>(
     model: &mut M,
     samples: &[S],
     epochs: usize,
     lr: f32,
-    mut step: impl FnMut(&mut M, &S) -> f32,
+    mut step: impl FnMut(&mut M, &S, &mut ScratchArena) -> f32,
 ) -> FitReport {
     let mut opt = Adam::new(lr);
     let mut guard = TrainGuard::new(TRAIN_CHECKPOINT_INTERVAL);
     let mut report = FitReport::default();
+    let mut arena = ScratchArena::with_tape();
     for _ in 0..epochs {
         let (mut loss_sum, mut count) = (0.0f32, 0usize);
         for sample in samples {
-            let loss = step(model, sample);
+            let loss = step(model, sample, &mut arena);
+            assert_eq!(arena.tape_len(), 0, "a step's backward must drain its tape");
             let mut parts = model.parts();
             for part in parts.iter_mut() {
                 opt.step(&mut **part);
@@ -386,14 +393,17 @@ mod tests {
 
     /// One regression step toward y = 2x - 1. On the (1-based) calls
     /// listed in `bad` it reports a NaN loss, as a poisoned batch would.
-    fn regress(bad: &'static [u64]) -> impl FnMut(&mut TwoPart, &f32) -> f32 {
+    fn regress(bad: &'static [u64]) -> impl FnMut(&mut TwoPart, &f32, &mut ScratchArena) -> f32 {
         let mut calls = 0u64;
-        move |m, &x| {
+        move |m, &x, s| {
             calls += 1;
-            let h = m.a.forward(&Matrix::from_vec(1, 2, vec![x, 1.0 - x]));
-            let err = m.b.forward(&h).data[0] - (2.0 * x - 1.0);
-            let dh = m.b.backward(&Matrix::from_vec(1, 1, vec![err]));
-            m.a.backward(&dh);
+            let h = m.a.infer_in(&Matrix::from_vec(1, 2, vec![x, 1.0 - x]), s);
+            let y = m.b.infer_in(&h, s);
+            let err = y.data[0] - (2.0 * x - 1.0);
+            s.give(h);
+            s.give(y);
+            let dh = m.b.backward(&Matrix::from_vec(1, 1, vec![err]), s);
+            m.a.backward(&dh, s);
             if bad.contains(&calls) {
                 f32::NAN
             } else {
@@ -430,13 +440,14 @@ mod tests {
         // guard over the same parts.
         let mut hand = model.clone();
         let mut step = regress(BAD);
+        let mut arena = ScratchArena::with_tape();
         let mut opt = Adam::new(lr);
         let mut guard = TrainGuard::new(TRAIN_CHECKPOINT_INTERVAL);
         let mut want = FitReport::default();
         'epochs: for _ in 0..epochs {
             let (mut loss_sum, mut count) = (0.0f32, 0usize);
             for x in &samples {
-                let loss = step(&mut hand, x);
+                let loss = step(&mut hand, x, &mut arena);
                 opt.step(&mut hand.a);
                 opt.step(&mut hand.b);
                 want.steps += 1;
@@ -489,6 +500,61 @@ mod tests {
         let report = fit(&mut m, &[0.5f32], 0, 0.01, regress(&[]));
         assert_eq!((report.steps, report.count), (0, 0));
         assert!(report.mean_loss().is_nan());
+    }
+
+    /// An embedding, a transformer layer and a dense head: every kind of
+    /// tape entry a model records.
+    struct Tiny {
+        embed: crate::layers::Embedding,
+        layer: crate::transformer::TransformerLayer,
+        head: Linear,
+    }
+
+    impl Trainable for Tiny {
+        fn parts(&mut self) -> Vec<&mut dyn Module> {
+            vec![&mut self.embed, &mut self.layer, &mut self.head]
+        }
+    }
+
+    #[test]
+    fn arena_misses_stay_flat_after_the_first_fit_step() {
+        let mut r = rng(10);
+        let mut m = Tiny {
+            embed: crate::layers::Embedding::new(6, 8, &mut r),
+            layer: crate::transformer::TransformerLayer::new(8, 2, &mut r),
+            head: Linear::new(8, 6, &mut r),
+        };
+        let samples: Vec<[usize; 4]> = (0..12).map(|i| [i % 6, (i + 1) % 6, 2, i % 3]).collect();
+        // Misses at the start and at the end of every step.
+        let mut misses: Vec<(u64, u64)> = Vec::new();
+        let report = fit(&mut m, &samples, 2, 0.01, |m, toks, s| {
+            let before = s.stats().1;
+            let x = m.embed.infer_in(toks, s);
+            let h = m.layer.infer_batch_in(&x, 1, toks.len(), s);
+            s.give(x);
+            let last = s.take_trailing_rows(&h, 1, 1);
+            s.give(h);
+            let logits = m.head.infer_in(&last, s);
+            s.give(last);
+            let (loss, d) = crate::loss::softmax_cross_entropy(&logits, &[toks[0]]);
+            s.give(logits);
+            let d_last = m.head.backward(&d, s);
+            let dh = crate::transformer::readout_backward(
+                std::slice::from_mut(&mut m.layer),
+                &d_last,
+                toks.len(),
+                s,
+            );
+            m.embed.backward(&dh, s);
+            misses.push((before, s.stats().1));
+            loss
+        });
+        assert_eq!(report.steps, 24);
+        let warm = misses[0].1;
+        assert!(warm > 0, "the first step fills the pool");
+        for (step, &(before, after)) in misses.iter().enumerate().skip(1) {
+            assert_eq!((before, after), (warm, warm), "step {step} allocated");
+        }
     }
 
     #[test]

@@ -1,10 +1,14 @@
 //! Trainable layers with explicit forward/backward passes.
 //!
 //! Every layer owns its [`Param`]s (weights + gradient + Adam moments) and
-//! caches whatever activations its backward pass needs. Models are composed
-//! by calling the layers in order and backpropagating in reverse — no tape,
-//! no dynamic graph: the model shapes in this project are small and fixed,
-//! so explicit composition is simpler and faster.
+//! has one forward, `infer_in` (or `infer_inplace`), which takes its
+//! intermediates from a [`ScratchArena`]. Inference and training run that
+//! same forward: on an arena made with [`ScratchArena::with_tape`] it also
+//! records exactly what the layer's `backward` reads onto the arena's tape,
+//! and the backward pops it. Models are composed by calling the layers in
+//! order and backpropagating in reverse, so the tape is a plain LIFO of
+//! buffers, not a graph: the model shapes in this project are small and
+//! fixed, and layers hold no activations between the two passes.
 
 use crate::arena::ScratchArena;
 use crate::tensor::Matrix;
@@ -83,7 +87,6 @@ pub trait Module {
 pub struct Linear {
     pub w: Param,
     pub b: Param,
-    cache_x: Option<Matrix>,
 }
 
 impl Linear {
@@ -91,29 +94,31 @@ impl Linear {
         Linear {
             w: Param::xavier(in_dim, out_dim, rng),
             b: Param::zeros(1, out_dim),
-            cache_x: None,
         }
     }
 
-    pub fn forward(&mut self, x: &Matrix) -> Matrix {
-        let mut y = x.matmul(&self.w.w);
-        y.add_bias(&self.b.w.data);
-        self.cache_x = Some(x.clone());
-        y
-    }
-
-    /// Inference-only forward into an arena-owned buffer (no allocation
-    /// after warmup). The caller is responsible for `give`-ing the result
-    /// back once it is done with it.
+    /// The forward into an arena-owned buffer (no allocation after
+    /// warmup); the caller `give`s the result back. Records a copy of `x`
+    /// when taping.
     pub fn infer_in(&self, x: &Matrix, s: &mut ScratchArena) -> Matrix {
         let mut y = s.take(x.rows, self.w.w.cols);
         x.matmul_into(&self.w.w, &mut y);
         y.add_bias(&self.b.w.data);
+        s.record_copy(x);
         y
     }
 
-    pub fn backward(&mut self, dy: &Matrix) -> Matrix {
-        let x = self.cache_x.as_ref().expect("forward before backward");
+    /// Pops the recorded input and backpropagates `dy` through it.
+    pub fn backward(&mut self, dy: &Matrix, s: &mut ScratchArena) -> Matrix {
+        let x = s.pop();
+        let dx = self.backward_from(&x, dy);
+        s.give(x);
+        dx
+    }
+
+    /// The backward for input `x`: accumulates the weight and bias
+    /// gradients and returns `dy Wᵀ`.
+    pub(crate) fn backward_from(&mut self, x: &Matrix, dy: &Matrix) -> Matrix {
         self.w.g.add_assign(&x.matmul_at(dy));
         for r in 0..dy.rows {
             for c in 0..dy.cols {
@@ -144,42 +149,33 @@ impl Module for Linear {
 #[derive(Debug, Clone)]
 pub struct Embedding {
     pub table: Param,
-    cache_tokens: Vec<usize>,
 }
 
 impl Embedding {
     pub fn new(vocab: usize, dim: usize, rng: &mut ChaCha8Rng) -> Self {
         Embedding {
             table: Param::xavier(vocab, dim, rng),
-            cache_tokens: Vec::new(),
         }
     }
 
-    pub fn forward(&mut self, tokens: &[usize]) -> Matrix {
-        self.cache_tokens = tokens.to_vec();
-        let mut out = Matrix::zeros(tokens.len(), self.table.w.cols);
-        self.lookup_into(tokens, &mut out);
-        out
-    }
-
-    /// Inference-only lookup into an arena-owned buffer.
+    /// Lookup into an arena-owned buffer. Records the token ids when
+    /// taping.
     pub fn infer_in(&self, tokens: &[usize], s: &mut ScratchArena) -> Matrix {
         let mut out = s.take(tokens.len(), self.table.w.cols);
-        self.lookup_into(tokens, &mut out);
-        out
-    }
-
-    fn lookup_into(&self, tokens: &[usize], out: &mut Matrix) {
         for (i, &t) in tokens.iter().enumerate() {
             assert!(t < self.table.w.rows, "token {t} out of vocab");
             out.row_mut(i).copy_from_slice(self.table.w.row(t));
         }
+        Self::record_ids(tokens.iter().copied(), s);
+        out
     }
 
     /// Adds the embedding row for `token` to every row of `m` — the
     /// broadcast form AMMA-PI uses to mix a phase embedding into a fused
-    /// sequence without materializing the repeated-token matrix.
-    pub fn add_row_broadcast(&self, token: usize, m: &mut Matrix) {
+    /// sequence without materializing the repeated-token matrix. Records
+    /// the repeated token ids when taping, so [`Embedding::backward`]
+    /// undoes it like a lookup of `m.rows` copies of `token`.
+    pub fn add_row_broadcast(&self, token: usize, m: &mut Matrix, s: &mut ScratchArena) {
         assert!(token < self.table.w.rows, "token {token} out of vocab");
         let row = self.table.w.row(token);
         assert_eq!(row.len(), m.cols, "embedding dim mismatch");
@@ -188,16 +184,34 @@ impl Embedding {
                 *a += b;
             }
         }
+        Self::record_ids(std::iter::repeat_n(token, m.rows), s);
     }
 
-    pub fn backward(&mut self, dy: &Matrix) {
+    /// Records token ids for [`Embedding::backward`] when taping, as a
+    /// `[n, 1]` column (exact in `f32` below 2^24).
+    fn record_ids(tokens: impl ExactSizeIterator<Item = usize>, s: &mut ScratchArena) {
+        if s.taping() {
+            let mut ids = s.take(tokens.len(), 1);
+            for (v, t) in ids.data.iter_mut().zip(tokens) {
+                *v = t as f32;
+            }
+            s.record(ids);
+        }
+    }
+
+    /// Pops the recorded token ids and adds each row of `dy` to its
+    /// token's gradient row, in row order.
+    pub fn backward(&mut self, dy: &Matrix, s: &mut ScratchArena) {
+        let ids = s.pop();
         let dim = self.table.w.cols;
-        for (i, &t) in self.cache_tokens.iter().enumerate() {
+        for (i, &t) in ids.data.iter().enumerate() {
+            let t = t as usize;
             let g = &mut self.table.g.data[t * dim..(t + 1) * dim];
             for (gv, dv) in g.iter_mut().zip(dy.row(i).iter()) {
                 *gv += dv;
             }
         }
+        s.give(ids);
     }
 }
 
@@ -215,21 +229,15 @@ impl Module for Embedding {
 // Activations
 // ---------------------------------------------------------------------------
 
-/// ReLU with cached mask.
-#[derive(Debug, Clone, Default)]
-pub struct Relu {
-    mask: Vec<bool>,
-}
+/// ReLU. It has no backward of its own: a ReLU's output is positive
+/// exactly where its input is (NaN and ±0 included), so the layer after it
+/// masks the gradient with the output it already records (see
+/// [`crate::transformer::FeedForward`]).
+#[derive(Debug, Clone, Copy, Default)]
+pub struct Relu;
 
 impl Relu {
-    pub fn forward(&mut self, x: &Matrix) -> Matrix {
-        self.mask = x.data.iter().map(|&v| v > 0.0).collect();
-        let mut y = x.clone();
-        Self::infer_inplace(&mut y);
-        y
-    }
-
-    /// In-place ReLU for the allocation-free inference path.
+    /// In-place ReLU.
     pub fn infer_inplace(x: &mut Matrix) {
         for v in x.data.iter_mut() {
             if *v < 0.0 {
@@ -237,51 +245,25 @@ impl Relu {
             }
         }
     }
-
-    pub fn backward(&self, dy: &Matrix) -> Matrix {
-        let mut dx = dy.clone();
-        for (v, &m) in dx.data.iter_mut().zip(self.mask.iter()) {
-            if !m {
-                *v = 0.0;
-            }
-        }
-        dx
-    }
 }
 
-/// Elementwise logistic sigmoid with cached output.
-#[derive(Debug, Clone, Default)]
-pub struct Sigmoid {
-    y: Option<Matrix>,
-}
+/// Elementwise logistic sigmoid. The losses fold its gradient into theirs
+/// ([`crate::loss::bce_with_logits`]), so it has no backward.
+#[derive(Debug, Clone, Copy, Default)]
+pub struct Sigmoid;
 
 impl Sigmoid {
-    pub fn forward(&mut self, x: &Matrix) -> Matrix {
-        let y = Self::infer(x);
-        self.y = Some(y.clone());
-        y
-    }
-
     pub fn infer(x: &Matrix) -> Matrix {
         let mut y = x.clone();
         Self::infer_inplace(&mut y);
         y
     }
 
-    /// In-place sigmoid for the allocation-free inference path.
+    /// In-place sigmoid.
     pub fn infer_inplace(x: &mut Matrix) {
         for v in x.data.iter_mut() {
             *v = 1.0 / (1.0 + (-*v).exp());
         }
-    }
-
-    pub fn backward(&self, dy: &Matrix) -> Matrix {
-        let y = self.y.as_ref().expect("forward before backward");
-        let mut dx = dy.clone();
-        for (d, &s) in dx.data.iter_mut().zip(y.data.iter()) {
-            *d *= s * (1.0 - s);
-        }
-        dx
     }
 }
 
@@ -295,7 +277,6 @@ pub struct LayerNorm {
     pub gamma: Param,
     pub beta: Param,
     eps: f32,
-    cache: Option<(Matrix, Vec<f32>, Vec<f32>)>, // (normalized x̂, mean, inv_std)
 }
 
 impl LayerNorm {
@@ -304,58 +285,45 @@ impl LayerNorm {
             gamma: Param::new(Matrix::from_vec(1, dim, vec![1.0; dim])),
             beta: Param::zeros(1, dim),
             eps: 1e-5,
-            cache: None,
         }
-    }
-
-    pub fn forward(&mut self, x: &Matrix) -> Matrix {
-        let d = x.cols;
-        let mut xhat = Matrix::zeros(x.rows, d);
-        let mut means = Vec::with_capacity(x.rows);
-        let mut inv_stds = Vec::with_capacity(x.rows);
-        for r in 0..x.rows {
-            let row = x.row(r);
-            let mean = row.iter().sum::<f32>() / d as f32;
-            let var = row.iter().map(|v| (v - mean) * (v - mean)).sum::<f32>() / d as f32;
-            let inv = 1.0 / (var + self.eps).sqrt();
-            for (c, &v) in row.iter().enumerate() {
-                xhat.data[r * d + c] = (v - mean) * inv;
-            }
-            means.push(mean);
-            inv_stds.push(inv);
-        }
-        let mut y = xhat.clone();
-        for r in 0..y.rows {
-            for c in 0..d {
-                y.data[r * d + c] = y.data[r * d + c] * self.gamma.w.data[c] + self.beta.w.data[c];
-            }
-        }
-        self.cache = Some((xhat, means, inv_stds));
-        y
     }
 
     /// In-place layer norm: row statistics are computed before the row is
-    /// overwritten, so normalizing in place is exact (allocation-free
-    /// inference path).
-    pub fn infer_inplace(&self, x: &mut Matrix) {
+    /// overwritten, so normalizing in place is exact. When taping, records
+    /// the normalized rows x̂ and each row's `inv_std` — computed by the
+    /// same expressions, so the output keeps its bits.
+    pub fn infer_inplace(&self, x: &mut Matrix, s: &mut ScratchArena) {
         let d = x.cols;
+        let mut rec = s.taping().then(|| (s.take(x.rows, d), s.take(x.rows, 1)));
         for r in 0..x.rows {
             let row = x.row_mut(r);
             let mean = row.iter().sum::<f32>() / d as f32;
             let var = row.iter().map(|v| (v - mean) * (v - mean)).sum::<f32>() / d as f32;
             let inv = 1.0 / (var + self.eps).sqrt();
+            if let Some((xhat, inv_std)) = &mut rec {
+                for (h, &v) in xhat.row_mut(r).iter_mut().zip(row.iter()) {
+                    *h = (v - mean) * inv;
+                }
+                inv_std.data[r] = inv;
+            }
             for (c, v) in row.iter_mut().enumerate() {
                 *v = (*v - mean) * inv * self.gamma.w.data[c] + self.beta.w.data[c];
             }
         }
+        if let Some((xhat, inv_std)) = rec {
+            s.record(xhat);
+            s.record(inv_std);
+        }
     }
 
-    pub fn backward(&mut self, dy: &Matrix) -> Matrix {
-        let (xhat, _means, inv_stds) = self.cache.as_ref().expect("forward before backward");
+    /// Pops the recorded x̂ and `inv_std` and backpropagates `dy`.
+    pub fn backward(&mut self, dy: &Matrix, s: &mut ScratchArena) -> Matrix {
+        let inv_std = s.pop();
+        let xhat = s.pop();
         let d = dy.cols as f32;
         let cols = dy.cols;
         let mut dx = Matrix::zeros(dy.rows, cols);
-        for (r, &inv) in inv_stds.iter().enumerate() {
+        for (r, &inv) in inv_std.data.iter().enumerate() {
             // Accumulate parameter grads.
             for c in 0..cols {
                 self.gamma.g.data[c] += dy.at(r, c) * xhat.at(r, c);
@@ -376,6 +344,8 @@ impl LayerNorm {
                     inv / d * (d * dxh - sum_dxhat - xhat.at(r, c) * sum_dxhat_xhat);
             }
         }
+        s.give(inv_std);
+        s.give(xhat);
         dx
     }
 }
@@ -433,13 +403,20 @@ mod tests {
         }
     }
 
+    fn bits(v: &[f32]) -> Vec<u32> {
+        v.iter().map(|x| x.to_bits()).collect()
+    }
+
     #[test]
     fn linear_forward_known() {
         let mut r = rng(1);
         let mut l = Linear::new(2, 2, &mut r);
         l.w.w = Matrix::from_vec(2, 2, vec![1., 2., 3., 4.]);
         l.b.w = Matrix::from_vec(1, 2, vec![0.5, -0.5]);
-        let y = l.forward(&Matrix::from_vec(1, 2, vec![1., 1.]));
+        let y = l.infer_in(
+            &Matrix::from_vec(1, 2, vec![1., 1.]),
+            &mut ScratchArena::new(),
+        );
         assert_eq!(y.data, vec![4.5, 5.5]);
     }
 
@@ -449,10 +426,17 @@ mod tests {
         let mut l = Linear::new(3, 2, &mut r);
         let x = Matrix::xavier(4, 3, &mut r);
         let w = Matrix::xavier(4, 2, &mut r); // loss weighting
-        let _y = l.forward(&x);
-        let dx = l.backward(&w);
-        let mut l2 = l.clone();
-        check_input_grad(&x, |xx| l2.forward(xx), &dx, &w, 2e-2);
+        let mut s = ScratchArena::with_tape();
+        let _y = l.infer_in(&x, &mut s);
+        let dx = l.backward(&w, &mut s);
+        assert_eq!(s.tape_len(), 0);
+        check_input_grad(
+            &x,
+            |xx| l.infer_in(xx, &mut ScratchArena::new()),
+            &dx,
+            &w,
+            2e-2,
+        );
         // Weight gradient check on one entry.
         let eps = 1e-2f32;
         let (wi, wj) = (1, 0);
@@ -460,15 +444,15 @@ mod tests {
         *lp.w.w.at_mut(wi, wj) += eps;
         let mut lm = l.clone();
         *lm.w.w.at_mut(wi, wj) -= eps;
-        let f = |m: &mut Linear| -> f32 {
-            m.forward(&x)
+        let f = |m: &Linear| -> f32 {
+            m.infer_in(&x, &mut ScratchArena::new())
                 .data
                 .iter()
                 .zip(w.data.iter())
                 .map(|(a, b)| a * b)
                 .sum()
         };
-        let num = (f(&mut lp) - f(&mut lm)) / (2.0 * eps);
+        let num = (f(&lp) - f(&lm)) / (2.0 * eps);
         assert!((num - l.w.g.at(wi, wj)).abs() < 2e-2);
     }
 
@@ -476,51 +460,55 @@ mod tests {
     fn embedding_lookup_and_backward() {
         let mut r = rng(3);
         let mut e = Embedding::new(10, 4, &mut r);
-        let y = e.forward(&[3, 3, 7]);
+        let mut s = ScratchArena::with_tape();
+        let y = e.infer_in(&[3, 3, 7], &mut s);
         assert_eq!(y.rows, 3);
         assert_eq!(y.row(0), y.row(1));
         let mut dy = Matrix::zeros(3, 4);
         dy.data.fill(1.0);
-        e.backward(&dy);
+        e.backward(&dy, &mut s);
         // Token 3 appears twice: gradient 2.0 per element; token 7 once.
         assert!(e.table.g.row(3).iter().all(|&g| (g - 2.0).abs() < 1e-6));
         assert!(e.table.g.row(7).iter().all(|&g| (g - 1.0).abs() < 1e-6));
         assert!(e.table.g.row(0).iter().all(|&g| g == 0.0));
+        // The broadcast form backpropagates like a lookup of the repeated
+        // token.
+        let mut m = Matrix::zeros(3, 4);
+        e.add_row_broadcast(7, &mut m, &mut s);
+        assert_eq!(bits(m.row(2)), bits(e.table.w.row(7)));
+        e.backward(&dy, &mut s);
+        assert!(e.table.g.row(7).iter().all(|&g| (g - 4.0).abs() < 1e-6));
+        assert_eq!(s.tape_len(), 0);
     }
 
     #[test]
     #[should_panic(expected = "out of vocab")]
     fn embedding_rejects_oov() {
         let mut r = rng(4);
-        let mut e = Embedding::new(4, 2, &mut r);
-        let _ = e.forward(&[4]);
+        let e = Embedding::new(4, 2, &mut r);
+        let _ = e.infer_in(&[4], &mut ScratchArena::new());
     }
 
     #[test]
     fn relu_masks_negative() {
-        let mut relu = Relu::default();
-        let y = relu.forward(&Matrix::from_vec(1, 4, vec![-1., 0., 2., -3.]));
-        assert_eq!(y.data, vec![0., 0., 2., 0.]);
-        let dx = relu.backward(&Matrix::from_vec(1, 4, vec![1., 1., 1., 1.]));
-        assert_eq!(dx.data, vec![0., 0., 1., 0.]);
-    }
-
-    #[test]
-    fn sigmoid_gradient_matches_finite_difference() {
-        let x = Matrix::from_vec(1, 3, vec![-0.5, 0.2, 1.3]);
-        let w = Matrix::from_vec(1, 3, vec![0.7, -0.4, 0.9]);
-        let mut s = Sigmoid::default();
-        let _ = s.forward(&x);
-        let dx = s.backward(&w);
-        check_input_grad(&x, Sigmoid::infer, &dx, &w, 1e-3);
+        let mut y = Matrix::from_vec(1, 6, vec![-1., 0., 2., -3., -0.0, f32::NAN]);
+        Relu::infer_inplace(&mut y);
+        assert_eq!(bits(&y.data[..5]), bits(&[0., 0., 2., 0., -0.0]));
+        assert!(y.data[5].is_nan());
+        // The output is positive exactly where the input was: the mask the
+        // feed-forward backward reads off the recorded output.
+        let input = [-1., 0., 2., -3., -0.0, f32::NAN];
+        for (&out, &inp) in y.data.iter().zip(input.iter()) {
+            assert_eq!(out > 0.0, inp > 0.0);
+        }
     }
 
     #[test]
     fn layernorm_output_is_normalized() {
-        let mut ln = LayerNorm::new(8);
+        let ln = LayerNorm::new(8);
         let mut r = rng(5);
-        let x = Matrix::xavier(3, 8, &mut r);
-        let y = ln.forward(&x);
+        let mut y = Matrix::xavier(3, 8, &mut r);
+        ln.infer_inplace(&mut y, &mut ScratchArena::new());
         for row in 0..3 {
             let mean: f32 = y.row(row).iter().sum::<f32>() / 8.0;
             let var: f32 = y.row(row).iter().map(|v| (v - mean).powi(2)).sum::<f32>() / 8.0;
@@ -538,10 +526,25 @@ mod tests {
         ln.beta.w = Matrix::from_vec(1, 5, vec![0.1, -0.2, 0.0, 0.3, -0.1]);
         let x = Matrix::xavier(2, 5, &mut r);
         let w = Matrix::xavier(2, 5, &mut r);
-        let _ = ln.forward(&x);
-        let dx = ln.backward(&w);
-        let mut ln2 = ln.clone();
-        check_input_grad(&x, |xx| ln2.forward(xx), &dx, &w, 3e-2);
+        let infer = |ln: &LayerNorm, xx: &Matrix, s: &mut ScratchArena| {
+            let mut y = xx.clone();
+            ln.infer_inplace(&mut y, s);
+            y
+        };
+        let mut s = ScratchArena::with_tape();
+        let taped = infer(&ln, &x, &mut s);
+        // Recording x̂ and inv_std leaves the output's bits alone.
+        let plain = infer(&ln, &x, &mut ScratchArena::new());
+        assert_eq!(bits(&taped.data), bits(&plain.data));
+        let dx = ln.backward(&w, &mut s);
+        assert_eq!(s.tape_len(), 0);
+        check_input_grad(
+            &x,
+            |xx| infer(&ln, xx, &mut ScratchArena::new()),
+            &dx,
+            &w,
+            3e-2,
+        );
     }
 
     #[test]
@@ -560,8 +563,9 @@ mod tests {
         let mut r = rng(8);
         let mut l = Linear::new(2, 2, &mut r);
         let x = Matrix::from_vec(1, 2, vec![1., 2.]);
-        let _ = l.forward(&x);
-        let _ = l.backward(&Matrix::from_vec(1, 2, vec![1., 1.]));
+        let mut s = ScratchArena::with_tape();
+        let _ = l.infer_in(&x, &mut s);
+        let _ = l.backward(&Matrix::from_vec(1, 2, vec![1., 1.]), &mut s);
         assert!(l.w.g.norm() > 0.0);
         l.zero_grad();
         assert_eq!(l.w.g.norm(), 0.0);

@@ -1,7 +1,8 @@
 //! # mpgraph-ml
 //!
 //! From-scratch neural-network substrate for the MPGraph reproduction:
-//! dense tensors, trainable layers with explicit backward passes (Linear,
+//! dense tensors, trainable layers with one arena forward each and explicit
+//! backward passes that read what a taped forward recorded (Linear,
 //! Embedding, LayerNorm, activations), scaled dot-product and multi-head
 //! attention, Transformer encoder layers, an LSTM with BPTT (for the
 //! paper's baselines), the Adam optimizer, the one guarded training loop
@@ -28,10 +29,13 @@
 //! }
 //! let mut line = Line(Linear::new(1, 1, &mut rng(0)));
 //! let xs = [-1.0f32, 0.5, 1.0, 2.0];
-//! let report = fit(&mut line, &[()], 200, 0.05, |m, _| {
-//!     let y = m.0.forward(&Matrix::from_vec(4, 1, xs.to_vec()));
+//! // Each step runs the layer's one forward on `fit`'s taping arena, then
+//! // the backward that pops what the forward recorded.
+//! let report = fit(&mut line, &[()], 200, 0.05, |m, _, s| {
+//!     let y = m.0.infer_in(&Matrix::from_vec(4, 1, xs.to_vec()), s);
 //!     let d: Vec<f32> = (0..4).map(|i| (y.data[i] - 3.0 * xs[i]) / 4.0).collect();
-//!     m.0.backward(&Matrix::from_vec(4, 1, d.clone()));
+//!     s.give(y);
+//!     m.0.backward(&Matrix::from_vec(4, 1, d.clone()), s);
 //!     d.iter().map(|e| 2.0 * e * e).sum()
 //! });
 //! assert!(report.rollbacks.is_empty());

@@ -12,19 +12,6 @@ fn sigmoid(x: f32) -> f32 {
     1.0 / (1.0 + (-x).exp())
 }
 
-/// Per-timestep cache for BPTT.
-#[derive(Debug, Clone)]
-struct StepCache {
-    x: Vec<f32>,
-    h_prev: Vec<f32>,
-    c_prev: Vec<f32>,
-    i: Vec<f32>,
-    f: Vec<f32>,
-    g: Vec<f32>,
-    o: Vec<f32>,
-    tanh_c: Vec<f32>,
-}
-
 /// Single-layer LSTM. Gate order in the packed weight matrices: input,
 /// forget, cell, output.
 #[derive(Debug, Clone)]
@@ -34,8 +21,11 @@ pub struct Lstm {
     pub b: Param,    // [1, 4h]
     in_dim: usize,
     hidden: usize,
-    cache: Vec<StepCache>,
 }
+
+/// Columns of one timestep's taped row: the gates `i, f, g, o`, then `c`,
+/// `tanh(c)` and `h`, each `hidden` wide.
+const STEP_SLOTS: usize = 7;
 
 impl Lstm {
     pub fn new(in_dim: usize, hidden: usize, rng: &mut ChaCha8Rng) -> Self {
@@ -50,7 +40,6 @@ impl Lstm {
             b,
             in_dim,
             hidden,
-            cache: Vec::new(),
         }
     }
 
@@ -83,72 +72,25 @@ impl Lstm {
         }
     }
 
-    fn step(&self, x: &[f32], h_prev: &[f32], c_prev: &[f32]) -> (StepCache, Vec<f32>, Vec<f32>) {
-        let h = self.hidden;
-        let mut z = vec![0.0; 4 * h];
-        self.gates_into(x, h_prev, &mut z);
-        let mut i = vec![0.0; h];
-        let mut f = vec![0.0; h];
-        let mut g = vec![0.0; h];
-        let mut o = vec![0.0; h];
-        for j in 0..h {
-            i[j] = sigmoid(z[j]);
-            f[j] = sigmoid(z[h + j]);
-            g[j] = z[2 * h + j].tanh();
-            o[j] = sigmoid(z[3 * h + j]);
-        }
-        let mut c = vec![0.0; h];
-        let mut tanh_c = vec![0.0; h];
-        let mut h_new = vec![0.0; h];
-        for j in 0..h {
-            c[j] = f[j] * c_prev[j] + i[j] * g[j];
-            tanh_c[j] = c[j].tanh();
-            h_new[j] = o[j] * tanh_c[j];
-        }
-        let cache = StepCache {
-            x: x.to_vec(),
-            h_prev: h_prev.to_vec(),
-            c_prev: c_prev.to_vec(),
-            i,
-            f,
-            g,
-            o,
-            tanh_c,
-        };
-        (cache, h_new, c)
-    }
-
-    /// Runs the sequence `x` ([S, in_dim]) from zero state; returns the
-    /// hidden states [S, hidden]. Caches for backward.
-    pub fn forward(&mut self, x: &Matrix) -> Matrix {
-        assert_eq!(x.cols, self.in_dim);
-        self.cache.clear();
-        let mut h = vec![0.0; self.hidden];
-        let mut c = vec![0.0; self.hidden];
-        let mut out = Matrix::zeros(x.rows, self.hidden);
-        for t in 0..x.rows {
-            let (cache, h_new, c_new) = self.step(x.row(t), &h, &c);
-            out.row_mut(t).copy_from_slice(&h_new);
-            self.cache.push(cache);
-            h = h_new;
-            c = c_new;
-        }
-        out
-    }
-
-    /// Batched inference over `batch` stacked sequences (`x` is
+    /// The forward over `batch` stacked sequences (`x` is
     /// `[batch * seq, in_dim]`, each sequence contiguous): every sequence
     /// runs its own recurrence from zero state, advanced in lock-step so
     /// the gate weights stream through cache once per timestep instead of
-    /// once per sequence. The recurrence updates the hidden and cell state
-    /// in place, so the steady state allocates nothing. Bit-identical to
-    /// the training [`Lstm::forward`] on each sequence; single sequences
-    /// run at `batch = 1`.
+    /// once per sequence. Returns the hidden states `[batch * seq,
+    /// hidden]`. The recurrence updates the hidden and cell state in place,
+    /// so the steady state allocates nothing; each sequence's rows are
+    /// bit-identical to a B = 1 run on it. A taped forward (B = 1) records
+    /// `x` and one row per timestep of gates and states (`STEP_SLOTS`) for
+    /// [`Lstm::backward`].
     pub fn infer_batch_in(&self, x: &Matrix, batch: usize, s: &mut ScratchArena) -> Matrix {
         assert_eq!(x.cols, self.in_dim);
         assert!(
             batch > 0 && x.rows.is_multiple_of(batch),
             "rows must tile by batch"
+        );
+        assert!(
+            !s.taping() || batch == 1,
+            "a taped forward runs one sequence"
         );
         let seq = x.rows / batch;
         let hd = self.hidden;
@@ -156,6 +98,7 @@ impl Lstm {
         let mut hm = s.take(batch, hd);
         let mut cm = s.take(batch, hd);
         let mut zm = s.take(1, 4 * hd);
+        let mut steps = s.taping().then(|| s.take(seq, STEP_SLOTS * hd));
         for t in 0..seq {
             for b in 0..batch {
                 self.gates_into(x.row(b * seq + t), hm.row(b), &mut zm.data);
@@ -166,8 +109,18 @@ impl Lstm {
                     let g = z[2 * hd + j].tanh();
                     let o = sigmoid(z[3 * hd + j]);
                     let c = f * cm.at(b, j) + i * g;
+                    let tanh_c = c.tanh();
                     *cm.at_mut(b, j) = c;
-                    *hm.at_mut(b, j) = o * c.tanh();
+                    *hm.at_mut(b, j) = o * tanh_c;
+                    if let Some(steps) = &mut steps {
+                        let row = steps.row_mut(t);
+                        for (slot, v) in [i, f, g, o, c, tanh_c].into_iter().enumerate() {
+                            row[slot * hd + j] = v;
+                        }
+                    }
+                }
+                if let Some(steps) = &mut steps {
+                    steps.row_mut(t)[6 * hd..].copy_from_slice(hm.row(b));
                 }
                 out.row_mut(b * seq + t).copy_from_slice(hm.row(b));
             }
@@ -175,20 +128,37 @@ impl Lstm {
         s.give(hm);
         s.give(cm);
         s.give(zm);
+        if let Some(steps) = steps {
+            s.record_copy(x);
+            s.record(steps);
+        }
         out
     }
 
-    /// BPTT over the cached sequence. `d_out` is [S, hidden]; returns
+    /// BPTT over the taped sequence. `d_out` is [S, hidden]; returns
     /// gradient w.r.t. the inputs [S, in_dim].
-    pub fn backward(&mut self, d_out: &Matrix) -> Matrix {
+    pub fn backward(&mut self, d_out: &Matrix, s: &mut ScratchArena) -> Matrix {
+        let steps = s.pop();
+        let x = s.pop();
         let h = self.hidden;
-        let s = self.cache.len();
-        assert_eq!(d_out.rows, s);
-        let mut dx_all = Matrix::zeros(s, self.in_dim);
+        let seq = steps.rows;
+        assert_eq!(d_out.rows, seq);
+        let zero = vec![0.0f32; h];
+        let mut dx_all = Matrix::zeros(seq, self.in_dim);
         let mut dh_next = vec![0.0f32; h];
         let mut dc_next = vec![0.0f32; h];
-        for t in (0..s).rev() {
-            let cache = &self.cache[t];
+        for t in (0..seq).rev() {
+            let row = steps.row(t);
+            let slot = |k: usize| &row[k * h..(k + 1) * h];
+            let (i, f, g, o, tanh_c) = (slot(0), slot(1), slot(2), slot(3), slot(5));
+            // The previous step's cell and hidden state; zero before t = 0.
+            let (c_prev, h_prev) = match t {
+                0 => (&zero[..], &zero[..]),
+                _ => {
+                    let prev = steps.row(t - 1);
+                    (&prev[4 * h..5 * h], &prev[6 * h..])
+                }
+            };
             // Total gradient into h_t.
             let mut dh: Vec<f32> = d_out.row(t).to_vec();
             for (a, b) in dh.iter_mut().zip(dh_next.iter()) {
@@ -198,18 +168,18 @@ impl Lstm {
             let mut dz = vec![0.0f32; 4 * h];
             let mut dc = vec![0.0f32; h];
             for j in 0..h {
-                let do_ = dh[j] * cache.tanh_c[j];
-                dc[j] = dh[j] * cache.o[j] * (1.0 - cache.tanh_c[j] * cache.tanh_c[j]) + dc_next[j];
-                let di = dc[j] * cache.g[j];
-                let df = dc[j] * cache.c_prev[j];
-                let dg = dc[j] * cache.i[j];
-                dz[j] = di * cache.i[j] * (1.0 - cache.i[j]);
-                dz[h + j] = df * cache.f[j] * (1.0 - cache.f[j]);
-                dz[2 * h + j] = dg * (1.0 - cache.g[j] * cache.g[j]);
-                dz[3 * h + j] = do_ * cache.o[j] * (1.0 - cache.o[j]);
+                let do_ = dh[j] * tanh_c[j];
+                dc[j] = dh[j] * o[j] * (1.0 - tanh_c[j] * tanh_c[j]) + dc_next[j];
+                let di = dc[j] * g[j];
+                let df = dc[j] * c_prev[j];
+                let dg = dc[j] * i[j];
+                dz[j] = di * i[j] * (1.0 - i[j]);
+                dz[h + j] = df * f[j] * (1.0 - f[j]);
+                dz[2 * h + j] = dg * (1.0 - g[j] * g[j]);
+                dz[3 * h + j] = do_ * o[j] * (1.0 - o[j]);
             }
             // Parameter grads: dW_ih += x^T dz ; dW_hh += h_prev^T dz ; db += dz.
-            for (k, &xv) in cache.x.iter().enumerate() {
+            for (k, &xv) in x.row(t).iter().enumerate() {
                 if xv != 0.0 {
                     let row = self.w_ih.g.row_mut(k);
                     for (gv, &dv) in row.iter_mut().zip(dz.iter()) {
@@ -217,7 +187,7 @@ impl Lstm {
                     }
                 }
             }
-            for (k, &hv) in cache.h_prev.iter().enumerate() {
+            for (k, &hv) in h_prev.iter().enumerate() {
                 if hv != 0.0 {
                     let row = self.w_hh.g.row_mut(k);
                     for (gv, &dv) in row.iter_mut().zip(dz.iter()) {
@@ -240,9 +210,11 @@ impl Lstm {
             }
             // dc_prev = dc * f
             for j in 0..h {
-                dc_next[j] = dc[j] * cache.f[j];
+                dc_next[j] = dc[j] * f[j];
             }
         }
+        s.give(steps);
+        s.give(x);
         dx_all
     }
 }
@@ -266,12 +238,21 @@ mod tests {
     use super::*;
     use crate::tensor::rng;
 
+    /// The forward over one sequence.
+    fn run(l: &Lstm, x: &Matrix) -> Matrix {
+        l.infer_batch_in(x, 1, &mut ScratchArena::new())
+    }
+
+    fn weighted(y: &Matrix, w: &Matrix) -> f32 {
+        y.data.iter().zip(w.data.iter()).map(|(a, b)| a * b).sum()
+    }
+
     #[test]
     fn forward_shapes_and_bounds() {
         let mut r = rng(1);
-        let mut l = Lstm::new(3, 5, &mut r);
+        let l = Lstm::new(3, 5, &mut r);
         let x = Matrix::xavier(7, 3, &mut r);
-        let y = l.forward(&x);
+        let y = run(&l, &x);
         assert_eq!((y.rows, y.cols), (7, 5));
         // h = o*tanh(c) ∈ (-1, 1).
         assert!(y.data.iter().all(|v| v.abs() < 1.0));
@@ -285,7 +266,7 @@ mod tests {
         let bits = |v: &[f32]| -> Vec<u32> { v.iter().map(|x| x.to_bits()).collect() };
         let mut s = crate::arena::ScratchArena::new();
         // One sequence, then three in lock-step: every sequence's rows
-        // equal the training forward's on that sequence alone.
+        // equal the training forward's (B = 1, taped) on that sequence.
         for batch in [1usize, 3] {
             let x = seqs[1..batch]
                 .iter()
@@ -294,7 +275,7 @@ mod tests {
             for _ in 0..3 {
                 let y = l.infer_batch_in(&x, batch, &mut s);
                 for (b, q) in seqs[..batch].iter().enumerate() {
-                    let reference = l.clone().forward(q);
+                    let reference = l.infer_batch_in(q, 1, &mut ScratchArena::with_tape());
                     assert_eq!(
                         bits(&y.data[b * 5 * 6..(b + 1) * 5 * 6]),
                         bits(&reference.data),
@@ -314,9 +295,9 @@ mod tests {
         // Same input at each step should give different outputs early in the
         // sequence (state accumulates).
         let mut r = rng(3);
-        let mut l = Lstm::new(2, 4, &mut r);
+        let l = Lstm::new(2, 4, &mut r);
         let x = Matrix::from_vec(3, 2, vec![1.0, -1.0, 1.0, -1.0, 1.0, -1.0]);
-        let y = l.forward(&x);
+        let y = run(&l, &x);
         assert_ne!(y.row(0), y.row(1));
     }
 
@@ -326,17 +307,12 @@ mod tests {
         let mut l = Lstm::new(3, 4, &mut r);
         let x = Matrix::xavier(4, 3, &mut r);
         let w = Matrix::xavier(4, 4, &mut r);
-        let _ = l.forward(&x);
-        let dx = l.backward(&w);
+        let mut s = ScratchArena::with_tape();
+        let _ = l.infer_batch_in(&x, 1, &mut s);
+        let dx = l.backward(&w, &mut s);
+        assert_eq!(s.tape_len(), 0);
         let eps = 1e-2f32;
-        let mut loss = |m: &Matrix| -> f32 {
-            l.forward(m)
-                .data
-                .iter()
-                .zip(w.data.iter())
-                .map(|(a, b)| a * b)
-                .sum()
-        };
+        let loss = |m: &Matrix| weighted(&run(&l, m), &w);
         for i in 0..x.data.len() {
             let mut xp = x.clone();
             xp.data[i] += eps;
@@ -357,23 +333,16 @@ mod tests {
         let mut l = Lstm::new(2, 3, &mut r);
         let x = Matrix::xavier(3, 2, &mut r);
         let w = Matrix::xavier(3, 3, &mut r);
-        let _ = l.forward(&x);
-        let _ = l.backward(&w);
+        let mut s = ScratchArena::with_tape();
+        let _ = l.infer_batch_in(&x, 1, &mut s);
+        let _ = l.backward(&w, &mut s);
         let eps = 1e-2f32;
-        let loss = |m: &mut Lstm| -> f32 {
-            m.forward(&x)
-                .data
-                .iter()
-                .zip(w.data.iter())
-                .map(|(a, b)| a * b)
-                .sum()
-        };
         for (pi, pj) in [(0usize, 0usize), (1, 5), (0, 11)] {
             let mut lp = l.clone();
             *lp.w_ih.w.at_mut(pi, pj) += eps;
             let mut lm = l.clone();
             *lm.w_ih.w.at_mut(pi, pj) -= eps;
-            let num = (loss(&mut lp) - loss(&mut lm)) / (2.0 * eps);
+            let num = (weighted(&run(&lp, &x), &w) - weighted(&run(&lm, &x), &w)) / (2.0 * eps);
             let analytic = l.w_ih.g.at(pi, pj);
             assert!(
                 (num - analytic).abs() < 2e-2,
@@ -398,11 +367,13 @@ mod tests {
         let mut target = vec![0.0f32];
         target.extend_from_slice(&seq[..seq.len() - 1]);
         let mut last_loss = f32::INFINITY;
+        let mut s = ScratchArena::with_tape();
         for _ in 0..150 {
             l.zero_grad();
             head.zero_grad();
-            let h = l.forward(&x);
-            let y = head.forward(&h);
+            let h = l.infer_batch_in(&x, 1, &mut s);
+            let y = head.infer_in(&h, &mut s);
+            s.give(h);
             let mut d = Matrix::zeros(y.rows, 1);
             let mut loss = 0.0;
             for ((dt, &yt), &tt) in d.data.iter_mut().zip(&y.data).zip(&target) {
@@ -410,8 +381,9 @@ mod tests {
                 loss += 0.5 * e * e;
                 *dt = e;
             }
-            let dh = head.backward(&d);
-            let _ = l.backward(&dh);
+            s.give(y);
+            let dh = head.backward(&d, &mut s);
+            let _ = l.backward(&dh, &mut s);
             opt.step(&mut l);
             opt.step(&mut head);
             last_loss = loss;

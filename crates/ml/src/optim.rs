@@ -62,6 +62,7 @@ impl Adam {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::arena::ScratchArena;
     use crate::layers::Linear;
     use crate::tensor::{rng, Matrix};
 
@@ -71,14 +72,16 @@ mod tests {
         let mut l = Linear::new(1, 1, &mut r);
         let xs: Vec<f32> = (0..16).map(|i| i as f32 / 8.0 - 1.0).collect();
         let mut adam = Adam::new(0.05);
+        let mut s = ScratchArena::with_tape();
         for _ in 0..400 {
             let x = Matrix::from_vec(xs.len(), 1, xs.clone());
-            let y = l.forward(&x);
+            let y = l.infer_in(&x, &mut s);
             let mut d = Matrix::zeros(y.rows, 1);
             for ((di, &yi), &xi) in d.data.iter_mut().zip(&y.data).zip(&xs) {
                 *di = (yi - (2.0 * xi + 1.0)) / y.rows as f32;
             }
-            let _ = l.backward(&d);
+            s.give(y);
+            let _ = l.backward(&d, &mut s);
             adam.step(&mut l);
         }
         (l.w.w.data[0], l.b.w.data[0])
@@ -95,8 +98,9 @@ mod tests {
     fn adam_zeroes_gradients_after_step() {
         let mut r = rng(2);
         let mut l = Linear::new(2, 2, &mut r);
-        let _ = l.forward(&Matrix::from_vec(1, 2, vec![1.0, -1.0]));
-        let _ = l.backward(&Matrix::from_vec(1, 2, vec![1.0, 1.0]));
+        let mut s = ScratchArena::with_tape();
+        let _ = l.infer_in(&Matrix::from_vec(1, 2, vec![1.0, -1.0]), &mut s);
+        let _ = l.backward(&Matrix::from_vec(1, 2, vec![1.0, 1.0]), &mut s);
         let mut opt = Adam::new(0.01);
         opt.step(&mut l);
         assert_eq!(l.w.g.norm(), 0.0);
@@ -107,8 +111,9 @@ mod tests {
         let mut r = rng(3);
         let mut l = Linear::new(2, 2, &mut r);
         let before = l.w.w.clone();
-        let _ = l.forward(&Matrix::from_vec(1, 2, vec![1e6, -1e6]));
-        let _ = l.backward(&Matrix::from_vec(1, 2, vec![1e6, 1e6]));
+        let mut s = ScratchArena::with_tape();
+        let _ = l.infer_in(&Matrix::from_vec(1, 2, vec![1e6, -1e6]), &mut s);
+        let _ = l.backward(&Matrix::from_vec(1, 2, vec![1e6, 1e6]), &mut s);
         let mut opt = Adam::new(0.01);
         opt.step(&mut l);
         // Adam's per-coordinate update is bounded by ~lr regardless of the

@@ -210,9 +210,10 @@ mod tests {
         let mut r = rng(3);
         let mut l = Linear::new(8, 8, &mut r);
         let x = Matrix::xavier(4, 8, &mut r);
-        let before = l.forward(&x);
+        let mut s = crate::arena::ScratchArena::new();
+        let before = l.infer_in(&x, &mut s);
         quantize_module(&mut l);
-        let after = l.forward(&x);
+        let after = l.infer_in(&x, &mut s);
         for (a, b) in before.data.iter().zip(after.data.iter()) {
             assert!((a - b).abs() < 0.05, "{a} vs {b}");
         }

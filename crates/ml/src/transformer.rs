@@ -14,7 +14,6 @@ use rand_chacha::ChaCha8Rng;
 pub struct FeedForward {
     pub fc1: Linear,
     pub fc2: Linear,
-    relu: Relu,
 }
 
 impl FeedForward {
@@ -22,17 +21,12 @@ impl FeedForward {
         FeedForward {
             fc1: Linear::new(dim, hidden, rng),
             fc2: Linear::new(hidden, dim, rng),
-            relu: Relu::default(),
         }
     }
 
-    pub fn forward(&mut self, x: &Matrix) -> Matrix {
-        let h = self.fc1.forward(x);
-        let h = self.relu.forward(&h);
-        self.fc2.forward(&h)
-    }
-
-    /// Row-wise inference through arena-owned scratch buffers.
+    /// Row-wise forward through arena-owned scratch buffers. A taped
+    /// forward records `x` (fc1's input) and the post-ReLU hidden rows
+    /// (fc2's input).
     pub fn infer_in(&self, x: &Matrix, s: &mut ScratchArena) -> Matrix {
         let mut h = self.fc1.infer_in(x, s);
         Relu::infer_inplace(&mut h);
@@ -41,10 +35,20 @@ impl FeedForward {
         y
     }
 
-    pub fn backward(&mut self, dy: &Matrix) -> Matrix {
-        let dh = self.fc2.backward(dy);
-        let dh = self.relu.backward(&dh);
-        self.fc1.backward(&dh)
+    /// Pops the recorded hidden rows, which serve as both fc2's input and
+    /// the ReLU's mask (a ReLU output is positive exactly where its input
+    /// is), then fc1's input, and backpropagates `dy`.
+    pub fn backward(&mut self, dy: &Matrix, s: &mut ScratchArena) -> Matrix {
+        let h = s.pop();
+        let mut dh = self.fc2.backward_from(&h, dy);
+        for (d, &v) in dh.data.iter_mut().zip(h.data.iter()) {
+            let active = v > 0.0;
+            if !active {
+                *d = 0.0;
+            }
+        }
+        s.give(h);
+        self.fc1.backward(&dh, s)
     }
 }
 
@@ -81,23 +85,15 @@ impl TransformerLayer {
         }
     }
 
-    pub fn forward(&mut self, x: &Matrix) -> Matrix {
-        let mut h = self.msa.forward(x);
-        h.add_assign(x);
-        let h = self.ln1.forward(&h);
-        let mut y = self.ffn.forward(&h);
-        y.add_assign(&h);
-        self.ln2.forward(&y)
-    }
-
-    /// Batched inference over `batch` stacked sequences, computing only
-    /// the last `queries` rows of each: attention is confined per sequence
-    /// and reads every row as a key and value (see
+    /// The forward over `batch` stacked sequences, computing only the last
+    /// `queries` rows of each: attention is confined per sequence and
+    /// reads every row as a key and value (see
     /// [`MultiHeadAttention::infer_batch_in`]); Wo, the residuals, the FFN
     /// and the layer norms are row-wise, so they run on the query rows
     /// alone and fuse across the whole stack. Returns
     /// `[batch * queries, dim]`, each row bit-identical to the matching
-    /// row of the training [`TransformerLayer::forward`] on its sequence.
+    /// row of the forward on its sequence alone with every row a query.
+    /// A taped forward records each sublayer's entries in order.
     pub fn infer_batch_in(
         &self,
         x: &Matrix,
@@ -113,22 +109,23 @@ impl TransformerLayer {
             h.add_assign(&xq);
             s.give(xq);
         }
-        self.ln1.infer_inplace(&mut h);
+        self.ln1.infer_inplace(&mut h, s);
         let mut y = self.ffn.infer_in(&h, s);
         y.add_assign(&h);
-        self.ln2.infer_inplace(&mut y);
+        self.ln2.infer_inplace(&mut y, s);
         s.give(h);
         y
     }
 
-    pub fn backward(&mut self, dy: &Matrix) -> Matrix {
-        let d = self.ln2.backward(dy);
+    /// Pops the sublayers' entries in reverse and backpropagates `dy`.
+    pub fn backward(&mut self, dy: &Matrix, s: &mut ScratchArena) -> Matrix {
+        let d = self.ln2.backward(dy, s);
         // y = ffn(h) + h
-        let mut dh = self.ffn.backward(&d);
+        let mut dh = self.ffn.backward(&d, s);
         dh.add_assign(&d);
-        let d = self.ln1.backward(&dh);
+        let d = self.ln1.backward(&dh, s);
         // h = msa(x) + x
-        let mut dx = self.msa.backward(&d);
+        let mut dx = self.msa.backward(&d, s);
         dx.add_assign(&d);
         dx
     }
@@ -138,8 +135,9 @@ impl TransformerLayer {
 /// last-position readout `[batch, dim]`. Every layer but the final one
 /// computes all rows, because the next layer reads them as keys and
 /// values; the final one computes one query row per sequence, and that row
-/// is the readout. With no layers the readout is `h`'s last rows. `h` goes
-/// back to the arena.
+/// is the readout. A taped forward computes every row of the final layer
+/// too, as its backward reads them all, and gathers the last. With no
+/// layers the readout is `h`'s last rows. `h` goes back to the arena.
 pub fn readout_batch_in(
     layers: &[TransformerLayer],
     mut h: Matrix,
@@ -148,17 +146,38 @@ pub fn readout_batch_in(
 ) -> Matrix {
     let seq = h.rows / batch;
     for (i, layer) in layers.iter().enumerate() {
-        let queries = if i + 1 == layers.len() { 1 } else { seq };
+        let queries = if i + 1 == layers.len() && !s.taping() {
+            1
+        } else {
+            seq
+        };
         let next = layer.infer_batch_in(&h, batch, queries, s);
         s.give(h);
         h = next;
     }
-    if layers.is_empty() {
+    if h.rows != batch {
         let last = s.take_trailing_rows(&h, batch, 1);
         s.give(h);
         h = last;
     }
     h
+}
+
+/// The backward of a taped [`readout_batch_in`] over a `seq`-row
+/// sequence: the readout's gradient enters at the last row only, then runs
+/// back through `layers`. Returns the gradient of `h`, `[seq, dim]`.
+pub fn readout_backward(
+    layers: &mut [TransformerLayer],
+    d_readout: &Matrix,
+    seq: usize,
+    s: &mut ScratchArena,
+) -> Matrix {
+    let mut dh = Matrix::zeros(seq, d_readout.cols);
+    dh.row_mut(seq - 1).copy_from_slice(d_readout.row(0));
+    for layer in layers.iter_mut().rev() {
+        dh = layer.backward(&dh, s);
+    }
+    dh
 }
 
 impl Module for TransformerLayer {
@@ -182,21 +201,35 @@ mod tests {
     use super::*;
     use crate::tensor::rng;
 
+    fn bits(v: &[f32]) -> Vec<u32> {
+        v.iter().map(|x| x.to_bits()).collect()
+    }
+
+    /// `sum(f(x) ⊙ w)`.
+    fn weighted(y: &Matrix, w: &Matrix) -> f32 {
+        y.data.iter().zip(w.data.iter()).map(|(a, b)| a * b).sum()
+    }
+
+    /// The layer forward at B = 1 with every row a query.
+    fn full(t: &TransformerLayer, x: &Matrix, s: &mut ScratchArena) -> Matrix {
+        t.infer_batch_in(x, 1, x.rows, s)
+    }
+
     #[test]
     fn feed_forward_shapes() {
         let mut r = rng(1);
-        let mut ffn = FeedForward::new(8, 16, &mut r);
+        let ffn = FeedForward::new(8, 16, &mut r);
         let x = Matrix::xavier(5, 8, &mut r);
-        let y = ffn.forward(&x);
+        let y = ffn.infer_in(&x, &mut ScratchArena::new());
         assert_eq!((y.rows, y.cols), (5, 8));
     }
 
     #[test]
     fn transformer_layer_preserves_shape() {
         let mut r = rng(2);
-        let mut t = TransformerLayer::new(8, 2, &mut r);
+        let t = TransformerLayer::new(8, 2, &mut r);
         let x = Matrix::xavier(4, 8, &mut r);
-        let y = t.forward(&x);
+        let y = full(&t, &x, &mut ScratchArena::new());
         assert_eq!((y.rows, y.cols), (4, 8));
         // Output is layer-normalized per row.
         for row in 0..4 {
@@ -211,16 +244,11 @@ mod tests {
         let mut t = TransformerLayer::new(4, 2, &mut r);
         let x = Matrix::xavier(3, 4, &mut r);
         let w = Matrix::xavier(3, 4, &mut r);
-        let _ = t.forward(&x);
-        let dx = t.backward(&w);
-        let mut loss = |m: &Matrix| -> f32 {
-            t.forward(m)
-                .data
-                .iter()
-                .zip(w.data.iter())
-                .map(|(a, b)| a * b)
-                .sum()
-        };
+        let mut s = ScratchArena::with_tape();
+        let _ = full(&t, &x, &mut s);
+        let dx = t.backward(&w, &mut s);
+        assert_eq!(s.tape_len(), 0);
+        let loss = |m: &Matrix| weighted(&full(&t, m, &mut ScratchArena::new()), &w);
         let eps = 1e-2f32;
         for i in [0usize, 2, 5, 9, 11] {
             let mut xp = x.clone();
@@ -242,10 +270,12 @@ mod tests {
         let t = TransformerLayer::new(8, 4, &mut r);
         let seq = 3;
         let seqs: Vec<Matrix> = (0..5).map(|_| Matrix::xavier(seq, 8, &mut r)).collect();
-        // The reference is the training forward, on a clone so the layer
-        // under test keeps no cache.
-        let baselines: Vec<Matrix> = seqs.iter().map(|x| t.clone().forward(x)).collect();
-        let bits = |v: &[f32]| -> Vec<u32> { v.iter().map(|x| x.to_bits()).collect() };
+        // The reference is the training forward: B = 1, every row a query,
+        // on a taping arena.
+        let baselines: Vec<Matrix> = seqs
+            .iter()
+            .map(|x| full(&t, x, &mut ScratchArena::with_tape()))
+            .collect();
         let mut s = crate::arena::ScratchArena::new();
         for batch in [1usize, 2, 5] {
             let mut x = Matrix::zeros(batch * seq, 8);
@@ -289,22 +319,17 @@ mod tests {
         let mut ffn = FeedForward::new(4, 8, &mut r);
         let x = Matrix::xavier(2, 4, &mut r);
         let w = Matrix::xavier(2, 4, &mut r);
-        let _ = ffn.forward(&x);
-        let dx = ffn.backward(&w);
+        let mut s = ScratchArena::with_tape();
+        let _ = ffn.infer_in(&x, &mut s);
+        let dx = ffn.backward(&w, &mut s);
+        assert_eq!(s.tape_len(), 0);
+        let f = |m: &Matrix| weighted(&ffn.infer_in(m, &mut ScratchArena::new()), &w);
         let eps = 1e-2f32;
         for i in 0..x.data.len() {
             let mut xp = x.clone();
             xp.data[i] += eps;
             let mut xm = x.clone();
             xm.data[i] -= eps;
-            let mut f = |m: &Matrix| -> f32 {
-                ffn.forward(m)
-                    .data
-                    .iter()
-                    .zip(w.data.iter())
-                    .map(|(a, b)| a * b)
-                    .sum()
-            };
             let num = (f(&xp) - f(&xm)) / (2.0 * eps);
             assert!(
                 (num - dx.data[i]).abs() < 5e-2,

@@ -1,13 +1,14 @@
 //! Property-based gradient checks: for random layer shapes and random
-//! inputs, the analytic input gradient must match central finite
-//! differences. This is the strongest single invariant a hand-written
-//! backprop library can carry.
+//! inputs, the analytic input gradient — the backward over what a taped
+//! forward recorded — must match central finite differences of the same
+//! forward. This is the strongest single invariant a hand-written backprop
+//! library can carry.
 
-use mpgraph_ml::layers::{LayerNorm, Linear, Sigmoid};
+use mpgraph_ml::layers::{LayerNorm, Linear};
 use mpgraph_ml::lstm::Lstm;
 use mpgraph_ml::tensor::{rng, Matrix};
 use mpgraph_ml::transformer::TransformerLayer;
-use mpgraph_ml::SelfAttention;
+use mpgraph_ml::{ScratchArena, SelfAttention};
 use proptest::prelude::*;
 
 /// L = sum(f(x) ⊙ w); returns |numeric - analytic| max over sampled coords.
@@ -38,6 +39,13 @@ fn check(
     worst
 }
 
+/// Layer norm over a copy of `x`.
+fn layer_norm(ln: &LayerNorm, x: &Matrix, s: &mut ScratchArena) -> Matrix {
+    let mut y = x.clone();
+    ln.infer_inplace(&mut y, s);
+    y
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(12))]
 
@@ -47,25 +55,12 @@ proptest! {
         let mut l = Linear::new(din, dout, &mut r);
         let x = Matrix::xavier(rows, din, &mut r);
         let w = Matrix::xavier(rows, dout, &mut r);
-        let _ = l.forward(&x);
-        let dx = l.backward(&w);
-        let mut l2 = l.clone();
+        let mut s = ScratchArena::with_tape();
+        let _ = l.infer_in(&x, &mut s);
+        let dx = l.backward(&w, &mut s);
         let coords: Vec<usize> = (0..x.data.len()).collect();
-        let worst = check(&x, &w, &dx, |m| l2.forward(m), &coords);
+        let worst = check(&x, &w, &dx, |m| l.infer_in(m, &mut ScratchArena::new()), &coords);
         prop_assert!(worst < 2e-2, "worst {}", worst);
-    }
-
-    #[test]
-    fn sigmoid_grad(seed in 0u64..1000, n in 1usize..8) {
-        let mut r = rng(seed);
-        let x = Matrix::xavier(1, n, &mut r);
-        let w = Matrix::xavier(1, n, &mut r);
-        let mut s = Sigmoid::default();
-        let _ = s.forward(&x);
-        let dx = s.backward(&w);
-        let coords: Vec<usize> = (0..n).collect();
-        let worst = check(&x, &w, &dx, Sigmoid::infer, &coords);
-        prop_assert!(worst < 1e-2, "worst {}", worst);
     }
 
     #[test]
@@ -77,11 +72,11 @@ proptest! {
         ln.beta.w = Matrix::xavier(1, dim, &mut r);
         let x = Matrix::xavier(rows, dim, &mut r);
         let w = Matrix::xavier(rows, dim, &mut r);
-        let _ = ln.forward(&x);
-        let dx = ln.backward(&w);
-        let mut ln2 = ln.clone();
+        let mut s = ScratchArena::with_tape();
+        let _ = layer_norm(&ln, &x, &mut s);
+        let dx = ln.backward(&w, &mut s);
         let coords: Vec<usize> = (0..x.data.len()).collect();
-        let worst = check(&x, &w, &dx, |m| ln2.forward(m), &coords);
+        let worst = check(&x, &w, &dx, |m| layer_norm(&ln, m, &mut ScratchArena::new()), &coords);
         prop_assert!(worst < 6e-2, "worst {}", worst);
     }
 
@@ -91,10 +86,11 @@ proptest! {
         let mut a = SelfAttention::new(din, dh, &mut r);
         let x = Matrix::xavier(s, din, &mut r);
         let w = Matrix::xavier(s, dh, &mut r);
-        let _ = a.forward(&x);
-        let dx = a.backward(&w);
+        let mut tape = ScratchArena::with_tape();
+        let _ = a.infer_batch_in(&x, 1, s, &mut tape);
+        let dx = a.backward(&w, &mut tape);
         let coords: Vec<usize> = (0..x.data.len()).step_by(2).collect();
-        let worst = check(&x, &w, &dx, |m| a.forward(m), &coords);
+        let worst = check(&x, &w, &dx, |m| a.infer_batch_in(m, 1, s, &mut ScratchArena::new()), &coords);
         prop_assert!(worst < 5e-2, "worst {}", worst);
     }
 
@@ -104,10 +100,11 @@ proptest! {
         let mut l = Lstm::new(din, h, &mut r);
         let x = Matrix::xavier(s, din, &mut r);
         let w = Matrix::xavier(s, h, &mut r);
-        let _ = l.forward(&x);
-        let dx = l.backward(&w);
+        let mut tape = ScratchArena::with_tape();
+        let _ = l.infer_batch_in(&x, 1, &mut tape);
+        let dx = l.backward(&w, &mut tape);
         let coords: Vec<usize> = (0..x.data.len()).collect();
-        let worst = check(&x, &w, &dx, |m| l.forward(m), &coords);
+        let worst = check(&x, &w, &dx, |m| l.infer_batch_in(m, 1, &mut ScratchArena::new()), &coords);
         prop_assert!(worst < 3e-2, "worst {}", worst);
     }
 
@@ -121,11 +118,17 @@ proptest! {
         let mut t = TransformerLayer::new(dim, 2, &mut r);
         let x = Matrix::xavier(s, dim, &mut r);
         let w = Matrix::xavier(s, dim, &mut r);
-        let _ = t.forward(&x);
-        let dx = t.backward(&w);
+        let mut tape = ScratchArena::with_tape();
+        let _ = t.infer_batch_in(&x, 1, s, &mut tape);
+        let dx = t.backward(&w, &mut tape);
         let eps = 1e-2f32;
-        let mut loss = |m: &Matrix| -> f32 {
-            t.forward(m).data.iter().zip(w.data.iter()).map(|(a, b)| a * b).sum()
+        let loss = |m: &Matrix| -> f32 {
+            t.infer_batch_in(m, 1, s, &mut ScratchArena::new())
+                .data
+                .iter()
+                .zip(w.data.iter())
+                .map(|(a, b)| a * b)
+                .sum()
         };
         let mut numeric = vec![0.0f32; x.data.len()];
         for (i, n) in numeric.iter_mut().enumerate() {

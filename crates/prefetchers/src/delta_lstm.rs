@@ -113,31 +113,39 @@ impl DeltaLstm {
             deltas.len().saturating_sub(t + 1),
             tc.max_samples,
         );
-        let report = fit(&mut model, &starts, tc.epochs, tc.lr, |m, &i| {
-            let x = m.embed.forward(&deltas[i..i + t]);
-            let h = m.lstm.forward(&x);
-            let last = Matrix::from_vec(1, h.cols, h.row(h.rows - 1).to_vec());
-            let logits = m.head.forward(&last);
+        let report = fit(&mut model, &starts, tc.epochs, tc.lr, |m, &i, s| {
+            let logits = m.logits_in(&deltas[i..i + t], s);
             let (loss, dlogits) = softmax_cross_entropy(&logits, &[deltas[i + t]]);
-            let dlast = m.head.backward(&dlogits);
-            let mut dh = Matrix::zeros(h.rows, h.cols);
-            dh.row_mut(h.rows - 1).copy_from_slice(dlast.row(0));
-            let dx = m.lstm.backward(&dh);
-            m.embed.backward(&dx);
+            s.give(logits);
+            let dlast = m.head.backward(&dlogits, s);
+            let mut dh = Matrix::zeros(t, dlast.cols);
+            dh.row_mut(t - 1).copy_from_slice(dlast.row(0));
+            let dx = m.lstm.backward(&dh, s);
+            m.embed.backward(&dx, s);
             loss
         });
         model.final_loss = report.mean_loss();
         model
     }
 
+    /// The one forward: next-delta class logits `[1, vocab]` for a
+    /// delta-class history, read off the last hidden state. Training runs
+    /// it on a taping arena.
+    fn logits_in(&self, hist: &[usize], s: &mut ScratchArena) -> Matrix {
+        let x = self.embed.infer_in(hist, s);
+        let h = self.lstm.infer_batch_in(&x, 1, s);
+        s.give(x);
+        let last = s.take_trailing_rows(&h, 1, 1);
+        s.give(h);
+        let logits = self.head.infer_in(&last, s);
+        s.give(last);
+        logits
+    }
+
     /// Predicted top-`k` delta classes (with softmax probability above the
     /// confidence threshold) for a delta-class history.
     fn predict(&self, hist: &[usize], k: usize) -> Vec<usize> {
-        let s = &mut ScratchArena::new();
-        let x = self.embed.infer_in(hist, s);
-        let h = self.lstm.infer_batch_in(&x, 1, s);
-        let last = s.take_trailing_rows(&h, 1, 1);
-        let mut probs = self.head.infer_in(&last, s);
+        let mut probs = self.logits_in(hist, &mut ScratchArena::new());
         probs.softmax_rows_inplace();
         mpgraph_ml::metrics::top_k_indices(probs.row(0), k)
             .into_iter()

@@ -79,8 +79,8 @@ impl Trainable for TransFetch {
 }
 
 /// Mean over the sequence rows: `[T, d]` → `[1, d]`.
-fn mean_pool(h: &Matrix) -> Matrix {
-    let mut pooled = Matrix::zeros(1, h.cols);
+fn mean_pool(h: &Matrix, s: &mut ScratchArena) -> Matrix {
+    let mut pooled = s.take(1, h.cols);
     for r in 0..h.rows {
         for c in 0..h.cols {
             pooled.data[c] += h.at(r, c) / h.rows as f32;
@@ -90,20 +90,40 @@ fn mean_pool(h: &Matrix) -> Matrix {
 }
 
 impl TransFetch {
-    fn encode(cfg: &TransFetchConfig, hist: &[(u64, u64)]) -> Matrix {
-        let feat_dim = cfg.segments + 1;
-        let mut x = Matrix::zeros(hist.len(), feat_dim);
+    /// The one forward: bitmap logits `[1, labels]` for one (block, pc)
+    /// window. Mean pooling reads every row, so every layer computes all
+    /// of them as queries. Training runs it on a taping arena.
+    fn logits_in(&self, hist: &[(u64, u64)], s: &mut ScratchArena) -> Matrix {
+        let mut x = s.take(hist.len(), self.cfg.segments + 1);
         for (i, &(block, pc)) in hist.iter().enumerate() {
-            let segs = segment_block(block, cfg.segments);
-            x.row_mut(i)[..cfg.segments].copy_from_slice(&segs);
-            x.row_mut(i)[cfg.segments] = pc_feature(pc);
+            let row = x.row_mut(i);
+            row[..self.cfg.segments].copy_from_slice(&segment_block(block, self.cfg.segments));
+            row[self.cfg.segments] = pc_feature(pc);
         }
-        x
+        let mut h = self.embed.infer_in(&x, s);
+        s.give(x);
+        for b in &self.blocks {
+            let next = b.infer_batch_in(&h, 1, hist.len(), s);
+            s.give(h);
+            h = next;
+        }
+        let pooled = mean_pool(&h, s);
+        s.give(h);
+        let logits = self.head.infer_in(&pooled, s);
+        s.give(pooled);
+        logits
     }
 
     /// One training sample: the window of `t` accesses at `i` against the
-    /// bitmap of the deltas that follow it. Returns the BCE loss.
-    fn train_step(&mut self, records: &[MemRecord], i: usize, t: usize) -> f32 {
+    /// bitmap of the deltas that follow it, through the one forward on the
+    /// taping arena. Returns the BCE loss.
+    fn train_step(
+        &mut self,
+        records: &[MemRecord],
+        i: usize,
+        t: usize,
+        s: &mut ScratchArena,
+    ) -> f32 {
         let hist: Vec<(u64, u64)> = records[i..i + t]
             .iter()
             .map(|rec| (rec.block(), rec.pc))
@@ -112,14 +132,11 @@ impl TransFetch {
             .cfg
             .labels()
             .label_bitmap(records, i + t - 1, self.cfg.look_forward);
-        let mut h = self.embed.forward(&Self::encode(&self.cfg, &hist));
-        for b in self.blocks.iter_mut() {
-            h = b.forward(&h);
-        }
-        let logits = self.head.forward(&mean_pool(&h));
+        let logits = self.logits_in(&hist, s);
         let (loss, dl) = bce_with_logits(&logits, &target);
+        s.give(logits);
         // Backward through head, pooling, transformer stack, embed.
-        let d_pooled = self.head.backward(&dl);
+        let d_pooled = self.head.backward(&dl, s);
         let dim = self.cfg.dim;
         let mut dh = Matrix::zeros(t, dim);
         for rr in 0..t {
@@ -128,9 +145,9 @@ impl TransFetch {
             }
         }
         for b in self.blocks.iter_mut().rev() {
-            dh = b.backward(&dh);
+            dh = b.backward(&dh, s);
         }
-        let _ = self.embed.backward(&dh);
+        let _ = self.embed.backward(&dh, s);
         loss
     }
 
@@ -154,26 +171,17 @@ impl TransFetch {
             records.len().saturating_sub(reach),
             tc.max_samples,
         );
-        let report = fit(&mut model, &starts, tc.epochs, tc.lr, |m, &i| {
-            m.train_step(records, i, t)
+        let report = fit(&mut model, &starts, tc.epochs, tc.lr, |m, &i, s| {
+            m.train_step(records, i, t, s)
         });
         model.final_loss = report.mean_loss();
         model
     }
 
     /// Predicted deltas, strongest first, up to `k`, above threshold,
-    /// through the arena forward on a local arena. Mean pooling reads
-    /// every row, so every layer computes all of them as queries.
+    /// through the one forward on a local arena.
     fn predict(&self, hist: &[(u64, u64)], k: usize) -> Vec<i64> {
-        let s = &mut ScratchArena::new();
-        let x = Self::encode(&self.cfg, hist);
-        let mut h = self.embed.infer_in(&x, s);
-        for b in &self.blocks {
-            let next = b.infer_batch_in(&h, 1, hist.len(), s);
-            s.give(h);
-            h = next;
-        }
-        let mut probs = self.head.infer_in(&mean_pool(&h), s);
+        let mut probs = self.logits_in(hist, &mut ScratchArena::new());
         Sigmoid::infer_inplace(&mut probs);
         top_k_indices(probs.row(0), k)
             .into_iter()

@@ -103,62 +103,93 @@ impl Voyager {
             hists: (0..MAX_CORES).map(|_| History::new(tc.history)).collect(),
             final_loss: f32::NAN,
         };
-        let report = fit(&mut model, &windows, tc.epochs, tc.lr, |m, &(s, i)| {
-            m.train_step(&seqs[s][i..=i + t])
+        let report = fit(&mut model, &windows, tc.epochs, tc.lr, |m, &(c, i), s| {
+            m.train_step(&seqs[c][i..=i + t], s)
         });
         model.final_loss = report.mean_loss();
         model
     }
 
+    /// The one forward: page and offset logits for a (page token,
+    /// offset) history. The offset head reads the offset model's last
+    /// hidden state and a dot-product attention context over the page
+    /// model's hidden states. A taped forward also records what the
+    /// attention's backward reads (the page hidden states, the offset
+    /// query and the attention weights) for [`Voyager::train_step`].
+    fn logits_in(&self, hist: &[(usize, usize)], s: &mut ScratchArena) -> (Matrix, Matrix) {
+        let t = hist.len();
+        let hidden = self.cfg.hidden;
+        let ptoks: Vec<usize> = hist.iter().map(|&(p, _)| p).collect();
+        let otoks: Vec<usize> = hist.iter().map(|&(_, o)| o).collect();
+        let pe = self.page_embed.infer_in(&ptoks, s);
+        let ph = self.page_lstm.infer_batch_in(&pe, 1, s); // [T, H]
+        s.give(pe);
+        let oe = self.offset_embed.infer_in(&otoks, s);
+        let oh = self.offset_lstm.infer_batch_in(&oe, 1, s); // [T, H]
+        s.give(oe);
+        let p_last = s.take_trailing_rows(&ph, 1, 1);
+        let o_last = s.take_trailing_rows(&oh, 1, 1);
+        s.give(oh);
+        // Dot-product attention: query = offset hidden, keys/values = page
+        // hidden states. Score j is `o_last · ph[j]`, the same dot product
+        // (same products, same summation order) as row j of `ph o_lastᵀ`.
+        let mut attn = s.take(1, t);
+        o_last.matmul_bt_into(&ph, &mut attn);
+        attn.scale(1.0 / (hidden as f32).sqrt());
+        attn.softmax_rows_inplace();
+        let mut ctx = s.take(1, hidden);
+        attn.matmul_into(&ph, &mut ctx);
+        let mut offset_in = s.take(1, 2 * hidden);
+        offset_in.data[..hidden].copy_from_slice(&o_last.data);
+        offset_in.data[hidden..].copy_from_slice(&ctx.data);
+        s.give(ctx);
+        s.record(ph);
+        s.record(o_last);
+        s.record(attn);
+        let p_logits = self.page_head.infer_in(&p_last, s);
+        s.give(p_last);
+        let o_logits = self.offset_head.infer_in(&offset_in, s);
+        s.give(offset_in);
+        (p_logits, o_logits)
+    }
+
     /// One training sample: the (page token, offset) window `w[..t]`
-    /// against its successor `w[t]`. Returns the page plus offset loss.
-    fn train_step(&mut self, w: &[(usize, usize)]) -> f32 {
+    /// against its successor `w[t]`, through the one forward on the taping
+    /// arena. Returns the page plus offset loss. The backward pops the
+    /// forward's records in reverse; its two branches share no parameter,
+    /// so the order they run in leaves every gradient's bits alone.
+    fn train_step(&mut self, w: &[(usize, usize)], s: &mut ScratchArena) -> f32 {
         let t = w.len() - 1;
         let hidden = self.cfg.hidden;
         let (tp, to) = w[t];
-        let ptoks: Vec<usize> = w[..t].iter().map(|&(p, _)| p).collect();
-        let otoks: Vec<usize> = w[..t].iter().map(|&(_, o)| o).collect();
-
-        // ---- forward ----
-        let pe = self.page_embed.forward(&ptoks);
-        let ph = self.page_lstm.forward(&pe); // [T, H]
-        let oe = self.offset_embed.forward(&otoks);
-        let oh = self.offset_lstm.forward(&oe); // [T, H]
-        let p_last = Matrix::from_vec(1, ph.cols, ph.row(t - 1).to_vec());
-        let o_last = Matrix::from_vec(1, oh.cols, oh.row(t - 1).to_vec());
-        // Dot-product attention: query = offset hidden, keys/values
-        // = page hidden states.
-        let mut scores = ph.matmul_bt(&o_last).transpose(); // [1, T]
-        scores.scale(1.0 / (hidden as f32).sqrt());
-        let attn = scores.softmax_rows(); // [1, T]
-        let ctx = attn.matmul(&ph); // [1, H]
-        let offset_in = {
-            let mut v = o_last.data.clone();
-            v.extend_from_slice(&ctx.data);
-            Matrix::from_vec(1, 2 * hidden, v)
-        };
-        let p_logits = self.page_head.forward(&p_last);
-        let o_logits = self.offset_head.forward(&offset_in);
+        let (p_logits, o_logits) = self.logits_in(&w[..t], s);
         let (pl, dp) = softmax_cross_entropy(&p_logits, &[tp]);
         let (ol, dol) = softmax_cross_entropy(&o_logits, &[to]);
+        s.give(p_logits);
+        s.give(o_logits);
 
         // ---- backward ----
-        // Page head path.
-        let dp_last = self.page_head.backward(&dp);
         // Offset head path.
-        let d_off_in = self.offset_head.backward(&dol);
+        let d_off_in = self.offset_head.backward(&dol, s);
+        // Page head path.
+        let dp_last = self.page_head.backward(&dp, s);
+        let attn = s.pop();
+        let o_last = s.pop();
+        let ph = s.pop();
         let d_o_last_head = Matrix::from_vec(1, hidden, d_off_in.data[..hidden].to_vec());
         let d_ctx = Matrix::from_vec(1, hidden, d_off_in.data[hidden..].to_vec());
-        // ctx = attn @ ph
-        let d_attn = d_ctx.matmul_bt(&ph); // [1, T]
-                                           // attn^T [T,1] @ d_ctx [1,H] → [T,H]
+        // ctx = attn @ ph: d_attn = d_ctx phᵀ [1, T], d_ph = attnᵀ d_ctx [T, H]
+        let d_attn = d_ctx.matmul_bt(&ph);
         let d_ph_from_ctx = attn.matmul_at(&d_ctx);
         let mut d_scores = Matrix::softmax_rows_backward(&attn, &d_attn);
         d_scores.scale(1.0 / (hidden as f32).sqrt());
         // scores[0, j] = ph[j] · o_last
         let d_ph_from_scores = d_scores.transpose().matmul(&o_last); // [T, H]
         let d_o_last_attn = d_scores.matmul(&ph); // [1, H]
-                                                  // Accumulate page-LSTM output grads.
+        s.give(attn);
+        s.give(o_last);
+        s.give(ph);
+        // Accumulate page-LSTM output grads.
         let mut d_ph = d_ph_from_ctx;
         d_ph.add_assign(&d_ph_from_scores);
         d_ph.row_mut(t - 1)
@@ -171,10 +202,10 @@ impl Voyager {
             .iter_mut()
             .zip(d_o_last_head.row(0).iter().zip(d_o_last_attn.row(0).iter()))
             .for_each(|(a, (&b, &c))| *a = b + c);
-        let d_pe = self.page_lstm.backward(&d_ph);
-        let d_oe = self.offset_lstm.backward(&d_oh);
-        self.page_embed.backward(&d_pe);
-        self.offset_embed.backward(&d_oe);
+        let d_oe = self.offset_lstm.backward(&d_oh, s);
+        self.offset_embed.backward(&d_oe, s);
+        let d_pe = self.page_lstm.backward(&d_ph, s);
+        self.page_embed.backward(&d_pe, s);
         pl + ol
     }
 
@@ -185,25 +216,7 @@ impl Voyager {
         pages_k: usize,
         offs_k: usize,
     ) -> (Vec<usize>, Vec<usize>) {
-        let t = hist.len();
-        let ptoks: Vec<usize> = hist.iter().map(|&(p, _)| p).collect();
-        let otoks: Vec<usize> = hist.iter().map(|&(_, o)| o).collect();
-        let s = &mut ScratchArena::new();
-        let pe = self.page_embed.infer_in(&ptoks, s);
-        let ph = self.page_lstm.infer_batch_in(&pe, 1, s);
-        let oe = self.offset_embed.infer_in(&otoks, s);
-        let oh = self.offset_lstm.infer_batch_in(&oe, 1, s);
-        let p_last = Matrix::from_vec(1, ph.cols, ph.row(t - 1).to_vec());
-        let o_last = Matrix::from_vec(1, oh.cols, oh.row(t - 1).to_vec());
-        let mut scores = ph.matmul_bt(&o_last).transpose();
-        scores.scale(1.0 / (self.cfg.hidden as f32).sqrt());
-        let attn = scores.softmax_rows();
-        let ctx = attn.matmul(&ph);
-        let mut v = o_last.data.clone();
-        v.extend_from_slice(&ctx.data);
-        let offset_in = Matrix::from_vec(1, 2 * self.cfg.hidden, v);
-        let p_logits = self.page_head.infer_in(&p_last, s);
-        let o_logits = self.offset_head.infer_in(&offset_in, s);
+        let (p_logits, o_logits) = self.logits_in(hist, &mut ScratchArena::new());
         (
             top_k_indices(p_logits.row(0), pages_k),
             top_k_indices(o_logits.row(0), offs_k),
