@@ -11,6 +11,10 @@
 //!       normalized p50s against the committed baseline, and exits
 //!       non-zero on a >15% regression unless `MPGRAPH_PERF_OVERRIDE` is
 //!       set in the environment.
+//!
+//! `--trace-out <path>` is accepted too. Any other argument exits 2,
+//! naming it, before anything is measured or written: a mistyped
+//! `--check` must not run the baseline mode and rewrite the baseline.
 
 use std::process::ExitCode;
 
@@ -135,15 +139,55 @@ fn check(first: PerfReport, quick: bool) -> ExitCode {
     ExitCode::FAILURE
 }
 
+/// The modes the command line selects.
+#[derive(Debug, Default, PartialEq, Eq)]
+struct Mode {
+    quick: bool,
+    check: bool,
+}
+
+/// Parses the arguments after the program name: the switches `--quick`
+/// and `--check`, and `--metrics-out` / `--trace-out` with a value, as
+/// `--flag value` or `--flag=value` (their values are read where the
+/// artifacts are written, by `emit_if_requested`). Anything else is an
+/// error that names it.
+fn parse_mode(args: &[String]) -> Result<Mode, String> {
+    let mut mode = Mode::default();
+    let mut args = args.iter();
+    while let Some(a) = args.next() {
+        match a.as_str() {
+            "--quick" => mode.quick = true,
+            "--check" => mode.check = true,
+            "--metrics-out" | "--trace-out" => match args.next() {
+                Some(v) if !v.starts_with("--") => {}
+                _ => return Err(format!("{a} needs a value")),
+            },
+            _ if a.starts_with("--metrics-out=") || a.starts_with("--trace-out=") => {}
+            _ => return Err(format!("unknown argument `{a}`")),
+        }
+    }
+    Ok(mode)
+}
+
 fn main() -> ExitCode {
-    let args: Vec<String> = std::env::args().collect();
-    let quick = args.iter().any(|a| a == "--quick");
+    let args: Vec<String> = std::env::args().skip(1).collect();
+    let mode = match parse_mode(&args) {
+        Ok(mode) => mode,
+        Err(e) => {
+            eprintln!(
+                "error: {e}\nusage: perf [--quick] [--check] [--metrics-out <path>] \
+                 [--trace-out <path>]"
+            );
+            return ExitCode::from(2);
+        }
+    };
+    let quick = mode.quick;
     let scale = if quick {
         ExpScale::quick()
     } else {
         ExpScale::standard()
     };
-    if args.iter().any(|a| a == "--check") {
+    if mode.check {
         let rep = run_perf(quick);
         print_report(&rep);
         emit_if_requested(&scale);
@@ -168,6 +212,53 @@ fn main() -> ExitCode {
         Err(e) => {
             eprintln!("cannot serialize report: {e}");
             ExitCode::FAILURE
+        }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    fn parse(args: &[&str]) -> Result<Mode, String> {
+        let args: Vec<String> = args.iter().map(|a| a.to_string()).collect();
+        parse_mode(&args)
+    }
+
+    #[test]
+    fn parse_accepts_the_documented_flags_in_both_value_forms() {
+        assert_eq!(parse(&[]), Ok(Mode::default()));
+        assert_eq!(
+            parse(&[
+                "--quick",
+                "--check",
+                "--metrics-out",
+                "m.json",
+                "--trace-out=t.json"
+            ]),
+            Ok(Mode {
+                quick: true,
+                check: true
+            })
+        );
+        assert_eq!(
+            parse(&["--metrics-out=m.json", "--trace-out", "t.json"]),
+            Ok(Mode::default())
+        );
+    }
+
+    #[test]
+    fn parse_rejects_unknown_arguments_and_missing_values_by_name() {
+        for (args, named) in [
+            (&["--quick", "--chek"][..], "`--chek`"),
+            (&["--check", "quick"], "`quick`"),
+            (&["-q"], "`-q`"),
+            (&["--metrics-out"], "--metrics-out needs a value"),
+            (&["--trace-out", "--quick"], "--trace-out needs a value"),
+            (&["--metrics"], "`--metrics`"),
+        ] {
+            let err = parse(args).expect_err("accepted");
+            assert!(err.contains(named), "{args:?}: {err}");
         }
     }
 }

@@ -347,8 +347,8 @@ mod tests {
                         let y = amma.infer_batch_in(&stacked, batch, phase, &mut s);
                         assert_eq!((y.rows, y.cols), (batch, 16));
                         for (b, q) in seqs[..batch].iter().enumerate() {
-                            // The training forward (B = 1, every row a
-                            // query, taped) is the reference.
+                            // The training forward (B = 1, taped) is
+                            // the reference.
                             assert_eq!(
                                 bits(y.row(b)),
                                 bits(&taped(&amma, q, phase).0.data),

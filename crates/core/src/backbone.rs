@@ -227,8 +227,9 @@ mod tests {
         v.iter().map(|x| x.to_bits()).collect()
     }
 
-    /// The training forward: one sequence on a taping arena (every row of
-    /// every layer a query), returned with the tape for the backward.
+    /// The training forward: one sequence on a taping arena (the final
+    /// transformer layer computes its readout row only), returned with
+    /// the tape for the backward.
     fn taped(b: &Backbone, x: &ModalInput, phase: usize) -> (Matrix, ScratchArena) {
         let mut s = ScratchArena::with_tape();
         let y = b.infer_batch_in(x, 1, phase, &mut s);

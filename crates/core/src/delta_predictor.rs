@@ -96,8 +96,7 @@ impl DeltaModel {
         let mut pc = s.take(batch * t, 1);
         for (b, hist) in hists.iter().enumerate() {
             for (i, &(block, pcv)) in hist.iter().enumerate() {
-                addr.row_mut(b * t + i)
-                    .copy_from_slice(&segment_block(block, cfg.segments));
+                segment_block(block, addr.row_mut(b * t + i));
                 pc.data[b * t + i] = pc_feature(pcv);
             }
         }

@@ -45,8 +45,10 @@ impl ScratchArena {
     }
 
     /// An arena whose forwards record a tape for the backward pass. A
-    /// taped forward runs one sequence (B = 1) and computes every row of
-    /// every layer, because the backward reads them all; its output is
+    /// taped forward runs one sequence (B = 1) and computes the rows the
+    /// untaped one does: every row of every layer but a readout stack's
+    /// final transformer layer, which computes its readout row (see
+    /// [`crate::transformer::readout_batch_in`]). Its output is
     /// bit-identical to the untaped forward's.
     pub fn with_tape() -> Self {
         ScratchArena {

@@ -44,8 +44,9 @@ impl SelfAttention {
     /// bit-identical to the matching row of the same forward on its
     /// sequence alone with every row a query. The result comes from the
     /// arena; the caller `give`s it back. Single sequences run at
-    /// `batch = 1`. A taped forward (B = 1, every row a query) records
-    /// `x`, Q, K, V and the attention weights for [`SelfAttention::backward`].
+    /// `batch = 1`. A taped forward (B = 1, any query count) records `x`,
+    /// Q, K, V and the `[queries, seq]` attention weights for
+    /// [`SelfAttention::backward`].
     pub fn infer_batch_in(
         &self,
         x: &Matrix,
@@ -60,8 +61,8 @@ impl SelfAttention {
         let seq = x.rows / batch;
         assert!(queries <= seq, "more queries than rows");
         assert!(
-            !s.taping() || (batch == 1 && queries == seq),
-            "a taped forward runs one sequence with every row a query"
+            !s.taping() || batch == 1,
+            "a taped forward runs one sequence"
         );
         let rows = x.rows;
         let hd = self.head_dim;
@@ -109,13 +110,20 @@ impl SelfAttention {
     }
 
     /// Pops the recorded `x`, Q, K, V and attention weights and
-    /// backpropagates `dy`.
+    /// backpropagates `dy`, the gradient of the `queries` output rows;
+    /// the attention weights' shape gives `[queries, seq]`. Returns the
+    /// gradient of every row of `x`: all rows feed K and V, the last
+    /// `queries` also Q. A query row's gradient sums
+    /// `(dQ Wqᵀ + dK Wkᵀ) + dV Wvᵀ` in that grouping; the other rows have
+    /// no dQ term, which for them is an exact zero (a kernel sum starts at
+    /// +0.0 and is never −0.0, so leaving it out changes no bit).
     pub fn backward(&mut self, dy: &Matrix, s: &mut ScratchArena) -> Matrix {
         let attn = s.pop();
         let v = s.pop();
         let k = s.pop();
         let q = s.pop();
         let x = s.pop();
+        let (queries, seq) = (attn.rows, attn.cols);
         let scale = 1.0 / (self.head_dim as f32).sqrt();
         // Y = A V
         let d_attn = dy.matmul_bt(&v);
@@ -126,15 +134,18 @@ impl SelfAttention {
         // S = Q K^T (scaled already folded into ds)
         let dq = ds.matmul(&k);
         let dk = ds.matmul_at(&q);
-        // Parameter grads.
-        self.wq.g.add_assign(&x.matmul_at(&dq));
+        // Parameter grads; Q read only the query rows of `x`.
+        let xq = (queries < seq).then(|| s.take_trailing_rows(&x, 1, queries));
+        self.wq
+            .g
+            .add_assign(&xq.as_ref().unwrap_or(&x).matmul_at(&dq));
         self.wk.g.add_assign(&x.matmul_at(&dk));
         self.wv.g.add_assign(&x.matmul_at(&dv));
         // Input grad.
-        let mut dx = dq.matmul_bt(&self.wq.w);
-        dx.add_assign(&dk.matmul_bt(&self.wk.w));
+        let mut dx = dk.matmul_bt(&self.wk.w);
+        dx.add_assign_trailing(&dq.matmul_bt(&self.wq.w));
         dx.add_assign(&dv.matmul_bt(&self.wv.w));
-        for m in [attn, v, k, q, x] {
+        for m in [attn, v, k, q, x].into_iter().chain(xq) {
             s.give(m);
         }
         dx
@@ -205,8 +216,10 @@ impl MultiHeadAttention {
     }
 
     /// Pops the recorded concatenation and every head's entries (last
-    /// head first) and backpropagates `dy`. The heads' input gradients
-    /// are summed in head order.
+    /// head first) and backpropagates `dy`, the gradient of the query
+    /// rows. Wo runs on those rows alone; each head returns the gradient
+    /// of every input row (see [`SelfAttention::backward`]), and the
+    /// heads' input gradients are summed in head order.
     pub fn backward(&mut self, dy: &Matrix, s: &mut ScratchArena) -> Matrix {
         let concat = s.pop();
         self.wo.g.add_assign(&concat.matmul_at(dy));
@@ -288,8 +301,7 @@ mod tests {
         let multi = MultiHeadAttention::new(8, 2, &mut r);
         let seq = 4;
         let seqs: Vec<Matrix> = (0..5).map(|_| Matrix::xavier(seq, 8, &mut r)).collect();
-        // The reference is the training forward: B = 1, every row a
-        // query, on a taping arena.
+        // The reference is the taped forward: B = 1, every row a query.
         let single_ref: Vec<Matrix> = seqs
             .iter()
             .map(|x| taped(|x, b, q, s| single.infer_batch_in(x, b, q, s), x).0)

@@ -530,10 +530,8 @@ mod tests {
         let report = fit(&mut m, &samples, 2, 0.01, |m, toks, s| {
             let before = s.stats().1;
             let x = m.embed.infer_in(toks, s);
-            let h = m.layer.infer_batch_in(&x, 1, toks.len(), s);
-            s.give(x);
-            let last = s.take_trailing_rows(&h, 1, 1);
-            s.give(h);
+            let last =
+                crate::transformer::readout_batch_in(std::slice::from_ref(&m.layer), x, 1, s);
             let logits = m.head.infer_in(&last, s);
             s.give(last);
             let (loss, d) = crate::loss::softmax_cross_entropy(&logits, &[toks[0]]);

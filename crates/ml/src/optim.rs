@@ -40,7 +40,8 @@ impl Adam {
         let bc2 = 1.0 - b2.powi(t);
         module.for_each_param(&mut |p: &mut Param| {
             // Per-parameter-tensor clipping keeps exploding LSTM grads sane.
-            if clip > 0.0 {
+            // The exact norm is read only when the clip might fire.
+            if clip > 0.0 && norm_may_exceed(&p.g.data, clip) {
                 let norm = p.g.norm();
                 if norm > clip {
                     p.g.scale(clip / norm);
@@ -57,6 +58,59 @@ impl Adam {
             p.g.data.fill(0.0);
         });
     }
+}
+
+/// Whether [`Matrix::norm`](crate::tensor::Matrix::norm) of `g` may
+/// exceed `clip` (> 0): `false` only when it provably does not. The exact
+/// norm is a strictly sequential `f32` sum of squares, which no compiler
+/// may reorder; this check sums the same squares in 16 independent lanes,
+/// which vectorizes, and widens the result by a bound on how far the two
+/// sums can disagree.
+///
+/// Why `false` is safe. Let `x_i = fl(g_i²) ≥ 0` be the rounded squares
+/// both sums add (the same products), `S = Σ x_i` exactly, `n = g.len()`
+/// and `u = 2⁻²⁴`. Every `f32` addition of finite non-negative operands
+/// returns `(a + b)(1 + δ)` with `|δ| ≤ u` (exactly, if subnormal), and
+/// adding onto 0.0 is exact. The sequential sum therefore satisfies
+/// `S_seq ≤ (1 + u)^(n−1) S`. The lanes each add at most `m = ⌈n/16⌉`
+/// terms onto 0.0 and then combine pairwise in four levels, so
+/// `S_lane ≥ (1 − u)^(m+3) S`. Together, `S_seq ≤ S_lane · (1 + u)^a ·
+/// (1 − u)^−b` with `a + b = n + m + 2 ≤ (17n + 47)/16`; for
+/// `2 ≤ n ≤ 2²⁰` that exponent keeps `y = (a + b)·u·(1 + 2u)` below
+/// 0.067, `eᵞ ≤ 1 + 1.067y`, and `1.067 · (17n + 47)/16 ≤ 2.9n < 4n`,
+/// so `S_seq < S_lane · (1 + 4nu)` with room to spare for the one `f64`
+/// rounding of that product. For `n ≤ 1` both sums are exact. So if
+/// `S_lane · (1 + 4nu) < clip²` (exact in `f64`) and `< f32::MAX`, the
+/// sequential sum, every partial sum of it included, stays below both:
+/// it does not overflow, `√S_seq < clip`, and the correctly rounded
+/// `f32` square root is at most `clip`, so `norm > clip` is false.
+///
+/// NaN and ±∞ entries, an overflowing lane sum and `n > 2²⁰` all fail
+/// the test and take the exact path.
+pub fn norm_may_exceed(g: &[f32], clip: f32) -> bool {
+    const MAX_LEN: usize = 1 << 20;
+    if g.len() > MAX_LEN {
+        return true;
+    }
+    let mut lanes = [0.0f32; 16];
+    let mut chunks = g.chunks_exact(16);
+    for chunk in &mut chunks {
+        for (l, &v) in lanes.iter_mut().zip(chunk) {
+            *l += v * v;
+        }
+    }
+    for (l, &v) in lanes.iter_mut().zip(chunks.remainder()) {
+        *l += v * v;
+    }
+    for width in [8, 4, 2, 1] {
+        for j in 0..width {
+            lanes[j] += lanes[j + width];
+        }
+    }
+    let widened = f64::from(lanes[0]) * (1.0 + 4.0 * g.len() as f64 * f64::powi(2.0, -24));
+    let limit = (f64::from(clip) * f64::from(clip)).min(f64::from(f32::MAX));
+    // A NaN sum compares as unordered and lands on the exact path.
+    widened.partial_cmp(&limit) != Some(std::cmp::Ordering::Less)
 }
 
 #[cfg(test)]

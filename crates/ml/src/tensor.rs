@@ -321,6 +321,20 @@ impl Matrix {
         }
     }
 
+    /// Adds `other` to the last `other.rows` rows of `self`: the residual
+    /// and input-gradient sums of a layer that ran only its trailing
+    /// query rows. With equal shapes it is [`Matrix::add_assign`].
+    pub fn add_assign_trailing(&mut self, other: &Matrix) {
+        assert!(
+            other.cols == self.cols && other.rows <= self.rows,
+            "trailing rows must fit"
+        );
+        let start = (self.rows - other.rows) * self.cols;
+        for (a, b) in self.data[start..].iter_mut().zip(other.data.iter()) {
+            *a += b;
+        }
+    }
+
     pub fn scale(&mut self, s: f32) {
         for a in self.data.iter_mut() {
             *a *= s;

@@ -117,7 +117,12 @@ impl TransformerLayer {
         y
     }
 
-    /// Pops the sublayers' entries in reverse and backpropagates `dy`.
+    /// Pops the sublayers' entries in reverse and backpropagates `dy`,
+    /// the gradient of the `queries` rows the taped forward computed.
+    /// Both layer norms, the FFN and Wo run on those rows alone; the
+    /// attention returns the gradient of every input row, and the
+    /// residual adds to the query rows (the last ones). Returns the
+    /// gradient of `x`.
     pub fn backward(&mut self, dy: &Matrix, s: &mut ScratchArena) -> Matrix {
         let d = self.ln2.backward(dy, s);
         // y = ffn(h) + h
@@ -126,7 +131,7 @@ impl TransformerLayer {
         let d = self.ln1.backward(&dh, s);
         // h = msa(x) + x
         let mut dx = self.msa.backward(&d, s);
-        dx.add_assign(&d);
+        dx.add_assign_trailing(&d);
         dx
     }
 }
@@ -135,9 +140,10 @@ impl TransformerLayer {
 /// last-position readout `[batch, dim]`. Every layer but the final one
 /// computes all rows, because the next layer reads them as keys and
 /// values; the final one computes one query row per sequence, and that row
-/// is the readout. A taped forward computes every row of the final layer
-/// too, as its backward reads them all, and gathers the last. With no
-/// layers the readout is `h`'s last rows. `h` goes back to the arena.
+/// is the readout. A taped forward does the same, so the final layer
+/// records one row of everything but its attention's keys and values (see
+/// [`readout_backward`]). With no layers the readout is `h`'s last rows.
+/// `h` goes back to the arena.
 pub fn readout_batch_in(
     layers: &[TransformerLayer],
     mut h: Matrix,
@@ -146,11 +152,7 @@ pub fn readout_batch_in(
 ) -> Matrix {
     let seq = h.rows / batch;
     for (i, layer) in layers.iter().enumerate() {
-        let queries = if i + 1 == layers.len() && !s.taping() {
-            1
-        } else {
-            seq
-        };
+        let queries = if i + 1 == layers.len() { 1 } else { seq };
         let next = layer.infer_batch_in(&h, batch, queries, s);
         s.give(h);
         h = next;
@@ -164,17 +166,27 @@ pub fn readout_batch_in(
 }
 
 /// The backward of a taped [`readout_batch_in`] over a `seq`-row
-/// sequence: the readout's gradient enters at the last row only, then runs
-/// back through `layers`. Returns the gradient of `h`, `[seq, dim]`.
+/// sequence: the readout's `[1, dim]` gradient enters the final layer's
+/// one-row backward as is, then runs back through the other layers.
+/// Returns the gradient of `h`, `[seq, dim]`. It has the bits of the
+/// all-rows backward fed the gradient zero-padded to `[seq, dim]`: the
+/// rows that backward computed and this one skips only ever added exact
+/// zeros to sums that start at +0.0, barring a NaN made from `0 × ∞` in a
+/// row the loss never read. With no layers the gradient of `h` is the
+/// readout's, zero-padded.
 pub fn readout_backward(
     layers: &mut [TransformerLayer],
     d_readout: &Matrix,
     seq: usize,
     s: &mut ScratchArena,
 ) -> Matrix {
-    let mut dh = Matrix::zeros(seq, d_readout.cols);
-    dh.row_mut(seq - 1).copy_from_slice(d_readout.row(0));
-    for layer in layers.iter_mut().rev() {
+    let Some((last, rest)) = layers.split_last_mut() else {
+        let mut dh = Matrix::zeros(seq, d_readout.cols);
+        dh.row_mut(seq - 1).copy_from_slice(d_readout.row(0));
+        return dh;
+    };
+    let mut dh = last.backward(d_readout, s);
+    for layer in rest.iter_mut().rev() {
         dh = layer.backward(&dh, s);
     }
     dh
@@ -270,8 +282,7 @@ mod tests {
         let t = TransformerLayer::new(8, 4, &mut r);
         let seq = 3;
         let seqs: Vec<Matrix> = (0..5).map(|_| Matrix::xavier(seq, 8, &mut r)).collect();
-        // The reference is the training forward: B = 1, every row a query,
-        // on a taping arena.
+        // The reference is the taped forward: B = 1, every row a query.
         let baselines: Vec<Matrix> = seqs
             .iter()
             .map(|x| full(&t, x, &mut ScratchArena::with_tape()))
@@ -310,6 +321,138 @@ mod tests {
                 misses, misses_after_warmup,
                 "batch={batch}: steady state must not allocate"
             );
+        }
+    }
+
+    /// Every gradient of a layer stack, in parameter order, as bits.
+    fn grad_bits(layers: &mut [TransformerLayer]) -> Vec<u32> {
+        let mut out = Vec::new();
+        for l in layers {
+            l.for_each_param(&mut |p| out.extend(bits(&p.g.data)));
+        }
+        out
+    }
+
+    /// The reference readout and backward: every layer taped with every
+    /// row a query, the last row gathered, and the readout's gradient
+    /// zero-padded to `[seq, dim]`. Returns the readout and the gradient
+    /// of `h`.
+    fn all_rows_readout(
+        layers: &mut [TransformerLayer],
+        h: &Matrix,
+        d: &Matrix,
+    ) -> (Matrix, Matrix) {
+        let mut s = ScratchArena::with_tape();
+        let seq = h.rows;
+        let mut x = h.clone();
+        for l in layers.iter() {
+            x = l.infer_batch_in(&x, 1, seq, &mut s);
+        }
+        let readout = Matrix::from_vec(1, x.cols, x.row(seq - 1).to_vec());
+        let mut dh = Matrix::zeros(seq, d.cols);
+        dh.row_mut(seq - 1).copy_from_slice(d.row(0));
+        for l in layers.iter_mut().rev() {
+            dh = l.backward(&dh, &mut s);
+        }
+        assert_eq!(s.tape_len(), 0);
+        (readout, dh)
+    }
+
+    /// The one-row readout and its backward on a taping arena.
+    fn one_row_readout(
+        layers: &mut [TransformerLayer],
+        h: &Matrix,
+        d: &Matrix,
+    ) -> (Matrix, Matrix) {
+        let mut s = ScratchArena::with_tape();
+        let readout = readout_batch_in(layers, h.clone(), 1, &mut s);
+        let dh = readout_backward(layers, d, h.rows, &mut s);
+        assert_eq!(s.tape_len(), 0);
+        (readout, dh)
+    }
+
+    #[test]
+    fn one_row_readout_backward_matches_the_zero_padded_all_rows_backward() {
+        // (dim, heads, seq, layers): a tiny stack, AMMA's default (one
+        // layer) and the Attention backbone's (two), at the default width
+        // and history.
+        for (dim, heads, seq, layers) in [(8, 2, 4, 1), (8, 2, 5, 2), (64, 4, 9, 1), (64, 4, 9, 2)]
+        {
+            for seed in 0..4u64 {
+                let mut r = rng(40 + seed);
+                let stack: Vec<TransformerLayer> = (0..layers)
+                    .map(|_| TransformerLayer::new(dim, heads, &mut r))
+                    .collect();
+                let h = Matrix::xavier(seq, dim, &mut r);
+                let d = Matrix::xavier(1, dim, &mut r);
+                let (mut old, mut new) = (stack.clone(), stack);
+                let (y_old, dh_old) = all_rows_readout(&mut old, &h, &d);
+                let (y_new, dh_new) = one_row_readout(&mut new, &h, &d);
+                let what = format!("dim {dim} heads {heads} seq {seq} layers {layers} seed {seed}");
+                assert_eq!(bits(&y_new.data), bits(&y_old.data), "{what}: readout");
+                assert_eq!(
+                    bits(&dh_new.data),
+                    bits(&dh_old.data),
+                    "{what}: input gradient"
+                );
+                assert_eq!(
+                    grad_bits(&mut new),
+                    grad_bits(&mut old),
+                    "{what}: weight gradients"
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn one_row_readout_gradient_matches_finite_difference() {
+        for layers in [1usize, 2] {
+            let mut r = rng(50 + layers as u64);
+            let mut stack: Vec<TransformerLayer> = (0..layers)
+                .map(|_| TransformerLayer::new(4, 2, &mut r))
+                .collect();
+            let h = Matrix::xavier(3, 4, &mut r);
+            let w = Matrix::xavier(1, 4, &mut r);
+            let (_, dh) = one_row_readout(&mut stack, &h, &w);
+            let loss = |stack: &[TransformerLayer], x: &Matrix| {
+                weighted(
+                    &readout_batch_in(stack, x.clone(), 1, &mut ScratchArena::new()),
+                    &w,
+                )
+            };
+            let eps = 1e-2f32;
+            for i in 0..h.data.len() {
+                let (mut xp, mut xm) = (h.clone(), h.clone());
+                xp.data[i] += eps;
+                xm.data[i] -= eps;
+                let num = (loss(&stack, &xp) - loss(&stack, &xm)) / (2.0 * eps);
+                assert!(
+                    (num - dh.data[i]).abs() < 0.1,
+                    "layers {layers} idx {i}: {num} vs {}",
+                    dh.data[i]
+                );
+            }
+            // The final layer's Q projection and FFN saw one row only.
+            let last = layers - 1;
+            type Probe = fn(&mut TransformerLayer) -> &mut Param;
+            let probes: [(&str, Probe); 3] = [
+                ("wq", |l| &mut l.msa.heads[0].wq),
+                ("wo", |l| &mut l.msa.wo),
+                ("fc1", |l| &mut l.ffn.fc1.w),
+            ];
+            for (name, param) in probes {
+                let analytic = param(&mut stack[last]).g.data[1];
+                let nudged = |delta: f32| {
+                    let mut st = stack.clone();
+                    param(&mut st[last]).w.data[1] += delta;
+                    loss(&st, &h)
+                };
+                let num = (nudged(eps) - nudged(-eps)) / (2.0 * eps);
+                assert!(
+                    (num - analytic).abs() < 0.1,
+                    "layers {layers} {name}: {num} vs {analytic}"
+                );
+            }
         }
     }
 

@@ -76,6 +76,8 @@ pub struct DeltaLstm {
     head: Linear,
     hist: History<usize>,
     last_block: Option<u64>,
+    /// Scratch for the online forwards, warm after the first.
+    arena: ScratchArena,
     /// Final training loss, for tests/reporting.
     pub final_loss: f32,
 }
@@ -104,6 +106,7 @@ impl DeltaLstm {
             head: Linear::new(cfg.hidden, cfg.vocab, &mut r),
             hist: History::new(tc.history),
             last_block: None,
+            arena: ScratchArena::new(),
             final_loss: f32::NAN,
         };
         let t = tc.history;
@@ -143,14 +146,17 @@ impl DeltaLstm {
     }
 
     /// Predicted top-`k` delta classes (with softmax probability above the
-    /// confidence threshold) for a delta-class history.
-    fn predict(&self, hist: &[usize], k: usize) -> Vec<usize> {
-        let mut probs = self.logits_in(hist, &mut ScratchArena::new());
+    /// confidence threshold) for a delta-class history, through the one
+    /// forward on `s`.
+    fn predict(&self, hist: &[usize], k: usize, s: &mut ScratchArena) -> Vec<usize> {
+        let mut probs = self.logits_in(hist, s);
         probs.softmax_rows_inplace();
-        mpgraph_ml::metrics::top_k_indices(probs.row(0), k)
+        let picks = mpgraph_ml::metrics::top_k_indices(probs.row(0), k)
             .into_iter()
             .filter(|&c| probs.data[c] >= self.cfg_threshold())
-            .collect()
+            .collect();
+        s.give(probs);
+        picks
     }
 
     #[inline]
@@ -184,7 +190,9 @@ impl Prefetcher for DeltaLstm {
         }
         // Top classes, skipping the OOV bucket; chain the best delta to
         // reach the requested degree.
-        let picks = self.predict(self.hist.items(), self.cfg.degree + 1);
+        let mut arena = std::mem::take(&mut self.arena);
+        let picks = self.predict(self.hist.items(), self.cfg.degree + 1, &mut arena);
+        self.arena = arena;
         let mut issued = 0usize;
         for &cls in &picks {
             let Some(delta) = self.vocab.delta_of(cls) else {
@@ -263,7 +271,7 @@ mod tests {
             .iter()
             .map(|&d| v.class_of(d))
             .collect();
-        let picks = model.predict(&hist, 1);
+        let picks = model.predict(&hist, 1, &mut ScratchArena::new());
         assert_eq!(v.delta_of(picks[0]), Some(3));
     }
 

@@ -271,13 +271,14 @@ mod dedup_tests {
     }
 }
 
-/// Splits a block address into `n` 4-bit segments (least-significant
-/// first), each scaled to [0, 1) — TransFetch's "fine-grained address
-/// segmentation" input.
-pub fn segment_block(block: u64, n: usize) -> Vec<f32> {
-    (0..n)
-        .map(|i| ((block >> (4 * i)) & 0xF) as f32 / 16.0)
-        .collect()
+/// Splits a block address into `out.len()` 4-bit segments
+/// (least-significant first), each scaled to [0, 1), written into `out` —
+/// TransFetch's "fine-grained address segmentation" input, filled
+/// straight into a row of the model's input matrix.
+pub fn segment_block(block: u64, out: &mut [f32]) {
+    for (i, v) in out.iter_mut().enumerate() {
+        *v = ((block >> (4 * i)) & 0xF) as f32 / 16.0;
+    }
 }
 
 /// Fixed-size history ring of the last `cap` items.
@@ -391,8 +392,8 @@ mod tests {
     #[test]
     fn segments_reconstruct_block() {
         let block = 0xAB_CDEFu64;
-        let segs = segment_block(block, 6);
-        assert_eq!(segs.len(), 6);
+        let mut segs = [f32::NAN; 6];
+        segment_block(block, &mut segs);
         let mut reconstructed = 0u64;
         for (i, s) in segs.iter().enumerate() {
             reconstructed |= ((s * 16.0).round() as u64) << (4 * i);

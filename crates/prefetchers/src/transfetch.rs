@@ -66,6 +66,8 @@ pub struct TransFetch {
     blocks: Vec<TransformerLayer>,
     head: Linear,
     hist: History<(u64, u64)>, // (block, pc)
+    /// Scratch for the online forwards, warm after the first.
+    arena: ScratchArena,
     pub final_loss: f32,
 }
 
@@ -97,7 +99,7 @@ impl TransFetch {
         let mut x = s.take(hist.len(), self.cfg.segments + 1);
         for (i, &(block, pc)) in hist.iter().enumerate() {
             let row = x.row_mut(i);
-            row[..self.cfg.segments].copy_from_slice(&segment_block(block, self.cfg.segments));
+            segment_block(block, &mut row[..self.cfg.segments]);
             row[self.cfg.segments] = pc_feature(pc);
         }
         let mut h = self.embed.infer_in(&x, s);
@@ -161,6 +163,7 @@ impl TransFetch {
                 .collect(),
             head: Linear::new(cfg.dim, cfg.labels().num_labels(), &mut r),
             hist: History::new(tc.history),
+            arena: ScratchArena::new(),
             final_loss: f32::NAN,
         };
         let t = tc.history;
@@ -179,15 +182,17 @@ impl TransFetch {
     }
 
     /// Predicted deltas, strongest first, up to `k`, above threshold,
-    /// through the one forward on a local arena.
-    fn predict(&self, hist: &[(u64, u64)], k: usize) -> Vec<i64> {
-        let mut probs = self.logits_in(hist, &mut ScratchArena::new());
+    /// through the one forward on `s`.
+    fn predict(&self, hist: &[(u64, u64)], k: usize, s: &mut ScratchArena) -> Vec<i64> {
+        let mut probs = self.logits_in(hist, s);
         Sigmoid::infer_inplace(&mut probs);
-        top_k_indices(probs.row(0), k)
+        let deltas = top_k_indices(probs.row(0), k)
             .into_iter()
             .filter(|&i| probs.data[i] >= self.cfg.threshold)
             .map(|i| self.cfg.labels().delta_of(i))
-            .collect()
+            .collect();
+        s.give(probs);
+        deltas
     }
 
     pub fn num_params(&mut self) -> usize {
@@ -213,7 +218,10 @@ impl Prefetcher for TransFetch {
         if !self.hist.is_full() {
             return;
         }
-        for d in self.predict(self.hist.items(), self.cfg.degree) {
+        let mut arena = std::mem::take(&mut self.arena);
+        let deltas = self.predict(self.hist.items(), self.cfg.degree, &mut arena);
+        self.arena = arena;
+        for d in deltas {
             let t = a.block as i64 + d;
             if t >= 0 {
                 out.push(t as u64);
@@ -294,7 +302,7 @@ mod tests {
         // include small positive values consistent with the interleaving
         // (+2 for self, +5-ish for the other stream re-interleaved, etc.).
         let hist: Vec<(u64, u64)> = trace[100..106].iter().map(|r| (r.block(), r.pc)).collect();
-        let deltas = model.predict(&hist, 3);
+        let deltas = model.predict(&hist, 3, &mut ScratchArena::new());
         assert!(!deltas.is_empty());
         assert!(deltas.iter().all(|&d| d != 0 && d.abs() <= 15));
     }

@@ -60,6 +60,8 @@ pub struct Voyager {
     offset_head: Linear,
     /// Per-core (page token, offset) histories.
     hists: Vec<History<(usize, usize)>>,
+    /// Scratch for the online forwards, warm after the first.
+    arena: ScratchArena,
     pub final_loss: f32,
 }
 
@@ -101,6 +103,7 @@ impl Voyager {
             page_head: Linear::new(cfg.hidden, cfg.page_vocab, &mut r),
             offset_head: Linear::new(2 * cfg.hidden, 64, &mut r),
             hists: (0..MAX_CORES).map(|_| History::new(tc.history)).collect(),
+            arena: ScratchArena::new(),
             final_loss: f32::NAN,
         };
         let report = fit(&mut model, &windows, tc.epochs, tc.lr, |m, &(c, i), s| {
@@ -209,18 +212,23 @@ impl Voyager {
         pl + ol
     }
 
-    /// Inference: top page tokens and top offsets for the current history.
+    /// Inference: top page tokens and top offsets for the current
+    /// history, through the one forward on `s`.
     fn predict(
         &self,
         hist: &[(usize, usize)],
         pages_k: usize,
         offs_k: usize,
+        s: &mut ScratchArena,
     ) -> (Vec<usize>, Vec<usize>) {
-        let (p_logits, o_logits) = self.logits_in(hist, &mut ScratchArena::new());
-        (
+        let (p_logits, o_logits) = self.logits_in(hist, s);
+        let picks = (
             top_k_indices(p_logits.row(0), pages_k),
             top_k_indices(o_logits.row(0), offs_k),
-        )
+        );
+        s.give(p_logits);
+        s.give(o_logits);
+        picks
     }
 
     pub fn num_params(&mut self) -> usize {
@@ -243,14 +251,15 @@ impl Prefetcher for Voyager {
     }
 
     fn on_access(&mut self, a: &LlcAccess, out: &mut Vec<u64>) {
-        let hist = &mut self.hists[(a.core as usize) % MAX_CORES];
-        hist.push((self.vocab.token_of(a.page()), a.offset() as usize));
-        if !hist.is_full() {
+        let core = (a.core as usize) % MAX_CORES;
+        self.hists[core].push((self.vocab.token_of(a.page()), a.offset() as usize));
+        if !self.hists[core].is_full() {
             return;
         }
-        let items: Vec<(usize, usize)> = hist.items().to_vec();
         // Degree 6 as 2 pages × 3 offsets (plus OOV skips).
-        let (pages, offs) = self.predict(&items, 3, 3);
+        let mut arena = std::mem::take(&mut self.arena);
+        let (pages, offs) = self.predict(self.hists[core].items(), 3, 3, &mut arena);
+        self.arena = arena;
         let mut issued = 0usize;
         'outer: for &pt in &pages {
             let Some(page) = self.vocab.page_of(pt) else {
@@ -328,7 +337,7 @@ mod tests {
         .iter()
         .map(|&(p, o)| (v.token_of(p), o))
         .collect();
-        let (pages, offs) = model.predict(&hist, 1, 1);
+        let (pages, offs) = model.predict(&hist, 1, 1, &mut ScratchArena::new());
         assert_eq!(v.page_of(pages[0]), Some(10));
         assert_eq!(offs[0], 5);
     }
