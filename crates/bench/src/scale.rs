@@ -71,12 +71,23 @@ impl ExpScale {
     /// Parses `--quick` / `--standard` / `--datasets all` from argv.
     pub fn from_args() -> Self {
         let args: Vec<String> = std::env::args().collect();
+        Self::parse(&args)
+    }
+
+    /// [`Self::from_args`] over an argument list: `--quick` picks the
+    /// quick preset (the standard one otherwise), and `--datasets all` or
+    /// `--datasets=all` sweeps every dataset. Other arguments are ignored.
+    pub fn parse(args: &[String]) -> Self {
         let mut scale = if args.iter().any(|a| a == "--quick") {
             ExpScale::quick()
         } else {
             ExpScale::standard()
         };
-        if args.iter().any(|a| a == "--datasets=all") {
+        let all = args.iter().any(|a| a == "--datasets=all")
+            || args
+                .windows(2)
+                .any(|w| w[0] == "--datasets" && w[1] == "all");
+        if all {
             scale.datasets = Dataset::ALL.to_vec();
         }
         scale
@@ -95,5 +106,35 @@ mod tests {
         assert!(q.train.max_samples < s.train.max_samples);
         assert!(q.graph_div > s.graph_div);
         assert!(!q.datasets.is_empty());
+    }
+
+    #[test]
+    fn parse_reads_both_spellings_of_datasets_all() {
+        let parse = |args: &[&str]| {
+            let args: Vec<String> = args.iter().map(|a| a.to_string()).collect();
+            ExpScale::parse(&args)
+        };
+        let all = Dataset::ALL.to_vec();
+        assert_eq!(parse(&["bin", "--datasets", "all"]).datasets, all);
+        assert_eq!(parse(&["bin", "--datasets=all"]).datasets, all);
+        assert_eq!(
+            parse(&["bin", "--quick", "--datasets", "all"]).datasets,
+            all
+        );
+        let quick = parse(&["bin", "--datasets", "all", "--quick"]);
+        assert_eq!(quick.datasets, all);
+        assert_eq!(quick.graph_div, ExpScale::quick().graph_div);
+        // Without the value, or with another one, the preset's own
+        // datasets stay.
+        for args in [
+            &["bin", "--quick"][..],
+            &["bin", "--quick", "--datasets"],
+            &["bin", "--quick", "--datasets", "rmat"],
+            &["bin", "--quick", "all"],
+        ] {
+            assert_eq!(parse(args).datasets, ExpScale::quick().datasets, "{args:?}");
+        }
+        assert_eq!(parse(&["bin"]).datasets, ExpScale::standard().datasets);
+        assert_eq!(parse(&["bin"]).graph_div, ExpScale::standard().graph_div);
     }
 }

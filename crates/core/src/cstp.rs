@@ -40,10 +40,19 @@ metrics! {
         /// Duplicate block addresses suppressed before truncation — each one a
         /// candidate that would have silently wasted degree budget.
         counter duplicates_suppressed: u64,
+        /// Temporal steps whose page window the [`PageMemo`] held: answered
+        /// without a page forward.
+        counter page_memo_hits: u64,
+        /// Temporal steps whose page window the memo did not hold: each ran
+        /// in its step's batched page forward.
+        counter page_memo_misses: u64,
+        /// Fraction of memo lookups that hit.
+        rate page_memo_hit_rate: f64,
     }
     rates |s| {
         s.avg_chain_len = s.avg_chain_len();
         s.pbot_hit_rate = s.pbot_hit_rate();
+        s.page_memo_hit_rate = s.page_memo_hit_rate();
     }
 }
 
@@ -53,9 +62,32 @@ impl CstpStats {
         ratio(self.pbot_hits, self.pbot_hits + self.pbot_misses)
     }
 
+    /// Fraction of page-window memo lookups that hit (0 when none
+    /// happened, as in the memo-free serial walk).
+    pub fn page_memo_hit_rate(&self) -> f64 {
+        ratio(
+            self.page_memo_hits,
+            self.page_memo_hits + self.page_memo_misses,
+        )
+    }
+
     /// Mean temporal chain length per batch.
     pub fn avg_chain_len(&self) -> f64 {
         ratio(self.chain_steps, self.batches)
+    }
+}
+
+#[cfg(test)]
+impl CstpStats {
+    /// These stats without the page-memo counters, which the memo-free
+    /// serial walk never counts.
+    pub(crate) fn sans_memo(self) -> Self {
+        CstpStats {
+            page_memo_hits: 0,
+            page_memo_misses: 0,
+            page_memo_hit_rate: 0.0,
+            ..self
+        }
     }
 }
 
@@ -127,6 +159,136 @@ impl Pbot {
 
     pub fn is_empty(&self) -> bool {
         self.map.is_empty()
+    }
+}
+
+/// Windows a [`PageMemo`] holds. On `run --all --quick` an LRU of 64
+/// answers 44% of the chain's page steps (DESIGN.md §16).
+const PAGE_MEMO_CAPACITY: usize = 64;
+
+/// The top tokens the chain's page step computed for its last 64
+/// distinct windows, the least recently used evicted first. Inference is
+/// a pure function of the weights, the vocabulary, the phase and the
+/// window (lane dedup relies on the same fact), so a recurring window's
+/// entry answers its page step exactly as a forward would, and
+/// [`chain_prefetch_fused`] runs the page forward over the misses only.
+/// The key holds all four: the predictor's weights identity, the
+/// vocabulary's length, the phase and the window. An entry stores the
+/// tokens before the vocabulary maps them, and a hit maps them through
+/// the current one. Delta windows are not memoized: about 0.1% of them
+/// recur (DESIGN.md §16).
+///
+/// The caller owns the memo next to its arena: each
+/// [`MpGraphPrefetcher`](crate::MpGraphPrefetcher) one, and a
+/// [`PrefetchService`](crate::PrefetchService) one for all its fused
+/// groups. A full memo reuses the evicted entry's buffers, so a warm memo
+/// allocates nothing.
+#[derive(Debug, Default)]
+pub struct PageMemo {
+    entries: Vec<MemoEntry>,
+    /// Lookups and inserts so far: the recency stamp.
+    clock: u64,
+}
+
+#[derive(Debug)]
+struct MemoEntry {
+    weights: u64,
+    vocab_len: usize,
+    phase: usize,
+    window: Vec<(usize, u64)>,
+    /// [`PagePredictor::predict_tokens_batch_in`]'s tokens for the window.
+    tokens: Vec<usize>,
+    last_used: u64,
+}
+
+/// Everything one page step reads: the predictor's weights (by identity),
+/// its vocabulary's length (the width of the tied head's logits and the
+/// bound of the binary head's decode), the phase and the window.
+struct MemoKey<'a> {
+    weights: u64,
+    vocab_len: usize,
+    phase: usize,
+    window: &'a [(usize, u64)],
+}
+
+impl<'a> MemoKey<'a> {
+    fn new(page: &PagePredictor, phase: usize, window: &'a [(usize, u64)]) -> Self {
+        MemoKey {
+            weights: page.weights_id(),
+            vocab_len: page.vocab.len(),
+            phase,
+            window,
+        }
+    }
+}
+
+impl MemoEntry {
+    /// Compares the key's three words before its window, the costly part.
+    fn matches(&self, key: &MemoKey<'_>) -> bool {
+        self.weights == key.weights
+            && self.vocab_len == key.vocab_len
+            && self.phase == key.phase
+            && self.window == key.window
+    }
+}
+
+impl PageMemo {
+    pub fn new() -> Self {
+        Self::default()
+    }
+
+    /// Windows held (at most 64).
+    pub fn len(&self) -> usize {
+        self.entries.len()
+    }
+
+    pub fn is_empty(&self) -> bool {
+        self.entries.is_empty()
+    }
+
+    /// The tokens stored for `key`, marking its entry most recently used.
+    fn get(&mut self, key: &MemoKey<'_>) -> Option<&[usize]> {
+        self.clock += 1;
+        let clock = self.clock;
+        let e = self.entries.iter_mut().find(|e| e.matches(key))?;
+        e.last_used = clock;
+        Some(&e.tokens)
+    }
+
+    /// Stores `tokens` for `key` (a window that missed), evicting the least
+    /// recently used entry when full. A key already held (a duplicate
+    /// window among one step's misses) is only marked used.
+    fn insert(&mut self, key: &MemoKey<'_>, tokens: &[usize]) {
+        self.clock += 1;
+        let last_used = self.clock;
+        if let Some(e) = self.entries.iter_mut().find(|e| e.matches(key)) {
+            e.last_used = last_used;
+            return;
+        }
+        if self.entries.len() < PAGE_MEMO_CAPACITY {
+            self.entries.push(MemoEntry {
+                weights: key.weights,
+                vocab_len: key.vocab_len,
+                phase: key.phase,
+                window: key.window.to_vec(),
+                tokens: tokens.to_vec(),
+                last_used,
+            });
+            return;
+        }
+        let e = self
+            .entries
+            .iter_mut()
+            .min_by_key(|e| e.last_used)
+            .expect("a full memo has entries");
+        e.weights = key.weights;
+        e.vocab_len = key.vocab_len;
+        e.phase = key.phase;
+        e.window.clear();
+        e.window.extend_from_slice(key.window);
+        e.tokens.clear();
+        e.tokens.extend_from_slice(tokens);
+        e.last_used = last_used;
     }
 }
 
@@ -233,9 +395,11 @@ pub fn chain_prefetch(
 }
 
 /// [`chain_prefetch`] through the fused walk: [`chain_prefetch_fused`]
-/// with one item (B = 1) on the caller's arena, so model inference is
-/// allocation-free after warmup and the batch is bit-identical to the
-/// serial walk. `lanes` is cleared
+/// with one item (B = 1) on the caller's arena and a fresh [`PageMemo`],
+/// so the batch is bit-identical to the serial walk. The fresh memo never
+/// hits, and storing its windows allocates a few small buffers per call;
+/// callers that walk repeatedly own a memo and call
+/// [`chain_prefetch_fused`]. `lanes` is cleared
 /// and refilled parallel to the returned batch, marking each candidate
 /// [`PrefetchLane::Spatial`] or [`PrefetchLane::Temporal`] for per-lane
 /// scoreboard attribution.
@@ -261,9 +425,18 @@ pub fn chain_prefetch_in(
         block_hist,
         page_hist,
     };
-    let res = chain_prefetch_fused(delta, page, &[item], phase, cfg, spatial_arena, &mut 0)
-        .pop()
-        .unwrap_or_default();
+    let res = chain_prefetch_fused(
+        delta,
+        page,
+        &[item],
+        phase,
+        cfg,
+        spatial_arena,
+        &mut PageMemo::new(),
+        &mut 0,
+    )
+    .pop()
+    .unwrap_or_default();
     stats.merge_at(&res.stats, 0);
     *lanes = res.lanes;
     res.batch
@@ -305,8 +478,15 @@ pub struct FusedChainResult {
 /// one (B = 1): [`chain_prefetch_in`] and the prefetcher's own
 /// `on_access` run exactly this walk.
 ///
-/// `forwards` counts the batched model forwards issued (the serving
-/// layer's fusion-efficiency telemetry).
+/// Each temporal step first looks every live chain's page window up in
+/// `memo`; the page forward runs over the misses only, and is skipped
+/// when every window hits. A hit returns exactly what the forward
+/// returned for the same key (see [`PageMemo`]), so the memo moves no
+/// bit of any batch; each item's stats count its hits and misses.
+///
+/// `forwards` counts the batched model forwards actually run (the
+/// serving layer's fusion-efficiency telemetry).
+#[allow(clippy::too_many_arguments)]
 pub fn chain_prefetch_fused(
     delta: &DeltaPredictor,
     page: &PagePredictor,
@@ -314,6 +494,7 @@ pub fn chain_prefetch_fused(
     phase: usize,
     cfg: &CstpConfig,
     arena: &mut ScratchArena,
+    memo: &mut PageMemo,
     forwards: &mut u64,
 ) -> Vec<FusedChainResult> {
     if items.is_empty() {
@@ -368,14 +549,41 @@ pub fn chain_prefetch_fused(
         if live.is_empty() {
             break;
         }
-        let phists: Vec<&[(usize, u64)]> = live.iter().map(|&i| state[i].ph.as_slice()).collect();
-        *forwards += 1;
-        let pages = page.predict_pages_batch_in(&phists, phase, 1, arena);
+        // Each live chain's next page: a recurring window's from the memo,
+        // the rest from one batched page forward over the misses.
+        let mut next: Vec<Option<u64>> = Vec::with_capacity(live.len());
+        let mut misses: Vec<usize> = Vec::new();
+        for (j, &i) in live.iter().enumerate() {
+            let l = &mut state[i];
+            match memo.get(&MemoKey::new(page, phase, &l.ph)) {
+                Some(tokens) => {
+                    l.ls.page_memo_hits += 1;
+                    next.push(page.pages_of(tokens, 1).next());
+                }
+                None => {
+                    l.ls.page_memo_misses += 1;
+                    next.push(None);
+                    misses.push(j);
+                }
+            }
+        }
+        if !misses.is_empty() {
+            let phists: Vec<&[(usize, u64)]> = misses
+                .iter()
+                .map(|&j| state[live[j]].ph.as_slice())
+                .collect();
+            *forwards += 1;
+            let tokens = page.predict_tokens_batch_in(&phists, phase, 1, arena);
+            for ((&j, window), t) in misses.iter().zip(&phists).zip(&tokens) {
+                memo.insert(&MemoKey::new(page, phase, window), t);
+                next[j] = page.pages_of(t, 1).next();
+            }
+        }
         // (item, chained base, predicted page's token, PBOT pc).
         let mut survivors: Vec<(usize, u64, usize, u64)> = Vec::with_capacity(live.len());
-        for (&i, preds) in live.iter().zip(pages.iter()) {
+        for (&i, next_page) in live.iter().zip(next) {
             let l = &mut state[i];
-            let Some(&next_page) = preds.first() else {
+            let Some(next_page) = next_page else {
                 l.active = false;
                 continue;
             };
@@ -584,7 +792,11 @@ mod tests {
                 })
                 .collect();
             assert_eq!(lanes, expected, "lane attribution diverged");
-            assert_eq!(serial, arena_stats, "serial and arena stats diverged");
+            assert_eq!(
+                serial,
+                arena_stats.sans_memo(),
+                "serial and arena stats diverged"
+            );
         }
         assert_eq!(unused.stats(), (0, 0), "the second arena must stay unused");
         serial
@@ -606,6 +818,8 @@ mod tests {
         let mut phs: Vec<Vec<(usize, u64)>> = vec![Vec::new(); LANES];
         let mut solo_arena = ScratchArena::new();
         let mut fused_arena = ScratchArena::new();
+        let mut memo = PageMemo::new();
+        let mut memo_hits = 0u64;
         let mut compared = 0usize;
         for step in 0..200 {
             for l in 0..LANES {
@@ -629,8 +843,16 @@ mod tests {
                 })
                 .collect();
             let mut fwd = 0u64;
-            let fused =
-                chain_prefetch_fused(&delta, &page, &items, 0, &cfg, &mut fused_arena, &mut fwd);
+            let fused = chain_prefetch_fused(
+                &delta,
+                &page,
+                &items,
+                0,
+                &cfg,
+                &mut fused_arena,
+                &mut memo,
+                &mut fwd,
+            );
             assert_eq!(fused.len(), LANES);
             // One spatial forward plus at most (page + delta) per
             // temporal step, regardless of lane count.
@@ -651,7 +873,12 @@ mod tests {
                     &mut serial_stats,
                 );
                 assert_eq!(fused[l].batch, serial, "lane {l} step {step}");
-                assert_eq!(fused[l].stats, serial_stats, "lane {l} step {step}");
+                assert_eq!(
+                    fused[l].stats.sans_memo(),
+                    serial_stats,
+                    "lane {l} step {step}"
+                );
+                memo_hits += fused[l].stats.page_memo_hits;
                 let mut stats = CstpStats::default();
                 let mut lanes = Vec::new();
                 let batch = chain_prefetch_in(
@@ -669,11 +896,132 @@ mod tests {
                 );
                 assert_eq!(fused[l].batch, batch, "lane {l} step {step}");
                 assert_eq!(fused[l].lanes, lanes, "lane {l} step {step}");
-                assert_eq!(fused[l].stats, stats, "lane {l} step {step}");
+                assert_eq!(
+                    fused[l].stats.sans_memo(),
+                    stats.sans_memo(),
+                    "lane {l} step {step}"
+                );
                 compared += 1;
             }
         }
         assert!(compared > 300, "too few fused/serial comparisons");
+        assert!(memo_hits > 0, "the cycling windows never hit the memo");
+    }
+
+    /// The memo's key: one memo serves the same windows under both phases
+    /// and for two predictors of the same vocabulary whose weights differ
+    /// (a second seed), interleaved access by access. Every walk must equal
+    /// the memo-free serial walk, so a key that dropped the phase or the
+    /// weights identity would hand one model's tokens to the other.
+    #[test]
+    fn memo_keys_on_phase_and_weights() {
+        let trace = chain_trace(40);
+        let (delta, page) = chain_models(&trace);
+        let tc = TrainCfg {
+            history: 5,
+            max_samples: 250,
+            epochs: 3,
+            lr: 4e-3,
+            seed: 8,
+        };
+        let other = PagePredictor::train(&trace, 2, Variant::AmmaPs, page.cfg, &tc);
+        assert_eq!(other.vocab.len(), page.vocab.len());
+        assert_ne!(other.weights_id(), page.weights_id());
+        let cfg = CstpConfig::default();
+        let mut pbot = Pbot::new(512);
+        let mut bh: Vec<(u64, u64)> = Vec::new();
+        let mut ph: Vec<(usize, u64)> = Vec::new();
+        let mut arena = ScratchArena::new();
+        let mut memo = PageMemo::new();
+        let mut hits = 0u64;
+        let mut differed = 0usize;
+        for r in &trace {
+            bh.push((r.block(), r.pc));
+            ph.push((page.vocab.token_of(r.page()), r.pc));
+            pbot.update(r.page(), r.block() & BLOCK_OFFSET_MASK, r.pc);
+            if bh.len() > 5 {
+                bh.remove(0);
+                ph.remove(0);
+            }
+            if bh.len() < 5 {
+                continue;
+            }
+            let mut batches = Vec::new();
+            for p in [&page, &other] {
+                for phase in 0..2 {
+                    let item = FusedChainItem {
+                        pbot: &pbot,
+                        block_hist: &bh,
+                        page_hist: &ph,
+                    };
+                    let res = chain_prefetch_fused(
+                        &delta,
+                        p,
+                        &[item],
+                        phase,
+                        &cfg,
+                        &mut arena,
+                        &mut memo,
+                        &mut 0,
+                    )
+                    .pop()
+                    .expect("one item in, one result out");
+                    let mut serial_stats = CstpStats::default();
+                    let serial =
+                        chain_prefetch(&delta, p, &pbot, &bh, &ph, phase, &cfg, &mut serial_stats);
+                    assert_eq!(res.batch, serial, "phase {phase}");
+                    assert_eq!(res.stats.sans_memo(), serial_stats, "phase {phase}");
+                    hits += res.stats.page_memo_hits;
+                    batches.push(serial);
+                }
+            }
+            differed += usize::from(batches.iter().any(|b| *b != batches[0]));
+        }
+        assert!(hits > 0, "no window recurred");
+        // The four models disagree often enough for a loose key to show.
+        assert!(
+            differed > 10,
+            "the models agreed on all but {differed} accesses"
+        );
+    }
+
+    /// The memo holds [`PAGE_MEMO_CAPACITY`] windows, evicts the least
+    /// recently used, and once full reuses the evicted entry's buffers.
+    #[test]
+    fn memo_evicts_the_least_recently_used_window_in_place() {
+        let trace = chain_trace(4);
+        let (_, page) = chain_models(&trace);
+        let window = |i: usize| -> Vec<(usize, u64)> { vec![(1, i as u64), (2, 0)] };
+        let windows: Vec<Vec<(usize, u64)>> = (0..PAGE_MEMO_CAPACITY + 8).map(window).collect();
+        let key = |i: usize| MemoKey::new(&page, 0, &windows[i]);
+        let mut memo = PageMemo::new();
+        for i in 0..PAGE_MEMO_CAPACITY {
+            memo.insert(&key(i), &[i, 0]);
+        }
+        assert_eq!(memo.len(), PAGE_MEMO_CAPACITY);
+        // Touch window 0, so window 1 is now the least recently used.
+        assert_eq!(memo.get(&key(0)), Some(&[0usize, 0][..]));
+        let buffers: Vec<*const (usize, u64)> =
+            memo.entries.iter().map(|e| e.window.as_ptr()).collect();
+        memo.insert(&key(PAGE_MEMO_CAPACITY), &[7, 0]);
+        assert_eq!(memo.len(), PAGE_MEMO_CAPACITY);
+        assert!(memo.get(&key(1)).is_none(), "window 1 should be evicted");
+        assert!(memo.get(&key(0)).is_some(), "the touched window survives");
+        assert_eq!(memo.get(&key(PAGE_MEMO_CAPACITY)), Some(&[7usize, 0][..]));
+        // Re-inserting a held key neither duplicates nor overwrites it.
+        memo.insert(&key(0), &[9, 9]);
+        assert_eq!(memo.len(), PAGE_MEMO_CAPACITY);
+        assert_eq!(memo.get(&key(0)), Some(&[0usize, 0][..]));
+        for i in PAGE_MEMO_CAPACITY + 1..windows.len() {
+            memo.insert(&key(i), &[i, 0]);
+        }
+        let after: Vec<*const (usize, u64)> =
+            memo.entries.iter().map(|e| e.window.as_ptr()).collect();
+        assert_eq!(buffers, after, "a full memo allocated a window buffer");
+        // The same window under another phase is another key.
+        assert!(memo
+            .get(&MemoKey::new(&page, 1, &windows[PAGE_MEMO_CAPACITY]))
+            .is_none());
     }
 
     #[test]

@@ -25,6 +25,7 @@ use mpgraph_prefetchers::mlcommon::{
     dedup_lanes, pc_feature, per_core_streams, round_robin_windows, PageVocab,
 };
 use mpgraph_prefetchers::TrainCfg;
+use std::sync::atomic::{AtomicU64, Ordering};
 
 /// Output head style.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -129,6 +130,12 @@ impl PageModel {
     }
 }
 
+/// Draws a weights identity no predictor has held before.
+fn next_weights_id() -> u64 {
+    static NEXT: AtomicU64 = AtomicU64::new(0);
+    NEXT.fetch_add(1, Ordering::Relaxed)
+}
+
 /// The temporal page predictor, in any of the five Table 7 variants.
 /// `Clone` duplicates the trained weights and vocabulary, so a serving
 /// layer can stamp out per-stream prefetchers from one trained instance.
@@ -138,6 +145,12 @@ pub struct PagePredictor {
     pub cfg: PagePredictorConfig,
     pub vocab: PageVocab,
     pub(crate) models: Vec<PageModel>,
+    /// Identity of the weights in `models`, drawn from a global counter
+    /// when the predictor is built and again by [`Self::quantize`], the
+    /// one method that changes a built predictor's weights. Clones share
+    /// it, as they share the weights. The CSTP page-window memo keys on it
+    /// (`cstp::PageMemo`).
+    weights_id: u64,
     /// Int8 storage bytes, set once [`PagePredictor::quantize`] has
     /// rounded the weights onto their int8 grid; `None` for plain f32.
     pub(crate) int8_bytes: Option<usize>,
@@ -217,6 +230,7 @@ impl PagePredictor {
             cfg,
             vocab,
             models,
+            weights_id: next_weights_id(),
             int8_bytes: None,
             num_phases: num_phases.max(1),
             bits,
@@ -305,7 +319,14 @@ impl PagePredictor {
             })
             .sum();
         self.int8_bytes = Some(bytes);
+        self.weights_id = next_weights_id();
         bytes
+    }
+
+    /// The identity of the current weights (see the field's docs): equal
+    /// ids mean equal weights.
+    pub(crate) fn weights_id(&self) -> u64 {
+        self.weights_id
     }
 
     pub fn is_quantized(&self) -> bool {
@@ -382,6 +403,24 @@ impl PagePredictor {
         k: usize,
         s: &mut ScratchArena,
     ) -> Vec<Vec<u64>> {
+        self.predict_tokens_batch_in(hists, phase, k, s)
+            .iter()
+            .map(|tokens| self.pages_of(tokens, k).collect())
+            .collect()
+    }
+
+    /// The tokens each window's top `k` pages come from, best first,
+    /// before the vocabulary maps them ([`Self::pages_of`]): the tied
+    /// head's top `k + 1` logits (one spare, as token 0, the
+    /// out-of-vocabulary slot, names no page), or the binary head's one
+    /// decoded token. Identical windows run once.
+    pub(crate) fn predict_tokens_batch_in(
+        &self,
+        hists: &[&[(usize, u64)]],
+        phase: usize,
+        k: usize,
+        s: &mut ScratchArena,
+    ) -> Vec<Vec<usize>> {
         let batch = hists.len();
         if batch == 0 {
             return Vec::new();
@@ -391,32 +430,33 @@ impl PagePredictor {
         // serves every duplicate bit-exactly.
         let (unique, lane_of) = dedup_lanes(hists);
         if unique.len() < batch {
-            let uniq = self.predict_pages_batch_in(&unique, phase, k, s);
+            let uniq = self.predict_tokens_batch_in(&unique, phase, k, s);
             return lane_of.iter().map(|&i| uniq[i].clone()).collect();
         }
         let mut logits = self.predict_logits_batch_in(hists, phase, s);
         let out = match self.cfg.head {
             PageHead::Softmax => (0..batch)
-                .map(|b| {
-                    top_k_indices(logits.row(b), k + 1)
-                        .into_iter()
-                        .filter_map(|tk| self.vocab.page_of(tk))
-                        .take(k)
-                        .collect()
-                })
+                .map(|b| top_k_indices(logits.row(b), k + 1))
                 .collect(),
             PageHead::BinaryEncoded => {
                 Sigmoid::infer_inplace(&mut logits);
                 (0..batch)
-                    .map(|b| {
-                        let tok = Self::decode_bits(logits.row(b), self.vocab.len());
-                        self.vocab.page_of(tok).into_iter().take(k).collect()
-                    })
+                    .map(|b| vec![Self::decode_bits(logits.row(b), self.vocab.len())])
                     .collect()
             }
         };
         s.give(logits);
         out
+    }
+
+    /// The first `k` pages the vocabulary maps `tokens` to, in order:
+    /// the pages [`Self::predict_tokens_batch_in`]'s tokens predict.
+    pub(crate) fn pages_of<'a>(
+        &'a self,
+        tokens: &'a [usize],
+        k: usize,
+    ) -> impl Iterator<Item = u64> + 'a {
+        tokens.iter().filter_map(|&t| self.vocab.page_of(t)).take(k)
     }
 
     /// How many leading logits of the tied head are live: the tokens the

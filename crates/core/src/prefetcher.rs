@@ -5,7 +5,7 @@
 
 use crate::controller::Controller;
 use crate::cstp::{
-    chain_prefetch_fused, CstpConfig, CstpStats, FusedChainItem, FusedChainResult, Pbot,
+    chain_prefetch_fused, CstpConfig, CstpStats, FusedChainItem, FusedChainResult, PageMemo, Pbot,
 };
 use crate::delta_predictor::{DeltaPredictor, DeltaPredictorConfig};
 use crate::error::MpGraphError;
@@ -133,6 +133,8 @@ pub struct MpGraphPrefetcher {
     /// Scratch buffers for every model forward of an access: the probe
     /// window's phase scoring and the CSTP walk.
     arena: ScratchArena,
+    /// The CSTP walk's page-window memo (see [`PageMemo`]).
+    page_memo: PageMemo,
     /// Per-candidate lane attribution of the last batch (reused scratch).
     lane_scratch: Vec<PrefetchLane>,
     /// Tags the engine reads back via [`Prefetcher::last_batch_tags`].
@@ -227,6 +229,7 @@ impl MpGraphPrefetcher {
             observe_errors: 0,
             cstp_stats: CstpStats::default(),
             arena: ScratchArena::new(),
+            page_memo: PageMemo::new(),
             lane_scratch: Vec::new(),
             tag_scratch: Vec::new(),
             trace_on: false,
@@ -419,6 +422,7 @@ impl Prefetcher for MpGraphPrefetcher {
             self.controller.current_phase(),
             &self.cfg.cstp,
             &mut self.arena,
+            &mut self.page_memo,
             &mut 0,
         )
         .pop()
@@ -570,9 +574,10 @@ impl MpGraphPrefetcher {
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
     use crate::amma::AmmaConfig;
+    use crate::cstp::chain_prefetch;
     use crate::page_predictor::PageHead;
 
     fn rec(vaddr: u64, pc: u64, phase: u8) -> MemRecord {
@@ -589,7 +594,7 @@ mod tests {
 
     /// Two-phase synthetic workload: phase 0 walks pages 4..12 with +1
     /// block strides, phase 1 cycles widely-spread pages.
-    fn workload(reps: usize) -> Vec<MemRecord> {
+    pub(crate) fn workload(reps: usize) -> Vec<MemRecord> {
         let mut v = Vec::new();
         for _ in 0..reps {
             let mut addr = 4 * 4096u64;
@@ -609,7 +614,7 @@ mod tests {
         v
     }
 
-    fn quick_cfg() -> (MpGraphConfig, TrainCfg) {
+    pub(crate) fn quick_cfg() -> (MpGraphConfig, TrainCfg) {
         let amma = AmmaConfig {
             history: 5,
             attn_dim: 8,
@@ -907,7 +912,7 @@ mod tests {
                 );
                 assert_eq!(batch, serial, "phase {phase}");
                 // Same predictions → same counters, dedup included.
-                assert_eq!(arena_stats, serial_stats, "phase {phase}");
+                assert_eq!(arena_stats.sans_memo(), serial_stats, "phase {phase}");
                 // Lane attribution stays aligned with the batch.
                 assert_eq!(lanes.len(), batch.len(), "phase {phase}");
             }
@@ -979,6 +984,175 @@ mod tests {
             "single-page trace failed to trigger the duplication path: {:?}",
             pf.cstp_stats
         );
+    }
+
+    /// The access the engine hands the prefetcher for record `r`.
+    pub(crate) fn access(r: &MemRecord) -> LlcAccess {
+        LlcAccess {
+            pc: r.pc,
+            block: r.block(),
+            core: r.core,
+            is_write: r.is_write,
+            hit: false,
+            cycle: 0,
+        }
+    }
+
+    /// A page predictor with the trained one's vocabulary and other
+    /// weights: the same records, another seed and a few samples, so that
+    /// it predicts other pages.
+    pub(crate) fn reseeded_page(records: &[MemRecord]) -> PagePredictor {
+        let (cfg, tc) = quick_cfg();
+        let tc = TrainCfg {
+            seed: 34,
+            max_samples: 8,
+            epochs: 1,
+            ..tc
+        };
+        PagePredictor::train(records, 2, cfg.variant, cfg.page, &tc)
+    }
+
+    /// Where a weights change lands a warm memo among windows it holds:
+    /// mid-way through a phase-0 region of [`workload`], whose page stays
+    /// put for 64 accesses while its PCs cycle every 5.
+    const MID_REGION: usize = 1000;
+
+    /// The page-window memo moves no bit. Over thousands of accesses whose
+    /// page windows recur, `on_access` (memo included) gives at every
+    /// access the batch of the memo-free serial `chain_prefetch` on the
+    /// state that access left (histories, PBOT, selected phase), the lane
+    /// attribution its spatial step implies, and, at the end, the same
+    /// counters. The weights change twice under the warm memo: the
+    /// prefetcher quantizes, and later gets another page predictor.
+    #[test]
+    fn memoized_on_access_matches_the_serial_chain_at_every_access() {
+        let train = workload(1);
+        let (cfg, tc) = quick_cfg();
+        let mut pf = train_mpgraph(&train, 2, cfg, &tc);
+        let test = workload(4);
+        let mut serial_stats = CstpStats::default();
+        let mut spatial_arena = ScratchArena::new();
+        let mut out = Vec::new();
+        let mut chains = [0usize; 2];
+        for (n, r) in test.iter().enumerate() {
+            if n == MID_REGION {
+                pf.quantize();
+            }
+            if n == MID_REGION + 1600 {
+                pf.page = reseeded_page(&train);
+            }
+            let a = access(r);
+            out.clear();
+            pf.on_access(&a, &mut out);
+            let ph = pf.page_hists[(a.core as usize) % 8].items();
+            if !pf.block_hist.is_full() || ph.len() < pf.block_hist.capacity() {
+                assert!(out.is_empty(), "access {n}");
+                continue;
+            }
+            let bh = pf.block_hist.items();
+            let phase = pf.current_phase();
+            chains[phase] += 1;
+            let serial = chain_prefetch(
+                &pf.delta,
+                &pf.page,
+                &pf.pbot,
+                bh,
+                ph,
+                phase,
+                &cfg.cstp,
+                &mut serial_stats,
+            );
+            assert_eq!(out, serial, "access {n}");
+            let spatial: Vec<u64> = pf
+                .delta
+                .predict_deltas_in(bh, phase, cfg.cstp.spatial_degree, &mut spatial_arena)
+                .into_iter()
+                .filter_map(|d| u64::try_from(a.block as i64 + d).ok())
+                .collect();
+            let expected: Vec<PrefetchLane> = serial
+                .iter()
+                .map(|b| {
+                    if spatial.contains(b) {
+                        PrefetchLane::Spatial
+                    } else {
+                        PrefetchLane::Temporal
+                    }
+                })
+                .collect();
+            let lanes: Vec<PrefetchLane> = pf.last_batch_tags().iter().map(|t| t.lane).collect();
+            assert_eq!(lanes, expected, "access {n}");
+        }
+        assert_eq!(pf.cstp_stats.sans_memo(), serial_stats);
+        assert!(
+            chains[0] > 0 && chains[1] > 0,
+            "the walk never ran under both phases: {chains:?}"
+        );
+        let s = pf.cstp_stats;
+        assert!(s.page_memo_hits > 0, "no page window recurred: {s:?}");
+        assert_eq!(
+            s.page_memo_hits + s.page_memo_misses,
+            s.pbot_hits + s.pbot_misses,
+            "every page step that reached the PBOT looked the memo up first"
+        );
+    }
+
+    /// A weights change under a warm memo. A prefetcher that has served
+    /// accesses then quantizes, or has its page predictor replaced by one
+    /// of the same vocabulary and other weights. From then on its batches
+    /// equal those of a prefetcher built with the new weights that served
+    /// the same accesses.
+    #[test]
+    fn memo_follows_quantize_and_page_replacement() {
+        let train = workload(1);
+        let (cfg, tc) = quick_cfg();
+        let trained = train_mpgraph(&train, 2, cfg, &tc);
+        let reseeded = reseeded_page(&train);
+        assert_eq!(reseeded.vocab.len(), trained.page.vocab.len());
+        let build = |delta: &DeltaPredictor, page: &PagePredictor| {
+            let detector = build_detector(&train, 2, cfg.detector);
+            MpGraphPrefetcher::from_parts(delta.clone(), page.clone(), detector, cfg, 2, tc.history)
+        };
+        let (mut q_delta, mut q_page) = (trained.delta.clone(), trained.page.clone());
+        q_delta.quantize();
+        q_page.quantize();
+        let test = workload(2);
+        let switch_at = MID_REGION;
+        for case in ["quantize", "replace page"] {
+            let mut pf = build(&trained.delta, &trained.page);
+            let mut fresh = match case {
+                "quantize" => build(&q_delta, &q_page),
+                _ => build(&trained.delta, &reseeded),
+            };
+            let (mut got, mut want) = (Vec::new(), Vec::new());
+            let mut hits_before = 0;
+            let mut differed = 0usize;
+            for (n, r) in test.iter().enumerate() {
+                if n == switch_at {
+                    assert!(!pf.page_memo.is_empty(), "{case}: the memo is cold");
+                    hits_before = pf.cstp_stats.page_memo_hits;
+                    match case {
+                        "quantize" => pf.quantize(),
+                        _ => pf.page = reseeded.clone(),
+                    }
+                }
+                got.clear();
+                want.clear();
+                pf.on_access(&access(r), &mut got);
+                fresh.on_access(&access(r), &mut want);
+                if n >= switch_at {
+                    assert_eq!(got, want, "{case}: access {n}");
+                } else {
+                    differed += usize::from(got != want);
+                }
+            }
+            assert!(
+                pf.cstp_stats.page_memo_hits > hits_before,
+                "{case}: the memo never hit after the switch"
+            );
+            if case == "replace page" {
+                assert!(differed > 0, "the two page predictors never disagreed");
+            }
+        }
     }
 
     #[test]

@@ -35,7 +35,7 @@
 //! simulated cycle count advanced by ingest/processing costs, never wall
 //! time.
 
-use crate::cstp::{chain_prefetch_fused, FusedChainItem, FusedChainResult};
+use crate::cstp::{chain_prefetch_fused, FusedChainItem, FusedChainResult, PageMemo};
 use crate::degradation::Breaker;
 use crate::error::MpGraphError;
 use crate::livetel::LiveTelemetry;
@@ -368,6 +368,9 @@ pub struct PrefetchService {
     scratch: Vec<u64>,
     /// Matrix scratch for the fused serve path.
     fused_arena: ScratchArena,
+    /// The fused walks' page-window memo, shared by every fused group:
+    /// its key holds each group's weights identity and phase.
+    page_memo: PageMemo,
     /// Live telemetry attachment (`core::livetel`). `None` keeps the pump
     /// on the exact pre-telemetry instruction path — no timers, no
     /// interval math — preserving the bit-identical-when-off guarantee.
@@ -394,6 +397,7 @@ impl PrefetchService {
             scoreboard: None,
             scratch: Vec::new(),
             fused_arena: ScratchArena::new(),
+            page_memo: PageMemo::new(),
             livetel: None,
             cfg,
         }
@@ -691,6 +695,7 @@ impl PrefetchService {
             {
                 let slots = &self.slots;
                 let arena = &mut self.fused_arena;
+                let memo = &mut self.page_memo;
                 for (_, members) in &groups {
                     let views: Vec<_> = members
                         .iter()
@@ -722,6 +727,7 @@ impl PrefetchService {
                         views[0].phase,
                         &views[0].cstp,
                         arena,
+                        memo,
                         &mut fwd,
                     );
                     for (&i, r) in members.iter().zip(results) {
@@ -1817,6 +1823,93 @@ mod tests {
         }
         assert!(!svc.is_quarantined(0));
         assert_eq!(svc.metrics().per_stream[0].cooldown_remaining, 0);
+    }
+
+    /// One memo for every fused group: streams 0 and 1 hold the trained
+    /// page predictor and streams 2 and 3 one of the same vocabulary with
+    /// other weights, so each wave forms two groups whose windows are
+    /// equal. Fed the same recurring records, the fused service serves
+    /// every prediction exactly as the same streams served per item.
+    #[test]
+    fn fused_service_memo_across_two_weight_sets_matches_per_item_service() {
+        use crate::prefetcher::tests::{access, quick_cfg, reseeded_page, workload};
+        use crate::prefetcher::{build_detector, train_mpgraph};
+        let train = workload(1);
+        let (cfg, tc) = quick_cfg();
+        let trained = train_mpgraph(&train, 2, cfg, &tc);
+        let reseeded = reseeded_page(&train);
+        let records = workload(2);
+        let run = |fuse: bool| {
+            let mut svc = PrefetchService::new(ServeConfig {
+                fuse,
+                ..ServeConfig::default()
+            });
+            for s in 0..4u32 {
+                let page = if s < 2 { &trained.page } else { &reseeded };
+                svc.register_stream(
+                    s,
+                    Box::new(MpGraphPrefetcher::from_parts(
+                        trained.delta.clone(),
+                        page.clone(),
+                        build_detector(&train, 2, cfg.detector),
+                        cfg,
+                        2,
+                        tc.history,
+                    )),
+                );
+            }
+            let mut out = Vec::new();
+            for r in &records {
+                for s in 0..4u32 {
+                    svc.ingest(s, &access(r), 0);
+                }
+                svc.pump(&mut out);
+            }
+            svc.flush(&mut out);
+            let memo_hits: u64 = svc
+                .slots
+                .iter()
+                .filter_map(|slot| {
+                    slot.ml
+                        .as_deref()?
+                        .as_any()?
+                        .downcast_ref::<MpGraphPrefetcher>()
+                })
+                .map(|pf| pf.cstp_stats.page_memo_hits)
+                .sum();
+            (out, svc.metrics(), memo_hits)
+        };
+        let (fused, m, memo_hits) = run(true);
+        let (solo, solo_m, _) = run(false);
+        assert!(
+            m.ml_processed > 0 && m.fused_items > m.fused_batches,
+            "{m:?}"
+        );
+        assert_eq!(solo_m.fused_items, 0);
+        assert!(memo_hits > 0, "the fused walks never hit the memo");
+        let key = |p: &Prediction| {
+            (
+                p.stream,
+                p.candidates.clone(),
+                p.latency,
+                p.via_fallback,
+                p.phase,
+            )
+        };
+        assert_eq!(fused.len(), solo.len());
+        for (i, (a, b)) in fused.iter().zip(&solo).enumerate() {
+            assert_eq!(key(a), key(b), "prediction {i}");
+        }
+        // The two weight sets predict differently on these windows, so a
+        // memo that mixed them up would show above.
+        let by_stream = |s: u32| -> Vec<Vec<u64>> {
+            fused
+                .iter()
+                .filter(|p| p.stream == s && !p.via_fallback)
+                .map(|p| p.candidates.clone())
+                .collect()
+        };
+        assert_ne!(by_stream(0), by_stream(2));
     }
 
     #[test]

@@ -223,7 +223,11 @@ impl PageVocab {
 /// unique window once and fans the rows out to duplicate lanes
 /// bit-exactly — same-phase streams co-traversing one frontier present
 /// byte-identical histories far more often than independent ones would.
+/// Fewer than two lanes have nothing to deduplicate and skip the map.
 pub fn dedup_lanes<'a, T: Eq + std::hash::Hash>(lanes: &[&'a [T]]) -> (Vec<&'a [T]>, Vec<usize>) {
+    if lanes.len() < 2 {
+        return (lanes.to_vec(), (0..lanes.len()).collect());
+    }
     let mut unique: Vec<&'a [T]> = Vec::with_capacity(lanes.len());
     let mut lane_of = Vec::with_capacity(lanes.len());
     let mut seen: std::collections::HashMap<&'a [T], usize> =
@@ -268,6 +272,10 @@ mod dedup_tests {
 
         let (u3, l3) = dedup_lanes(&[] as &[&[u64]]);
         assert!(u3.is_empty() && l3.is_empty());
+
+        let (u4, l4) = dedup_lanes(&[&a[..]]);
+        assert_eq!(u4, vec![&a[..]]);
+        assert_eq!(l4, vec![0]);
     }
 }
 
