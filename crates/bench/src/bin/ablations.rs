@@ -2,7 +2,7 @@
 //! threshold `th_r`, the CSTP (Ds, Dt) degree split, and the modality
 //! ablation (address+PC vs single-modality inputs).
 //!
-//! Usage: `cargo run --release -p mpgraph-bench --bin ablations [--quick] [--metrics-out <path>]`
+//! Usage: `ablations [--quick] [--datasets=all] [--metrics-out=PATH] [--trace-out=PATH]`
 
 use mpgraph_bench::metrics::emit_if_requested;
 use mpgraph_bench::report::{dump_json_compact, f, pct, print_table};
@@ -57,7 +57,7 @@ fn soft_threshold_sweep(scale: &ExpScale) -> Vec<ThrRow> {
 }
 
 fn main() {
-    let scale = ExpScale::from_args();
+    let (scale, args) = ExpScale::from_command_line("ablations");
 
     let thr = soft_threshold_sweep(&scale);
     print_table(
@@ -101,5 +101,5 @@ fn main() {
     dump_json_compact("ablation_degrees", &degrees).ok();
     dump_json_compact("ablation_modality", &modality).ok();
     println!("\nwrote results/ablation_*.json");
-    emit_if_requested(&scale);
+    emit_if_requested(&scale, &args);
 }

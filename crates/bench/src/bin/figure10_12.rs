@@ -3,8 +3,7 @@
 //! Delta-LSTM, Voyager, TransFetch, and MPGraph over the (framework, app)
 //! × dataset sweep.
 //!
-//! Usage: `cargo run --release -p mpgraph-bench --bin figure10_12
-//!         [--quick] [--datasets=all] [--metrics-out <path>]`
+//! Usage: `figure10_12 [--quick] [--datasets=all] [--metrics-out=PATH] [--trace-out=PATH]`
 
 use mpgraph_bench::metrics::emit_if_requested;
 use mpgraph_bench::report::{dump_json_compact, f, pct, print_table};
@@ -12,7 +11,7 @@ use mpgraph_bench::runners::prefetching::{prefetcher_means, run_figures_10_to_12
 use mpgraph_bench::ExpScale;
 
 fn main() {
-    let scale = ExpScale::from_args();
+    let (scale, args) = ExpScale::from_command_line("figure10_12");
     let rows = run_figures_10_to_12(&scale);
 
     // Figure 12: per-cell IPC improvement.
@@ -60,5 +59,5 @@ fn main() {
     if let Ok(p) = dump_json_compact("figure10_12", &rows) {
         println!("\nwrote {}", p.display());
     }
-    emit_if_requested(&scale);
+    emit_if_requested(&scale, &args);
 }

@@ -2,7 +2,7 @@
 //! coverage, and IPC improvement versus compression factor, with BO as the
 //! uncompressed non-ML reference.
 //!
-//! Usage: `cargo run --release -p mpgraph-bench --bin figure13 [--quick] [--metrics-out <path>]`
+//! Usage: `figure13 [--quick] [--datasets=all] [--metrics-out=PATH] [--trace-out=PATH]`
 
 use mpgraph_bench::metrics::emit_if_requested;
 use mpgraph_bench::report::{dump_json_compact, pct, print_table};
@@ -10,7 +10,7 @@ use mpgraph_bench::runners::prefetching::run_figure13;
 use mpgraph_bench::ExpScale;
 
 fn main() {
-    let scale = ExpScale::from_args();
+    let (scale, args) = ExpScale::from_command_line("figure13");
     let rows = run_figure13(&scale);
     let table: Vec<Vec<String>> = rows
         .iter()
@@ -32,5 +32,5 @@ fn main() {
     if let Ok(p) = dump_json_compact("figure13", &rows) {
         println!("\nwrote {}", p.display());
     }
-    emit_if_requested(&scale);
+    emit_if_requested(&scale, &args);
 }

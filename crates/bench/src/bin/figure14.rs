@@ -2,7 +2,7 @@
 //! MPGraph under injected inference latency, for the uncompressed and the
 //! compressed models, against the BO reference.
 //!
-//! Usage: `cargo run --release -p mpgraph-bench --bin figure14 [--quick] [--metrics-out <path>]`
+//! Usage: `figure14 [--quick] [--datasets=all] [--metrics-out=PATH] [--trace-out=PATH]`
 
 use mpgraph_bench::metrics::emit_if_requested;
 use mpgraph_bench::report::{dump_json_compact, print_table};
@@ -10,7 +10,7 @@ use mpgraph_bench::runners::prefetching::run_figure14;
 use mpgraph_bench::ExpScale;
 
 fn main() {
-    let scale = ExpScale::from_args();
+    let (scale, args) = ExpScale::from_command_line("figure14");
     let rows = run_figure14(&scale);
     let table: Vec<Vec<String>> = rows
         .iter()
@@ -31,5 +31,5 @@ fn main() {
     if let Ok(p) = dump_json_compact("figure14", &rows) {
         println!("\nwrote {}", p.display());
     }
-    emit_if_requested(&scale);
+    emit_if_requested(&scale, &args);
 }

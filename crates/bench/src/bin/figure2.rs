@@ -2,7 +2,7 @@
 //! (b) from GPOP CC+PR, labelled by Scatter/Gather phase. Prints the top-3
 //! component coordinates per phase centroid and the separation scores.
 //!
-//! Usage: `cargo run --release -p mpgraph-bench --bin figure2 [--quick] [--metrics-out <path>]`
+//! Usage: `figure2 [--quick] [--datasets=all] [--metrics-out=PATH] [--trace-out=PATH]`
 
 use mpgraph_bench::metrics::emit_if_requested;
 use mpgraph_bench::report::{dump_json_compact, f, print_table};
@@ -10,7 +10,7 @@ use mpgraph_bench::runners::motivation::run_figure2;
 use mpgraph_bench::ExpScale;
 
 fn main() {
-    let scale = ExpScale::from_args();
+    let (scale, args) = ExpScale::from_command_line("figure2");
     let data = run_figure2(&scale);
     let summarize = |points: &[mpgraph_bench::runners::motivation::PcaPoint]| -> Vec<Vec<String>> {
         let phases: std::collections::BTreeSet<u8> = points.iter().map(|p| p.phase).collect();
@@ -47,5 +47,5 @@ fn main() {
     if let Ok(p) = dump_json_compact("figure2", &data) {
         println!("\nwrote {}", p.display());
     }
-    emit_if_requested(&scale);
+    emit_if_requested(&scale, &args);
 }

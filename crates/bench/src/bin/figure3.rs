@@ -2,7 +2,7 @@
 //! Scatter and Gather phases. Prints jump statistics and dumps the raw
 //! page series for plotting.
 //!
-//! Usage: `cargo run --release -p mpgraph-bench --bin figure3 [--quick] [--metrics-out <path>]`
+//! Usage: `figure3 [--quick] [--datasets=all] [--metrics-out=PATH] [--trace-out=PATH]`
 
 use mpgraph_bench::metrics::emit_if_requested;
 use mpgraph_bench::report::{dump_json_compact, pct, print_table};
@@ -10,7 +10,7 @@ use mpgraph_bench::runners::motivation::run_figure3;
 use mpgraph_bench::ExpScale;
 
 fn main() {
-    let scale = ExpScale::from_args();
+    let (scale, args) = ExpScale::from_command_line("figure3");
     let data = run_figure3(&scale);
     print_table(
         "Figure 3: page-jump statistics (GPOP PR)",
@@ -38,5 +38,5 @@ fn main() {
     if let Ok(p) = dump_json_compact("figure3", &data) {
         println!("\nwrote {}", p.display());
     }
-    emit_if_requested(&scale);
+    emit_if_requested(&scale, &args);
 }

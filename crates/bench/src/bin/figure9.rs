@@ -2,7 +2,7 @@
 //! PageRank PC stream — K-S statistic timeline, detections, false
 //! positives, and Soft-KSWIN's detection lag.
 //!
-//! Usage: `cargo run --release -p mpgraph-bench --bin figure9 [--quick] [--metrics-out <path>]`
+//! Usage: `figure9 [--quick] [--datasets=all] [--metrics-out=PATH] [--trace-out=PATH]`
 
 use mpgraph_bench::metrics::emit_if_requested;
 use mpgraph_bench::report::dump_json_compact;
@@ -10,7 +10,7 @@ use mpgraph_bench::runners::detection::run_figure9;
 use mpgraph_bench::ExpScale;
 
 fn main() {
-    let scale = ExpScale::from_args();
+    let (scale, args) = ExpScale::from_command_line("figure9");
     let data = run_figure9(&scale);
     println!("== Figure 9: KSWIN vs Soft-KSWIN case study (GPOP PR) ==");
     println!("K-S threshold (Eq. 5): {:.4}", data.threshold);
@@ -38,5 +38,5 @@ fn main() {
     if let Ok(p) = dump_json_compact("figure9", &data) {
         println!("\nwrote {}", p.display());
     }
-    emit_if_requested(&scale);
+    emit_if_requested(&scale, &args);
 }

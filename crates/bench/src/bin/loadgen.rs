@@ -8,13 +8,12 @@
 //! saturation (lockstep streams) always runs and prints the pump-fusion
 //! speedup plus a bit-identity verdict.
 //!
-//! Usage: `loadgen [--quick] [--streams N] [--ticks N] [--chaos]
-//! [--zipf] [--quant] [--metrics-out FILE] [--trace-out FILE]
-//! [--live-metrics FILE|-] [--expose FILE] [--live-interval N]`
+//! Usage: `loadgen [--quick] [--streams=N>0] [--ticks=N] [--chaos] [--zipf]
+//! [--quant] [--metrics-out=PATH] [--trace-out=PATH] [--live-metrics=PATH]
+//! [--expose=PATH] [--live-interval=N]`
 //!
-//! Each `N` must be a whole number, and `--streams` at least 1; a bad
-//! value, or a `FILE` flag with no value (last, or followed by another
-//! `--` flag), exits with status 2 and names the flag.
+//! Each `N` is a whole number; `-` as the `--live-metrics` path streams
+//! to stdout.
 //!
 //! `--zipf` replaces the uniform round-robin arrivals with Zipf(1)
 //! weights across streams (hot stream 0 down to the coldest); the
@@ -35,41 +34,14 @@
 //! `--expose` additionally rewrites a Prometheus-style text exposition
 //! atomically every interval. See DESIGN.md §18.
 
-use mpgraph_bench::report::{
-    dump_json, f, flag_arg, metrics_out_arg, pct, print_table, trace_out_arg,
-    write_json_compact_to, write_json_to,
-};
+use mpgraph_bench::cli::LOADGEN;
+use mpgraph_bench::report::{dump_json, f, pct, print_table, write_json_compact_to, write_json_to};
 use mpgraph_bench::serve_load::{
     run_chaos, run_fused_comparison, run_load_sweep, Arrival, LoadgenSetup,
 };
 use mpgraph_bench::ExpScale;
 use mpgraph_core::{LiveTelemetry, ServeConfig, TraceConfig};
 use serde::Serialize;
-
-/// The value of the numeric flag `flag` in `args`: `default` when the
-/// flag is absent, an error naming the flag when its value is missing,
-/// not a whole number, or below `min`.
-fn count_arg(args: &[String], flag: &str, default: usize, min: usize) -> Result<usize, String> {
-    let Some(i) = args.iter().position(|a| a == flag) else {
-        return Ok(default);
-    };
-    let value = args.get(i + 1).map_or("", String::as_str);
-    match value.parse::<usize>() {
-        Ok(n) if n >= min => Ok(n),
-        Ok(n) => Err(format!("{flag} must be at least {min}, got {n}")),
-        Err(_) => Err(format!("{flag} takes a whole number, got {value:?}")),
-    }
-}
-
-/// [`count_arg`] over the process arguments; exits with status 2 and the
-/// message on a bad value.
-fn usize_arg(flag: &str, default: usize, min: usize) -> usize {
-    let args: Vec<String> = std::env::args().collect();
-    count_arg(&args, flag, default, min).unwrap_or_else(|e| {
-        eprintln!("loadgen: {e}");
-        std::process::exit(2);
-    })
-}
 
 #[derive(Serialize)]
 struct LoadgenArtifact {
@@ -82,42 +54,38 @@ struct LoadgenArtifact {
 }
 
 fn main() {
-    let scale = ExpScale::from_args();
-    let args: Vec<String> = std::env::args().collect();
-    let chaos = args.iter().any(|a| a == "--chaos");
-    let quick = args.iter().any(|a| a == "--quick");
-    let zipf = args.iter().any(|a| a == "--zipf");
-    let streams = usize_arg("--streams", 8, 1);
-    let ticks = usize_arg("--ticks", if quick { 200 } else { 2000 }, 0) as u64;
-    let live_interval = usize_arg("--live-interval", 16, 0) as u64;
-    // Path flags are read before training, so a missing value fails fast.
-    let live_metrics = flag_arg("live-metrics");
-    let expose = flag_arg("expose");
-    let metrics_out = metrics_out_arg();
-    let trace_out = trace_out_arg();
-
-    let quant = args.iter().any(|a| a == "--quant");
+    // The command line is read, and the live-telemetry outputs opened,
+    // before `LoadgenSetup::prepare` trains.
+    let args = LOADGEN.parse_or_exit("loadgen");
+    let quick = args.switch("quick");
+    let scale = ExpScale::preset(quick);
+    let streams = args.count("streams").unwrap_or(8) as usize;
+    let default_ticks = if quick { 200 } else { 2000 };
+    let ticks = args.count("ticks").unwrap_or(default_ticks);
+    let live = LiveTelemetry::from_outputs(
+        args.text("live-metrics"),
+        args.text("expose"),
+        args.count("live-interval").unwrap_or(16),
+    )
+    .unwrap_or_else(|e| {
+        eprintln!("loadgen: {e}");
+        std::process::exit(2);
+    });
 
     let cfg = ServeConfig::default();
     let mut setup = LoadgenSetup::prepare(&scale);
-    if quant {
+    if args.switch("quant") {
         let (params, bytes) = setup.quantize(&scale);
         println!(
             "serving distilled int8-stored student: {params} params, {bytes} int8 weight bytes"
         );
     }
     let setup = setup;
-    let arrival = if zipf {
+    let arrival = if args.switch("zipf") {
         Arrival::Zipf
     } else {
         Arrival::RoundRobin
     };
-    let live =
-        LiveTelemetry::from_outputs(live_metrics.as_deref(), expose.as_deref(), live_interval)
-            .unwrap_or_else(|e| {
-                eprintln!("loadgen: {e}");
-                std::process::exit(2);
-            });
     let live_attached = live.is_some();
     let outcome = run_load_sweep(
         &setup,
@@ -148,7 +116,11 @@ fn main() {
     print_table(
         &format!(
             "Service load sweep (open-loop, {} arrivals)",
-            if zipf { "Zipf" } else { "uniform" }
+            if args.switch("zipf") {
+                "Zipf"
+            } else {
+                "uniform"
+            }
         ),
         &[
             "load",
@@ -227,7 +199,7 @@ fn main() {
         ]],
     );
 
-    let chaos_outcome = if chaos {
+    let chaos_outcome = if args.switch("chaos") {
         let out = run_chaos(&setup, cfg, streams, ticks, 7);
         let at = |t: Option<u64>| t.map_or("-".to_string(), |v| v.to_string());
         print_table(
@@ -261,7 +233,7 @@ fn main() {
     if let Ok(p) = dump_json(
         "loadgen",
         &LoadgenArtifact {
-            quantized: quant,
+            quantized: args.switch("quant"),
             points: outcome.points.clone(),
             chaos: chaos_outcome,
             fused,
@@ -269,13 +241,13 @@ fn main() {
     ) {
         println!("wrote {}", p.display());
     }
-    if let Some(path) = metrics_out {
+    if let Some(path) = args.path("metrics-out") {
         match write_json_to(&path, &outcome.snapshot) {
             Ok(()) => println!("metrics snapshot written to {}", path.display()),
             Err(e) => eprintln!("failed to write metrics to {}: {e}", path.display()),
         }
     }
-    if let Some(path) = trace_out {
+    if let Some(path) = args.path("trace-out") {
         match &outcome.chrome_trace {
             Some(tr) => match write_json_compact_to(&path, tr) {
                 Ok(()) => println!("chrome trace written to {}", path.display()),
@@ -288,29 +260,29 @@ fn main() {
 
 #[cfg(test)]
 mod tests {
-    use super::count_arg;
-
-    fn args(v: &[&str]) -> Vec<String> {
-        v.iter().map(|a| a.to_string()).collect()
-    }
+    use mpgraph_bench::cli::LOADGEN;
 
     #[test]
     fn count_flags_parse_strictly() {
-        let parse = |v: &[&str]| count_arg(&args(v), "--streams", 8, 1);
-        assert_eq!(parse(&["loadgen", "--streams", "8"]), Ok(8));
-        assert_eq!(parse(&["loadgen", "--quick"]), Ok(8));
+        let parse = |v: &[&str]| LOADGEN.parse(v.iter().map(|a| a.to_string()));
+        let streams = |v: &[&str]| parse(v).map(|args| args.count("streams"));
+        assert_eq!(streams(&["--streams", "8"]), Ok(Some(8)));
+        assert_eq!(streams(&["--streams=2"]), Ok(Some(2)));
+        assert_eq!(streams(&["--quick"]), Ok(None));
         for bad in [
-            &["loadgen", "--streams", "0"][..],
-            &["loadgen", "--streams", "abc"],
-            &["loadgen", "--streams", "-3"],
-            &["loadgen", "--streams"],
+            &["--streams", "0"][..],
+            &["--streams", "abc"],
+            &["--streams=abc"],
+            &["--streams", "-3"],
+            &["--streams"],
+            &["--streams="],
         ] {
-            let err = parse(bad).expect_err("bad value accepted");
+            let err = parse(bad).expect_err("bad value accepted").to_string();
             assert!(err.contains("--streams"), "{bad:?}: {err}");
         }
         // A zero tick count is allowed; a malformed one is not.
-        let ticks = |v: &str| count_arg(&args(&["loadgen", "--ticks", v]), "--ticks", 200, 0);
-        assert_eq!(ticks("0"), Ok(0));
-        assert!(ticks("abc").is_err_and(|e| e.contains("--ticks")));
+        let ticks = |v: &str| parse(&["--ticks", v]).map(|args| args.count("ticks"));
+        assert_eq!(ticks("0"), Ok(Some(0)));
+        assert!(ticks("abc").is_err_and(|e| e.to_string().contains("--ticks")));
     }
 }

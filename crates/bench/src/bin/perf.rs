@@ -2,22 +2,23 @@
 //! training throughput, with a baseline-comparison mode for CI.
 //!
 //! Usage:
-//!   `cargo run --release -p mpgraph-bench --bin perf [--quick] [--metrics-out <path>]`
+//!   `perf [--quick] [--metrics-out=PATH] [--trace-out=PATH]`
 //!       runs the suite and (re)writes the repo-root `BENCH_kernels.json`
 //!       baseline;
-//!   `cargo run --release -p mpgraph-bench --bin perf -- --quick --check`
+//!   `perf --check [--quick] [--metrics-out=PATH] [--trace-out=PATH]`
 //!       runs the suite, writes the current numbers to
 //!       `results/BENCH_kernels_current.json`, compares calibration-
 //!       normalized p50s against the committed baseline, and exits
 //!       non-zero on a >15% regression unless `MPGRAPH_PERF_OVERRIDE` is
 //!       set in the environment.
 //!
-//! `--trace-out <path>` is accepted too. Any other argument exits 2,
-//! naming it, before anything is measured or written: a mistyped
-//! `--check` must not run the baseline mode and rewrite the baseline.
+//! Any other argument exits 2, naming it, before anything is measured or
+//! written: a mistyped `--check` must not run the baseline mode and
+//! rewrite the baseline.
 
 use std::process::ExitCode;
 
+use mpgraph_bench::cli::PERF;
 use mpgraph_bench::metrics::emit_if_requested;
 use mpgraph_bench::report::{dump_json, print_table};
 use mpgraph_bench::runners::perf::{compare, run_perf, run_perf_envelope, PerfReport, TOLERANCE};
@@ -139,65 +140,21 @@ fn check(first: PerfReport, quick: bool) -> ExitCode {
     ExitCode::FAILURE
 }
 
-/// The modes the command line selects.
-#[derive(Debug, Default, PartialEq, Eq)]
-struct Mode {
-    quick: bool,
-    check: bool,
-}
-
-/// Parses the arguments after the program name: the switches `--quick`
-/// and `--check`, and `--metrics-out` / `--trace-out` with a value, as
-/// `--flag value` or `--flag=value` (their values are read where the
-/// artifacts are written, by `emit_if_requested`). Anything else is an
-/// error that names it.
-fn parse_mode(args: &[String]) -> Result<Mode, String> {
-    let mut mode = Mode::default();
-    let mut args = args.iter();
-    while let Some(a) = args.next() {
-        match a.as_str() {
-            "--quick" => mode.quick = true,
-            "--check" => mode.check = true,
-            "--metrics-out" | "--trace-out" => match args.next() {
-                Some(v) if !v.starts_with("--") => {}
-                _ => return Err(format!("{a} needs a value")),
-            },
-            _ if a.starts_with("--metrics-out=") || a.starts_with("--trace-out=") => {}
-            _ => return Err(format!("unknown argument `{a}`")),
-        }
-    }
-    Ok(mode)
-}
-
 fn main() -> ExitCode {
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    let mode = match parse_mode(&args) {
-        Ok(mode) => mode,
-        Err(e) => {
-            eprintln!(
-                "error: {e}\nusage: perf [--quick] [--check] [--metrics-out <path>] \
-                 [--trace-out <path>]"
-            );
-            return ExitCode::from(2);
-        }
-    };
-    let quick = mode.quick;
-    let scale = if quick {
-        ExpScale::quick()
-    } else {
-        ExpScale::standard()
-    };
-    if mode.check {
+    let args = PERF.parse_or_exit("perf");
+    let quick = args.switch("quick");
+    let scale = ExpScale::preset(quick);
+    if args.switch("check") {
         let rep = run_perf(quick);
         print_report(&rep);
-        emit_if_requested(&scale);
+        emit_if_requested(&scale, &args);
         return check(rep, quick);
     }
     // Baseline mode: envelope over several passes, so a transiently quiet
     // machine cannot set an unachievably tight bar.
     let rep = run_perf_envelope(quick, BASELINE_PASSES);
     print_report(&rep);
-    emit_if_requested(&scale);
+    emit_if_requested(&scale, &args);
     match serde_json::to_string_pretty(&rep) {
         Ok(json) => match std::fs::write(BASELINE, json + "\n") {
             Ok(()) => {
@@ -219,32 +176,30 @@ fn main() -> ExitCode {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use mpgraph_bench::cli::{ArgError, Args};
 
-    fn parse(args: &[&str]) -> Result<Mode, String> {
-        let args: Vec<String> = args.iter().map(|a| a.to_string()).collect();
-        parse_mode(&args)
+    fn parse(args: &[&str]) -> Result<Args, ArgError> {
+        PERF.parse(args.iter().map(|a| a.to_string()))
     }
 
     #[test]
     fn parse_accepts_the_documented_flags_in_both_value_forms() {
-        assert_eq!(parse(&[]), Ok(Mode::default()));
-        assert_eq!(
-            parse(&[
-                "--quick",
-                "--check",
-                "--metrics-out",
-                "m.json",
-                "--trace-out=t.json"
-            ]),
-            Ok(Mode {
-                quick: true,
-                check: true
-            })
-        );
-        assert_eq!(
-            parse(&["--metrics-out=m.json", "--trace-out", "t.json"]),
-            Ok(Mode::default())
-        );
+        let none = parse(&[]).expect("no arguments");
+        assert!(!none.switch("quick") && !none.switch("check"));
+        let all = parse(&[
+            "--quick",
+            "--check",
+            "--metrics-out",
+            "m.json",
+            "--trace-out=t.json",
+        ])
+        .expect("every flag");
+        assert!(all.switch("quick") && all.switch("check"));
+        assert_eq!(all.text("metrics-out"), Some("m.json"));
+        assert_eq!(all.text("trace-out"), Some("t.json"));
+        let paths = parse(&["--metrics-out=m.json", "--trace-out", "t.json"]).expect("paths");
+        assert!(!paths.switch("quick") && !paths.switch("check"));
+        assert_eq!(paths.text("metrics-out"), Some("m.json"));
     }
 
     #[test]
@@ -256,8 +211,10 @@ mod tests {
             (&["--metrics-out"], "--metrics-out needs a value"),
             (&["--trace-out", "--quick"], "--trace-out needs a value"),
             (&["--metrics"], "`--metrics`"),
+            (&["--check=1"], "--check takes no value"),
+            (&["--check", "--check"], "--check given twice"),
         ] {
-            let err = parse(args).expect_err("accepted");
+            let err = parse(args).expect_err("accepted").to_string();
             assert!(err.contains(named), "{args:?}: {err}");
         }
     }

@@ -2,23 +2,20 @@
 //! injected inference stalls, against the pure Best-Offset ceiling, plus
 //! the aggregated pipeline HealthReport.
 //!
-//! Usage: `cargo run --release -p mpgraph-bench --bin resilience
-//! [--quick] [--metrics-out <path>] [--trace-out <path>]`
+//! Usage: `resilience [--quick] [--datasets=all] [--metrics-out=PATH] [--trace-out=PATH]`
 //!
 //! `--metrics-out` and `--trace-out` both describe the guarded run: its
 //! snapshot, and its Chrome trace with the guard's trip/recover track.
 
 use mpgraph_bench::metrics::write_trace;
-use mpgraph_bench::report::{
-    dump_json, metrics_out_arg, print_table, trace_out_arg, write_json_to,
-};
+use mpgraph_bench::report::{dump_json, print_table, write_json_to};
 use mpgraph_bench::runners::resilience::run_resilience;
 use mpgraph_bench::ExpScale;
 use mpgraph_core::TraceConfig;
 
 fn main() {
-    let scale = ExpScale::from_args();
-    let trace_out = trace_out_arg();
+    let (scale, args) = ExpScale::from_command_line("resilience");
+    let trace_out = args.path("trace-out");
     let (rep, chrome) = run_resilience(&scale, trace_out.as_ref().map(|_| TraceConfig::default()));
     let table: Vec<Vec<String>> = rep
         .rows
@@ -67,7 +64,7 @@ fn main() {
         m.memory_latency.p50,
         m.memory_latency.p99
     );
-    if let Some(path) = metrics_out_arg() {
+    if let Some(path) = args.path("metrics-out") {
         match write_json_to(&path, &rep.metrics) {
             Ok(()) => println!("wrote metrics to {}", path.display()),
             Err(e) => eprintln!("failed to write metrics to {}: {e}", path.display()),

@@ -1,7 +1,7 @@
 //! Regenerates Table 4: phase-transition detection precision/recall/F1 for
 //! KSWIN, Soft-KSWIN, DT, and Soft-DT on all three frameworks.
 //!
-//! Usage: `cargo run --release -p mpgraph-bench --bin table4 [--quick] [--metrics-out <path>]`
+//! Usage: `table4 [--quick] [--datasets=all] [--metrics-out=PATH] [--trace-out=PATH]`
 
 use mpgraph_bench::metrics::emit_if_requested;
 use mpgraph_bench::report::{dump_json, f, print_table};
@@ -9,7 +9,7 @@ use mpgraph_bench::runners::detection::run_table4;
 use mpgraph_bench::ExpScale;
 
 fn main() {
-    let scale = ExpScale::from_args();
+    let (scale, args) = ExpScale::from_command_line("table4");
     let rows = run_table4(&scale);
     let table: Vec<Vec<String>> = rows
         .iter()
@@ -32,5 +32,5 @@ fn main() {
     if let Ok(p) = dump_json("table4", &rows) {
         println!("\nwrote {}", p.display());
     }
-    emit_if_requested(&scale);
+    emit_if_requested(&scale, &args);
 }

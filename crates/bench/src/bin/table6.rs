@@ -1,7 +1,7 @@
 //! Regenerates Table 6: F1-score of spatial delta prediction for LSTM,
 //! Attention, AMMA, AMMA-PI, AMMA-PS over all 12 (framework, app) cells.
 //!
-//! Usage: `cargo run --release -p mpgraph-bench --bin table6 [--quick] [--metrics-out <path>]`
+//! Usage: `table6 [--quick] [--datasets=all] [--metrics-out=PATH] [--trace-out=PATH]`
 
 use mpgraph_bench::metrics::emit_if_requested;
 use mpgraph_bench::report::{dump_json, f, print_table};
@@ -9,7 +9,7 @@ use mpgraph_bench::runners::prediction::{run_table6, variant_means};
 use mpgraph_bench::ExpScale;
 
 fn main() {
-    let scale = ExpScale::from_args();
+    let (scale, args) = ExpScale::from_command_line("table6");
     let cells = run_table6(&scale);
     let variants = ["LSTM", "Attention", "AMMA", "AMMA-PI", "AMMA-PS"];
     let mut keys: Vec<(String, String)> = cells
@@ -45,5 +45,5 @@ fn main() {
     if let Ok(p) = dump_json("table6", &cells) {
         println!("\nwrote {}", p.display());
     }
-    emit_if_requested(&scale);
+    emit_if_requested(&scale, &args);
 }

@@ -1,7 +1,7 @@
 //! Regenerates Table 7: accuracy@10 of temporal page prediction for the
 //! five model variants over all 12 (framework, app) cells.
 //!
-//! Usage: `cargo run --release -p mpgraph-bench --bin table7 [--quick] [--metrics-out <path>]`
+//! Usage: `table7 [--quick] [--datasets=all] [--metrics-out=PATH] [--trace-out=PATH]`
 
 use mpgraph_bench::metrics::emit_if_requested;
 use mpgraph_bench::report::{dump_json, f, print_table};
@@ -9,7 +9,7 @@ use mpgraph_bench::runners::prediction::{run_table7, variant_means};
 use mpgraph_bench::ExpScale;
 
 fn main() {
-    let scale = ExpScale::from_args();
+    let (scale, args) = ExpScale::from_command_line("table7");
     let cells = run_table7(&scale);
     let variants = ["LSTM", "Attention", "AMMA", "AMMA-PI", "AMMA-PS"];
     let mut keys: Vec<(String, String)> = cells
@@ -45,5 +45,5 @@ fn main() {
     if let Ok(p) = dump_json("table7", &cells) {
         println!("\nwrote {}", p.display());
     }
-    emit_if_requested(&scale);
+    emit_if_requested(&scale, &args);
 }

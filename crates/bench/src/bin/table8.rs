@@ -1,7 +1,7 @@
 //! Regenerates Table 8: computational complexity (parameters, OPs,
 //! critical path) and IPC improvement of MPGraph and the ML baselines.
 //!
-//! Usage: `cargo run --release -p mpgraph-bench --bin table8 [--quick] [--metrics-out <path>]`
+//! Usage: `table8 [--quick] [--datasets=all] [--metrics-out=PATH] [--trace-out=PATH]`
 
 use mpgraph_bench::metrics::emit_if_requested;
 use mpgraph_bench::report::{dump_json, f, print_table};
@@ -9,7 +9,7 @@ use mpgraph_bench::runners::prefetching::run_table8;
 use mpgraph_bench::ExpScale;
 
 fn main() {
-    let scale = ExpScale::from_args();
+    let (scale, args) = ExpScale::from_command_line("table8");
     let rows = run_table8(&scale);
     let table: Vec<Vec<String>> = rows
         .iter()
@@ -37,5 +37,5 @@ fn main() {
     if let Ok(p) = dump_json("table8", &rows) {
         println!("\nwrote {}", p.display());
     }
-    emit_if_requested(&scale);
+    emit_if_requested(&scale, &args);
 }

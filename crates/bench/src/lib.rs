@@ -21,6 +21,7 @@
 //! | `ablations` | soft-threshold, CSTP degree, modality ablations |
 //! | `loadgen` | multi-stream service load sweep + chaos isolation |
 
+pub mod cli;
 pub mod metrics;
 pub mod report;
 pub mod runners;

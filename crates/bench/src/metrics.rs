@@ -15,7 +15,8 @@
 //! embeds the snapshot of its own guarded fault-injection run, so it
 //! serializes that run's snapshot and trace instead of the carrier's.
 
-use crate::report::{metrics_out_arg, trace_out_arg, write_json_compact_to, write_json_to};
+use crate::cli::Args;
+use crate::report::{write_json_compact_to, write_json_to};
 use crate::scale::ExpScale;
 use crate::workload::SynthConfig;
 use mpgraph_core::{
@@ -53,13 +54,13 @@ pub fn collect_carrier_metrics(scale: &ExpScale) -> MetricsSnapshot {
     collect_carrier(scale, None).0
 }
 
-/// Binary entry point: when `--metrics-out <path>` and/or `--trace-out
-/// <path>` are on the command line, runs the instrumented carrier once and
-/// writes the requested artifacts. A no-op without either flag, so every
-/// binary can call this unconditionally.
-pub fn emit_if_requested(scale: &ExpScale) {
-    let metrics = metrics_out_arg();
-    let trace = trace_out_arg();
+/// Binary entry point: when the parsed command line gives `--metrics-out
+/// <path>` and/or `--trace-out <path>`, runs the instrumented carrier once
+/// and writes the requested artifacts. A no-op without either flag, so
+/// every binary can call this unconditionally.
+pub fn emit_if_requested(scale: &ExpScale, args: &Args) {
+    let metrics = args.path("metrics-out");
+    let trace = args.path("trace-out");
     if metrics.is_none() && trace.is_none() {
         return;
     }

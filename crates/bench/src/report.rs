@@ -57,64 +57,6 @@ pub fn dump_json_compact<T: Serialize>(name: &str, value: &T) -> std::io::Result
     Ok(path)
 }
 
-/// A value flag given without its value: last on the command line, or
-/// followed by another `--` flag.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct MissingFlagValue {
-    /// The flag as typed, e.g. `--expose`.
-    pub flag: String,
-}
-
-impl std::fmt::Display for MissingFlagValue {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        write!(f, "{} needs a value", self.flag)
-    }
-}
-
-impl std::error::Error for MissingFlagValue {}
-
-/// The value of `--<flag> <value>` (or `--<flag>=<value>`) in `args`:
-/// `Ok(None)` when the flag is absent, so binaries that never heard of it
-/// keep working unchanged, and an error naming the flag when the value is
-/// missing or is itself a flag (starts with `--`).
-pub fn flag_value(args: &[String], flag: &str) -> Result<Option<String>, MissingFlagValue> {
-    let eq_prefix = format!("--{flag}=");
-    let bare = format!("--{flag}");
-    for (i, a) in args.iter().enumerate() {
-        if let Some(v) = a.strip_prefix(&eq_prefix) {
-            return Ok(Some(v.to_string()));
-        }
-        if *a == bare {
-            return match args.get(i + 1) {
-                Some(v) if !v.starts_with("--") => Ok(Some(v.clone())),
-                _ => Err(MissingFlagValue { flag: bare }),
-            };
-        }
-    }
-    Ok(None)
-}
-
-/// [`flag_value`] over the process arguments, for a binary's `main`:
-/// exits with status 2, naming the flag, when the value is missing.
-pub fn flag_arg(flag: &str) -> Option<String> {
-    let args: Vec<String> = std::env::args().collect();
-    flag_value(&args, flag).unwrap_or_else(|e| {
-        eprintln!("error: {e}");
-        std::process::exit(2);
-    })
-}
-
-/// `--metrics-out <path>` from argv (see [`flag_arg`]).
-pub fn metrics_out_arg() -> Option<PathBuf> {
-    flag_arg("metrics-out").map(PathBuf::from)
-}
-
-/// `--trace-out <path>` from argv (Chrome-trace/Perfetto export; see
-/// [`flag_arg`]).
-pub fn trace_out_arg() -> Option<PathBuf> {
-    flag_arg("trace-out").map(PathBuf::from)
-}
-
 /// Writes a metrics snapshot (or any serializable value) as pretty JSON to
 /// an explicit path, creating parent directories as needed.
 pub fn write_json_to<T: Serialize>(path: &std::path::Path, value: &T) -> std::io::Result<()> {
@@ -155,32 +97,6 @@ pub fn f(v: f64, digits: usize) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn value_flags_reject_a_missing_value() {
-        let args = |v: &[&str]| -> Vec<String> { v.iter().map(|a| a.to_string()).collect() };
-        let get = |v: &[&str]| flag_value(&args(v), "expose");
-        assert_eq!(get(&["loadgen", "--quick"]), Ok(None));
-        assert_eq!(
-            get(&["loadgen", "--expose", "p.prom"]),
-            Ok(Some("p.prom".into()))
-        );
-        assert_eq!(
-            get(&["loadgen", "--expose=p.prom"]),
-            Ok(Some("p.prom".into()))
-        );
-        // `-` (stdout) is a value, not a flag.
-        assert_eq!(get(&["loadgen", "--expose", "-"]), Ok(Some("-".into())));
-        for bad in [
-            &["loadgen", "--expose"][..],
-            &["loadgen", "--expose", "--live-metrics", "x"],
-            &["loadgen", "--live-metrics", "--expose", "--quick"],
-        ] {
-            let err = get(bad).expect_err("missing value accepted");
-            assert_eq!(err.flag, "--expose", "{bad:?}");
-            assert_eq!(err.to_string(), "--expose needs a value");
-        }
-    }
 
     #[test]
     fn pct_and_f_format() {

@@ -1,9 +1,10 @@
 //! Experiment scale presets. The paper's runs are hundreds of millions of
 //! instructions on real hardware; this reproduction exposes two presets —
 //! `quick` for CI-style smoke runs (seconds) and `standard` for the actual
-//! table/figure regeneration (minutes) — plus CLI parsing shared by every
-//! experiment binary.
+//! table/figure regeneration (minutes) — and the scale an experiment
+//! binary's command line picks.
 
+use crate::cli::{Args, EXPERIMENT};
 use mpgraph_graph::Dataset;
 use mpgraph_prefetchers::TrainCfg;
 
@@ -68,26 +69,26 @@ impl ExpScale {
         }
     }
 
-    /// Parses `--quick` / `--standard` / `--datasets all` from argv.
-    pub fn from_args() -> Self {
-        let args: Vec<String> = std::env::args().collect();
-        Self::parse(&args)
+    /// The quick preset when `quick`, the standard one otherwise.
+    pub fn preset(quick: bool) -> Self {
+        if quick {
+            Self::quick()
+        } else {
+            Self::standard()
+        }
     }
 
-    /// [`Self::from_args`] over an argument list: `--quick` picks the
-    /// quick preset (the standard one otherwise), and `--datasets all` or
-    /// `--datasets=all` sweeps every dataset. Other arguments are ignored.
-    pub fn parse(args: &[String]) -> Self {
-        let mut scale = if args.iter().any(|a| a == "--quick") {
-            ExpScale::quick()
-        } else {
-            ExpScale::standard()
-        };
-        let all = args.iter().any(|a| a == "--datasets=all")
-            || args
-                .windows(2)
-                .any(|w| w[0] == "--datasets" && w[1] == "all");
-        if all {
+    /// An experiment binary's parsed command line, which exits 2 on an error, and its scale.
+    pub fn from_command_line(program: &str) -> (Self, Args) {
+        let args = EXPERIMENT.parse_or_exit(program);
+        (Self::from_cli(&args), args)
+    }
+
+    /// The scale an [`EXPERIMENT`] command line picks: [`Self::preset`] by
+    /// `--quick`, sweeping every dataset under `--datasets all`.
+    pub fn from_cli(args: &Args) -> Self {
+        let mut scale = Self::preset(args.switch("quick"));
+        if args.text("datasets").is_some() {
             scale.datasets = Dataset::ALL.to_vec();
         }
         scale
@@ -110,31 +111,30 @@ mod tests {
 
     #[test]
     fn parse_reads_both_spellings_of_datasets_all() {
-        let parse = |args: &[&str]| {
-            let args: Vec<String> = args.iter().map(|a| a.to_string()).collect();
-            ExpScale::parse(&args)
-        };
+        let parse = |args: &[&str]| EXPERIMENT.parse(args.iter().map(|a| a.to_string()));
+        let scale = |args: &[&str]| ExpScale::from_cli(&parse(args).expect("valid command line"));
         let all = Dataset::ALL.to_vec();
-        assert_eq!(parse(&["bin", "--datasets", "all"]).datasets, all);
-        assert_eq!(parse(&["bin", "--datasets=all"]).datasets, all);
-        assert_eq!(
-            parse(&["bin", "--quick", "--datasets", "all"]).datasets,
-            all
-        );
-        let quick = parse(&["bin", "--datasets", "all", "--quick"]);
+        assert_eq!(scale(&["--datasets", "all"]).datasets, all);
+        assert_eq!(scale(&["--datasets=all"]).datasets, all);
+        assert_eq!(scale(&["--datasets=ALL"]).datasets, all);
+        assert_eq!(scale(&["--quick", "--datasets", "all"]).datasets, all);
+        let quick = scale(&["--datasets", "all", "--quick"]);
         assert_eq!(quick.datasets, all);
         assert_eq!(quick.graph_div, ExpScale::quick().graph_div);
-        // Without the value, or with another one, the preset's own
-        // datasets stay.
-        for args in [
-            &["bin", "--quick"][..],
-            &["bin", "--quick", "--datasets"],
-            &["bin", "--quick", "--datasets", "rmat"],
-            &["bin", "--quick", "all"],
+        assert_eq!(scale(&["--quick"]).datasets, ExpScale::quick().datasets);
+        assert_eq!(scale(&[]).datasets, ExpScale::standard().datasets);
+        assert_eq!(scale(&[]).graph_div, ExpScale::standard().graph_div);
+        // Without the value, with another one, or with a stray word, the
+        // command line is refused rather than run at the preset's datasets.
+        for (args, named) in [
+            (&["--quick", "--datasets"][..], "--datasets needs a value"),
+            (&["--quick", "--datasets", "rmat"], "`rmat`"),
+            (&["--quick", "all"], "`all`"),
+            (&["--quik"], "`--quik`"),
+            (&["--standard"], "`--standard`"),
         ] {
-            assert_eq!(parse(args).datasets, ExpScale::quick().datasets, "{args:?}");
+            let err = parse(args).expect_err("accepted").to_string();
+            assert!(err.contains(named), "{args:?}: {err}");
         }
-        assert_eq!(parse(&["bin"]).datasets, ExpScale::standard().datasets);
-        assert_eq!(parse(&["bin"]).graph_div, ExpScale::standard().graph_div);
     }
 }

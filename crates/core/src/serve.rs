@@ -1079,7 +1079,8 @@ impl PrefetchService {
     }
 
     /// Full pipeline snapshot: the scoreboard's view (windows, trace
-    /// stats) with the serving-layer counters folded in.
+    /// stats) with the serving-layer counters and every ML stream's CSTP
+    /// counters, merged in slot order, folded in.
     pub fn snapshot(&self) -> MetricsSnapshot {
         let mut snap = self
             .scoreboard
@@ -1087,6 +1088,12 @@ impl PrefetchService {
             .map(PrefetchScoreboard::snapshot)
             .unwrap_or_default();
         snap.serve = self.metrics();
+        for slot in &self.slots {
+            let ml = slot.ml.as_deref().and_then(|m| m.as_any());
+            if let Some(pf) = ml.and_then(|a| a.downcast_ref::<MpGraphPrefetcher>()) {
+                snap.cstp.merge_at(&pf.cstp_stats, 0);
+            }
+        }
         snap
     }
 
@@ -1866,27 +1873,28 @@ mod tests {
                 svc.pump(&mut out);
             }
             svc.flush(&mut out);
-            let memo_hits: u64 = svc
-                .slots
-                .iter()
-                .filter_map(|slot| {
-                    slot.ml
-                        .as_deref()?
-                        .as_any()?
-                        .downcast_ref::<MpGraphPrefetcher>()
-                })
-                .map(|pf| pf.cstp_stats.page_memo_hits)
-                .sum();
-            (out, svc.metrics(), memo_hits)
+            (out, svc.snapshot())
         };
-        let (fused, m, memo_hits) = run(true);
-        let (solo, solo_m, _) = run(false);
+        let (fused, snap) = run(true);
+        let (solo, solo_snap) = run(false);
+        let m = &snap.serve;
         assert!(
             m.ml_processed > 0 && m.fused_items > m.fused_batches,
             "{m:?}"
         );
-        assert_eq!(solo_m.fused_items, 0);
-        assert!(memo_hits > 0, "the fused walks never hit the memo");
+        assert_eq!(solo_snap.serve.fused_items, 0);
+        assert!(
+            snap.cstp.page_memo_hits > 0,
+            "the fused walks never hit the memo"
+        );
+        // The snapshot carries the streams' CSTP counters. The fused memo is
+        // shared across streams, so only its hit counts may differ.
+        assert!(
+            snap.cstp.batches > 0 && snap.cstp.pbot_hits > 0,
+            "{:?}",
+            snap.cstp
+        );
+        assert_eq!(snap.cstp.sans_memo(), solo_snap.cstp.sans_memo());
         let key = |p: &Prediction| {
             (
                 p.stream,

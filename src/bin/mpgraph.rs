@@ -20,6 +20,7 @@
 //! order), so the merged `--metrics-out` artifact is byte-identical at
 //! any `--shards` count.
 
+use mpgraph::bench::cli::{self, exit_usage, Args};
 use mpgraph::bench::serve_load;
 use mpgraph::core::trace::TraceConfig as TelemetryConfig;
 use mpgraph::core::{
@@ -34,183 +35,73 @@ use mpgraph::sim::{
     NullPrefetcher, PrefetchObserver, Prefetcher, SimResult,
 };
 
-fn usage() -> ! {
-    eprintln!(
-        "usage: mpgraph <command> [args]\n\
-         commands:\n  \
-         trace    --framework <gpop|xstream|powergraph> --app <bfs|cc|pr|sssp|tc>\n           \
-         --dataset <name> [--div N] [--iterations N] [--limit N] --out FILE\n  \
-         info     FILE\n  \
-         simulate FILE [--prefetcher none|next-line|stride|bo|isb] [--scaled]\n           \
-         [--fault corrupt-record|drop-prefetch|duplicate-prefetch|detector-misfire|stall-inference]\n           \
-         [--fault-rate R] [--fault-seed S] [--stall-cycles N] [--metrics-out FILE]\n           \
-         [--trace-out FILE]\n  \
-         run      --framework F --app A [--dataset D (default: rmat)] [--div N]\n           \
-         [--iterations N] [--quick] [--quant] [--metrics-out FILE] [--trace-out FILE]\n           \
-         (--quant rounds the trained weights onto their int8 storage grid)\n  \
-         run --all [--shards N (default: cores)] [--quick] [--metrics-out FILE]\n           \
-         [--trace-out FILE]\n  \
-         serve    FILE [--streams N] [--load F] [--no-fuse] [--quant] [--stdin]\n           \
-         [--metrics-out FILE] [--trace-out FILE] [--live-metrics FILE|-]\n           \
-         [--expose FILE] [--live-interval N]\n           \
-         (--quant serves the distilled int8-stored student; --stdin reads\n           \
-         `stream pc vaddr [w]` lines, FILE only trains; --live-metrics\n           \
-         streams NDJSON interval deltas, --expose rewrites a Prometheus\n           \
-         text dump every --live-interval pumps)"
-    );
-    std::process::exit(2);
-}
-
-/// Minimal flag parser: `--key value` pairs plus positional args.
-struct Args {
-    positional: Vec<String>,
-    flags: std::collections::HashMap<String, String>,
-}
-
-impl Args {
-    fn parse(raw: &[String]) -> Args {
-        let mut positional = Vec::new();
-        let mut flags = std::collections::HashMap::new();
-        let mut i = 0;
-        while i < raw.len() {
-            if let Some(key) = raw[i].strip_prefix("--") {
-                if i + 1 < raw.len() && !raw[i + 1].starts_with("--") {
-                    flags.insert(key.to_string(), raw[i + 1].clone());
-                    i += 2;
-                } else {
-                    flags.insert(key.to_string(), "true".to_string());
-                    i += 1;
-                }
-            } else {
-                positional.push(raw[i].clone());
-                i += 1;
-            }
-        }
-        Args { positional, flags }
-    }
-
-    fn get(&self, key: &str) -> Option<&str> {
-        self.flags.get(key).map(|s| s.as_str())
-    }
-
-    fn get_usize(&self, key: &str, default: usize) -> usize {
-        self.get(key)
-            .map(|v| {
-                v.parse()
-                    .unwrap_or_else(|_| die(&format!("--{key} must be a number")))
-            })
-            .unwrap_or(default)
-    }
-
-    fn get_f64(&self, key: &str, default: f64) -> f64 {
-        self.get(key)
-            .map(|v| {
-                v.parse()
-                    .unwrap_or_else(|_| die(&format!("--{key} must be a number")))
-            })
-            .unwrap_or(default)
-    }
-
-    fn get_u64(&self, key: &str, default: u64) -> u64 {
-        self.get(key)
-            .map(|v| {
-                v.parse()
-                    .unwrap_or_else(|_| die(&format!("--{key} must be a number")))
-            })
-            .unwrap_or(default)
-    }
-}
-
 fn die(msg: &str) -> ! {
     eprintln!("error: {msg}");
     std::process::exit(1);
 }
 
-fn parse_framework(s: &str) -> Framework {
-    match s.to_lowercase().as_str() {
-        "gpop" => Framework::Gpop,
-        "xstream" | "x-stream" => Framework::XStream,
-        "powergraph" => Framework::PowerGraph,
-        other => die(&format!(
-            "unknown framework {other:?} (valid: {})",
-            Framework::ALL.map(|f| f.name().to_lowercase()).join(" ")
-        )),
-    }
-}
-
-fn parse_app(s: &str) -> App {
-    match s.to_lowercase().as_str() {
-        "bfs" => App::Bfs,
-        "cc" => App::Cc,
-        "pr" | "pagerank" => App::Pr,
-        "sssp" => App::Sssp,
-        "tc" => App::Tc,
-        other => die(&format!(
-            "unknown app {other:?} (valid: {})",
-            App::ALL.map(|a| a.name().to_lowercase()).join(" ")
-        )),
-    }
-}
-
-fn parse_fault(s: &str) -> FaultKind {
-    FaultKind::ALL
-        .into_iter()
-        .find(|k| k.name().eq_ignore_ascii_case(s))
-        .unwrap_or_else(|| {
-            die(&format!(
-                "unknown fault {s:?} (try: {})",
-                FaultKind::ALL.map(|k| k.name()).join(" ")
-            ))
-        })
-}
-
-/// Builds an injector from `--fault`/`--fault-rate`/`--fault-seed`/
-/// `--stall-cycles`, or `None` when no fault was requested.
-fn fault_injector(args: &Args) -> Option<FaultInjector> {
-    let kind = parse_fault(args.get("fault")?);
-    let rate = args.get_f64("fault-rate", 0.1);
-    let seed = args.get_u64("fault-seed", 0xFA17);
-    let mut cfg = FaultConfig::only(kind, rate, seed);
-    if let Some(cycles) = args.get("stall-cycles") {
-        cfg.stall_cycles = cycles
-            .parse()
-            .unwrap_or_else(|_| die("--stall-cycles must be a number"));
-    }
-    cfg.validate().unwrap_or_else(|e| die(&e));
-    Some(FaultInjector::new(cfg))
-}
-
-fn parse_dataset(s: &str) -> Dataset {
-    Dataset::ALL
-        .into_iter()
-        .find(|d| d.name().eq_ignore_ascii_case(s))
-        .unwrap_or_else(|| {
-            die(&format!(
-                "unknown dataset {s:?} (valid: {})",
-                Dataset::ALL.map(|d| d.name()).join(" ")
-            ))
-        })
-}
-
-fn build_trace(args: &Args) -> Trace {
-    let fw = parse_framework(args.get("framework").unwrap_or_else(|| usage()));
-    let app = parse_app(args.get("app").unwrap_or_else(|| usage()));
-    if !fw.apps().contains(&app) {
+/// The workload a `trace` or `run` command line names; a framework × app
+/// pair Table 1 does not list exits 1.
+fn workload(args: &Args) -> (Framework, App, Dataset) {
+    let framework = match args.text("framework") {
+        Some("gpop") => Framework::Gpop,
+        Some("xstream" | "x-stream") => Framework::XStream,
+        Some("powergraph") => Framework::PowerGraph,
+        other => unreachable!("the required --framework set has no {other:?}"),
+    };
+    let app = match args.text("app") {
+        Some("bfs") => App::Bfs,
+        Some("cc") => App::Cc,
+        Some("pr" | "pagerank") => App::Pr,
+        Some("sssp") => App::Sssp,
+        Some("tc") => App::Tc,
+        other => unreachable!("the required --app set has no {other:?}"),
+    };
+    if !framework.apps().contains(&app) {
         die(&format!(
             "{} does not ship {} (Table 1); available: {}",
-            fw.name(),
+            framework.name(),
             app.name(),
-            fw.apps()
+            framework
+                .apps()
                 .iter()
                 .map(|a| a.name().to_lowercase())
                 .collect::<Vec<_>>()
                 .join(" ")
         ));
     }
-    let ds = parse_dataset(args.get("dataset").unwrap_or("rmat"));
-    let div = args.get_usize("div", 64);
-    let iterations = args.get_usize("iterations", 6);
-    let limit = args.get_usize("limit", 2_000_000);
+    let dataset = args.text("dataset").map_or(Dataset::Rmat, |name| {
+        Dataset::ALL
+            .into_iter()
+            .find(|d| d.name() == name)
+            .expect("the --dataset set holds the dataset names")
+    });
+    (framework, app, dataset)
+}
+
+/// Builds an injector from `--fault`/`--fault-rate`/`--fault-seed`/
+/// `--stall-cycles`, or `None` when no fault was requested.
+fn fault_injector(args: &Args) -> Option<FaultInjector> {
+    let name = args.text("fault")?;
+    let kind = FaultKind::ALL
+        .into_iter()
+        .find(|k| k.name() == name)
+        .expect("the --fault set holds the fault names");
+    let rate = args.number("fault-rate").unwrap_or(0.1);
+    let seed = args.count("fault-seed").unwrap_or(0xFA17);
+    let mut cfg = FaultConfig::only(kind, rate, seed);
+    if let Some(cycles) = args.count("stall-cycles") {
+        cfg.stall_cycles = cycles;
+    }
+    cfg.validate().unwrap_or_else(|e| die(&e));
+    Some(FaultInjector::new(cfg))
+}
+
+fn build_trace(args: &Args) -> Trace {
+    let (fw, app, ds) = workload(args);
+    let div = args.count("div").unwrap_or(64) as usize;
+    let iterations = args.count("iterations").unwrap_or(6) as usize;
+    let limit = args.count("limit").unwrap_or(2_000_000) as usize;
     let g = standin(ds, div, 0xC11);
     eprintln!(
         "tracing {} {} on {}/{} ({} vertices, {} edges)...",
@@ -240,20 +131,20 @@ fn build_trace(args: &Args) -> Trace {
 /// recorder and windowed telemetry.
 fn scoreboard_for(args: &Args, num_phases: usize) -> Option<PrefetchScoreboard> {
     let phases = num_phases.max(1);
-    if args.get("trace-out").is_some() {
+    if args.text("trace-out").is_some() {
         Some(PrefetchScoreboard::with_trace(
             phases,
             4096,
             TelemetryConfig::default(),
         ))
     } else {
-        args.get("metrics-out")
+        args.text("metrics-out")
             .map(|_| PrefetchScoreboard::new(phases, 4096))
     }
 }
 
 fn write_metrics(args: &Args, snap: &MetricsSnapshot) {
-    let Some(path) = args.get("metrics-out") else {
+    let Some(path) = args.text("metrics-out") else {
         return;
     };
     let json = snap
@@ -264,25 +155,17 @@ fn write_metrics(args: &Args, snap: &MetricsSnapshot) {
 }
 
 /// Writes a Chrome-trace JSON value when `--trace-out` was given.
-fn write_trace_value(args: &Args, chrome: &serde::Value) {
-    let Some(path) = args.get("trace-out") else {
+fn write_trace(args: &Args, chrome: Option<serde::Value>) {
+    let Some(path) = args.text("trace-out") else {
         return;
     };
-    let json =
-        serde_json::to_string(chrome).unwrap_or_else(|e| die(&format!("serializing trace: {e}")));
-    std::fs::write(path, json).unwrap_or_else(|e| die(&format!("writing {path}: {e}")));
-    eprintln!("chrome trace written to {path} (load it in ui.perfetto.dev)");
-}
-
-/// Writes the scoreboard's Chrome-trace JSON when `--trace-out` was given.
-fn write_trace(args: &Args, sb: &PrefetchScoreboard) {
-    if args.get("trace-out").is_none() {
-        return;
-    }
-    let Some(chrome) = sb.chrome_trace() else {
+    let Some(chrome) = chrome else {
         die("trace requested but the scoreboard recorded none");
     };
-    write_trace_value(args, &chrome);
+    let json =
+        serde_json::to_string(&chrome).unwrap_or_else(|e| die(&format!("serializing trace: {e}")));
+    std::fs::write(path, json).unwrap_or_else(|e| die(&format!("writing {path}: {e}")));
+    eprintln!("chrome trace written to {path} (load it in ui.perfetto.dev)");
 }
 
 fn report(label: &str, r: &SimResult, base: Option<&SimResult>) {
@@ -298,7 +181,7 @@ fn report(label: &str, r: &SimResult, base: Option<&SimResult>) {
 }
 
 fn cmd_trace(args: &Args) {
-    let out = args.get("out").unwrap_or_else(|| usage());
+    let out = args.text("out").expect("parse checks the required --out");
     let trace = build_trace(args);
     io::save(&trace, out).unwrap_or_else(|e| die(&e.to_string()));
     println!(
@@ -311,8 +194,7 @@ fn cmd_trace(args: &Args) {
 }
 
 fn cmd_info(args: &Args) {
-    let path = args.positional.first().unwrap_or_else(|| usage());
-    let t = io::load(path).unwrap_or_else(|e| die(&e.to_string()));
+    let t = io::load(&args.positional[0]).unwrap_or_else(|e| die(&e.to_string()));
     println!("records:     {}", t.records.len());
     println!("phases/iter: {}", t.num_phases);
     println!("iterations:  {}", t.num_iterations());
@@ -335,25 +217,23 @@ fn cmd_info(args: &Args) {
 }
 
 fn cmd_simulate(args: &Args) {
-    let path = args.positional.first().unwrap_or_else(|| usage());
-    let t = io::load(path).unwrap_or_else(|e| die(&e.to_string()));
-    let cfg = if args.get("scaled").is_some() {
+    let mut inj = fault_injector(args);
+    let t = io::load(&args.positional[0]).unwrap_or_else(|e| die(&e.to_string()));
+    let cfg = if args.switch("scaled") {
         mpgraph::scaled_sim_config()
     } else {
         mpgraph::sim::SimConfig::default()
     };
     let base = simulate(&t.records, &mut NullPrefetcher, &cfg);
     report("none", &base, None);
-    let which = args.get("prefetcher").unwrap_or("bo");
-    let mut pf: Box<dyn Prefetcher> = match which {
+    let mut pf: Box<dyn Prefetcher> = match args.text("prefetcher").unwrap_or("bo") {
         "none" => return,
         "next-line" => Box::new(NextLine::new(6)),
         "stride" => Box::new(Stride::new(6)),
         "bo" => Box::new(BestOffset::new(BoConfig::default())),
         "isb" => Box::new(Isb::new(IsbConfig::default())),
-        other => die(&format!("unknown prefetcher {other:?}")),
+        other => unreachable!("the --prefetcher set has no {other}"),
     };
-    let mut inj = fault_injector(args);
     let mut sb = scoreboard_for(args, t.num_phases as usize);
     let r = simulate_observed(
         &t.records,
@@ -365,7 +245,7 @@ fn cmd_simulate(args: &Args) {
     report(&r.prefetcher.clone(), &r, Some(&base));
     if let Some(sb) = sb.as_ref() {
         write_metrics(args, &sb.snapshot());
-        write_trace(args, sb);
+        write_trace(args, sb.chrome_trace());
     }
     if inj.is_some() {
         println!("faults injected: {} total", r.faults.total());
@@ -379,12 +259,6 @@ fn cmd_simulate(args: &Args) {
 }
 
 fn cmd_run(args: &Args) {
-    if args.get("all").is_some() {
-        return cmd_run_all(args);
-    }
-    if args.get("quick").is_some() {
-        return cmd_run_quick(args);
-    }
     let trace = build_trace(args);
     let cfg = mpgraph::scaled_sim_config();
     let split = trace
@@ -411,7 +285,7 @@ fn cmd_run(args: &Args) {
         MpGraphConfig::default(),
         &TrainCfg::default(),
     );
-    if args.get("quant").is_some() {
+    if args.switch("quant") {
         mp.quantize();
         eprintln!("serving the trained predictors from int8-rounded weights");
     }
@@ -428,7 +302,7 @@ fn cmd_run(args: &Args) {
         let mut snap = sb.snapshot();
         mp.enrich_snapshot(&mut snap);
         write_metrics(args, &snap);
-        write_trace(args, sb);
+        write_trace(args, sb.chrome_trace());
     }
 }
 
@@ -439,28 +313,13 @@ fn cmd_run_quick(args: &Args) {
     use mpgraph::bench::shard::{run_combo_opts, Combo, SEGMENT_LEN};
     use mpgraph::bench::ExpScale;
 
-    let framework = parse_framework(args.get("framework").unwrap_or_else(|| usage()));
-    let app = parse_app(args.get("app").unwrap_or_else(|| usage()));
-    if !framework.apps().contains(&app) {
-        die(&format!(
-            "{} does not ship {} (Table 1); available: {}",
-            framework.name(),
-            app.name(),
-            framework
-                .apps()
-                .iter()
-                .map(|a| a.name().to_lowercase())
-                .collect::<Vec<_>>()
-                .join(" ")
-        ));
-    }
-    let dataset = parse_dataset(args.get("dataset").unwrap_or("rmat"));
+    let (framework, app, dataset) = workload(args);
     let combo = Combo {
         framework,
         app,
         dataset,
     };
-    let quant = args.get("quant").is_some();
+    let quant = args.switch("quant");
     eprintln!(
         "quick run: {} at ExpScale::quick(){}",
         combo.label(),
@@ -471,10 +330,8 @@ fn cmd_run_quick(args: &Args) {
     report("BO", &r.bo, Some(&r.base));
     report("MPGraph", &r.mpgraph, Some(&r.base));
     write_metrics(args, &r.snapshot);
-    write_trace_value(
-        args,
-        &mpgraph::core::chrome_trace_json_sharded(std::slice::from_ref(&r.trace)),
-    );
+    let chrome = mpgraph::core::chrome_trace_json_sharded(std::slice::from_ref(&r.trace));
+    write_trace(args, Some(chrome));
 }
 
 /// `run --all`: the sharded full-matrix evaluation. Partitions the
@@ -487,16 +344,12 @@ fn cmd_run_all(args: &Args) {
     use mpgraph::bench::shard::run_matrix;
     use mpgraph::bench::ExpScale;
 
-    let quick = args.get("quick").is_some();
-    let scale = if quick {
-        ExpScale::quick()
-    } else {
-        ExpScale::standard()
-    };
+    let quick = args.switch("quick");
+    let scale = ExpScale::preset(quick);
     let default_shards = std::thread::available_parallelism()
         .map(|n| n.get())
         .unwrap_or(1);
-    let shards = args.get_usize("shards", default_shards).max(1);
+    let shards = args.count("shards").map_or(default_shards, |n| n as usize);
     eprintln!(
         "running the full matrix at {} scale across {shards} shard worker(s)",
         if quick { "quick" } else { "standard" }
@@ -508,7 +361,7 @@ fn cmd_run_all(args: &Args) {
         Err(e) => eprintln!("warning: could not write matrix rows: {e}"),
     }
     write_metrics(args, &m.merged);
-    write_trace_value(args, &m.chrome_trace());
+    write_trace(args, Some(m.chrome_trace()));
 }
 
 /// Feeds stdin-driven accesses through the service: one access per line,
@@ -546,7 +399,7 @@ fn serve_from_stdin(
                 continue;
             }
         };
-        let stream = stream % streams.max(1) as u32;
+        let stream = stream % streams as u32;
         access.core = (stream % 8) as u8;
         svc.ingest(stream, &access, 0);
         n += 1;
@@ -570,8 +423,7 @@ fn serve_from_stdin(
 /// (`stream pc vaddr [w]` per line), so external generators can drive the
 /// service.
 fn cmd_serve(args: &Args) {
-    let path = args.positional.first().unwrap_or_else(|| usage());
-    let t = io::load(path).unwrap_or_else(|e| die(&e.to_string()));
+    let t = io::load(&args.positional[0]).unwrap_or_else(|e| die(&e.to_string()));
     let cfg = mpgraph::scaled_sim_config();
     let split = t
         .iteration_starts
@@ -585,7 +437,7 @@ fn cmd_serve(args: &Args) {
     let num_phases = t.num_phases as usize;
     let tc = TrainCfg::default();
     let mp_cfg = MpGraphConfig::default();
-    if args.get("stdin").is_some() {
+    if args.switch("stdin") {
         eprintln!(
             "training MPGraph on {} LLC records; serving accesses from stdin",
             train_llc.len()
@@ -598,7 +450,7 @@ fn cmd_serve(args: &Args) {
         );
     }
     let mut mp = train_mpgraph(&train_llc, num_phases, mp_cfg, &tc);
-    if args.get("quant").is_some() {
+    if args.switch("quant") {
         use mpgraph::core::compress::{quantize_delta, quantize_page};
         use mpgraph::core::{distill_delta, distill_page, DistillCfg};
         let teacher_params = mp.delta.num_params() + mp.page.num_params();
@@ -617,12 +469,12 @@ fn cmd_serve(args: &Args) {
         mp.page = sp;
     }
 
-    let streams = args.get_usize("streams", 4).max(1);
-    let load = args.get_f64("load", 2.0);
+    let streams = args.count("streams").unwrap_or(4) as usize;
+    let load = args.number("load").unwrap_or(2.0);
     let serve_cfg = ServeConfig {
         // `--no-fuse` forces per-item forwards — the reference path the
         // fused (B×T×d) pump is equivalence-tested against.
-        fuse: args.get("no-fuse").is_none(),
+        fuse: !args.switch("no-fuse"),
         ..ServeConfig::default()
     };
     let rate = ((load * serve_load::saturation_rate(&serve_cfg) as f64).round() as usize).max(1);
@@ -632,9 +484,9 @@ fn cmd_serve(args: &Args) {
         None => PrefetchService::new(serve_cfg),
     };
     let live = LiveTelemetry::from_outputs(
-        args.get("live-metrics"),
-        args.get("expose"),
-        args.get_u64("live-interval", 16),
+        args.text("live-metrics"),
+        args.text("expose"),
+        args.count("live-interval").unwrap_or(16),
     )
     .unwrap_or_else(|e| die(&e.to_string()));
     let live_attached = match live {
@@ -660,7 +512,7 @@ fn cmd_serve(args: &Args) {
 
     let started = std::time::Instant::now();
     let mut out = Vec::new();
-    if args.get("stdin").is_some() {
+    if args.switch("stdin") {
         let n = serve_from_stdin(&mut svc, streams, rate, &mut out);
         eprintln!("stdin drained after {n} accesses");
     } else {
@@ -727,30 +579,27 @@ fn cmd_serve(args: &Args) {
         );
     }
     let mut snap = svc.snapshot();
+    // `mp` holds the weights the streams were built from but served
+    // nothing itself, so the streams' CSTP counters stay.
+    let served = snap.cstp;
     mp.enrich_snapshot(&mut snap);
+    snap.cstp = served;
     write_metrics(args, &snap);
-    if args.get("trace-out").is_some() {
-        // The service-level export, so the live-telemetry counter tracks
-        // ride along with the scoreboard's when telemetry is attached.
-        match svc.chrome_trace() {
-            Some(chrome) => write_trace_value(args, &chrome),
-            None => die("trace requested but the scoreboard recorded none"),
-        }
-    }
+    // The service-level export, so the live-telemetry counter tracks ride
+    // along with the scoreboard's when telemetry is attached.
+    write_trace(args, svc.chrome_trace());
 }
 
 fn main() {
-    let raw: Vec<String> = std::env::args().skip(1).collect();
-    if raw.is_empty() {
-        usage();
-    }
-    let args = Args::parse(&raw[1..]);
-    match raw[0].as_str() {
+    let (command, args) = cli::parse_mpgraph(std::env::args().skip(1))
+        .unwrap_or_else(|e| exit_usage(&e, &cli::mpgraph_usage()));
+    match command {
         "trace" => cmd_trace(&args),
         "info" => cmd_info(&args),
         "simulate" => cmd_simulate(&args),
+        "run --all" => cmd_run_all(&args),
+        "run --quick" => cmd_run_quick(&args),
         "run" => cmd_run(&args),
-        "serve" => cmd_serve(&args),
-        _ => usage(),
+        _ => cmd_serve(&args),
     }
 }
