@@ -345,16 +345,31 @@ impl MpGraphPrefetcher {
     pub fn enrich_snapshot(&self, snap: &mut crate::obs::MetricsSnapshot) {
         snap.cstp = self.cstp_stats;
         snap.cstp.update_rates();
-        snap.detector =
-            crate::obs::DetectorMetrics::from_stats(self.detector.name(), &self.detector.stats());
-        snap.controller = crate::obs::ControllerMetrics {
+        snap.detector = self.detector_metrics();
+        snap.controller = self.controller_metrics();
+        snap.training = self.training_metrics();
+    }
+
+    /// The phase detector's lifetime counters under its display name.
+    pub fn detector_metrics(&self) -> crate::obs::DetectorMetrics {
+        crate::obs::DetectorMetrics::from_stats(self.detector.name(), &self.detector.stats())
+    }
+
+    /// The probe-window controller's counters.
+    pub fn controller_metrics(&self) -> crate::obs::ControllerMetrics {
+        crate::obs::ControllerMetrics {
             transitions_handled: self.controller.transitions_handled as u64,
             observations: self.controller.observations,
             observe_errors: self.observe_errors,
-        };
-        // Delta events, then page events: (predictor, model, step) order.
-        snap.training = self.delta.training.clone();
-        snap.training.merge_at(&self.page.training, 0);
+        }
+    }
+
+    /// The predictors' training counters: delta events, then page events,
+    /// in (predictor, model, step) order.
+    pub fn training_metrics(&self) -> crate::obs::TrainMetrics {
+        let mut training = self.delta.training.clone();
+        training.merge_at(&self.page.training, 0);
+        training
     }
 }
 

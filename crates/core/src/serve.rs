@@ -1079,8 +1079,8 @@ impl PrefetchService {
     }
 
     /// Full pipeline snapshot: the scoreboard's view (windows, trace
-    /// stats) with the serving-layer counters and every ML stream's CSTP
-    /// counters, merged in slot order, folded in.
+    /// stats) with the serving-layer counters and every ML stream's CSTP,
+    /// detector and controller counters, merged in slot order, folded in.
     pub fn snapshot(&self) -> MetricsSnapshot {
         let mut snap = self
             .scoreboard
@@ -1092,6 +1092,8 @@ impl PrefetchService {
             let ml = slot.ml.as_deref().and_then(|m| m.as_any());
             if let Some(pf) = ml.and_then(|a| a.downcast_ref::<MpGraphPrefetcher>()) {
                 snap.cstp.merge_at(&pf.cstp_stats, 0);
+                snap.detector.merge_at(&pf.detector_metrics(), 0);
+                snap.controller.merge_at(&pf.controller_metrics(), 0);
             }
         }
         snap
@@ -1895,6 +1897,16 @@ mod tests {
             snap.cstp
         );
         assert_eq!(snap.cstp.sans_memo(), solo_snap.cstp.sans_memo());
+        // It carries their detector and controller counters too, summed
+        // over the streams, and both pumps feed them the same accesses.
+        let d = &snap.detector;
+        assert!(!d.name.is_empty() && d.updates > 0, "{d:?}");
+        assert!(snap.controller.observations > 0, "{:?}", snap.controller);
+        assert_eq!(format!("{d:?}"), format!("{:?}", solo_snap.detector));
+        assert_eq!(
+            format!("{:?}", snap.controller),
+            format!("{:?}", solo_snap.controller)
+        );
         let key = |p: &Prediction| {
             (
                 p.stream,

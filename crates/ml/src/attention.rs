@@ -54,6 +54,13 @@ impl SelfAttention {
         queries: usize,
         s: &mut ScratchArena,
     ) -> Matrix {
+        s.record_copy(x);
+        self.attend(x, batch, queries, s)
+    }
+
+    /// [`SelfAttention::infer_batch_in`] without recording `x`: a taped
+    /// forward records Q, K, V and the attention weights.
+    fn attend(&self, x: &Matrix, batch: usize, queries: usize, s: &mut ScratchArena) -> Matrix {
         assert!(
             batch > 0 && x.rows.is_multiple_of(batch),
             "rows must tile by batch"
@@ -100,7 +107,6 @@ impl SelfAttention {
         s.give(kb);
         s.give(vb);
         s.give(yb);
-        s.record_copy(x);
         s.record(q);
         s.record(k);
         s.record(v);
@@ -118,36 +124,59 @@ impl SelfAttention {
     /// no dQ term, which for them is an exact zero (a kernel sum starts at
     /// +0.0 and is never −0.0, so leaving it out changes no bit).
     pub fn backward(&mut self, dy: &Matrix, s: &mut ScratchArena) -> Matrix {
-        let attn = s.pop();
-        let v = s.pop();
-        let k = s.pop();
-        let q = s.pop();
+        let [dq, dk, dv] = self.attend_backward(dy, s);
         let x = s.pop();
-        let (queries, seq) = (attn.rows, attn.cols);
-        let scale = 1.0 / (self.head_dim as f32).sqrt();
-        // Y = A V
-        let d_attn = dy.matmul_bt(&v);
-        let dv = attn.matmul_at(dy);
-        // A = softmax(S)
-        let mut ds = Matrix::softmax_rows_backward(&attn, &d_attn);
-        ds.scale(scale);
-        // S = Q K^T (scaled already folded into ds)
-        let dq = ds.matmul(&k);
-        let dk = ds.matmul_at(&q);
         // Parameter grads; Q read only the query rows of `x`.
-        let xq = (queries < seq).then(|| s.take_trailing_rows(&x, 1, queries));
+        let xq = (dq.rows < x.rows).then(|| s.take_trailing_rows(&x, 1, dq.rows));
         self.wq
             .g
             .add_assign(&xq.as_ref().unwrap_or(&x).matmul_at(&dq));
         self.wk.g.add_assign(&x.matmul_at(&dk));
         self.wv.g.add_assign(&x.matmul_at(&dv));
-        // Input grad.
+        let dx = self.input_grad(&dq, &dk, &dv);
+        for m in [dq, dk, dv, x].into_iter().chain(xq) {
+            s.give(m);
+        }
+        dx
+    }
+
+    /// Pops the attention weights, V, K and Q an [`attend`](Self::attend)
+    /// recorded and backpropagates `dy` through the attention alone:
+    /// returns `[dQ, dK, dV]`, arena buffers of `[queries, head_dim]`,
+    /// `[seq, head_dim]` and `[seq, head_dim]`.
+    fn attend_backward(&self, dy: &Matrix, s: &mut ScratchArena) -> [Matrix; 3] {
+        let attn = s.pop();
+        let v = s.pop();
+        let k = s.pop();
+        let q = s.pop();
+        let (queries, seq) = (attn.rows, attn.cols);
+        let scale = 1.0 / (self.head_dim as f32).sqrt();
+        // Y = A V
+        let mut d_attn = s.take(queries, seq);
+        dy.matmul_bt_into(&v, &mut d_attn);
+        let mut dv = s.take(seq, self.head_dim);
+        attn.matmul_at_into(dy, &mut dv);
+        // A = softmax(S)
+        let mut ds = Matrix::softmax_rows_backward(&attn, &d_attn);
+        ds.scale(scale);
+        // S = Q K^T (scaled already folded into ds)
+        let mut dq = s.take(queries, self.head_dim);
+        ds.matmul_into(&k, &mut dq);
+        let mut dk = s.take(seq, self.head_dim);
+        ds.matmul_at_into(&q, &mut dk);
+        for m in [attn, v, k, q, d_attn] {
+            s.give(m);
+        }
+        [dq, dk, dv]
+    }
+
+    /// The gradient of every row of `x` from the projections' gradients:
+    /// `(dQ Wqᵀ + dK Wkᵀ) + dV Wvᵀ` on the query rows (the last
+    /// `dq.rows`), `dK Wkᵀ + dV Wvᵀ` on the others.
+    fn input_grad(&self, dq: &Matrix, dk: &Matrix, dv: &Matrix) -> Matrix {
         let mut dx = dk.matmul_bt(&self.wk.w);
         dx.add_assign_trailing(&dq.matmul_bt(&self.wq.w));
         dx.add_assign(&dv.matmul_bt(&self.wv.w));
-        for m in [attn, v, k, q, x].into_iter().chain(xq) {
-            s.give(m);
-        }
         dx
     }
 }
@@ -190,8 +219,8 @@ impl MultiHeadAttention {
 
     /// The forward over `batch` stacked sequences for the last `queries`
     /// rows of each; see [`SelfAttention::infer_batch_in`]. A taped
-    /// forward records each head's entries, then the concatenated heads
-    /// (Wo's input).
+    /// forward records `x` once, then each head's Q, K, V and attention
+    /// weights, then the concatenated heads (Wo's input).
     pub fn infer_batch_in(
         &self,
         x: &Matrix,
@@ -202,8 +231,9 @@ impl MultiHeadAttention {
         let rows = batch * queries;
         let head_dim = self.dim / self.heads.len();
         let mut concat = s.take(rows, self.dim);
+        s.record_copy(x);
         for (h, head) in self.heads.iter().enumerate() {
-            let y = head.infer_batch_in(x, batch, queries, s);
+            let y = head.attend(x, batch, queries, s);
             for r in 0..rows {
                 concat.row_mut(r)[h * head_dim..(h + 1) * head_dim].copy_from_slice(y.row(r));
             }
@@ -215,37 +245,85 @@ impl MultiHeadAttention {
         out
     }
 
-    /// Pops the recorded concatenation and every head's entries (last
-    /// head first) and backpropagates `dy`, the gradient of the query
-    /// rows. Wo runs on those rows alone; each head returns the gradient
-    /// of every input row (see [`SelfAttention::backward`]), and the
-    /// heads' input gradients are summed in head order.
+    /// Pops the recorded concatenation, every head's entries (last head
+    /// first) and `x`, and backpropagates `dy`, the gradient of the query
+    /// rows. Wo runs on those rows alone. Each head's attention backward
+    /// writes its dQ, dK and dV into column block h of three `[rows, dim]`
+    /// buffers, and one `matmul_at` per projection family, `xqᵀ·dQ`,
+    /// `xᵀ·dK` and `xᵀ·dV`, gives every head's weight gradient at once:
+    /// `matmul_at` computes each output column from that column of its
+    /// right operand alone, so block h is bit for bit the head's own
+    /// product, and each head's `Param` still receives one `g += block`.
+    /// Each head's input gradient is `(dQ Wqᵀ + dK Wkᵀ) + dV Wvᵀ` (see
+    /// [`SelfAttention::backward`]), and the heads' are summed in head
+    /// order.
     pub fn backward(&mut self, dy: &Matrix, s: &mut ScratchArena) -> Matrix {
         let concat = s.pop();
         self.wo.g.add_assign(&concat.matmul_at(dy));
         s.give(concat);
         let d_concat = dy.matmul_bt(&self.wo.w);
-        let head_dim = self.dim / self.heads.len();
-        let mut grads: Vec<Matrix> = self
-            .heads
-            .iter_mut()
-            .enumerate()
-            .rev()
-            .map(|(h, head)| {
-                let mut d_head = Matrix::zeros(d_concat.rows, head_dim);
-                for r in 0..d_concat.rows {
-                    d_head
-                        .row_mut(r)
-                        .copy_from_slice(&d_concat.row(r)[h * head_dim..(h + 1) * head_dim]);
+        let (queries, hd) = (d_concat.rows, self.dim / self.heads.len());
+        let mut d_head = s.take(queries, hd);
+        let mut blocks: Option<[Matrix; 3]> = None;
+        let mut dxs = Vec::with_capacity(self.heads.len());
+        for (h, head) in self.heads.iter().enumerate().rev() {
+            let cols = h * hd..(h + 1) * hd;
+            for r in 0..queries {
+                d_head
+                    .row_mut(r)
+                    .copy_from_slice(&d_concat.row(r)[cols.clone()]);
+            }
+            let grads = head.attend_backward(&d_head, s);
+            let all =
+                blocks.get_or_insert_with(|| grads.each_ref().map(|g| s.take(g.rows, self.dim)));
+            for (block, g) in all.iter_mut().zip(&grads) {
+                for r in 0..g.rows {
+                    block.row_mut(r)[cols.clone()].copy_from_slice(g.row(r));
                 }
-                head.backward(&d_head, s)
-            })
-            .collect();
-        let mut dx = grads.pop().expect("at least one head");
-        for g in grads.iter().rev() {
+            }
+            let [dq, dk, dv] = grads;
+            dxs.push(head.input_grad(&dq, &dk, &dv));
+            for m in [dq, dk, dv] {
+                s.give(m);
+            }
+        }
+        s.give(d_head);
+        let x = s.pop();
+        let [dq_all, dk_all, dv_all] = blocks.expect("at least one head");
+        let xq = (queries < x.rows).then(|| s.take_trailing_rows(&x, 1, queries));
+        let mut w_grad = s.take(self.dim, self.dim);
+        xq.as_ref()
+            .unwrap_or(&x)
+            .matmul_at_into(&dq_all, &mut w_grad);
+        self.add_head_blocks(&w_grad, |head| &mut head.wq);
+        x.matmul_at_into(&dk_all, &mut w_grad);
+        self.add_head_blocks(&w_grad, |head| &mut head.wk);
+        x.matmul_at_into(&dv_all, &mut w_grad);
+        self.add_head_blocks(&w_grad, |head| &mut head.wv);
+        for m in [w_grad, dq_all, dk_all, dv_all, x].into_iter().chain(xq) {
+            s.give(m);
+        }
+        // `dxs` holds the last head's gradient first.
+        let mut dx = dxs.pop().expect("at least one head");
+        for g in dxs.iter().rev() {
             dx.add_assign(g);
         }
         dx
+    }
+
+    /// Adds column block h of `grad`, the `[dim, dim]` weight gradient of
+    /// one projection family, to that projection's gradient in head h.
+    fn add_head_blocks(&mut self, grad: &Matrix, param: impl Fn(&mut SelfAttention) -> &mut Param) {
+        let hd = self.dim / self.heads.len();
+        for (h, head) in self.heads.iter_mut().enumerate() {
+            let g = &mut param(head).g;
+            for r in 0..grad.rows {
+                let block = &grad.row(r)[h * hd..(h + 1) * hd];
+                for (a, b) in g.row_mut(r).iter_mut().zip(block) {
+                    *a += b;
+                }
+            }
+        }
     }
 }
 
@@ -461,6 +539,81 @@ mod tests {
                 "idx {i}: {num} vs {}",
                 dx.data[i]
             );
+        }
+    }
+
+    /// The merged backward against each head run as its own
+    /// `SelfAttention` (taped forward, backward on its block of
+    /// `dy · Woᵀ`), with the heads' input gradients summed in head order:
+    /// `dx`, Wo's gradient and every head's three weight gradients keep
+    /// their bits, at one, two and four heads and at one query row and
+    /// every row. Gradients start dirty, so each must receive exactly one
+    /// `g += block`.
+    #[test]
+    fn merged_backward_matches_per_head_backward_bit_for_bit() {
+        let mut r = rng(9);
+        let (dim, seq) = (16, 5);
+        for heads in [1usize, 2, 4] {
+            for queries in [1, seq] {
+                let mut mha = MultiHeadAttention::new(dim, heads, &mut r);
+                mha.for_each_param(&mut |p| p.g = Matrix::xavier(p.g.rows, p.g.cols, &mut r));
+                let x = Matrix::xavier(seq, dim, &mut r);
+                let dy = Matrix::xavier(queries, dim, &mut r);
+
+                let mut merged = mha.clone();
+                let mut s = ScratchArena::with_tape();
+                let y = merged.infer_batch_in(&x, 1, queries, &mut s);
+                let dx = merged.backward(&dy, &mut s);
+                assert_eq!(s.tape_len(), 0);
+
+                let mut per_head = mha.clone();
+                let hd = dim / heads;
+                let mut concat = Matrix::zeros(queries, dim);
+                let mut tapes = Vec::new();
+                for (h, head) in per_head.heads.iter().enumerate() {
+                    let mut t = ScratchArena::with_tape();
+                    let yh = head.infer_batch_in(&x, 1, queries, &mut t);
+                    for i in 0..queries {
+                        concat.row_mut(i)[h * hd..(h + 1) * hd].copy_from_slice(yh.row(i));
+                    }
+                    tapes.push(t);
+                }
+                assert_eq!(bits(&concat.matmul(&per_head.wo.w).data), bits(&y.data));
+                per_head.wo.g.add_assign(&concat.matmul_at(&dy));
+                let d_concat = dy.matmul_bt(&per_head.wo.w);
+                let mut dxs =
+                    per_head
+                        .heads
+                        .iter_mut()
+                        .zip(&mut tapes)
+                        .enumerate()
+                        .map(|(h, (head, t))| {
+                            let mut d_head = Matrix::zeros(queries, hd);
+                            for i in 0..queries {
+                                d_head
+                                    .row_mut(i)
+                                    .copy_from_slice(&d_concat.row(i)[h * hd..(h + 1) * hd]);
+                            }
+                            head.backward(&d_head, t)
+                        });
+                let first = dxs.next().expect("at least one head");
+                let want = dxs.fold(first, |mut sum, dxh| {
+                    sum.add_assign(&dxh);
+                    sum
+                });
+                assert_eq!(
+                    bits(&dx.data),
+                    bits(&want.data),
+                    "dx, {heads} heads, {queries} queries"
+                );
+                let mut got_g = Vec::new();
+                merged.for_each_param_ref(&mut |p| got_g.push(bits(&p.g.data)));
+                let mut want_g = Vec::new();
+                per_head.for_each_param_ref(&mut |p| want_g.push(bits(&p.g.data)));
+                for (i, (g, w)) in got_g.iter().zip(&want_g).enumerate() {
+                    assert_eq!(g, w, "param {i}, {heads} heads, {queries} queries");
+                }
+            }
         }
     }
 

@@ -30,7 +30,7 @@ impl Adam {
     }
 
     /// Applies one update to every parameter of `module` and zeroes the
-    /// gradients afterwards.
+    /// gradients as it reads them.
     pub fn step(&mut self, module: &mut dyn Module) {
         self.t += 1;
         let t = self.t;
@@ -47,16 +47,36 @@ impl Adam {
                     p.g.scale(clip / norm);
                 }
             }
-            for i in 0..p.w.data.len() {
-                let g = p.g.data[i];
-                p.m[i] = b1 * p.m[i] + (1.0 - b1) * g;
-                p.v[i] = b2 * p.v[i] + (1.0 - b2) * g * g;
-                let mhat = p.m[i] / bc1;
-                let vhat = p.v[i] / bc2;
-                p.w.data[i] -= lr * mhat / (vhat.sqrt() + eps);
+            // `1 − β₁ᵗ` rounds to exactly 1.0 after a few hundred steps
+            // (t ≥ 165 at β₁ = 0.9), and dividing by 1.0 returns its
+            // operand bit for bit (`m` is never a signaling NaN: every
+            // value of it is computed), so the loop then skips it.
+            if bc1 == 1.0 {
+                update(p, (b1, b2, bc2, lr, eps), |m| m);
+            } else {
+                update(p, (b1, b2, bc2, lr, eps), |m| m / bc1);
             }
-            p.g.data.fill(0.0);
         });
+    }
+}
+
+/// Adam's update of every element of `p` in one pass, zeroing each
+/// gradient as it reads it: the expressions of the textbook loop, in its
+/// order, with the first moment's bias correction left to `unbias_m`.
+#[inline(always)]
+fn update(
+    p: &mut Param,
+    (b1, b2, bc2, lr, eps): (f32, f32, f32, f32, f32),
+    unbias_m: impl Fn(f32) -> f32,
+) {
+    let moments = p.m.iter_mut().zip(p.v.iter_mut());
+    for ((w, (m, v)), g) in p.w.data.iter_mut().zip(moments).zip(p.g.data.iter_mut()) {
+        let g = std::mem::take(g);
+        *m = b1 * *m + (1.0 - b1) * g;
+        *v = b2 * *v + (1.0 - b2) * g * g;
+        let mhat = unbias_m(*m);
+        let vhat = *v / bc2;
+        *w -= lr * mhat / (vhat.sqrt() + eps);
     }
 }
 

@@ -169,8 +169,18 @@ impl Matrix {
 
     /// `self @ other^T` written into a caller-owned buffer (no allocation).
     /// Both operands are traversed along contiguous rows, so each output
-    /// element is a dot product; four independent accumulators expose
-    /// instruction-level parallelism that a strictly-ordered sum hides.
+    /// element is a dot product, and every element has the bits of
+    /// `dot4` on its two rows: four lane sums over the same terms in the
+    /// same order, combined as `(s0 + s1) + (s2 + s3)`, then the `k % 4`
+    /// tail added in order.
+    ///
+    /// Register-tiled over 4 rows × 4 columns (`bt_tile`). Each pass
+    /// first packs two pairs of `other`'s rows on the stack, chunk by
+    /// chunk side by side (`pack_pair`), then runs every row tile of
+    /// `self` (4, then 2, then 1 rows) against them. A last pair of
+    /// columns packs alone, and an odd last column goes through `dot4`
+    /// itself. So does a one-row product, which would read each packed
+    /// pair once, and a `k` over 256, too long for the stack buffer.
     ///
     /// `out` may be narrower than `other.rows`: it then holds the products
     /// with the first `out.cols` rows of `other` only (the tied page head
@@ -182,12 +192,109 @@ impl Matrix {
             out.rows == self.rows && out.cols <= other.rows,
             "matmul_bt out shape"
         );
-        let (m, n) = (self.rows, out.cols);
-        for i in 0..m {
-            let a_row = self.row(i);
-            let o_row = &mut out.data[i * n..(i + 1) * n];
-            for (j, o) in o_row.iter_mut().enumerate() {
-                *o = dot4(a_row, other.row(j));
+        let (k, n) = (self.cols, out.cols);
+        if k == 0 {
+            out.data.fill(0.0);
+            return;
+        }
+        // The pack buffer is zeroed on every call, so short rows take a
+        // short one.
+        let j = match k / 4 {
+            _ if self.rows < 2 => 0,
+            0..=16 => self.bt_packed::<16>(other, out),
+            17..=64 => self.bt_packed::<64>(other, out),
+            _ => 0,
+        };
+        if j < n {
+            for i in 0..self.rows {
+                let a_row = self.row(i);
+                let b_rows = other.data[j * k..].chunks_exact(k);
+                for (o, b_row) in out.row_mut(i)[j..].iter_mut().zip(b_rows) {
+                    *o = dot4(a_row, b_row);
+                }
+            }
+        }
+    }
+
+    /// Every column pair of [`Matrix::matmul_bt_into`] for rows of up to
+    /// `4 · N` elements: two pairs of `other`'s rows at a time packed on
+    /// the stack (`pack_pair`), then a last pair alone. Returns the first
+    /// column left, `out.cols` rounded down to even.
+    fn bt_packed<const N: usize>(&self, other: &Matrix, out: &mut Matrix) -> usize {
+        let (chunks, n) = (self.cols / 4, out.cols);
+        let [mut lo, mut hi] = [[[0.0f32; 8]; N]; 2];
+        let (lo, hi) = (&mut lo[..chunks], &mut hi[..chunks]);
+        let mut j = 0;
+        while j + 4 <= n {
+            pack_pair(lo, other.row(j), other.row(j + 1));
+            pack_pair(hi, other.row(j + 2), other.row(j + 3));
+            self.bt_columns(other, [lo, hi], out, j);
+            j += 4;
+        }
+        if j + 2 <= n {
+            pack_pair(lo, other.row(j), other.row(j + 1));
+            self.bt_columns(other, [lo], out, j);
+            j += 2;
+        }
+        j
+    }
+
+    /// Columns `j..j + 2P` of [`Matrix::matmul_bt_into`], for every row,
+    /// from `other`'s rows packed in `pairs`: row tiles of 4, then 2,
+    /// then 1.
+    fn bt_columns<const P: usize>(
+        &self,
+        other: &Matrix,
+        pairs: [&[[f32; 8]]; P],
+        out: &mut Matrix,
+        j: usize,
+    ) {
+        let m = self.rows;
+        let mut i = 0;
+        while i + 4 <= m {
+            self.bt_store::<4, P>(other, pairs, out, i, j);
+            i += 4;
+        }
+        if i + 2 <= m {
+            self.bt_store::<2, P>(other, pairs, out, i, j);
+            i += 2;
+        }
+        if i < m {
+            self.bt_store::<1, P>(other, pairs, out, i, j);
+        }
+    }
+
+    /// The `R × 2P` tile at row `i`, column `j`: [`bt_tile`]'s lane sums,
+    /// combined as in [`dot4`] and written to `out`.
+    #[inline(always)]
+    fn bt_store<const R: usize, const P: usize>(
+        &self,
+        other: &Matrix,
+        pairs: [&[[f32; 8]]; P],
+        out: &mut Matrix,
+        i: usize,
+        j: usize,
+    ) {
+        let (k, n) = (self.cols, out.cols);
+        let a: [&[f32]; R] = std::array::from_fn(|r| self.row(i + r));
+        let acc = bt_tile(a, pairs);
+        for (r, row) in acc.iter().enumerate() {
+            let at = (i + r) * n + j;
+            for (o, s) in out.data[at..at + 2 * P].chunks_exact_mut(2).zip(row) {
+                o[0] = (s[0] + s[1]) + (s[2] + s[3]);
+                o[1] = (s[4] + s[5]) + (s[6] + s[7]);
+            }
+        }
+        // The `k % 4` tail, added after the lanes as in `dot4`.
+        let split = k / 4 * 4;
+        if split < k {
+            for (r, a_row) in a.iter().enumerate() {
+                let at = (i + r) * n + j;
+                for (c, o) in out.data[at..at + 2 * P].iter_mut().enumerate() {
+                    for (x, y) in a_row[split..].iter().zip(&other.row(j + c)[split..]) {
+                        *o += x * y;
+                    }
+                }
             }
         }
     }
@@ -442,6 +549,50 @@ fn dot4(a: &[f32], b: &[f32]) -> f32 {
         t += x * y;
     }
     t
+}
+
+/// Packs the whole 4-element chunks of `b0` and `b1` (equal lengths)
+/// side by side, as many as `buf` holds: chunk `q` becomes
+/// `[b0[4q..4q + 4] | b1[4q..4q + 4]]`, so one 8-lane load feeds both
+/// columns' lanes. The tails stay in place.
+#[inline(always)]
+fn pack_pair(buf: &mut [[f32; 8]], b0: &[f32], b1: &[f32]) {
+    let (c0, c1) = (b0.as_chunks::<4>().0, b1.as_chunks::<4>().0);
+    for ((d, x), y) in buf.iter_mut().zip(c0).zip(c1) {
+        d[..4].copy_from_slice(x);
+        d[4..].copy_from_slice(y);
+    }
+}
+
+/// The four-lane sums of `dot4(a[r], ·)` with both rows of each packed
+/// pair `b[p]`, indexed `[r][p]`: lanes 0–3 belong to the pair's first
+/// row, lanes 4–7 to its second. Row `r`'s chunk, written twice, times
+/// the pair's chunk adds one product to each of the eight lanes, so LLVM
+/// keeps one 8-lane vector per pair of outputs. Lane `l` of a column adds
+/// `a[4q + l] · b[4q + l]` for `q` = 0, 1, … in order, exactly `dot4`'s
+/// lane `l`; only where the lanes sit in registers differs. (Rust never
+/// contracts `a * b + c` to a fused multiply-add.)
+#[inline(always)]
+fn bt_tile<const R: usize, const P: usize>(
+    a: [&[f32]; R],
+    b: [&[[f32; 8]]; P],
+) -> [[[f32; 8]; P]; R] {
+    let chunks = b[0].len();
+    let a = a.map(|row| &row.as_chunks::<4>().0[..chunks]);
+    let b = b.map(|pair| &pair[..chunks]);
+    let mut acc = [[[0.0f32; 8]; P]; R];
+    for q in 0..chunks {
+        for r in 0..R {
+            let x = a[r][q];
+            let av = [x[0], x[1], x[2], x[3], x[0], x[1], x[2], x[3]];
+            for p in 0..P {
+                for l in 0..8 {
+                    acc[r][p][l] += av[l] * b[p][q][l];
+                }
+            }
+        }
+    }
+    acc
 }
 
 /// Deterministic RNG used throughout model init.

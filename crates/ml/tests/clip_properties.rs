@@ -87,6 +87,19 @@ impl Module for One {
     }
 }
 
+/// Parameter tensors stepped by one optimizer.
+struct Many(Vec<Param>);
+
+impl Module for Many {
+    fn for_each_param(&mut self, f: &mut dyn FnMut(&mut Param)) {
+        self.0.iter_mut().for_each(f);
+    }
+
+    fn for_each_param_ref(&self, f: &mut dyn FnMut(&Param)) {
+        self.0.iter().for_each(f);
+    }
+}
+
 /// The update loop before the clip check: the exact norm on every
 /// tensor.
 fn reference_step(p: &mut Param, t: i32, adam: &Adam) {
@@ -112,6 +125,15 @@ fn reference_step(p: &mut Param, t: i32, adam: &Adam) {
 
 fn bits(v: &[f32]) -> Vec<u32> {
     v.iter().map(|x| x.to_bits()).collect()
+}
+
+/// [`bits`] with every NaN written as one pattern: Rust leaves the sign
+/// and payload of a NaN that arithmetic produces unspecified, and two
+/// compilations of the same loop can differ there.
+fn nan_bits(v: &[f32]) -> Vec<u32> {
+    v.iter()
+        .map(|x| if x.is_nan() { u32::MAX } else { x.to_bits() })
+        .collect()
 }
 
 proptest! {
@@ -195,4 +217,57 @@ fn clip_check_lets_small_and_empty_tensors_skip() {
     assert!(norm_may_exceed(&[f32::INFINITY, 0.0], 5.0));
     assert!(norm_may_exceed(&[2e19], 1e30));
     assert!(!norm_may_exceed(&vec![1e-3; 1000], 5.0));
+}
+
+/// Four hundred steps of `Adam::step` against the indexed reference loop,
+/// through the step where `1 − β₁ᵗ` rounds to 1.0 and the update stops
+/// dividing by it. Each step draws a new gradient from one of the
+/// tensor shapes above (NaN, ±∞, subnormal and overflowing entries among
+/// them) at a norm around the clip, so the clip fires on some steps and
+/// not on others; two tensors of different lengths share the optimizer.
+#[test]
+fn adam_keeps_its_bits_across_the_bias_correction_boundary() {
+    let adam_ref = Adam::new(1e-2);
+    let boundary = (1..=400).find(|&t| 1.0 - adam_ref.beta1.powi(t) == 1.0);
+    assert!(
+        matches!(boundary, Some(t) if t > 100),
+        "the run must cross 1 − β₁ᵗ = 1.0: {boundary:?}"
+    );
+    let mut adam = Adam::new(1e-2);
+    let w = |len: usize| {
+        Param::new(Matrix::from_vec(
+            1,
+            len,
+            (0..len).map(|i| (i % 5) as f32 * 0.2).collect(),
+        ))
+    };
+    let mut fast = Many(vec![w(37), w(300)]);
+    let mut slow = fast.0.clone();
+    let mut fired = 0;
+    for t in 1..=400 {
+        for (i, (f, s)) in fast.0.iter_mut().zip(slow.iter_mut()).enumerate() {
+            let seed = (t as u64) << 8 | i as u64;
+            let rel = if t % 3 == 0 { 0.5 } else { -0.5 };
+            let g = tensor((seed % 7) as u8, f.len(), seed, adam.clip, rel);
+            fired += usize::from(Matrix::from_vec(1, g.len(), g.clone()).norm() > adam.clip);
+            f.g.data.copy_from_slice(&g);
+            s.g.data.copy_from_slice(&g);
+        }
+        adam.step(&mut fast);
+        for (i, (f, s)) in fast.0.iter().zip(slow.iter_mut()).enumerate() {
+            reference_step(s, t, &adam);
+            for (got, want) in [
+                (&f.w.data, &s.w.data),
+                (&f.m, &s.m),
+                (&f.v, &s.v),
+                (&f.g.data, &s.g.data),
+            ] {
+                assert_eq!(nan_bits(got), nan_bits(want), "tensor {i} step {t}");
+            }
+        }
+    }
+    assert!(
+        fired > 50 && fired < 750,
+        "the clip fired on {fired} of 800 tensors"
+    );
 }

@@ -136,3 +136,104 @@ proptest! {
         prop_assert_eq!(seq_bits, par_bits);
     }
 }
+
+/// `dot4`'s sum, kept here as the per-element kernel `matmul_bt_into`
+/// must reproduce bit for bit: four lane sums over 4-element chunks,
+/// combined as `(s0 + s1) + (s2 + s3)`, then the `k % 4` tail in order.
+fn dot4(a: &[f32], b: &[f32]) -> f32 {
+    let mut s = [0.0f32; 4];
+    let ca = a.chunks_exact(4);
+    let cb = b.chunks_exact(4);
+    let (ra, rb) = (ca.remainder(), cb.remainder());
+    for (x, y) in ca.zip(cb) {
+        s[0] += x[0] * y[0];
+        s[1] += x[1] * y[1];
+        s[2] += x[2] * y[2];
+        s[3] += x[3] * y[3];
+    }
+    let mut t = (s[0] + s[1]) + (s[2] + s[3]);
+    for (x, y) in ra.iter().zip(rb.iter()) {
+        t += x * y;
+    }
+    t
+}
+
+/// A matrix of mostly ordinary values with NaN, ±∞, ±0.0 and subnormals
+/// mixed in (about one entry in six), from a xorshift seeded by `seed`.
+fn specials(rows: usize, cols: usize, seed: u64) -> Matrix {
+    const ODD: [f32; 8] = [
+        f32::NAN,
+        f32::INFINITY,
+        f32::NEG_INFINITY,
+        0.0,
+        -0.0,
+        1e-40,
+        -3e-39,
+        f32::MIN_POSITIVE,
+    ];
+    let mut x = seed.wrapping_mul(0x9E37_79B9_7F4A_7C15) | 1;
+    let data = (0..rows * cols)
+        .map(|_| {
+            x ^= x << 13;
+            x ^= x >> 7;
+            x ^= x << 17;
+            if x.is_multiple_of(6) {
+                ODD[(x >> 8) as usize % ODD.len()]
+            } else {
+                ((x >> 11) as f64 / (1u64 << 53) as f64 * 4.0 - 2.0) as f32
+            }
+        })
+        .collect();
+    Matrix::from_vec(rows, cols, data)
+}
+
+/// The bits of each value, every NaN written as one pattern: Rust leaves
+/// the sign and payload of a NaN that arithmetic produces unspecified, and
+/// the same `dot4` inlined in two places already differs there.
+fn bits(v: &[f32]) -> Vec<u32> {
+    v.iter()
+        .map(|x| if x.is_nan() { u32::MAX } else { x.to_bits() })
+        .collect()
+}
+
+/// Every output of the tiled `matmul_bt_into` has the bits of `dot4` on
+/// its two rows, at every shape up to 13 × 19 × 13 (every row and column
+/// tile remainder and every `k % 4`), into a dirty buffer, at full width
+/// and narrower than `other.rows`, with special values among the inputs.
+#[test]
+fn matmul_bt_into_keeps_dot4_bits() {
+    let mut shapes: Vec<(usize, usize, usize)> = Vec::new();
+    for m in 0..=13 {
+        for k in 0..=19 {
+            for n in 0..=13 {
+                shapes.push((m, k, n));
+            }
+        }
+    }
+    // Rows of 17 to 64 chunks take the longer pack buffer; longer ones
+    // and single rows run `dot4` directly.
+    shapes.extend([
+        (9, 68, 7),
+        (6, 131, 5),
+        (9, 256, 6),
+        (9, 257, 6),
+        (5, 260, 7),
+        (1, 64, 64),
+        (9, 64, 64),
+        (9, 16, 64),
+    ]);
+    for (case, &(m, k, n)) in shapes.iter().enumerate() {
+        let seed = case as u64;
+        let a = specials(m, k, seed);
+        let b = specials(n, k, seed ^ 0x5EED);
+        for width in [n, n.saturating_sub(1), n / 2] {
+            let mut out = dirty(m, width);
+            a.matmul_bt_into(&b, &mut out);
+            let want: Vec<f32> = (0..m)
+                .flat_map(|i| (0..width).map(move |j| (i, j)))
+                .map(|(i, j)| dot4(a.row(i), b.row(j)))
+                .collect();
+            assert_eq!(bits(&out.data), bits(&want), "{m}x{k}x{n} at width {width}");
+        }
+    }
+}

@@ -580,10 +580,9 @@ fn cmd_serve(args: &Args) {
     }
     let mut snap = svc.snapshot();
     // `mp` holds the weights the streams were built from but served
-    // nothing itself, so the streams' CSTP counters stay.
-    let served = snap.cstp;
-    mp.enrich_snapshot(&mut snap);
-    snap.cstp = served;
+    // nothing itself: the snapshot keeps the streams' CSTP, detector and
+    // controller counters and takes only the training record from it.
+    snap.training = mp.training_metrics();
     write_metrics(args, &snap);
     // The service-level export, so the live-telemetry counter tracks ride
     // along with the scoreboard's when telemetry is attached.
