@@ -6,15 +6,18 @@
 //!   `_ref` naive kernels (the seed's loop structure) at the shapes AMMA
 //!   inference actually hits;
 //! * **inference latency** — p50/p99 nanoseconds per warm-arena
-//!   `predict_deltas_in` call for the AMMA, AMMA-PI and AMMA-PS variants;
+//!   `predict_deltas_in` call for the AMMA, AMMA-PI and AMMA-PS variants,
+//!   and per `predict_pages_in` call (page forward and tied head) for
+//!   AMMA-PS;
 //! * **training throughput** — tokens/second through the parallel
 //!   AMMA-PS `DeltaPredictor::train` fan-out.
 //!
 //! Absolute nanoseconds are machine-dependent, so the gate compares
 //! **normalized p50s**: every gated measurement is interleaved, sample by
 //! sample, with a reference workload — the same-shape `_ref` kernel for
-//! tiled kernels, a fixed calibration kernel (`matmul_ref` at 64×64×64)
-//! for inference — and gated on the ratio of the two p50s. Both streams
+//! tiled kernels, a fixed calibration kernel (`matmul_ref_into` at
+//! 64×64×64, into one output buffer held for the whole run) for
+//! inference — and gated on the ratio of the two p50s. Both streams
 //! see the same machine-load profile, so a regression in the committed
 //! baseline's normalized numbers means the code got slower relative to
 //! the machine, not that CI got a slower (or momentarily busier) machine.
@@ -27,7 +30,8 @@ use std::time::Instant;
 
 use criterion::black_box;
 use mpgraph_core::{
-    amma_latency, cycles_to_ns, AmmaConfig, DeltaPredictor, DeltaPredictorConfig, Variant,
+    amma_latency, cycles_to_ns, AmmaConfig, DeltaPredictor, DeltaPredictorConfig, PagePredictor,
+    PagePredictorConfig, Variant,
 };
 use mpgraph_frameworks::MemRecord;
 use mpgraph_ml::tensor::{rng, Matrix};
@@ -163,10 +167,12 @@ fn entry(name: &str, sorted: &[u64], calibration_p50: u64) -> PerfEntry {
 /// × weight matrices at the default and paper dimensions), plus a square
 /// shape. `(9, 16, 64)` is a head's `dK·Wkᵀ` in a training backward at
 /// the default dimensions, where training spends most of its `matmul_bt`
-/// time.
+/// time. `(9, 64, 128)` is the packed K|V product of the fusion layer
+/// and of the transformer's attention at the default dimensions.
 const SHAPES: &[(usize, usize, usize)] = &[
     (9, 64, 64),
     (9, 16, 64),
+    (9, 64, 128),
     (9, 128, 128),
     (9, 128, 256),
     (64, 64, 64),
@@ -304,9 +310,13 @@ pub fn run_perf(quick: bool) -> PerfReport {
     let mut cr = rng(0xCA_11B);
     let ca = Matrix::xavier(64, 64, &mut cr);
     let cb = Matrix::xavier(64, 64, &mut cr);
+    // One output buffer for the whole run: a fresh one per call sat
+    // wherever the allocator put it, and its placement alone moved the
+    // reference by up to 1.4×.
+    let mut cal_out = Matrix::zeros(64, 64);
     let mut calibrate = || {
-        let y = black_box(&ca).matmul_ref(black_box(&cb));
-        black_box(&y);
+        black_box(&ca).matmul_ref_into(black_box(&cb), &mut cal_out);
+        black_box(&cal_out);
     };
     let trace = perf_trace();
     let tc = TrainCfg {
@@ -351,6 +361,36 @@ pub fn run_perf(quick: bool) -> PerfReport {
         e.normalized_p50 = ratio;
         gated.push(e);
     }
+
+    // Warm-arena page inference: the page forward, the tied vocabulary
+    // head and top-k, as the CSTP walk calls it, which no delta row
+    // times. The window is the three-page section of the trace.
+    let variant = Variant::AmmaPs;
+    let pp = PagePredictor::train(&trace, 3, variant, PagePredictorConfig::default(), &tc);
+    let page_hist: Vec<(usize, u64)> = trace[300..300 + tc.history]
+        .iter()
+        .map(|rec| (pp.vocab.token_of(rec.page()), rec.pc))
+        .collect();
+    let mut arena = ScratchArena::new();
+    for _ in 0..4 {
+        let _ = pp.predict_pages_in(&page_hist, 0, 1, &mut arena);
+    }
+    let mut phase = 0usize;
+    let (sorted, cal_stream, ratio) = sample_interleaved_ns(
+        knobs.infer_samples,
+        1,
+        || {
+            phase = (phase + 1) % 3;
+            let p = pp.predict_pages_in(black_box(&page_hist), phase, 1, &mut arena);
+            black_box(&p);
+        },
+        &mut calibrate,
+    );
+    let cal = percentile(&cal_stream, 0.50).max(1);
+    cals.push(cal);
+    let mut e = entry(&format!("infer_page_{}", variant.name()), &sorted, cal);
+    e.normalized_p50 = ratio;
+    gated.push(e);
 
     // Parallel AMMA-PS training throughput: tokens = history window per
     // sample per epoch.
@@ -594,11 +634,12 @@ mod tests {
         let rep = run_perf(true);
         assert!(rep.calibration_p50_ns > 0);
         assert_eq!(rep.kernels.len(), 2 * SHAPES.len() + 1);
-        assert_eq!(rep.gated.len(), 2 * SHAPES.len() + 4);
+        assert_eq!(rep.gated.len(), 2 * SHAPES.len() + 5);
         assert!(rep
             .kernels
             .iter()
             .any(|k| k.name.starts_with("infer_batched")));
+        assert!(rep.gated.iter().any(|e| e.name == "infer_page_AMMA-PS"));
         assert!(rep.train_tokens_per_sec > 0.0);
         assert!(rep.eq12_paper_cycles > 0);
         for e in &rep.gated {

@@ -27,7 +27,7 @@
 //! The pools and the positional-encoding cache are hash maps keyed by
 //! lengths and shapes, hashed with one folded multiply (`ShapeHasher`)
 //! rather than the standard library's SipHash: a delta forward makes about
-//! 78 `take`/`give` pairs, and SipHash cost more than the rest of each
+//! 58 `take`/`give` pairs, and SipHash cost more than the rest of each
 //! pair. A lookup stays one hash however many lengths an arena holds (the
 //! fused serve arena holds one set per batch size).
 

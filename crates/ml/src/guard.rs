@@ -30,9 +30,9 @@ pub struct Snapshot {
 }
 
 /// Captures the current parameters of `module`.
-pub fn snapshot(module: &mut dyn Module) -> Snapshot {
+pub fn snapshot(module: &dyn Module) -> Snapshot {
     let mut tensors = Vec::new();
-    module.for_each_param(&mut |p| {
+    module.for_each_param_ref(&mut |p| {
         tensors.push((p.w.data.clone(), p.m.clone(), p.v.clone()));
     });
     Snapshot { tensors }
@@ -42,10 +42,10 @@ pub fn snapshot(module: &mut dyn Module) -> Snapshot {
 /// shapes match. Training loops checkpoint every few steps; copying into the
 /// previous snapshot's allocations makes that steady state allocation-free.
 /// Falls back to a fresh [`snapshot`] if the layout changed.
-pub fn snapshot_into(module: &mut dyn Module, snap: &mut Snapshot) {
+pub fn snapshot_into(module: &dyn Module, snap: &mut Snapshot) {
     let mut i = 0usize;
     let mut ok = true;
-    module.for_each_param(&mut |p| {
+    module.for_each_param_ref(&mut |p| {
         match snap.tensors.get_mut(i) {
             Some((w, m, v)) if ok && w.len() == p.w.data.len() => {
                 w.copy_from_slice(&p.w.data);
@@ -67,7 +67,7 @@ pub fn snapshot_into(module: &mut dyn Module, snap: &mut Snapshot) {
 pub fn restore(module: &mut dyn Module, snap: &Snapshot) -> bool {
     // Validate first: count and lengths must match.
     let mut lens = Vec::new();
-    module.for_each_param(&mut |p| lens.push(p.w.data.len()));
+    module.for_each_param_ref(&mut |p| lens.push(p.w.data.len()));
     if lens.len() != snap.tensors.len()
         || lens
             .iter()
@@ -293,7 +293,7 @@ mod tests {
         let mut r = rng(1);
         let mut l = Linear::new(3, 2, &mut r);
         let before = l.w.w.data.clone();
-        let snap = snapshot(&mut l);
+        let snap = snapshot(&l);
         for x in l.w.w.data.iter_mut() {
             *x = f32::NAN;
         }
@@ -306,23 +306,23 @@ mod tests {
     fn snapshot_into_matches_fresh_snapshot() {
         let mut r = rng(7);
         let mut l = Linear::new(3, 2, &mut r);
-        let mut snap = snapshot(&mut l);
+        let mut snap = snapshot(&l);
         l.w.w.data[0] = 42.0;
-        snapshot_into(&mut l, &mut snap);
-        let fresh = snapshot(&mut l);
+        snapshot_into(&l, &mut snap);
+        let fresh = snapshot(&l);
         assert_eq!(snap.tensors, fresh.tensors);
         // A layout change falls back to rebuilding.
-        let mut big = Linear::new(5, 5, &mut r);
-        snapshot_into(&mut big, &mut snap);
-        assert_eq!(snap.tensors, snapshot(&mut big).tensors);
+        let big = Linear::new(5, 5, &mut r);
+        snapshot_into(&big, &mut snap);
+        assert_eq!(snap.tensors, snapshot(&big).tensors);
     }
 
     #[test]
     fn restore_rejects_shape_mismatch() {
         let mut r = rng(2);
-        let mut small = Linear::new(2, 2, &mut r);
+        let small = Linear::new(2, 2, &mut r);
         let mut big = Linear::new(4, 4, &mut r);
-        let snap = snapshot(&mut small);
+        let snap = snapshot(&small);
         assert!(!restore(&mut big, &snap));
     }
 

@@ -71,8 +71,28 @@ pub fn accuracy_at_k(predicted: &[u64], future_windows: &[Vec<u64>]) -> f64 {
     hits as f64 / predicted.len() as f64
 }
 
-/// Indices of the `k` largest values in `scores`, descending.
+/// Largest `k` that [`top_k_indices`] answers by selection rather than
+/// by sorting every index.
+const SELECT_MAX_K: usize = 8;
+
+/// Indices of the `k` largest values in `scores`, descending, equal
+/// values by index: the first `k` of a stable descending sort. Up to 8
+/// indices, with no NaN among the scores, come from one selection pass;
+/// otherwise from that sort.
 pub fn top_k_indices(scores: &[f32], k: usize) -> Vec<usize> {
+    if k <= SELECT_MAX_K {
+        if let Some(top) = select_top_k(scores, k) {
+            return top;
+        }
+    }
+    sort_top_k(scores, k)
+}
+
+/// The first `k` of every index sorted stably by descending score. A
+/// NaN compares equal to everything, which no total order does: where
+/// the NaNs land is the sort's choice, and from about 20 scores on the
+/// standard library's sort usually detects the violation and panics.
+fn sort_top_k(scores: &[f32], k: usize) -> Vec<usize> {
     let mut idx: Vec<usize> = (0..scores.len()).collect();
     idx.sort_by(|&a, &b| {
         scores[b]
@@ -81,6 +101,31 @@ pub fn top_k_indices(scores: &[f32], k: usize) -> Vec<usize> {
     });
     idx.truncate(k);
     idx
+}
+
+/// [`sort_top_k`]'s answer in one pass over `scores`, or `None` at the
+/// first NaN. The kept indices stay in the sort's order: a score
+/// displaces the last kept one only when strictly greater, and goes in
+/// after every kept score that is at least as large, so equal scores
+/// (−0.0 and +0.0 among them) keep index order.
+fn select_top_k(scores: &[f32], k: usize) -> Option<Vec<usize>> {
+    let mut top: Vec<usize> = Vec::with_capacity(k);
+    for (i, &x) in scores.iter().enumerate() {
+        if x.is_nan() {
+            return None;
+        }
+        if top.len() == k {
+            match top.last() {
+                Some(&last) if x > scores[last] => {
+                    top.pop();
+                }
+                _ => continue,
+            }
+        }
+        let at = top.partition_point(|&j| scores[j] >= x);
+        top.insert(at, i);
+    }
+    Some(top)
 }
 
 #[cfg(test)]
@@ -135,5 +180,56 @@ mod tests {
         let scores = vec![0.1, 0.9, 0.5, 0.7];
         assert_eq!(top_k_indices(&scores, 2), vec![1, 3]);
         assert_eq!(top_k_indices(&scores, 10).len(), 4);
+    }
+
+    /// Selection gives the sort's indices, in its order, at every length
+    /// 0–40 and every k 0–10, over scores drawn from a few values so that
+    /// ties are common: ±0.0, ±∞ and repeated finite values. A vector
+    /// with a NaN (about one in four) is left to the sort, which is not
+    /// called on it here: the standard library's sort may panic on a
+    /// comparison that is not a total order.
+    #[test]
+    fn top_k_by_selection_matches_the_stable_sort() {
+        const VALUES: [f32; 9] = [
+            0.0,
+            -0.0,
+            f32::INFINITY,
+            f32::NEG_INFINITY,
+            1.0,
+            -1.0,
+            0.25,
+            3.0e-39,
+            f32::MIN_POSITIVE,
+        ];
+        let mut x = 0x2545_F491_4F6C_DD1Du64;
+        let mut next = move || {
+            x ^= x << 13;
+            x ^= x >> 7;
+            x ^= x << 17;
+            x
+        };
+        for case in 0..4000 {
+            let len = case % 41;
+            let mut scores: Vec<f32> = (0..len)
+                .map(|_| match next() % 12 {
+                    v @ 0..=8 => VALUES[v as usize],
+                    _ => (next() % 1000) as f32 / 100.0 - 5.0,
+                })
+                .collect();
+            let with_nan = len > 0 && next().is_multiple_of(4);
+            if with_nan {
+                let at = (next() % len as u64) as usize;
+                scores[at] = f32::NAN;
+            }
+            for k in 0..=10 {
+                if with_nan {
+                    assert_eq!(select_top_k(&scores, k), None, "{scores:?} k={k}");
+                    continue;
+                }
+                let want = sort_top_k(&scores, k);
+                assert_eq!(top_k_indices(&scores, k), want, "{scores:?} k={k}");
+                assert_eq!(select_top_k(&scores, k), Some(want), "{scores:?} k={k}");
+            }
+        }
     }
 }

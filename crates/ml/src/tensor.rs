@@ -358,9 +358,24 @@ impl Matrix {
     /// calibration baseline for the perf runner; identical to the tiled
     /// kernel up to f32 summation order.
     pub fn matmul_ref(&self, other: &Matrix) -> Matrix {
+        let mut out = Matrix::zeros(self.rows, other.cols);
+        self.matmul_ref_into(other, &mut out);
+        out
+    }
+
+    /// [`Matrix::matmul_ref`] written into a caller-owned buffer: the
+    /// same loop, so the same bits. The perf runner's calibration kernel
+    /// runs here into one buffer held for the whole run, so where the
+    /// allocator puts its output cannot move the reference.
+    pub fn matmul_ref_into(&self, other: &Matrix, out: &mut Matrix) {
         assert_eq!(self.cols, other.rows, "matmul shape");
+        assert_eq!(
+            (out.rows, out.cols),
+            (self.rows, other.cols),
+            "matmul out shape"
+        );
         let (m, k, n) = (self.rows, self.cols, other.cols);
-        let mut out = Matrix::zeros(m, n);
+        out.data.fill(0.0);
         for i in 0..m {
             let a_row = self.row(i);
             let o_row = &mut out.data[i * n..(i + 1) * n];
@@ -371,7 +386,6 @@ impl Matrix {
                 }
             }
         }
-        out
     }
 
     /// Naive reference for `matmul_bt` (strictly sequential dot products).

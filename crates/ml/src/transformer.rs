@@ -404,12 +404,18 @@ mod tests {
         }
     }
 
+    /// The weight probes' tolerance, relative to the analytic gradient:
+    /// below 1, so a forward that ignored the nudge (a numeric gradient
+    /// of 0) fails.
+    const FD_REL_TOL: f32 = 0.05;
+
     #[test]
     fn one_row_readout_gradient_matches_finite_difference() {
+        const HEADS: usize = 2;
         for layers in [1usize, 2] {
             let mut r = rng(50 + layers as u64);
             let mut stack: Vec<TransformerLayer> = (0..layers)
-                .map(|_| TransformerLayer::new(4, 2, &mut r))
+                .map(|_| TransformerLayer::new(4, HEADS, &mut r))
                 .collect();
             let h = Matrix::xavier(3, 4, &mut r);
             let w = Matrix::xavier(1, 4, &mut r);
@@ -432,25 +438,37 @@ mod tests {
                     dh.data[i]
                 );
             }
-            // The final layer's Q projection and FFN saw one row only.
+            // The final layer's Q projection, Wo and FFN saw one row only.
+            // Each probe nudges, through `for_each_param`, the element of
+            // one of its weights with the largest gradient: head 0's Wq,
+            // Wo and fc1's weight, at their places in parameter order
+            // (each head's Wq, Wk and Wv, then Wo, then fc1).
             let last = layers - 1;
-            type Probe = fn(&mut TransformerLayer) -> &mut Param;
-            let probes: [(&str, Probe); 3] = [
-                ("wq", |l| &mut l.msa.heads[0].wq),
-                ("wo", |l| &mut l.msa.wo),
-                ("fc1", |l| &mut l.ffn.fc1.w),
-            ];
-            for (name, param) in probes {
-                let analytic = param(&mut stack[last]).g.data[1];
+            for (name, index) in [("wq", 0usize), ("wo", 3 * HEADS), ("fc1", 3 * HEADS + 1)] {
+                let mut g = Vec::new();
+                stack[last].for_each_param_ref(&mut |p| g.push(p.g.data.clone()));
+                let (at, analytic) = g[index]
+                    .iter()
+                    .copied()
+                    .enumerate()
+                    .max_by(|a, b| a.1.abs().total_cmp(&b.1.abs()))
+                    .expect("non-empty weight");
                 let nudged = |delta: f32| {
                     let mut st = stack.clone();
-                    param(&mut st[last]).w.data[1] += delta;
+                    let mut i = 0;
+                    st[last].for_each_param(&mut |p| {
+                        if i == index {
+                            p.w.data[at] += delta;
+                        }
+                        i += 1;
+                    });
                     loss(&st, &h)
                 };
                 let num = (nudged(eps) - nudged(-eps)) / (2.0 * eps);
+                let tol = FD_REL_TOL * analytic.abs();
                 assert!(
-                    (num - analytic).abs() < 0.1,
-                    "layers {layers} {name}: {num} vs {analytic}"
+                    (num - analytic).abs() < tol,
+                    "layers {layers} {name}[{at}]: {num} vs {analytic}"
                 );
             }
         }
